@@ -16,7 +16,8 @@ from .bounds import (BoundReport, Method, OptimizerInfo, Shortcuts, best_bound,
                      condition_19, corollary32_bound, friedrich_bound,
                      harmonic_spinor_excluded, improvement_condition,
                      kaehler_bound, minimax_bound_at_t, optimize_minimax,
-                     shortcuts, theorem31_bound, zero_scalar_bound)
+                     optimize_minimax_block, shortcuts, theorem31_bound,
+                     zero_scalar_bound)
 from .catalog import (EXAMPLES, Einstein, ManifoldSpec, Product, Sphere,
                       Surface, Warped, named_example, realize, spec_from_dict,
                       spec_to_dict)
@@ -26,8 +27,8 @@ from .errors import (CompositionError, DimensionError, DiracBoundError,
                      InconsistentProfile, NonPositiveF, NoPeriod, NotSymmetric,
                      ParameterRange, RicciFlat, ScalarSignError, ShapeError,
                      UnknownExample)
-from .profile import (RicciProfile, TracelessData, make_profile,
-                      profile_from_dict, profile_to_dict, traceless)
+from .profile import (RicciProfile, make_profile, profile_from_dict,
+                      profile_to_dict)
 from .warp import (CurvatureTrack, WarpExtremals, WarpTrajectory,
                    curvature_track, energy_drift, extremal_data,
                    integrate_warp, warp_extremals, write_track_csv)
@@ -47,15 +48,16 @@ __all__ = [
     "Einstein", "InconsistentProfile", "ManifoldSpec", "Method", "NoPeriod",
     "NonPositiveF", "NotSymmetric", "OptimizerInfo", "ParameterRange",
     "Product", "RicciFlat", "RicciProfile", "ScalarSignError", "ShapeError",
-    "Shortcuts", "Sphere", "Surface", "TraceResiduals", "TracelessData",
+    "Shortcuts", "Sphere", "Surface", "TraceResiduals",
     "UnknownExample", "Warped", "WarpExtremals", "WarpTrajectory",
     "best_bound", "build_rep", "condition_19", "corollary32_bound",
     "curvature_track", "energy_drift", "extremal_data", "friedrich_bound",
     "harmonic_spinor_excluded", "improvement_condition", "integrate_warp",
     "kaehler_bound", "load_schema", "make_profile", "minimax_bound_at_t",
-    "named_example", "optimize_minimax", "profile_from_dict",
+    "named_example", "optimize_minimax", "optimize_minimax_block",
+    "profile_from_dict",
     "profile_to_dict", "realize", "run_identity_batch", "shortcuts",
-    "spec_from_dict", "spec_to_dict", "theorem31_bound", "traceless",
+    "spec_from_dict", "spec_to_dict", "theorem31_bound",
     "verify_lemma15", "verify_ricci_trace", "warp_extremals",
     "write_track_csv", "zero_scalar_bound",
 ]

@@ -28,9 +28,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DimensionError, ParameterRange, RicciFlat, ScalarSignError
-from .optimize import golden_max
-from .profile import traceless
+from .errors import (DimensionError, ParameterRange, RicciFlat, ScalarSignError,
+                     ShapeError)
 
 # |R| below this counts as vanishing scalar curvature
 SCALAR_ZERO_ATOL = 1e-12
@@ -38,7 +37,11 @@ SCALAR_ZERO_ATOL = 1e-12
 DEGENERATE_A_ATOL = 1e-14
 
 MINIMAX_GRID = 256
+# points per refinement round; odd, so the centre is the current best t
+MINIMAX_REFINE = 65
 MINIMAX_T_TOL = 1e-10
+# rows per mini-max kernel call: bounds the (rows, grid) work arrays
+MINIMAX_BLOCK = 64
 
 
 class Method(str, enum.Enum):
@@ -115,13 +118,13 @@ def condition_19(profile):
     """
     n, R = profile.n, profile.scalar
     rhs = (R / n - profile.kappa0) * max(R / (n - 1), -R)
-    return traceless(profile).traceless_norm_sq_min > rhs
+    return profile.traceless_norm_sq_min > rhs
 
 
 def shortcuts(profile):
     """Evaluate the a, b, c, A shortcut quantities for a profile."""
     n, R = profile.n, profile.scalar
-    t0 = traceless(profile).traceless_norm_sq_min
+    t0 = profile.traceless_norm_sq_min
     a = n * R / (8.0 * (n - 1))
     b = n / (n - 1.0) * (R / n - profile.kappa0)
     csq = n / (n - 1.0) * t0
@@ -236,6 +239,37 @@ def zero_scalar_bound(profile):
 
 # --- mini-max principle ----------------------------------------------------
 
+def _minimax_root(n, R, kappa0, t0):
+    """t -> larger root of the mini-max quadratic, clamped at +0.
+
+    Arguments broadcast: per-row columns of shape (rows, 1) against t
+    of shape (rows, k) or (1, k). Every operation is elementwise and
+    correctly rounded, so a row's values do not depend on the others.
+    Each row is scaled by a power of two near its curvature size, so p^2
+    cannot underflow; the scaling is exact, so it changes no value that
+    did not underflow.
+    """
+    size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
+    scale = np.ldexp(1.0, np.frexp(size)[1])
+    R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
+    nn = n / (n - 1.0)
+    drop = nn * (R / n - kappa0)
+    p0 = -n * R / (4.0 * (n - 1))
+    quarter_R = R / 4.0
+
+    def root(t):
+        u = 2.0 * t * drop
+        p = p0 + u
+        q = nn * (t * t - t / 2.0) * t0 - u * quarter_R
+        disc = p * p - 4.0 * q
+        # |p| + s never cancels: (-p + s) / 2 for p <= 0, -2q / (p + s) else
+        ps = np.abs(p) + np.sqrt(np.maximum(disc, 0.0))
+        x = np.divide(-2.0 * q, ps, out=ps / 2.0, where=p > 0.0)
+        return np.where((disc >= 0.0) & (x > 0.0), x, 0.0) * scale
+
+    return root
+
+
 def minimax_bound_at_t(profile, t):
     """Larger root of the quadratic lower-bound inequality at parameter t.
 
@@ -252,43 +286,73 @@ def minimax_bound_at_t(profile, t):
     t = float(t)
     if not 0.0 <= t <= 0.5:
         raise ParameterRange(f"t must lie in [0, 1/2], got {t}")
-    n, R = profile.n, profile.scalar
-    nn = n / (n - 1.0)
-    drop = nn * (R / n - profile.kappa0)
-    t0 = traceless(profile).traceless_norm_sq_min
-    p = -n * R / (4.0 * (n - 1)) + 2.0 * t * drop
-    q = -2.0 * t * drop * (R / 4.0) + nn * (t * t - t / 2.0) * t0
-    disc = p * p - 4.0 * q
-    if disc < 0.0:
-        return 0.0
-    s = math.sqrt(disc)
-    root = (-p + s) / 2.0 if p <= 0.0 else -2.0 * q / (p + s)
-    return max(root, 0.0)
+    root = _minimax_root(profile.n, profile.scalar, profile.kappa0,
+                         profile.traceless_norm_sq_min)
+    return float(root(np.full((1, 1), t))[0, 0])
+
+
+_GRID = np.linspace(0.0, 0.5, MINIMAX_GRID)
+_OFFSETS = np.arange(-(MINIMAX_REFINE // 2), MINIMAX_REFINE // 2 + 1, dtype=float)
+
+
+def _maximize(root):
+    """Grid search, then nested grids around the best t; see optimize_minimax_block."""
+    vals = root(_GRID)
+    i = np.argmax(vals, axis=1)
+    idx = np.arange(len(i))
+    t_star, value = _GRID[i], vals[idx, i]
+    step = _GRID[1]
+    while step > MINIMAX_T_TOL:
+        step /= MINIMAX_REFINE // 2
+        ts = np.clip(t_star[:, None] + step * _OFFSETS, 0.0, 0.5)
+        vals = root(ts)
+        j = np.argmax(vals, axis=1)
+        # ties keep the earlier best; keeps t_star = 0 on flat profiles
+        better = vals[idx, j] > value
+        t_star = np.where(better, ts[idx, j], t_star)
+        value = np.where(better, vals[idx, j], value)
+    return value, t_star
+
+
+def optimize_minimax_block(n, scalar, kappa0, traceless_norm_sq_min):
+    """Maximize the mini-max bound over t in [0, 1/2] for a block of rows.
+
+    Takes equal-length arrays of n, R, kappa0 and min |Ric - R/n|^2 and
+    returns the arrays (value, t_star). Each row is searched on a grid of
+    MINIMAX_GRID points; then, for a fixed number of rounds, on a grid of
+    MINIMAX_REFINE points spanning one step either side of the best t so
+    far, until the step is at most MINIMAX_T_TOL. The first grid contains
+    t = 0, so no value falls below the Friedrich bound. Rows go through
+    the kernel MINIMAX_BLOCK at a time, and a row's result does not
+    depend on the block it lands in.
+    """
+    cols = [np.asarray(a, dtype=float).reshape(-1)
+            for a in (n, scalar, kappa0, traceless_norm_sq_min)]
+    rows = len(cols[0])
+    if any(len(c) != rows for c in cols):
+        raise ShapeError(f"row arrays differ in length: {[len(c) for c in cols]}")
+    value, t_star = np.empty(rows), np.empty(rows)
+    for lo in range(0, rows, MINIMAX_BLOCK):
+        block = slice(lo, lo + MINIMAX_BLOCK)
+        root = _minimax_root(*(c[block, None] for c in cols))
+        value[block], t_star[block] = _maximize(root)
+    return value, t_star
 
 
 def optimize_minimax(profile):
     """Maximize minimax_bound_at_t over t in [0, 1/2].
 
-    Coarse grid of MINIMAX_GRID points, then golden-section refinement
-    of the best bracket to MINIMAX_T_TOL. The grid contains t = 0, so
-    the result never falls below the Friedrich value.
+    optimize_minimax_block on a block of one: a coarse grid of
+    MINIMAX_GRID points, then a fixed number of nested grids of
+    MINIMAX_REFINE points around the best t until the step is at most
+    MINIMAX_T_TOL. Ties keep the earlier point, so t_star = 0 on flat
+    (Einstein) profiles. The grid contains t = 0, so the result never
+    falls below the Friedrich value.
     """
-    def f(t):
-        return minimax_bound_at_t(profile, t)
-
-    ts = np.linspace(0.0, 0.5, MINIMAX_GRID)
-    vals = np.array([f(t) for t in ts])
-    i = int(np.argmax(vals))
-    lo = ts[max(i - 1, 0)]
-    hi = ts[min(i + 1, MINIMAX_GRID - 1)]
-    t_star, value = ts[i], vals[i]
-    if hi > lo:
-        t_ref, v_ref = golden_max(f, lo, hi, MINIMAX_T_TOL)
-        # ties go to the grid point; keeps t_star = 0 on flat profiles
-        if v_ref > value:
-            t_star, value = t_ref, v_ref
-    return BoundReport(Method.MINIMAX_NUMERIC, float(value), False, True,
-                       optimizer=OptimizerInfo(t_star=float(t_star)))
+    value, t_star = optimize_minimax_block(
+        profile.n, profile.scalar, profile.kappa0, profile.traceless_norm_sq_min)
+    return BoundReport(Method.MINIMAX_NUMERIC, float(value[0]), False, True,
+                       optimizer=OptimizerInfo(t_star=float(t_star[0])))
 
 
 # --- aggregation -----------------------------------------------------------

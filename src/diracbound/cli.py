@@ -16,14 +16,15 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import clifford, warp
+from . import bounds, clifford, warp
 from .bounds import (best_bound, friedrich_bound, kaehler_bound,
-                     optimize_minimax, theorem31_bound)
+                     optimize_minimax_block, theorem31_bound)
 from .catalog import (EXAMPLES, Product, Sphere, Surface, Warped, named_example,
                       realize, spec_from_dict, spec_to_dict)
 from .errors import DiracBoundError
@@ -184,6 +185,7 @@ def _bind(spec, param, value):
 
 
 def _sweep_cells(profile, selected, kaehler_dim):
+    """Closed-form cells of one row; the minimax column is filled per block."""
     cells = {}
     if "friedrich" in selected:
         cells["friedrich"] = friedrich_bound(profile).value
@@ -193,9 +195,27 @@ def _sweep_cells(profile, selected, kaehler_dim):
         report = theorem31_bound(profile)
         if report.applicable:
             cells["theorem31"] = report.value
-    if "minimax_numeric" in selected:
-        cells["minimax_numeric"] = optimize_minimax(profile).value
     return cells
+
+
+def _sweep_block(spec, args, selected, params):
+    """CSV rows for one block of parameter values."""
+    profiles = [realize(_bind(spec, args.param, float(v)), args.tol) for v in params]
+    rows = [_sweep_cells(p, selected, args.kaehler_dim) for p in profiles]
+    if "minimax_numeric" in selected:
+        values, _ = optimize_minimax_block(
+            [p.n for p in profiles], [p.scalar for p in profiles],
+            [p.kappa0 for p in profiles],
+            [p.traceless_norm_sq_min for p in profiles])
+        for cells, value in zip(rows, values):
+            cells["minimax_numeric"] = value
+    lines = []
+    for value, cells in zip(params, rows):
+        row = [_fmt17(value)]
+        row += [_fmt17(cells[c]) if c in cells else "" for c in SWEEP_COLUMNS]
+        row.append(_fmt17(max(cells.values())) if cells else "")
+        lines.append(",".join(row))
+    return lines
 
 
 def cmd_sweep(args):
@@ -203,6 +223,10 @@ def cmd_sweep(args):
         spec = spec_from_dict(_load_json(args.spec))
     else:
         spec = named_example(args.example)
+    for flag, value in (("--from", args.start), ("--to", args.stop),
+                        ("--to minus --from", args.stop - args.start)):
+        if not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
     if not args.start < args.stop:
         raise ValueError(f"--from must be below --to, got {args.start} and {args.stop}")
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
@@ -218,13 +242,10 @@ def cmd_sweep(args):
                          f"factor of the spec; found {sites}")
 
     lines = ["param," + ",".join(SWEEP_COLUMNS) + ",best"]
-    for value in np.linspace(args.start, args.stop, args.steps):
-        profile = realize(_bind(spec, args.param, float(value)), args.tol)
-        cells = _sweep_cells(profile, selected, args.kaehler_dim)
-        row = [_fmt17(value)]
-        row += [_fmt17(cells[c]) if c in cells else "" for c in SWEEP_COLUMNS]
-        row.append(_fmt17(max(cells.values())) if cells else "")
-        lines.append(",".join(row))
+    params = np.linspace(args.start, args.stop, args.steps)
+    for lo in range(0, len(params), bounds.MINIMAX_BLOCK):
+        lines += _sweep_block(spec, args, selected,
+                              params[lo:lo + bounds.MINIMAX_BLOCK])
     _emit("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 

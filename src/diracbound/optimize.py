@@ -28,9 +28,3 @@ def golden_min(f, a, b, tol=1e-10):
             fd = f(d)
     x = c if fc <= fd else d
     return x, min(fc, fd)
-
-
-def golden_max(f, a, b, tol=1e-10):
-    """Maximize f over [a, b]; returns (x, f(x))."""
-    x, v = golden_min(lambda t: -f(t), a, b, tol)
-    return x, -v

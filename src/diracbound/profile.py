@@ -23,21 +23,19 @@ ODE_RTOL = 1e-6
 
 @dataclass(frozen=True)
 class RicciProfile:
-    """Validated curvature summary; build through make_profile."""
+    """Validated curvature summary; build through make_profile.
+
+    traceless_norm_sq_min is min |Ric - (R/n) Id|^2, derived from the
+    other fields by make_profile.
+    """
 
     n: int
     scalar: float
     kappa0: float
     ric_norm_sq_min: float
+    traceless_norm_sq_min: float
     eigenvalues: tuple[float, ...] | None = None
     rtol: float = EXACT_RTOL
-
-
-@dataclass(frozen=True)
-class TracelessData:
-    """Minimum of |Ric - (R/n) Id|^2 over the manifold."""
-
-    traceless_norm_sq_min: float
 
 
 def _slack(rtol, *values):
@@ -94,19 +92,10 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None, *,
                 f"sum of squared eigenvalues = {sq} does not match "
                 f"ric_norm_sq_min = {ric_norm_sq_min}")
 
-    return RicciProfile(n, scalar, kappa0, ric_norm_sq_min, eigs, rtol)
-
-
-def traceless(profile):
-    """Split off the trace part: min |Ric - (R/n) Id|^2.
-
-    With R constant the identity |Ric - R/n|^2 = |Ric|^2 - R^2/n holds
-    pointwise, so both minima sit at the same points and the difference
-    is exact. Round-off negatives (Einstein data) are clamped to 0;
-    validation already bounds how negative the difference can be.
-    """
-    value = profile.ric_norm_sq_min - profile.scalar**2 / profile.n
-    return TracelessData(max(value, 0.0))
+    # round-off negatives (Einstein data) are clamped to 0; the checks
+    # above already bound how negative the difference can be
+    traceless = max(ric_norm_sq_min - scalar**2 / n, 0.0)
+    return RicciProfile(n, scalar, kappa0, ric_norm_sq_min, traceless, eigs, rtol)
 
 
 # --- JSON field mapping ----------------------------------------------------

@@ -8,8 +8,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import diracbound as db
+
+# Property tests draw the same examples on every run and have no
+# per-example deadline, so a slow shared host cannot make them flaky.
+settings.register_profile("diracbound", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("diracbound")
 
 SCHEMA_NAMES = (
     "profile.v1",

@@ -4,15 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from conftest import random_spectrum_profile, spectrum_profile
 from diracbound import (DimensionError, Method, ParameterRange, RicciFlat,
-                        ScalarSignError, best_bound, condition_19,
-                        corollary32_bound, friedrich_bound,
+                        ScalarSignError, ShapeError, best_bound, bounds,
+                        condition_19, corollary32_bound, friedrich_bound,
                         harmonic_spinor_excluded, improvement_condition,
                         kaehler_bound, make_profile, minimax_bound_at_t,
-                        optimize_minimax, shortcuts, theorem31_bound,
-                        zero_scalar_bound)
+                        optimize_minimax, optimize_minimax_block, shortcuts,
+                        theorem31_bound, zero_scalar_bound)
 
 # flat torus times unit sphere: the closed-book reference case
 T2XS2 = make_profile(4, 2.0, 0.0, 2.0, (0, 0, 1, 1))
@@ -211,3 +213,64 @@ def test_best_bound_without_kaehler_dim():
     best = best_bound(T2XS2)
     assert best.method is Method.THEOREM31
     assert len(best.subreports) == 4
+
+
+# --- batched mini-max kernel: properties over random spectra ---------------
+
+spectra = st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
+                   min_size=2, max_size=8).map(spectrum_profile)
+
+
+def _block(profiles):
+    return optimize_minimax_block([p.n for p in profiles],
+                                  [p.scalar for p in profiles],
+                                  [p.kappa0 for p in profiles],
+                                  [p.traceless_norm_sq_min for p in profiles])
+
+
+@given(st.lists(spectra, min_size=1, max_size=12), st.data())
+def test_minimax_block_rows_match_single_profile(profiles, data):
+    single = [optimize_minimax(p) for p in profiles]
+    order = data.draw(st.permutations(range(len(profiles))))
+    expect_v = np.array([single[i].value for i in order])
+    expect_t = np.array([single[i].optimizer.t_star for i in order])
+    for size in (1, 7, bounds.MINIMAX_BLOCK):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bounds, "MINIMAX_BLOCK", size)
+            value, t_star = _block([profiles[i] for i in order])
+        # bit for bit, sign of zero included
+        assert value.tobytes() == expect_v.tobytes()
+        assert t_star.tobytes() == expect_t.tobytes()
+
+
+def test_minimax_block_rejects_ragged_rows():
+    with pytest.raises(ShapeError):
+        optimize_minimax_block([4], [2.0, 2.0], [0.0, 0.0], [1.0, 1.0])
+
+
+@given(spectra, st.floats(0.0, 0.5))
+def test_minimax_at_t_is_the_kernel(p, t):
+    root = bounds._minimax_root(p.n, p.scalar, p.kappa0, p.traceless_norm_sq_min)
+    kernel = root(np.array([[0.0, t, 0.5]]))[0, 1]
+    assert minimax_bound_at_t(p, t) == kernel
+
+
+@given(spectra)
+def test_minimax_value_sign_and_friedrich_floor(p):
+    r = optimize_minimax(p)
+    assert math.copysign(1.0, r.value) == 1.0   # never -0
+    assert r.value >= friedrich_bound(p).value
+    assert 0.0 <= r.optimizer.t_star <= 0.5
+
+
+@given(spectra)
+def test_minimax_closes_on_theorem31(p):
+    th = theorem31_bound(p)
+    if not th.applicable:
+        return
+    t_fix = th.optimizer.s0 * th.value
+    if t_fix > 0.5 - 1e-6:
+        return
+    r = optimize_minimax(p)
+    assert r.value == pytest.approx(th.value, rel=1e-9)
+    assert r.optimizer.t_star == pytest.approx(t_fix, abs=1e-5)

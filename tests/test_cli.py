@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from diracbound import bounds, cli
+
 
 def test_bound_example_table(run_cli):
     proc = run_cli("bound", "--example", "t2xs2", "--kaehler-dim", "2", expect=0)
@@ -124,6 +126,40 @@ def test_sweep_deterministic_bytes(run_cli):
 ])
 def test_sweep_validation_exits_1(run_cli, extra):
     run_cli("sweep", "--example", "t2xs2", "--param", "radius", *extra, expect=1)
+
+
+@pytest.mark.parametrize("span,flag", [
+    (("--from", "1", "--to", "inf"), "--to"),
+    (("--from", "nan", "--to", "2"), "--from"),
+    (("--from=-inf", "--to", "2"), "--from"),
+    (("--from=-1e308", "--to", "1e308"), "--to minus --from"),
+])
+def test_sweep_rejects_non_finite_endpoints(run_cli, span, flag):
+    proc = run_cli("sweep", "--example", "t2xs2", "--param", "radius", *span,
+                   "--steps", "3", expect=1)
+    assert f"{flag} must be finite" in proc.stderr
+    assert proc.stdout == "" and "Warning" not in proc.stderr
+
+
+def test_sweep_negative_scalar_cells_are_not_negative_zero(run_cli):
+    proc = run_cli("sweep", "--example", "m7-sigma", "--param", "surface_scalar",
+                   "--from", "-8", "--to", "0", "--steps", "41", expect=0)
+    rows = [line.split(",") for line in proc.stdout.splitlines()[1:]]
+    assert len(rows) == 41
+    # the param column is negative here; no bound cell may print -0
+    assert not [cell for row in rows for cell in row[1:] if cell.startswith("-0")]
+
+
+def test_sweep_rows_independent_of_block_size(capsys, monkeypatch):
+    argv = ["sweep", "--example", "m7-sigma", "--param", "surface_scalar",
+            "--from", "-8", "--to", "12", "--steps", "150"]
+    outputs = []
+    for size in (1, 7, bounds.MINIMAX_BLOCK):
+        monkeypatch.setattr(bounds, "MINIMAX_BLOCK", size)
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].count("\n") == 151
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_sweep_binding_must_be_unique(run_cli):

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import random_spectrum_profile, spectrum_profile
 from diracbound import (DimensionError, InconsistentProfile, make_profile,
-                        profile_from_dict, profile_to_dict, traceless)
+                        profile_from_dict, profile_to_dict)
 from diracbound.profile import EXACT_RTOL, ODE_RTOL
 
 
@@ -59,7 +59,7 @@ def test_traceless_identity():
     rng = np.random.default_rng(11)
     for _ in range(200):
         p = random_spectrum_profile(rng, int(rng.integers(2, 9)))
-        t0 = traceless(p).traceless_norm_sq_min
+        t0 = p.traceless_norm_sq_min
         assert t0 >= 0.0
         expected = p.ric_norm_sq_min - p.scalar**2 / p.n
         assert t0 == pytest.approx(expected, abs=1e-13)
@@ -67,7 +67,7 @@ def test_traceless_identity():
 
 def test_traceless_clamped_on_einstein_data():
     p = spectrum_profile([3.0, 3.0, 3.0, 3.0])
-    assert traceless(p).traceless_norm_sq_min == 0.0
+    assert p.traceless_norm_sq_min == 0.0
 
 
 def test_dict_round_trip():
