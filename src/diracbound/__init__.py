@@ -4,8 +4,9 @@ The estimates need three numbers per manifold besides the dimension:
 the (constant) scalar curvature, the global minimum of the Ricci
 eigenvalues, and the global minimum of the squared Ricci norm. Profiles
 carry exactly that. The catalog builds them for products of model
-factors, including a warped circle bundle whose curvature comes from a
-periodic ODE orbit, and the clifford module verifies the two matrix
+factors, including a warped circle bundle over a periodic ODE orbit,
+whose curvature minima energy conservation gives in closed form, and
+the clifford module verifies the two matrix
 identities the estimates rest on.
 """
 

@@ -15,7 +15,7 @@ from typing import Union
 from .errors import (CompositionError, DimensionError, ParameterRange,
                      UnknownExample)
 from .profile import ODE_RTOL, make_profile
-from .warp import WARP_SCALAR, warp_extremals
+from .warp import WARP_SCALAR, check_tol, warp_extremals
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,13 @@ def _count_warped(spec):
 
 
 def realize(spec, warp_tol=1e-10):
-    """Produce the RicciProfile of a spec; raises on invalid parameters."""
+    """Produce the RicciProfile of a spec; raises on invalid parameters.
+
+    The warped factor's minima are exact (warp.warp_extremals); warp_tol
+    is validated but changes no value. The profile still carries the
+    loose ODE tolerance class, as integrated data did.
+    """
+    check_tol(warp_tol)
     if isinstance(spec, Einstein):
         mean = spec.scalar / spec.n
         return make_profile(spec.n, spec.scalar, mean, spec.scalar * mean,

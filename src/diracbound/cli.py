@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -38,10 +39,25 @@ EXIT_RESIDUAL = 3
 MAX_SWEEP_STEPS = 10**6
 SWEEP_COLUMNS = ("friedrich", "kaehler", "theorem31", "minimax_numeric")
 RESIDUAL_TOL = 1e-12
+_COMPAT_TOL_HELP = ("kept for compatibility: checked to be finite and positive, "
+                    "but changes no value, because warped factors are computed "
+                    "in closed form; only the ode command integrates "
+                    "(default 1e-10)")
+_NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse exits 2 on usage errors; the contract here is 1."""
+    """argparse exits 2 on usage errors; the contract here is 1.
+
+    argparse reads an argument that looks like a negative number as a
+    value, not an option; its own pattern has no exponent form, so
+    `--from -1e-3` would fail. The wider pattern reaches every
+    subcommand, because add_parser builds subparsers of this class.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -348,7 +364,7 @@ def build_parser():
     fmt.add_argument("--csv", action="store_true", help="CSV output")
     p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     p.add_argument("--tol", type=float, default=1e-10, metavar="TOL",
-                   help="warp integration tolerance (default 1e-10)")
+                   help=_COMPAT_TOL_HELP)
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("sweep", help="one-parameter bound family to CSV")
@@ -371,7 +387,7 @@ def build_parser():
                    help="complex dimension for the kaehler column")
     p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
     p.add_argument("--tol", type=float, default=1e-10, metavar="TOL",
-                   help="warp integration tolerance (default 1e-10)")
+                   help=_COMPAT_TOL_HELP)
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("ode", help="integrate the warp orbit, dump CSV track")

@@ -11,6 +11,7 @@ the parallel-Ricci case where the spectrum is constant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import DimensionError, InconsistentProfile
@@ -46,8 +47,9 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None, *,
                  ode_derived=False):
     """Validate curvature data and return a RicciProfile.
 
-    Rejection is total: any relation violated by more than the tolerance
-    class raises InconsistentProfile naming the relation. Pass
+    Rejection is total: a NaN or infinite value, or any relation
+    violated by more than the tolerance class, raises
+    InconsistentProfile naming the field or the relation. Pass
     ode_derived=True for data coming out of a numerical integration,
     which relaxes the consistency tolerance from 1e-12 to 1e-6.
     """
@@ -57,6 +59,10 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None, *,
     scalar = float(scalar)
     kappa0 = float(kappa0)
     ric_norm_sq_min = float(ric_norm_sq_min)
+    for name, value in (("scalar", scalar), ("kappa0", kappa0),
+                        ("ric_norm_sq_min", ric_norm_sq_min)):
+        if not math.isfinite(value):
+            raise InconsistentProfile(f"profile field '{name}' must be finite, got {value}")
     rtol = ODE_RTOL if ode_derived else EXACT_RTOL
 
     mean = scalar / n
@@ -76,6 +82,9 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None, *,
     eigs = None
     if eigenvalues is not None:
         eigs = tuple(sorted(float(e) for e in eigenvalues))
+        if not all(map(math.isfinite, eigs)):
+            raise InconsistentProfile(
+                f"profile field 'eigenvalues' must be finite, got {list(eigs)}")
         if len(eigs) != n:
             raise InconsistentProfile(
                 f"eigenvalues has length {len(eigs)}, expected n = {n}")

@@ -10,6 +10,31 @@ eigenvalues of the resulting 5-manifold are tracked along one period:
     kappa2 = (16/5 - kappa1) / 4                     multiplicity 4
 
 The scalar curvature kappa1 + 4 kappa2 = 16/5 is constant.
+
+The curvature minima need no integration. For n = 5 the potential is
+V(F) = F^2/2 - (5/6) F^(6/5), and the energy of the orbit through
+F(0) = f0 is E = V(f0), which is negative on every bounded orbit, with
+F'^2 = 2 (E - V(F)). Substituting F'^2 into kappa1, the F^(-4/5) terms
+cancel exactly:
+
+    kappa1 = 16/25 + (48/25) E / F^2.
+
+As E < 0, kappa1 increases strictly with F, so over the orbit, which
+sweeps F between its turning points F_min and F_max, the smallest Ricci
+eigenvalue is
+
+    kappa0 = kappa1(F_min) = (8/5)(1 - F_min^(-4/5)).
+
+|Ric|^2 = kappa1^2 + (16/5 - kappa1)^2 / 4 = 256/125 + (5/4)(kappa1 - 16/25)^2
+is least where |E| / F^2 is least, at the upper turning point:
+
+    min |Ric|^2 = 256/125 + (576/125) (E / F_max^2)^2.
+
+For f0 <= 1, F_min = f0 and F_max is the root of V(F) = E on
+(1, (5/3)^(5/4)], where V increases from V(1) = -1/3 to 0; that root,
+taken as V(F) - V(1) = E - V(1) to keep small orbits well conditioned,
+is the only numerical step of warp_extremals. integrate_warp and the
+sampled track serve the `ode` command and check the closed form.
 """
 
 from __future__ import annotations
@@ -21,10 +46,9 @@ from functools import lru_cache
 import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
 
 from .errors import DimensionError, NonPositiveF, NoPeriod, ParameterRange
-from .optimize import golden_min
+from .optimize import bisect_root, golden_min
 
 WARP_SCALAR = 16.0 / 5.0
 SAMPLES = 4097                 # covers one period; >= 2048 everywhere
@@ -66,6 +90,18 @@ def _potential(F, n):
     return F**2 / 2.0 - n / (2.0 * n - 4.0) * F ** (2.0 - 4.0 / n)
 
 
+def _potential_gap(F, n):
+    """V(F) - V(1), without the cancellation of subtracting the two.
+
+    F = 1 is a double zero of V - V(1), so the turning points of a small
+    orbit are ill-conditioned when taken from V itself; written through
+    F - 1, log1p and expm1, the gap keeps its relative accuracy.
+    """
+    u = F - 1.0
+    return u * (F + 1.0) / 2.0 \
+        - n / (2.0 * n - 4.0) * math.expm1((2.0 - 4.0 / n) * math.log1p(u))
+
+
 def _energy(F, Fp, n):
     return Fp**2 / 2.0 + _potential(F, n)
 
@@ -76,8 +112,14 @@ def _rebase(f0, n):
     if energy >= -1e-12:
         raise NonPositiveF(
             f"orbit through F(0) = {f0} has energy {energy} >= 0 and reaches F = 0")
-    return brentq(lambda F: _potential(F, n) - energy, 1e-12, 1.0,
-                  xtol=1e-15, rtol=8.9e-16)
+    gap = _potential_gap(f0, n)
+    return bisect_root(lambda F: gap - _potential_gap(F, n), 1e-12, 1.0)
+
+
+def check_tol(tol):
+    """Reject a tolerance that is not finite and positive."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ParameterRange(f"tolerance must be finite and positive, got {tol}")
 
 
 def integrate_warp(n, f0, tol=1e-10):
@@ -97,8 +139,7 @@ def integrate_warp(n, f0, tol=1e-10):
     f0 = float(f0)
     if f0 <= 0.0:
         raise NonPositiveF(f"F(0) must be positive, got {f0}")
-    if tol <= 0.0:
-        raise ParameterRange(f"tolerance must be positive, got {tol}")
+    check_tol(tol)
     if f0 > 1.0 + 1e-12:
         f0 = _rebase(f0, n)
 
@@ -188,9 +229,35 @@ def extremal_data(track):
 
 @lru_cache(maxsize=64)
 def warp_extremals(n, f0, tol=1e-10):
-    """Cached end-to-end summary used by the catalog and the sweeps."""
-    traj = integrate_warp(n, f0, tol)
-    return extremal_data(curvature_track(traj))
+    """Cached curvature minima of the n = 5 factor, in closed form.
+
+    See the module docstring: kappa0 is kappa1 at the lower turning
+    point and min |Ric|^2 is taken at the upper one, found by one
+    bracketed root. Starting values above the equilibrium are re-based
+    as in integrate_warp, so f0 is then the upper turning point. tol is
+    validated but changes no value.
+    """
+    if n != 5:
+        raise DimensionError(
+            f"curvature formulas are specific to n = 5, got n = {n}")
+    f0 = float(f0)
+    if not f0 > 0.0:
+        raise NonPositiveF(f"F(0) must be positive, got {f0}")
+    check_tol(tol)
+    energy = _potential(f0, 5)
+    if not energy < 0.0:
+        raise NonPositiveF(
+            f"orbit through F(0) = {f0} has energy {energy} >= 0 and reaches F = 0")
+    if f0 > 1.0 + 1e-12:
+        f_min, f_max = _rebase(f0, 5), f0
+    else:
+        # V(2) > 0 > E, so rounding in V((5/3)^(5/4)) = 0 cannot lose the root
+        gap = _potential_gap(f0, 5)
+        f_min = f0
+        f_max = bisect_root(lambda F: _potential_gap(F, 5) - gap, 1.0, 2.0)
+    kappa0 = (8.0 / 5.0) * (1.0 - f_min ** (-4.0 / 5.0))
+    ric = 256.0 / 125.0 + (576.0 / 125.0) * (energy / f_max**2) ** 2
+    return WarpExtremals(kappa0, ric)
 
 
 def write_track_csv(path, traj, track):

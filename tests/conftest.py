@@ -50,9 +50,9 @@ def schema_validator():
 def run_cli():
     """Invoke the installed CLI in a subprocess and capture everything."""
 
-    def run(*argv, expect=None):
+    def run(*argv, expect=None, timeout=None):
         proc = subprocess.run([sys.executable, "-m", "diracbound", *argv],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, timeout=timeout)
         if expect is not None:
             assert proc.returncode == expect, (
                 f"exit {proc.returncode}, wanted {expect}\n"

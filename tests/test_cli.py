@@ -60,6 +60,33 @@ def test_bound_diagnostic_names_field(run_cli, tmp_path):
     assert "ric_norm_sq_min" in proc.stderr
 
 
+@pytest.mark.parametrize("literal,name", [("NaN", "scalar"),
+                                          ("Infinity", "ric_norm_sq_min")])
+def test_bound_non_finite_profile_exits_1(run_cli, tmp_path, literal, name):
+    # json accepts these literals; the profile must still reject them
+    path = tmp_path / "profile.json"
+    doc = {"n": 4, "scalar": 2.0, "kappa0": 0.0, "ric_norm_sq_min": 2.0}
+    doc[name] = literal
+    path.write_text(json.dumps(doc).replace(f'"{literal}"', literal))
+    proc = run_cli("bound", "--profile", str(path), expect=1)
+    assert f"'{name}' must be finite" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("ode", "--f0", "0.5", "--out", "{tmp}/t.csv"),
+    ("bound", "--example", "m7-sigma"),
+    ("bound", "--example", "t2xs2"),
+    ("sweep", "--example", "m7-sigma", "--param", "f0",
+     "--from", "0.1", "--to", "0.5", "--steps", "3"),
+])
+def test_non_finite_tolerance_exits_1(run_cli, tmp_path, argv):
+    # a NaN tolerance once made the ODE solver loop forever
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    proc = run_cli(*argv, "--tol", "nan", expect=1, timeout=60)
+    assert "tolerance must be finite and positive" in proc.stderr
+
+
 def test_bound_unknown_example_exits_1(run_cli):
     proc = run_cli("bound", "--example", "nope", expect=1)
     assert "unknown example" in proc.stderr
@@ -139,6 +166,22 @@ def test_sweep_rejects_non_finite_endpoints(run_cli, span, flag):
                    "--steps", "3", expect=1)
     assert f"{flag} must be finite" in proc.stderr
     assert proc.stdout == "" and "Warning" not in proc.stderr
+
+
+def test_negative_exponent_values_are_not_options(capsys):
+    argv = ["sweep", "--example", "m7-sigma", "--param", "surface_scalar",
+            "--to", "1", "--steps", "2"]
+    assert cli.main(argv + ["--from", "-1e-3"]) == 0
+    spaced = capsys.readouterr().out
+    assert cli.main(argv + ["--from=-1e-3"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert spaced.splitlines()[1].startswith("-0.001,")
+    parser = cli.build_parser()
+    for text, value in (("-1e-3", -1e-3), ("-1.5E+2", -150.0), ("-.5", -0.5)):
+        assert parser.parse_args(["ode", "--f0", text, "--out", "x"]).f0 == value
+        assert parser.parse_args(["bound", "--example", "t2xs2",
+                                  "--tol", text]).tol == value
+        assert parser.parse_args(["verify", "--dim", "4", "--tol", text]).tol == value
 
 
 def test_sweep_negative_scalar_cells_are_not_negative_zero(run_cli):

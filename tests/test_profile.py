@@ -1,5 +1,7 @@
 """Validation and bookkeeping of curvature profiles."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -45,6 +47,18 @@ def test_tiny_negative_ric_clamped():
 def test_eigenvalue_consistency(eigs, pattern):
     with pytest.raises(InconsistentProfile, match=pattern):
         make_profile(4, 2.0, 0.0, 2.0, eigs)
+
+
+@pytest.mark.parametrize("fields,name", [
+    ((math.nan, 0.0, 2.0, None), "scalar"),
+    ((2.0, -math.inf, 2.0, None), "kappa0"),
+    ((2.0, 0.0, math.inf, None), "ric_norm_sq_min"),
+    ((2.0, 0.0, 2.0, (0.0, 0.0, 1.0, math.nan)), "eigenvalues"),
+    ((2.0, 0.0, 2.0, (-math.inf, 0.0, 1.0, math.inf)), "eigenvalues"),
+])
+def test_non_finite_fields_are_named(fields, name):
+    with pytest.raises(InconsistentProfile, match=f"'{name}' must be finite"):
+        make_profile(4, *fields)
 
 
 def test_ode_tolerance_class():

@@ -1,17 +1,26 @@
 """Warp orbit integration, curvature track, and extremal extraction."""
 
 import math
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracbound import (DimensionError, NonPositiveF, ParameterRange,
                         curvature_track, energy_drift, extremal_data,
-                        integrate_warp, warp_extremals, write_track_csv)
+                        integrate_warp, warp, warp_extremals, write_track_csv)
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # reference values from a 30-digit evaluation of the conserved-energy
 # closed form (turning point of the potential) and the curvature
-# expressions at the orbit extremes, for n = 5, F(0) = 0.1
+# expressions at the orbit extremes, for n = 5, F(0) = 0.1;
+# scripts/frozen_refs.py regenerates them
 F_MAX = 1.8284129813817495
 KAPPA0 = -8.495317511683092
 RIC_MIN = 2.0489333835054957
@@ -100,3 +109,92 @@ def test_track_csv_deterministic(tmp_path):
     # 17 significant digits round-trip
     tau1 = float(lines[1].split(",")[0])
     assert tau1 == traj.tau[0]
+
+
+def _ode_extremals(f0):
+    return extremal_data(curvature_track(integrate_warp(5, f0)))
+
+
+def test_closed_form_matches_frozen_references():
+    ext = warp_extremals(5, 0.1)
+    assert ext.kappa0 == KAPPA0
+    assert ext.ric_norm_sq_min == RIC_MIN
+
+
+@settings(max_examples=30)
+@given(st.floats(0.05, 1.0))
+def test_closed_form_agrees_with_the_ode_path(f0):
+    ext = warp_extremals(5, f0)
+    ode = _ode_extremals(f0)
+    assert ext.kappa0 == pytest.approx(ode.kappa0, rel=1e-9, abs=1e-12)
+    assert ext.ric_norm_sq_min == pytest.approx(ode.ric_norm_sq_min, rel=1e-9)
+
+
+@pytest.mark.parametrize("f0", [0.05, 0.1, 0.5, 0.9])
+def test_kappa1_closed_form_on_the_track(f0):
+    # at the default tolerance the energy drift (about 3e-10) alone,
+    # scaled by 48/(25 F^2), would exceed 1e-9 near F_min
+    traj = integrate_warp(5, f0, tol=1e-12)
+    closed = 16.0 / 25.0 + (48.0 / 25.0) * traj.energy / traj.F**2
+    kappa1 = curvature_track(traj).kappa1
+    assert np.max(np.abs(kappa1 - closed) / np.maximum(1.0, np.abs(kappa1))) <= 1e-9
+
+
+def test_closed_form_above_the_equilibrium():
+    # f0 > 1 is the upper turning point of the orbit it starts
+    ext = warp_extremals(5, 1.5)
+    ode = _ode_extremals(1.5)
+    assert ext.kappa0 == pytest.approx(ode.kappa0, rel=1e-9)
+    assert ext.ric_norm_sq_min == pytest.approx(ode.ric_norm_sq_min, rel=1e-9)
+    top = warp_extremals(5, F_MAX)
+    assert top.kappa0 == pytest.approx(KAPPA0, rel=1e-13)
+    assert top.ric_norm_sq_min == pytest.approx(RIC_MIN, rel=1e-15)
+
+
+def test_closed_form_constant_orbit():
+    ext = warp_extremals(5, 1.0)
+    assert (ext.kappa0, ext.ric_norm_sq_min) == (0.0, 2.56)
+
+
+def test_closed_form_input_gates():
+    with pytest.raises(DimensionError):
+        warp_extremals(7, 0.5)
+    for f0 in (0.0, -0.5, math.nan):
+        with pytest.raises(NonPositiveF):
+            warp_extremals(5, f0)
+    # E >= 0: at and above the separatrix F = (5/3)^(5/4) the orbit reaches F = 0
+    for f0 in ((5.0 / 3.0) ** 1.25 + 1e-9, 2.0, math.inf):
+        with pytest.raises(NonPositiveF):
+            warp_extremals(5, f0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-10, math.nan, math.inf])
+def test_tolerance_must_be_finite_and_positive(tol):
+    with pytest.raises(ParameterRange):
+        warp_extremals(5, 0.5, tol)
+    with pytest.raises(ParameterRange):
+        integrate_warp(5, 0.5, tol)
+
+
+def test_closed_form_never_integrates(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("warp_extremals must not integrate")
+
+    monkeypatch.setattr(warp, "integrate_warp", forbidden)
+    monkeypatch.setattr(warp, "solve_ivp", forbidden)
+    ext = warp_extremals.__wrapped__(5, 0.4321)
+    assert ext.kappa0 == pytest.approx(1.6 * (1.0 - 0.4321**-0.8), rel=1e-15)
+    warp_extremals.__wrapped__(5, 1.4321)
+
+
+def test_frozen_refs_script_reproduces_the_constants():
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "frozen_refs.py")],
+                          capture_output=True, text=True, check=True, timeout=120)
+    sections = re.split(r"^# (\S+)\n", proc.stdout, flags=re.MULTILINE)[1:]
+    assert sections[::2] == ["tests/test_warp.py", "tests/test_acceptance.py"]
+    for path, body in zip(sections[::2], sections[1::2]):
+        frozen = (ROOT / path).read_text()
+        for line in body.splitlines():
+            name, value = line.split(" = ")
+            match = re.search(rf"^{name} = (\S+)$", frozen, re.MULTILINE)
+            assert match and float(match[1]) == float(value), (path, name)
