@@ -9,13 +9,20 @@ because at most one factor (the warped one) is allowed to vary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, fields
 from typing import Union
 
 from .errors import (CompositionError, DimensionError, ParameterRange,
                      UnknownExample)
 from .profile import ODE_RTOL, make_profile
 from .warp import WARP_SCALAR, check_tol, warp_extremals
+
+
+def _einstein_profile(n, scalar):
+    """Profile of a factor whose n Ricci eigenvalues all equal scalar / n."""
+    mean = scalar / n
+    return make_profile(n, scalar, mean, scalar * mean, (mean,) * n)
 
 
 @dataclass(frozen=True)
@@ -25,6 +32,9 @@ class Einstein:
     n: int
     scalar: float
 
+    def _profile(self, warp_tol):
+        return _einstein_profile(self.n, self.scalar)
+
 
 @dataclass(frozen=True)
 class Surface:
@@ -32,12 +42,22 @@ class Surface:
 
     scalar: float
 
+    def _profile(self, warp_tol):
+        return _einstein_profile(2, self.scalar)
+
 
 @dataclass(frozen=True)
 class Sphere:
     """Round two-sphere of the given radius; scalar = 2 / radius^2."""
 
     radius: float
+
+    def _profile(self, warp_tol):
+        # the range keeps the scalar 2 / radius^2 and its square normal floats
+        if not 1e-75 <= self.radius <= 1e75:
+            raise ParameterRange(
+                f"sphere radius must lie in [1e-75, 1e75], got {self.radius}")
+        return _einstein_profile(2, 2.0 / self.radius**2)
 
 
 @dataclass(frozen=True)
@@ -47,21 +67,59 @@ class Warped:
     n: int
     f0: float
 
+    def _profile(self, warp_tol):
+        if self.n != 5:
+            raise DimensionError(
+                f"warped curvature data exists for n = 5 only, got n = {self.n}")
+        if not 0.0 < self.f0 <= 1.0:
+            raise ParameterRange(f"warped f0 must lie in (0, 1], got {self.f0}")
+        ext = warp_extremals(5, self.f0, warp_tol)
+        return make_profile(5, WARP_SCALAR, ext.kappa0, ext.ric_norm_sq_min,
+                            ode_derived=True)
+
 
 @dataclass(frozen=True)
 class Product:
     factors: tuple["ManifoldSpec", ...]
 
+    def _profile(self, warp_tol):
+        if len(self.factors) < 2:
+            raise CompositionError("a product needs at least two factors")
+        if sum(isinstance(leaf, Warped) for leaf in leaves(self)) > 1:
+            raise CompositionError(
+                "at most one warped factor is allowed: the curvature minima "
+                "only add exactly when a single factor varies")
+        parts = [realize(f, warp_tol) for f in self.factors]
+        pinned = all(p.eigenvalues is not None for p in parts)
+        eigs = [e for p in parts for e in p.eigenvalues] if pinned else None
+        return make_profile(sum(p.n for p in parts), sum(p.scalar for p in parts),
+                            min(p.kappa0 for p in parts),
+                            sum(p.ric_norm_sq_min for p in parts), eigs,
+                            ode_derived=any(p.rtol == ODE_RTOL for p in parts))
+
 
 ManifoldSpec = Union[Einstein, Surface, Sphere, Warped, Product]
 
+# JSON key (the lower-case class name) -> dataclass: the one place that
+# defines a spec kind. Its fields are its JSON fields (int or float); its
+# _profile method gives its curvature.
+SPEC_KINDS = {cls.__name__.lower(): cls
+              for cls in (Product, Einstein, Surface, Sphere, Warped)}
+_KIND_OF = {cls: kind for kind, cls in SPEC_KINDS.items()}
 
-def _count_warped(spec):
-    if isinstance(spec, Warped):
-        return 1
-    if isinstance(spec, Product):
-        return sum(_count_warped(f) for f in spec.factors)
-    return 0
+
+def _kind(spec):
+    try:
+        return _KIND_OF[type(spec)]
+    except KeyError:
+        raise TypeError(f"not a manifold spec: {spec!r}") from None
+
+
+def leaves(spec):
+    """The non-product factors of a spec tree, depth first."""
+    if not isinstance(spec, Product):
+        return [spec]
+    return [leaf for factor in spec.factors for leaf in leaves(factor)]
 
 
 def realize(spec, warp_tol=1e-10):
@@ -72,44 +130,8 @@ def realize(spec, warp_tol=1e-10):
     loose ODE tolerance class, as integrated data did.
     """
     check_tol(warp_tol)
-    if isinstance(spec, Einstein):
-        mean = spec.scalar / spec.n
-        return make_profile(spec.n, spec.scalar, mean, spec.scalar * mean,
-                            (mean,) * spec.n)
-    if isinstance(spec, Surface):
-        half = spec.scalar / 2.0
-        return make_profile(2, spec.scalar, half, 2.0 * half * half, (half, half))
-    if isinstance(spec, Sphere):
-        if spec.radius <= 0.0:
-            raise ParameterRange(f"sphere radius must be positive, got {spec.radius}")
-        return realize(Surface(2.0 / spec.radius**2))
-    if isinstance(spec, Warped):
-        if spec.n != 5:
-            raise DimensionError(
-                f"warped curvature data exists for n = 5 only, got n = {spec.n}")
-        if not 0.0 < spec.f0 <= 1.0:
-            raise ParameterRange(f"warped f0 must lie in (0, 1], got {spec.f0}")
-        ext = warp_extremals(5, spec.f0, warp_tol)
-        return make_profile(5, WARP_SCALAR, ext.kappa0, ext.ric_norm_sq_min,
-                            ode_derived=True)
-    if isinstance(spec, Product):
-        if len(spec.factors) < 2:
-            raise CompositionError("a product needs at least two factors")
-        if _count_warped(spec) > 1:
-            raise CompositionError(
-                "at most one warped factor is allowed: the curvature minima "
-                "only add exactly when a single factor varies")
-        parts = [realize(f, warp_tol) for f in spec.factors]
-        n = sum(p.n for p in parts)
-        scalar = sum(p.scalar for p in parts)
-        kappa0 = min(p.kappa0 for p in parts)
-        ric = sum(p.ric_norm_sq_min for p in parts)
-        eigs = None
-        if all(p.eigenvalues is not None for p in parts):
-            eigs = [e for p in parts for e in p.eigenvalues]
-        ode = any(p.rtol == ODE_RTOL for p in parts)
-        return make_profile(n, scalar, kappa0, ric, eigs, ode_derived=ode)
-    raise TypeError(f"not a manifold spec: {spec!r}")
+    _kind(spec)
+    return spec._profile(warp_tol)
 
 
 # --- registry of worked examples -------------------------------------------
@@ -148,39 +170,31 @@ def named_example(name):
 # --- JSON field mapping ----------------------------------------------------
 
 def spec_to_dict(spec):
-    if isinstance(spec, Einstein):
-        return {"einstein": {"n": spec.n, "scalar": spec.scalar}}
-    if isinstance(spec, Surface):
-        return {"surface": {"scalar": spec.scalar}}
-    if isinstance(spec, Sphere):
-        return {"sphere": {"radius": spec.radius}}
-    if isinstance(spec, Warped):
-        return {"warped": {"n": spec.n, "f0": spec.f0}}
-    if isinstance(spec, Product):
-        return {"product": [spec_to_dict(f) for f in spec.factors]}
-    raise TypeError(f"not a manifold spec: {spec!r}")
+    kind = _kind(spec)
+    if kind == "product":
+        return {kind: [spec_to_dict(f) for f in spec.factors]}
+    return {kind: {f.name: getattr(spec, f.name) for f in fields(spec)}}
 
 
-def _number(obj, owner, key):
-    value = obj.get(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{owner} field '{key}' must be a number")
-    return float(value)
+# dataclass field type -> (accepted JSON types, what errors ask for, conversion)
+_NUMBERS = {"int": (int, "an integer", int), "float": ((int, float), "a number", float)}
 
 
-_SPEC_FIELDS = {
-    "einstein": ("n", "scalar"),
-    "surface": ("scalar",),
-    "sphere": ("radius",),
-    "warped": ("n", "f0"),
-}
+def _field_value(body, kind, field):
+    types, wanted, convert = _NUMBERS[field.type]
+    value = body.get(field.name)
+    if isinstance(value, bool) or not isinstance(value, types):
+        raise ValueError(f"{kind} field '{field.name}' must be {wanted}")
+    if not abs(value) <= sys.float_info.max:  # NaN, +-inf, an int beyond floats
+        raise ValueError(f"{kind} field '{field.name}' must be finite")
+    return convert(value)
 
 
 def spec_from_dict(data):
     """Parse a spec document; errors name the offending field."""
     if not isinstance(data, dict) or len(data) != 1:
         raise ValueError("spec document must be an object with exactly one "
-                         "of: product, einstein, surface, sphere, warped")
+                         f"of: {', '.join(SPEC_KINDS)}")
     (kind, body), = data.items()
     if kind == "product":
         if not isinstance(body, list):
@@ -188,23 +202,12 @@ def spec_from_dict(data):
         if len(body) < 2:
             raise ValueError("spec field 'product' needs at least two factors")
         return Product(tuple(spec_from_dict(item) for item in body))
-    if kind not in _SPEC_FIELDS:
+    if kind not in SPEC_KINDS:
         raise ValueError(f"unknown spec kind '{kind}'")
     if not isinstance(body, dict):
         raise ValueError(f"spec field '{kind}' must be an object")
-    unknown = set(body) - set(_SPEC_FIELDS[kind])
+    cls = SPEC_KINDS[kind]
+    unknown = set(body) - {f.name for f in fields(cls)}
     if unknown:
         raise ValueError(f"unknown {kind} field '{sorted(unknown)[0]}'")
-    if kind == "einstein":
-        n = body.get("n")
-        if isinstance(n, bool) or not isinstance(n, int):
-            raise ValueError("einstein field 'n' must be an integer")
-        return Einstein(n, _number(body, "einstein", "scalar"))
-    if kind == "surface":
-        return Surface(_number(body, "surface", "scalar"))
-    if kind == "sphere":
-        return Sphere(_number(body, "sphere", "radius"))
-    n = body.get("n")
-    if isinstance(n, bool) or not isinstance(n, int):
-        raise ValueError("warped field 'n' must be an integer")
-    return Warped(n, _number(body, "warped", "f0"))
+    return cls(**{f.name: _field_value(body, kind, f) for f in fields(cls)})

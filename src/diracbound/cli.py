@@ -19,6 +19,7 @@ import json
 import math
 import re
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +27,8 @@ import numpy as np
 from . import bounds, clifford, warp
 from .bounds import (best_bound, friedrich_bound, kaehler_bound,
                      optimize_minimax_block, theorem31_bound)
-from .catalog import (EXAMPLES, Product, Sphere, Surface, Warped, named_example,
-                      realize, spec_from_dict, spec_to_dict)
+from .catalog import (EXAMPLES, Product, Sphere, Surface, Warped, leaves,
+                      named_example, realize, spec_from_dict, spec_to_dict)
 from .errors import DiracBoundError
 from .profile import profile_from_dict, profile_to_dict
 
@@ -38,6 +39,9 @@ EXIT_RESIDUAL = 3
 
 MAX_SWEEP_STEPS = 10**6
 SWEEP_COLUMNS = ("friedrich", "kaehler", "theorem31", "minimax_numeric")
+# --param name -> (spec kind, dataclass field) that a sweep rebinds
+SWEEP_PARAMS = {"radius": (Sphere, "radius"), "surface_scalar": (Surface, "scalar"),
+                "f0": (Warped, "f0")}
 RESIDUAL_TOL = 1e-12
 _COMPAT_TOL_HELP = ("kept for compatibility: checked to be finite and positive, "
                     "but changes no value, because warped factors are computed "
@@ -86,12 +90,16 @@ def _load_json(path):
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
 
 
+def _load_spec(args):
+    if args.spec:
+        return spec_from_dict(_load_json(args.spec))
+    return named_example(args.example)
+
+
 def _load_profile(args):
     if args.profile:
         return profile_from_dict(_load_json(args.profile))
-    if args.spec:
-        return realize(spec_from_dict(_load_json(args.spec)), args.tol)
-    return realize(named_example(args.example), args.tol)
+    return realize(_load_spec(args), args.tol)
 
 
 # --- bound -----------------------------------------------------------------
@@ -107,19 +115,22 @@ def _note(report):
     return ""
 
 
-def _bound_table(profile, best):
+def _bound_rows(best):
+    """(method, value, strict, applicable, note) rows, flags as yes/no, best last."""
+    yes = {True: "yes", False: "no"}
+    rows = [(r.method.value, r.value, yes[r.strict], yes[r.applicable], _note(r))
+            for r in best.subreports]
+    return rows + [("best", best.value, yes[best.strict], "yes", best.method.value)]
+
+
+def _bound_table(profile, rows):
     lines = [f"profile: n = {profile.n}, R = {profile.scalar:.6f}, "
-             f"kappa0 = {profile.kappa0:.6f}, "
-             f"|Ric|^2_min = {profile.ric_norm_sq_min:.6f}"]
-    lines.append(f"{'method':<16} {'value':>12}  {'strict':<7} "
-                 f"{'applicable':<11} note")
-    for r in best.subreports:
-        value = f"{r.value:.6f}" if r.value is not None else "-"
-        lines.append(f"{r.method.value:<16} {value:>12}  "
-                     f"{'yes' if r.strict else 'no':<7} "
-                     f"{'yes' if r.applicable else 'no':<11} {_note(r)}".rstrip())
-    value = f"{best.value:.6f}" if best.value is not None else "-"
-    lines.append(f"{'best':<16} {value:>12}  via {best.method.value}")
+             f"kappa0 = {profile.kappa0:.6f}, |Ric|^2_min = {profile.ric_norm_sq_min:.6f}",
+             f"{'method':<16} {'value':>12}  {'strict':<7} {'applicable':<11} note"]
+    for method, value, strict, applicable, note in rows:
+        value = f"{value:.6f}" if value is not None else "-"
+        flags = "via" if method == "best" else f"{strict:<7} {applicable:<11}"
+        lines.append(f"{method:<16} {value:>12}  {flags} {note}".rstrip())
     return "\n".join(lines) + "\n"
 
 
@@ -132,11 +143,7 @@ def _report_dict(report):
         "reason": report.reason,
     }
     if report.optimizer is not None:
-        d["optimizer"] = {
-            "t_star": report.optimizer.t_star,
-            "s0": report.optimizer.s0,
-            "f_s0": report.optimizer.f_s0,
-        }
+        d["optimizer"] = asdict(report.optimizer)
     return d
 
 
@@ -150,16 +157,11 @@ def _bound_json(profile, best):
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def _bound_csv(best):
+def _bound_csv(rows):
     lines = ["method,value,strict,applicable,note"]
-    for r in best.subreports:
-        value = _fmt17(r.value) if r.value is not None else ""
-        lines.append(f"{r.method.value},{value},"
-                     f"{'yes' if r.strict else 'no'},"
-                     f"{'yes' if r.applicable else 'no'},{_note(r)}")
-    value = _fmt17(best.value) if best.value is not None else ""
-    lines.append(f"best,{value},{'yes' if best.strict else 'no'},yes,"
-                 f"{best.method.value}")
+    for method, value, strict, applicable, note in rows:
+        value = _fmt17(value) if value is not None else ""
+        lines.append(",".join((method, value, strict, applicable, note)))
     return "\n".join(lines) + "\n"
 
 
@@ -169,9 +171,9 @@ def cmd_bound(args):
     if args.json:
         _emit(_bound_json(profile, best), args.out)
     elif args.csv:
-        _emit(_bound_csv(best), args.out)
+        _emit(_bound_csv(_bound_rows(best)), args.out)
     else:
-        _emit(_bound_table(profile, best), args.out)
+        _emit(_bound_table(profile, _bound_rows(best)), args.out)
     if not best.applicable or not best.value or best.value <= 0.0:
         return EXIT_NO_BOUND
     return EXIT_OK
@@ -179,25 +181,11 @@ def cmd_bound(args):
 
 # --- sweep -----------------------------------------------------------------
 
-_SWEEP_NODE = {"radius": Sphere, "surface_scalar": Surface, "f0": Warped}
-
-
-def _binding_sites(spec, node_cls):
+def _with_param(spec, cls, name, value):
+    """The spec with field `name` of every `cls` leaf set to value."""
     if isinstance(spec, Product):
-        return sum(_binding_sites(f, node_cls) for f in spec.factors)
-    return int(isinstance(spec, node_cls))
-
-
-def _bind(spec, param, value):
-    if isinstance(spec, Product):
-        return Product(tuple(_bind(f, param, value) for f in spec.factors))
-    if param == "radius" and isinstance(spec, Sphere):
-        return Sphere(value)
-    if param == "surface_scalar" and isinstance(spec, Surface):
-        return Surface(value)
-    if param == "f0" and isinstance(spec, Warped):
-        return Warped(spec.n, value)
-    return spec
+        return Product(tuple(_with_param(f, cls, name, value) for f in spec.factors))
+    return replace(spec, **{name: value}) if isinstance(spec, cls) else spec
 
 
 def _sweep_cells(profile, selected, kaehler_dim):
@@ -216,7 +204,9 @@ def _sweep_cells(profile, selected, kaehler_dim):
 
 def _sweep_block(spec, args, selected, params):
     """CSV rows for one block of parameter values."""
-    profiles = [realize(_bind(spec, args.param, float(v)), args.tol) for v in params]
+    cls, name = SWEEP_PARAMS[args.param]
+    profiles = [realize(_with_param(spec, cls, name, float(v)), args.tol)
+                for v in params]
     rows = [_sweep_cells(p, selected, args.kaehler_dim) for p in profiles]
     if "minimax_numeric" in selected:
         values, _ = optimize_minimax_block(
@@ -235,10 +225,7 @@ def _sweep_block(spec, args, selected, params):
 
 
 def cmd_sweep(args):
-    if args.spec:
-        spec = spec_from_dict(_load_json(args.spec))
-    else:
-        spec = named_example(args.example)
+    spec = _load_spec(args)
     for flag, value in (("--from", args.start), ("--to", args.stop),
                         ("--to minus --from", args.stop - args.start)):
         if not math.isfinite(value):
@@ -252,7 +239,8 @@ def cmd_sweep(args):
         if name not in SWEEP_COLUMNS:
             raise ValueError(f"unknown bound column '{name}'; "
                              f"known: {', '.join(SWEEP_COLUMNS)}")
-    sites = _binding_sites(spec, _SWEEP_NODE[args.param])
+    cls, _ = SWEEP_PARAMS[args.param]
+    sites = sum(isinstance(leaf, cls) for leaf in leaves(spec))
     if sites != 1:
         raise ValueError(f"parameter '{args.param}' must bind to exactly one "
                          f"factor of the spec; found {sites}")
@@ -300,18 +288,8 @@ def cmd_verify(args):
                 summary.lemma_residual)
     ok = worst <= args.tol
     if args.json:
-        doc = {
-            "schema": "diracbound/verify_summary/v1",
-            "n": summary.n,
-            "trials": summary.trials,
-            "seed": summary.seed,
-            "tolerance": args.tol,
-            "trace_residual_full": summary.trace_residual_full,
-            "trace_residual_traceless": summary.trace_residual_traceless,
-            "lemma_residual": summary.lemma_residual,
-            "max_residual": worst,
-            "ok": ok,
-        }
+        doc = {"schema": "diracbound/verify_summary/v1", **asdict(summary),
+               "tolerance": args.tol, "max_residual": worst, "ok": ok}
         sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(
@@ -371,8 +349,7 @@ def build_parser():
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec", metavar="PATH", help="manifold spec JSON")
     src.add_argument("--example", metavar="NAME", help="named example")
-    p.add_argument("--param", required=True,
-                   choices=("radius", "surface_scalar", "f0"),
+    p.add_argument("--param", required=True, choices=SWEEP_PARAMS,
                    help="which spec field to sweep")
     p.add_argument("--from", dest="start", type=float, required=True,
                    metavar="A", help="first parameter value")

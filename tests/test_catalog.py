@@ -1,6 +1,11 @@
 """Spec trees, product composition, and the named example registry."""
 
+import json
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diracbound import (EXAMPLES, CompositionError, DimensionError, Einstein,
                         ParameterRange, Product, Sphere, Surface,
@@ -21,6 +26,14 @@ def test_sphere_is_surface():
     assert p.scalar == pytest.approx(8.0)
     with pytest.raises(ParameterRange):
         realize(Sphere(0.0))
+    # inf is flat, 1e-200 squares to 0, 1e200 overflows, and below 1e-75
+    # |Ric|^2 = 2 / radius^4 is not finite
+    for radius in (math.inf, math.nan, -1.0, 1e-200, 1e200, 1e-100):
+        with pytest.raises(ParameterRange, match="sphere radius"):
+            realize(Sphere(radius))
+    for radius in (1e-75, 1e75):
+        p = realize(Sphere(radius))
+        assert p.scalar == 2.0 / radius**2 and 0.0 < p.ric_norm_sq_min < math.inf
 
 
 def test_product_composition():
@@ -97,6 +110,12 @@ def test_spec_dict_round_trip():
     ({"sphere": {"radius": "big"}}, "number"),
     ({"sphere": {"radius": 1.0, "color": "red"}}, "color"),
     ({"warped": {"n": 5}}, "f0"),
+    (json.loads('{"einstein": {"n": 4, "scalar": Infinity}}'),
+     "einstein field 'scalar' must be finite"),
+    (json.loads('{"sphere": {"radius": NaN}}'), "sphere field 'radius' must be finite"),
+    (json.loads('{"warped": {"n": 5, "f0": -Infinity}}'),
+     "warped field 'f0' must be finite"),
+    ({"surface": {"scalar": 10**400}}, "surface field 'scalar' must be finite"),
 ])
 def test_spec_from_dict_diagnostics(doc, pattern):
     with pytest.raises(ValueError, match=pattern):
@@ -106,3 +125,29 @@ def test_spec_from_dict_diagnostics(doc, pattern):
 def test_registry_catalog_is_schema_valid(schema_validator):
     for name, (spec, _) in EXAMPLES.items():
         schema_validator("manifold_spec.v1", spec_to_dict(spec))
+
+
+# every spec tree inside manifold_spec.v1: leaves of the four kinds with
+# their schema bounds, products of two or more factors, nested
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(
+    st.builds(Einstein, st.integers(min_value=2, max_value=64), _FINITE),
+    st.builds(Surface, _FINITE),
+    st.builds(Sphere, st.floats(min_value=0.0, exclude_min=True,
+                                allow_infinity=False)),
+    st.builds(Warped, st.just(5), st.floats(min_value=0.0, max_value=1.0,
+                                            exclude_min=True)),
+)
+_SPECS = st.recursive(
+    _LEAVES,
+    lambda factors: st.lists(factors, min_size=2, max_size=4).map(
+        lambda items: Product(tuple(items))),
+    max_leaves=12)
+
+
+@given(_SPECS)
+def test_spec_tree_round_trips_and_validates(schema_validator, spec):
+    doc = spec_to_dict(spec)
+    schema_validator("manifold_spec.v1", doc)
+    assert spec_from_dict(doc) == spec
+    assert spec_from_dict(json.loads(json.dumps(doc))) == spec

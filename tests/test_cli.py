@@ -1,10 +1,14 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
 
 from diracbound import bounds, cli
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_bound_example_table(run_cli):
@@ -205,6 +209,14 @@ def test_sweep_rows_independent_of_block_size(capsys, monkeypatch):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
+def test_sweep_radius_outside_float_range_exits_1(run_cli):
+    # 1e-200 squares to 0.0, which once ended in a bare "float division by zero"
+    proc = run_cli("sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
+                   "--from", "1e-200", "--to", "1", "--steps", "2", expect=1)
+    assert "sphere radius" in proc.stderr
+    assert "Traceback" not in proc.stderr and proc.stdout == ""
+
+
 def test_sweep_binding_must_be_unique(run_cli):
     proc = run_cli("sweep", "--example", "t2xs2", "--param", "f0",
                    "--from", "0.1", "--to", "0.5", "--steps", "3", expect=1)
@@ -293,3 +305,15 @@ def test_shipped_schema_is_well_formed(name):
     import diracbound as db
 
     jsonschema.Draft202012Validator.check_schema(db.load_schema(name))
+
+
+def test_cli_bytes_match_golden_file():
+    # scripts/cli_golden.py recorded these outputs; a refactor must keep them
+    spec = importlib.util.spec_from_file_location(
+        "cli_golden", ROOT / "scripts" / "cli_golden.py")
+    golden = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(golden)
+    recorded = json.loads((ROOT / "tests" / "cli_golden.json").read_text())
+    assert [case["argv"] for case in recorded] == [list(a) for a in golden.invocations()]
+    for case in recorded:
+        assert golden.capture(case["argv"]) == case, case["argv"]
