@@ -18,6 +18,9 @@ from .errors import (CompositionError, DimensionError, ParameterRange,
 from .profile import ODE_RTOL, make_profile
 from .warp import WARP_SCALAR, check_tol, warp_extremals
 
+# an Einstein factor lists its n eigenvalues, 8 bytes each
+MAX_EINSTEIN_DIM = 10**6
+
 
 def _einstein_profile(n, scalar):
     """Profile of a factor whose n Ricci eigenvalues all equal scalar / n."""
@@ -33,6 +36,9 @@ class Einstein:
     scalar: float
 
     def _profile(self, warp_tol):
+        if self.n > MAX_EINSTEIN_DIM:
+            raise ParameterRange(f"einstein field 'n' must be at most "
+                                 f"{MAX_EINSTEIN_DIM}, got {self.n}")
         return _einstein_profile(self.n, self.scalar)
 
 

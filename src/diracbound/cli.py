@@ -15,7 +15,10 @@ residual above tolerance.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
+import locale  # noqa: F401  (argparse's gettext imports it on the first message)
 import math
 import re
 import sys
@@ -158,11 +161,13 @@ def _bound_json(profile, best):
 
 
 def _bound_csv(rows):
-    lines = ["method,value,strict,applicable,note"]
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("method", "value", "strict", "applicable", "note"))
     for method, value, strict, applicable, note in rows:
         value = _fmt17(value) if value is not None else ""
-        lines.append(",".join((method, value, strict, applicable, note)))
-    return "\n".join(lines) + "\n"
+        writer.writerow((method, value, strict, applicable, note))
+    return buf.getvalue()
 
 
 def cmd_bound(args):
@@ -259,7 +264,7 @@ def cmd_sweep(args):
 def cmd_ode(args):
     traj = warp.integrate_warp(args.n, args.f0, args.tol)
     track = warp.curvature_track(traj)
-    ext = warp.extremal_data(track)
+    ext = warp.warp_extremals(5, traj.f0)
     warp.write_track_csv(args.out, traj, track)
     summary = {
         "schema": "diracbound/ode_summary/v1",
@@ -367,13 +372,13 @@ def build_parser():
                    help=_COMPAT_TOL_HELP)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ode", help="integrate the warp orbit, dump CSV track")
+    p = sub.add_parser("ode", help="sample one warp orbit, dump CSV track")
     p.add_argument("--n", type=int, default=5, metavar="N",
                    help="fiber exponent dimension (default 5)")
     p.add_argument("--f0", type=float, required=True, metavar="F0",
                    help="starting value F(0)")
     p.add_argument("--tol", type=float, default=1e-10, metavar="TOL",
-                   help="integration tolerance (default 1e-10)")
+                   help="relative accuracy of the orbit (default 1e-10)")
     p.add_argument("--out", metavar="PATH", required=True,
                    help="CSV path for the sampled track")
     p.set_defaults(func=cmd_ode)

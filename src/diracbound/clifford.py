@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import numpy.random  # loaded with the module, not inside the first batch
 
 from .errors import DimensionError, NotSymmetric, ShapeError
 

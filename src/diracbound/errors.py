@@ -38,7 +38,11 @@ class NonPositiveF(DiracBoundError):
 
 
 class NoPeriod(DiracBoundError):
-    """No periodic return was detected within the integration horizon."""
+    """No periodic return was detected.
+
+    integrate_warp no longer raises it: its orbit is periodic by
+    construction. The name stays importable for callers that catch it.
+    """
 
 
 class NotSymmetric(DiracBoundError):

@@ -88,14 +88,14 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None, *,
         if len(eigs) != n:
             raise InconsistentProfile(
                 f"eigenvalues has length {len(eigs)}, expected n = {n}")
-        total = sum(eigs)
+        total = math.fsum(eigs)
         if abs(total - scalar) > _slack(rtol, total, scalar):
             raise InconsistentProfile(
                 f"sum(eigenvalues) = {total} does not match scalar = {scalar}")
         if abs(eigs[0] - kappa0) > _slack(rtol, eigs[0], kappa0):
             raise InconsistentProfile(
                 f"min(eigenvalues) = {eigs[0]} does not match kappa0 = {kappa0}")
-        sq = sum(e * e for e in eigs)
+        sq = math.fsum(e * e for e in eigs)
         if abs(sq - ric_norm_sq_min) > _slack(rtol, sq, ric_norm_sq_min):
             raise InconsistentProfile(
                 f"sum of squared eigenvalues = {sq} does not match "

@@ -33,8 +33,26 @@ is least where |E| / F^2 is least, at the upper turning point:
 For f0 <= 1, F_min = f0 and F_max is the root of V(F) = E on
 (1, (5/3)^(5/4)], where V increases from V(1) = -1/3 to 0; that root,
 taken as V(F) - V(1) = E - V(1) to keep small orbits well conditioned,
-is the only numerical step of warp_extremals. integrate_warp and the
-sampled track serve the `ode` command and check the closed form.
+is the only numerical step of warp_extremals.
+
+integrate_warp samples one period of the orbit for the `ode` command
+without an ODE solver. Between the turning points, F = c - h cos(theta)
+with c -+ h = F_min, F_max, and energy conservation gives
+
+    dtau/dtheta = h |sin theta| / sqrt(2 (E - V(F))) = 1 / sqrt(2 V[F_min, F, F_max]),
+
+where V[., ., .] is the second divided difference of V: E - V(F) =
+(F - F_min)(F_max - F) V[F_min, F, F_max] and (F - F_min)(F_max - F) =
+h^2 sin^2 theta. The right side is smooth and 2 pi-periodic, so the
+midpoint trapezoid rule converges geometrically (Trefethen and
+Weideman, "The exponentially convergent trapezoidal rule", SIAM Review
+56, 2014). Its discrete Fourier transform gives the cosine series of
+dtau/dtheta; the period is 2 pi times its mean and tau(theta) is the
+series integrated term by term. The uniform tau samples are found by
+inverting tau(theta), and F' = h sin(theta) dtheta/dtau. As F_min goes
+to 0 the integrand's branch point at F = 0 nears the real axis, so the
+nodes are then clustered at F_min by a periodic change of variable
+theta = phi - beta sin(phi) (_node_map).
 """
 
 from __future__ import annotations
@@ -44,18 +62,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.interpolate import CubicSpline
+import numpy.fft  # loaded with the module, not inside the first ode command
 
-from .errors import DimensionError, NonPositiveF, NoPeriod, ParameterRange
-from .optimize import bisect_root, golden_min
+from .errors import DimensionError, NonPositiveF, ParameterRange
+from .optimize import bisect_root
 
 WARP_SCALAR = 16.0 / 5.0
 SAMPLES = 4097                 # covers one period; >= 2048 everywhere
 ENERGY_DRIFT_RTOL = 1e-8
-PERIOD_HORIZON = 100.0
-RETURN_ATOL = 1e-6
-REFINE_TAU_TOL = 1e-8
+QUADRATURE_NODES = (64, 2**14)  # first and largest trapezoid size
+FINE_GRID_CAP = 2**20           # largest grid that tau is inverted on
+UNCONVERGED_TAIL = 1e-6         # Fourier tail at the cap that raises
 
 
 @dataclass(frozen=True)
@@ -122,24 +139,150 @@ def check_tol(tol):
         raise ParameterRange(f"tolerance must be finite and positive, got {tol}")
 
 
-def integrate_warp(n, f0, tol=1e-10):
-    """Integrate one full period of F'' = F^(1-4/n) - F, F'(0) = 0.
+def _upper_turning_point(n, f_min):
+    """F_max of the bounded orbit whose lower turning point is f_min < 1."""
+    # V(2) > 0 > E for every n >= 5, so rounding in V at the zero of V
+    # cannot lose the root. Below 2^-53, f_min - 1 rounds to -1, where
+    # log1p fails; V(f_min) is then below the last bit of V(1) anyway.
+    gap = _potential_gap(f_min if f_min > 2.0**-53 else 2.0**-53, n)
+    return bisect_root(lambda F: _potential_gap(F, n) - gap, 1.0, 2.0)
 
-    Uses an adaptive explicit Runge-Kutta pair (eighth order) at
-    relative tolerance tol. The half period is located first through a
-    terminal root of F' on the dense output, then the full period is
-    re-integrated and sampled at SAMPLES uniform points. Starting
+
+def _power_slope(x, d, p):
+    """((x + d)^p - x^p) / d for x > 0, d >= 0; p x^(p-1) where d = 0.
+
+    For d <= x the difference goes through log1p/expm1, which keeps its
+    relative accuracy however small d is; for d > x nothing cancels.
+    """
+    ratio = np.minimum(d, x) / x
+    near = x**p * np.expm1(p * np.log1p(ratio))
+    diff = np.where(d <= x, near, (x + d) ** p - x**p)
+    return np.where(d > 0.0, diff / np.where(d > 0.0, d, 1.0), p * x ** (p - 1.0))
+
+
+def _orbit_point(theta, n, f_min, f_max):
+    """F = c - h cos(theta) and dtau/dtheta = 1 / sqrt(2 V[F_min, F, F_max]).
+
+    V[F_min, F, F_max] = -V[F_min, F] / (F_max - F) = V[F, F_max] / (F - F_min)
+    as V(F_min) = V(F_max). Each half of the orbit takes the form whose
+    first divided difference is far from its zero at the other turning
+    point, so nothing cancels as F_min goes to 0.
+    """
+    h = 0.5 * (f_max - f_min)
+    lo = 2.0 * h * np.sin(0.5 * theta) ** 2     # F - F_min
+    hi = 2.0 * h * np.cos(0.5 * theta) ** 2     # F_max - F
+    F = f_min + lo
+    lower = lo <= hi
+    base, span = np.where(lower, f_min, F), np.where(lower, lo, hi)
+    slope = base + 0.5 * span \
+        - n / (2.0 * n - 4.0) * _power_slope(base, span, 2.0 - 4.0 / n)
+    return F, np.sqrt(0.5 * np.where(lower, hi, lo) / np.where(lower, -slope, slope))
+
+
+def _node_map(n, f_min, f_max):
+    """beta of theta = phi - beta sin(phi), which clusters nodes at F_min.
+
+    F^(1-4/n) puts a branch point of dtau/dtheta at F = 0, which lies
+    i delta off the real theta axis with cosh(delta) = c / h. As F_min
+    goes to 0 so does delta, and with it the trapezoid rule's rate. The
+    map flattens theta(phi) near phi = 0 (dtheta/dphi = 1 - beta there),
+    which moves the branch point about delta^(1/3) away in phi once
+    1 - beta is of order delta^(2/3). The integrand in phi stays smooth
+    and periodic, because the map is.
+    """
+    delta = math.acosh(1.0 + 2.0 * f_min / (f_max - f_min))
+    return max(0.0, 1.0 - delta ** (2.0 / 3.0))
+
+
+def _cosine_series(n, f_min, f_max, beta, tol):
+    """Cosine coefficients of dtau/dphi and the Fourier tail they reach.
+
+    The midpoint trapezoid rule on N nodes; N doubles until the upper
+    half of the coefficients lies below tol relative to the mean.
+    """
+    N, cap = QUADRATURE_NODES
+    while True:
+        phi = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
+        theta = phi - beta * np.sin(phi)
+        stretch = (1.0 - beta) + 2.0 * beta * np.sin(0.5 * phi) ** 2
+        _, rate = _orbit_point(theta, n, f_min, f_max)
+        half = np.fft.rfft(rate * stretch)[:N // 2]
+        # undo the half-node shift; the integrand is even, the series real
+        coef = (half * np.exp(-1j * math.pi / N * np.arange(N // 2))).real * (2.0 / N)
+        coef[0] *= 0.5
+        tail = float(np.max(np.abs(coef[N // 4:])) / coef[0])
+        if tail <= tol or N >= cap:
+            return coef, tail
+        N *= 2
+
+
+def _invert_tau(coef, targets, tol):
+    """phi in [0, pi] at which tau(phi) takes each of the targets.
+
+    tau(phi) = coef[0] phi + sum_k coef[k] sin(k phi) / k and its
+    derivative come from irfft onto a fine uniform grid, chosen so that
+    the cubic Hermite interpolant of tau misses by at most tol coef[0]:
+    its error is at most step^4 max|tau^(4)| / 384, and max|tau^(4)| is
+    at most sum_k k^3 |coef[k]|. Newton on that cubic, started from the
+    linear interpolant in the grid cell that brackets each target
+    (tau increases), finds phi.
+    """
+    k = np.arange(1, coef.size)
+    tau4 = max(float(np.sum(k**3.0 * np.abs(coef[1:]))), 1e-300)
+    step = (384.0 * tol * coef[0] / tau4) ** 0.25
+    M = 2 * coef.size
+    while M < FINE_GRID_CAP and 2.0 * math.pi / M > step:
+        M *= 2
+    spec = np.zeros(M // 2 + 1, dtype=complex)
+    spec[1:coef.size] = -0.5j * M * coef[1:] / k
+    dstep = 2.0 * math.pi / M
+    phi = np.arange(M // 2 + 1) * dstep
+    tau = coef[0] * phi + np.fft.irfft(spec, M)[:M // 2 + 1]
+    spec[0], spec[1:coef.size] = M * coef[0], 0.5 * M * coef[1:]
+    slope = np.fft.irfft(spec, M)[:M // 2 + 1] * dstep   # per grid cell
+
+    i = np.clip(np.searchsorted(tau, targets, side="right") - 1, 0, M // 2 - 1)
+    t0, t1, s0, s1 = tau[i], tau[i + 1], slope[i], slope[i + 1]
+    rise = t1 - t0
+    t = (targets - t0) / rise
+    for _ in range(8):
+        t2, t3 = t * t, t * t * t
+        miss = (t0 - targets) + (3.0 * t2 - 2.0 * t3) * rise \
+            + (t3 - 2.0 * t2 + t) * s0 + (t3 - t2) * s1
+        slope_t = (6.0 * t - 6.0 * t2) * rise \
+            + (3.0 * t2 - 4.0 * t + 1.0) * s0 + (3.0 * t2 - 2.0 * t) * s1
+        delta = miss / slope_t
+        t -= delta
+        if np.max(np.abs(delta)) <= 1e-12:
+            break
+    return phi[i] + t * dstep
+
+
+def integrate_warp(n, f0, tol=1e-10):
+    """One full period of F'' = F^(1-4/n) - F, F'(0) = 0, sampled uniformly.
+
+    Needs no ODE solver (see the module docstring): the trapezoid rule
+    on dtau/dtheta doubles its node count from 64 until the Fourier
+    tail is below tol, up to 2^14 nodes, and tau(theta) is inverted at
+    SAMPLES uniform tau on a fine grid whose interpolation error is
+    below tol. The second half period mirrors the first. Starting
     values above the equilibrium are re-based at the orbit minimum;
     exactly F(0) = 1 degenerates to the constant solution, whose period
-    is reported as the linearized value pi sqrt(n).
+    is reported as the linearized value pi sqrt(n). Raises
+    ArithmeticError when 2^14 nodes leave a Fourier tail above 1e-6 or
+    the samples drift off the energy level.
     """
     n = int(n)
     if n < 5:
         raise DimensionError(f"warp exponent needs n >= 5, got n = {n}")
     f0 = float(f0)
-    if f0 <= 0.0:
+    if not f0 > 0.0:
         raise NonPositiveF(f"F(0) must be positive, got {f0}")
     check_tol(tol)
+    energy = _potential(f0, n)
+    if not energy < 0.0:
+        raise NonPositiveF(
+            f"orbit through F(0) = {f0} has energy {energy} >= 0 and reaches F = 0")
     if f0 > 1.0 + 1e-12:
         f0 = _rebase(f0, n)
 
@@ -149,48 +292,29 @@ def integrate_warp(n, f0, tol=1e-10):
         return WarpTrajectory(n, 1.0, tau, np.ones(SAMPLES), np.zeros(SAMPLES),
                               period, _potential(1.0, n))
 
-    def rhs(t, y):
-        F, Fp = y
-        return (Fp, F ** (1.0 - 4.0 / n) - F)
-
-    def fp_crossing(t, y):
-        return y[1]
-
-    fp_crossing.terminal = True
-    fp_crossing.direction = -1.0
-
-    def f_vanishing(t, y):
-        return y[0]
-
-    f_vanishing.terminal = True
-    f_vanishing.direction = -1.0
-
-    atol = tol * 1e-3
-    first = solve_ivp(rhs, (0.0, PERIOD_HORIZON), (f0, 0.0), method="DOP853",
-                      rtol=tol, atol=atol, events=(fp_crossing, f_vanishing),
-                      dense_output=True)
-    if first.t_events[1].size:
-        raise NonPositiveF("trajectory crossed F = 0")
-    if not first.t_events[0].size:
-        raise NoPeriod(f"no F' sign change within tau <= {PERIOD_HORIZON}")
-    period = 2.0 * float(first.t_events[0][0])
-
+    f_min, f_max = f0, _upper_turning_point(n, f0)
+    beta = _node_map(n, f_min, f_max)
+    coef, tail = _cosine_series(n, f_min, f_max, beta, tol)
+    if tail > UNCONVERGED_TAIL:
+        raise ArithmeticError(
+            f"warp quadrature did not converge: Fourier tail {tail:.1e} at "
+            f"{QUADRATURE_NODES[1]} nodes for F(0) = {f0}")
+    period = 2.0 * math.pi * float(coef[0])
     tau = np.linspace(0.0, period, SAMPLES)
-    full = solve_ivp(rhs, (0.0, period), (f0, 0.0), method="DOP853",
-                     rtol=tol, atol=atol, t_eval=tau, events=(f_vanishing,))
-    if full.status != 0:
-        raise NonPositiveF("trajectory crossed F = 0")
-    F, Fp = full.y
+    mid = SAMPLES // 2
+    phi = _invert_tau(coef, tau[:mid + 1], tol)
+    phi[0], phi[mid] = 0.0, math.pi
+    theta = phi - beta * np.sin(phi)
+    F, rate = _orbit_point(theta, n, f_min, f_max)
+    Fp = 0.5 * (f_max - f_min) * np.sin(theta) / rate
+    F = np.concatenate((F, F[-2::-1]))
+    Fp = np.concatenate((Fp, 0.0 - Fp[-2::-1]))
 
     energy = _energy(f0, 0.0, n)
     drift = np.max(np.abs(_energy(F, Fp, n) - energy))
-    if drift > ENERGY_DRIFT_RTOL * max(1.0, abs(energy)):
+    if not drift <= ENERGY_DRIFT_RTOL * max(1.0, abs(energy)):
         raise ArithmeticError(
             f"energy drift {drift} exceeds {ENERGY_DRIFT_RTOL} of |E|")
-    if abs(F[-1] - f0) > RETURN_ATOL or abs(Fp[-1]) > RETURN_ATOL:
-        raise NoPeriod(
-            f"state after one period ({F[-1]}, {Fp[-1]}) does not return to "
-            f"({f0}, 0) within {RETURN_ATOL}")
     return WarpTrajectory(n, f0, tau, F, Fp, period, energy)
 
 
@@ -210,21 +334,24 @@ def curvature_track(traj):
     return CurvatureTrack(traj.tau, kappa1, kappa2)
 
 
-def _refined_min(tau, values):
-    """Spline the sampled track and polish the minimum by golden section."""
-    spline = CubicSpline(tau, values)
-    i = int(np.argmin(values))
-    lo = tau[max(i - 1, 0)]
-    hi = tau[min(i + 1, len(tau) - 1)]
-    _, refined = golden_min(spline, lo, hi, REFINE_TAU_TOL)
-    return float(min(refined, values[i]))
+def _sampled_min(values):
+    """Least value of a track over one period, the sampled argmin
+    polished by the parabola through it and its two neighbours.
+
+    The last sample repeats the first, so neighbours wrap around."""
+    last = len(values) - 1
+    i = int(np.argmin(values[:last]))
+    lo, mid, hi = values[(i - 1) % last], values[i], values[(i + 1) % last]
+    curv = lo - 2.0 * mid + hi
+    if not curv > 0.0:
+        return float(mid)
+    return float(mid - (hi - lo) ** 2 / (8.0 * curv))
 
 
 def extremal_data(track):
     """Global minima over the period: kappa0 and min |Ric|^2."""
     ric = track.kappa1**2 + 4.0 * track.kappa2**2
-    return WarpExtremals(_refined_min(track.tau, track.kappa1),
-                         _refined_min(track.tau, ric))
+    return WarpExtremals(_sampled_min(track.kappa1), _sampled_min(ric))
 
 
 @lru_cache(maxsize=64)
@@ -251,10 +378,7 @@ def warp_extremals(n, f0, tol=1e-10):
     if f0 > 1.0 + 1e-12:
         f_min, f_max = _rebase(f0, 5), f0
     else:
-        # V(2) > 0 > E, so rounding in V((5/3)^(5/4)) = 0 cannot lose the root
-        gap = _potential_gap(f0, 5)
-        f_min = f0
-        f_max = bisect_root(lambda F: _potential_gap(F, 5) - gap, 1.0, 2.0)
+        f_min, f_max = f0, _upper_turning_point(5, f0)
     kappa0 = (8.0 / 5.0) * (1.0 - f_min ** (-4.0 / 5.0))
     ric = 256.0 / 125.0 + (576.0 / 125.0) * (energy / f_max**2) ** 2
     return WarpExtremals(kappa0, ric)
@@ -262,7 +386,7 @@ def warp_extremals(n, f0, tol=1e-10):
 
 def write_track_csv(path, traj, track):
     """Dump one period as CSV with 17 significant digits per cell."""
+    rows = np.column_stack((traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2))
+    body = ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
     with open(path, "w", newline="\n") as fh:
-        fh.write("tau,F,Fp,kappa1,kappa2\n")
-        for row in zip(traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2):
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write("tau,F,Fp,kappa1,kappa2\n" + body)

@@ -1,0 +1,29 @@
+"""Independent warp orbit for the tests: scipy's DOP853 Runge-Kutta pair.
+
+The package samples the orbit by quadrature; this integrates
+F'' = F^(1-4/n) - F from (F, F') = (f0, 0) instead, so the two share no
+code. The period is twice the first downward zero of F'.
+"""
+
+import numpy as np
+from scipy.integrate import solve_ivp
+
+
+def dop853_orbit(n, f0, tau, rtol=1e-13):
+    """(period, F(tau), F'(tau)) of the orbit through F(0) = f0 <= 1."""
+    def rhs(t, y):
+        return (y[1], y[0] ** (1.0 - 4.0 / n) - y[0])
+
+    def fp_crossing(t, y):
+        return y[1]
+
+    fp_crossing.terminal = True
+    fp_crossing.direction = -1.0
+    atol = rtol * 1e-3
+    half = solve_ivp(rhs, (0.0, 100.0), (f0, 0.0), method="DOP853",
+                     rtol=rtol, atol=atol, events=fp_crossing)
+    period = 2.0 * float(half.t_events[0][0])
+    tau = np.asarray(tau, dtype=float)
+    full = solve_ivp(rhs, (0.0, float(tau[-1])), (f0, 0.0), method="DOP853",
+                     rtol=rtol, atol=atol, t_eval=tau)
+    return period, full.y[0], full.y[1]

@@ -11,6 +11,7 @@ from diracbound import (EXAMPLES, CompositionError, DimensionError, Einstein,
                         ParameterRange, Product, Sphere, Surface,
                         UnknownExample, Warped, named_example, realize,
                         spec_from_dict, spec_to_dict)
+from diracbound import catalog
 from diracbound.profile import ODE_RTOL
 
 
@@ -62,6 +63,20 @@ def test_warped_profile():
     assert p.ric_norm_sq_min == pytest.approx(2.0489334, abs=1e-6)
     assert p.eigenvalues is None
     assert p.rtol == ODE_RTOL  # integrated data carries the loose class
+
+
+def test_large_einstein_factor(monkeypatch):
+    # a naive sum of 10^5 copies of 1e-5 misses 1.0 by 1.9e-12
+    p = realize(Einstein(100000, 1.0))
+    assert (p.n, p.scalar, p.kappa0) == (100000, 1.0, 1e-5)
+
+    def forbidden(*args):
+        raise AssertionError("the eigenvalue tuple must not be built")
+
+    monkeypatch.setattr(catalog, "_einstein_profile", forbidden)
+    for n in (catalog.MAX_EINSTEIN_DIM + 1, 10**12):
+        with pytest.raises(ParameterRange, match="einstein field 'n'"):
+            realize(Einstein(n, 1.0))
 
 
 def test_warped_gates():

@@ -1,7 +1,11 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
+import csv
 import importlib.util
+import io
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -48,6 +52,16 @@ def test_bound_csv_round_trips(run_cli):
     assert float(values["theorem31"]) == pytest.approx(2**-0.5, rel=1e-15)
     assert values["zero_scalar"] == ""  # inapplicable cell stays empty
     assert float(values["best"]) == float(values["theorem31"])
+
+
+def test_bound_csv_quotes_cells_with_commas(run_cli, tmp_path):
+    # theorem31's reason "... max(R/(n-1), -R) fails" holds a comma
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"surface": {"scalar": -2}}))
+    proc = run_cli("bound", "--spec", str(path), "--csv", expect=2)
+    rows = list(csv.reader(io.StringIO(proc.stdout)))
+    assert [len(row) for row in rows] == [5] * 6
+    assert "max(R/(n-1), -R)" in dict((r[0], r[4]) for r in rows)["theorem31"]
 
 
 def test_bound_malformed_json_exits_1(run_cli, tmp_path):
@@ -317,3 +331,35 @@ def test_cli_bytes_match_golden_file():
     assert [case["argv"] for case in recorded] == [list(a) for a in golden.invocations()]
     for case in recorded:
         assert golden.capture(case["argv"]) == case, case["argv"]
+
+
+_MODULE_PROBE = """
+import contextlib, io, json, sys
+import diracbound.cli as cli
+loaded = set(sys.modules)
+new = {}
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    new[argv[0]] = [code, sorted(set(sys.modules) - loaded)]
+print(json.dumps({"scipy": sorted(m for m in loaded if m.split(".")[0] == "scipy"),
+                  "new": new}))
+"""
+
+
+def test_cli_imports_no_scipy_and_main_imports_nothing(tmp_path):
+    # every module a command needs is imported with diracbound.cli, so
+    # none of the import cost lands inside main
+    argvs = [
+        ["bound", "--example", "warp5", "--csv"],
+        ["sweep", "--example", "m7-sigma", "--param", "f0",
+         "--from", "0.1", "--to", "0.9", "--steps", "3"],
+        ["ode", "--f0", "0.3", "--out", str(tmp_path / "track.csv")],
+        ["verify", "--dim", "4", "--trials", "10"],
+        ["catalog-list", "--json"],
+    ]
+    proc = subprocess.run([sys.executable, "-c", _MODULE_PROBE, json.dumps(argvs)],
+                          capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(proc.stdout)
+    assert report["scipy"] == []
+    assert report["new"] == {argv[0]: [0, []] for argv in argvs}

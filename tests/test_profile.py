@@ -22,6 +22,14 @@ def test_dimension_gate():
         make_profile(1, 1.0, 1.0, 1.0)
 
 
+def test_long_eigenvalue_lists_sum_exactly():
+    # 10^5 equal eigenvalues: a running sum drifts past the 1e-12 class
+    eigs = [1e-5] * 100000
+    p = make_profile(100000, 1.0, 1e-5, 1e-5, eigs)
+    assert p.eigenvalues == tuple(eigs)
+    assert sum(eigs) != 1.0
+
+
 def test_kappa0_cannot_exceed_mean():
     with pytest.raises(InconsistentProfile, match="scalar/n"):
         make_profile(4, 2.0, 0.6, 2.0)

@@ -1,4 +1,4 @@
-"""Warp orbit integration, curvature track, and extremal extraction."""
+"""Warp orbit quadrature, curvature track, and extremal extraction."""
 
 import math
 import re
@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from diracbound import (DimensionError, NonPositiveF, ParameterRange,
                         curvature_track, energy_drift, extremal_data,
                         integrate_warp, warp, warp_extremals, write_track_csv)
+from ode_oracle import dop853_orbit
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -111,6 +112,17 @@ def test_track_csv_deterministic(tmp_path):
     assert tau1 == traj.tau[0]
 
 
+def test_track_csv_bytes_match_the_per_cell_format(tmp_path):
+    traj = integrate_warp(5, 0.3)
+    track = curvature_track(traj)
+    path = tmp_path / "t.csv"
+    write_track_csv(path, traj, track)
+    rows = zip(traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2)
+    expected = "tau,F,Fp,kappa1,kappa2\n" + "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
+
+
 def _ode_extremals(f0):
     return extremal_data(curvature_track(integrate_warp(5, f0)))
 
@@ -181,7 +193,7 @@ def test_closed_form_never_integrates(monkeypatch):
         raise AssertionError("warp_extremals must not integrate")
 
     monkeypatch.setattr(warp, "integrate_warp", forbidden)
-    monkeypatch.setattr(warp, "solve_ivp", forbidden)
+    monkeypatch.setattr(warp, "_cosine_series", forbidden)
     ext = warp_extremals.__wrapped__(5, 0.4321)
     assert ext.kappa0 == pytest.approx(1.6 * (1.0 - 0.4321**-0.8), rel=1e-15)
     warp_extremals.__wrapped__(5, 1.4321)
@@ -198,3 +210,87 @@ def test_frozen_refs_script_reproduces_the_constants():
             name, value = line.split(" = ")
             match = re.search(rf"^{name} = (\S+)$", frozen, re.MULTILINE)
             assert match and float(match[1]) == float(value), (path, name)
+
+
+@settings(max_examples=12)
+@given(st.sampled_from([5, 6, 8]), st.floats(0.05, 0.99))
+def test_orbit_matches_dop853(n, f0):
+    traj = integrate_warp(n, f0, tol=1e-12)
+    period, F, Fp = dop853_orbit(n, f0, traj.tau)
+    assert traj.period == pytest.approx(period, rel=1e-10)
+    assert np.max(np.abs(traj.F - F)) <= 1e-11
+    assert np.max(np.abs(traj.Fp - Fp)) <= 1e-10
+
+
+@pytest.mark.parametrize("n", [5, 6, 8])
+def test_orbit_edge_cases(n):
+    # F(0) near 0: the branch point of F^(1-4/n) nears the real axis
+    traj = integrate_warp(n, 1e-6, tol=1e-12)
+    period, F, _ = dop853_orbit(n, 1e-6, traj.tau)
+    assert traj.period == pytest.approx(period, rel=1e-9)
+    assert np.max(np.abs(traj.F - F)) <= 1e-9
+    # a small orbit around F = 1 has the linearized period pi sqrt(n)
+    traj = integrate_warp(n, 0.999999, tol=1e-12)
+    assert traj.period == pytest.approx(math.pi * math.sqrt(n), rel=1e-9)
+
+
+def test_orbit_is_symmetric_and_closed():
+    traj = integrate_warp(5, 0.3)
+    mid = len(traj.tau) // 2
+    assert traj.F[0] == traj.F[-1] == 0.3
+    assert traj.Fp[0] == traj.Fp[-1] == 0.0
+    assert np.array_equal(traj.F, traj.F[::-1])
+    assert np.array_equal(traj.Fp[1:mid], -traj.Fp[-2:mid:-1])
+    assert abs(traj.Fp[mid]) <= 1e-15
+    # tau = period / 2 is a sample, and it is the upper turning point
+    assert traj.tau[mid] == traj.period / 2.0
+    assert traj.F[mid] == pytest.approx(warp._upper_turning_point(5, 0.3), rel=1e-15)
+
+
+def test_minima_fall_on_samples():
+    # kappa1 is least at tau = 0 and |Ric|^2 at tau = period / 2, both
+    # samples, so the parabola through the neighbours changes nothing
+    track = curvature_track(integrate_warp(5, 0.1))
+    ext = extremal_data(track)
+    ric = track.kappa1**2 + 4.0 * track.kappa2**2
+    assert ext.kappa0 == track.kappa1[0] == KAPPA0
+    assert ext.ric_norm_sq_min == ric[len(ric) // 2]
+    assert ext.ric_norm_sq_min == pytest.approx(RIC_MIN, rel=1e-14)
+
+
+def test_sampled_min_parabola():
+    # off-sample minimum of a periodic track: the vertex of the parabola
+    tau = np.linspace(0.0, 1.0, 101)
+    values = np.cos(2.0 * math.pi * (tau - 0.503))
+    assert warp._sampled_min(values) == pytest.approx(-1.0, abs=1e-5)
+    assert warp._sampled_min(values) < values.min()
+
+
+def test_orbit_near_the_separatrix():
+    # F(0) = 1e-10: without the node map the Fourier tail at 2^14 nodes
+    # would be about 1e-4
+    traj = integrate_warp(5, 1e-10)
+    period, F, _ = dop853_orbit(5, 1e-10, traj.tau)
+    assert traj.period == pytest.approx(period, rel=1e-9)
+    assert np.max(np.abs(traj.F - F)) <= 1e-9
+
+
+def test_f0_below_two_to_the_minus_53():
+    # f0 - 1 rounds to -1 there, and log1p(-1) used to raise ValueError
+    ext = warp_extremals(5, 1e-20)
+    assert ext.kappa0 == pytest.approx(1.6 * (1.0 - 1e16), rel=1e-14)
+    assert ext.ric_norm_sq_min == pytest.approx(2.048, rel=1e-14)
+    traj = integrate_warp(5, 1e-20)
+    assert traj.F[0] == traj.F[-1] == 1e-20
+
+
+def test_unconverged_quadrature_raises():
+    # F(0) = 1e-30 at n = 40 keeps a Fourier tail of about 2e-2 at 2^14 nodes
+    with pytest.raises(ArithmeticError, match="did not converge"):
+        integrate_warp(40, 1e-30)
+
+
+def test_orbit_input_gates_reject_nan_and_inf():
+    for f0 in (math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveF):
+            integrate_warp(5, f0)
