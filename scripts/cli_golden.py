@@ -3,10 +3,11 @@
 Runs `diracbound.cli.main` in-process on a fixed list of invocations
 (`bound` on every named example in table, CSV and JSON form, plus
 t2xs2 with a Kaehler dimension; `catalog-list` with and without
-`--json`; one short `sweep` per sweepable parameter) and records the
-exit code and stdout of each. tests/test_cli.py compares a fresh run
-with the recorded file byte for byte, so a refactor that changes any
-of these bytes fails there. Write the file with
+`--json`; one short `sweep` per sweepable parameter; m7-sigma's `bound`
+and f0 `sweep` again with `--tol 1e-3`, which must change no byte) and
+records the exit code and stdout of each. tests/test_cli.py compares
+a fresh run with the recorded file byte for byte, so a refactor that
+changes any of these bytes fails there. Write the file with
 
     python scripts/cli_golden.py > tests/cli_golden.json
 
@@ -31,6 +32,8 @@ SWEEPS = (
     ("--example", "m7-sigma", "--param", "f0",
      "--from", "0.05", "--to", "1", "--steps", "9"),
 )
+# --tol is checked, but warped factors are exact: these match the defaults
+LOOSE_TOL = ("--tol", "1e-3")
 
 
 def invocations():
@@ -43,6 +46,9 @@ def invocations():
         runs.append(("bound", "--example", "t2xs2", "--kaehler-dim", "2", *fmt))
     runs += [("catalog-list",), ("catalog-list", "--json")]
     runs += [("sweep", *argv) for argv in SWEEPS]
+    for fmt in ((), ("--csv",)):
+        runs.append(("bound", "--example", "m7-sigma", *fmt, *LOOSE_TOL))
+    runs.append(("sweep", *SWEEPS[2], *LOOSE_TOL))
     return runs
 
 

@@ -25,7 +25,7 @@ from .catalog import (EXAMPLES, Einstein, ManifoldSpec, Product, Sphere,
 from .clifford import (BatchSummary, CliffordRep, TraceResiduals, build_rep,
                        run_identity_batch, verify_lemma15, verify_ricci_trace)
 from .errors import (CompositionError, DimensionError, DiracBoundError,
-                     InconsistentProfile, NonPositiveF, NoPeriod, NotSymmetric,
+                     InconsistentProfile, NonPositiveF, NotSymmetric,
                      ParameterRange, RicciFlat, ScalarSignError, ShapeError,
                      UnknownExample)
 from .profile import (RicciProfile, make_profile, profile_from_dict,
@@ -46,7 +46,7 @@ def load_schema(name):
 __all__ = [
     "BatchSummary", "BoundReport", "CliffordRep", "CompositionError",
     "CurvatureTrack", "DimensionError", "DiracBoundError", "EXAMPLES",
-    "Einstein", "InconsistentProfile", "ManifoldSpec", "Method", "NoPeriod",
+    "Einstein", "InconsistentProfile", "ManifoldSpec", "Method",
     "NonPositiveF", "NotSymmetric", "OptimizerInfo", "ParameterRange",
     "Product", "RicciFlat", "RicciProfile", "ScalarSignError", "ShapeError",
     "Shortcuts", "Sphere", "Surface", "TraceResiduals",

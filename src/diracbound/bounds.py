@@ -368,14 +368,10 @@ def best_bound(profile, complex_dim=None):
     reports = [friedrich_bound(profile)]
     if complex_dim is not None:
         reports.append(kaehler_bound(profile, complex_dim))
-    if abs(profile.scalar) <= SCALAR_ZERO_ATOL:
-        try:
-            reports.append(zero_scalar_bound(profile))
-        except RicciFlat as err:
-            reports.append(_inapplicable(Method.ZERO_SCALAR, str(err)))
-    else:
-        reports.append(_inapplicable(
-            Method.ZERO_SCALAR, f"scalar curvature is not zero: R = {profile.scalar}"))
+    try:
+        reports.append(zero_scalar_bound(profile))
+    except RicciFlat as err:
+        reports.append(_inapplicable(Method.ZERO_SCALAR, str(err)))
     reports.append(theorem31_bound(profile))
     reports.append(optimize_minimax(profile))
 

@@ -1,10 +1,11 @@
 """Constructors for the worked example manifolds and their profiles.
 
 Specs are small declarative trees: Einstein factors, constant-curvature
-surfaces, round spheres, the n = 5 warped circle bundle, and products.
-realize() turns a spec into a validated RicciProfile. Scalar curvature
-and the two curvature minima add across product factors; this is exact
-because at most one factor (the warped one) is allowed to vary.
+surfaces, round spheres, the n = 5 warped circle bundle (its minima in
+closed form), and products. realize() turns a spec into a validated
+RicciProfile in the exact tolerance class. Scalar curvature and the two
+curvature minima add across product factors; this is exact because at
+most one factor (the warped one) is allowed to vary.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from typing import Union
 
 from .errors import (CompositionError, DimensionError, ParameterRange,
                      UnknownExample)
-from .profile import ODE_RTOL, make_profile
-from .warp import WARP_SCALAR, check_tol, warp_extremals
+from .profile import make_profile
+from .warp import WARP_SCALAR, warp_extremals
 
 # an Einstein factor lists its n eigenvalues, 8 bytes each
 MAX_EINSTEIN_DIM = 10**6
@@ -35,7 +36,7 @@ class Einstein:
     n: int
     scalar: float
 
-    def _profile(self, warp_tol):
+    def _profile(self):
         if self.n > MAX_EINSTEIN_DIM:
             raise ParameterRange(f"einstein field 'n' must be at most "
                                  f"{MAX_EINSTEIN_DIM}, got {self.n}")
@@ -48,7 +49,7 @@ class Surface:
 
     scalar: float
 
-    def _profile(self, warp_tol):
+    def _profile(self):
         return _einstein_profile(2, self.scalar)
 
 
@@ -58,7 +59,7 @@ class Sphere:
 
     radius: float
 
-    def _profile(self, warp_tol):
+    def _profile(self):
         # the range keeps the scalar 2 / radius^2 and its square normal floats
         if not 1e-75 <= self.radius <= 1e75:
             raise ParameterRange(
@@ -73,35 +74,33 @@ class Warped:
     n: int
     f0: float
 
-    def _profile(self, warp_tol):
+    def _profile(self):
         if self.n != 5:
             raise DimensionError(
                 f"warped curvature data exists for n = 5 only, got n = {self.n}")
         if not 0.0 < self.f0 <= 1.0:
             raise ParameterRange(f"warped f0 must lie in (0, 1], got {self.f0}")
-        ext = warp_extremals(5, self.f0, warp_tol)
-        return make_profile(5, WARP_SCALAR, ext.kappa0, ext.ric_norm_sq_min,
-                            ode_derived=True)
+        ext = warp_extremals(5, self.f0)
+        return make_profile(5, WARP_SCALAR, ext.kappa0, ext.ric_norm_sq_min)
 
 
 @dataclass(frozen=True)
 class Product:
     factors: tuple["ManifoldSpec", ...]
 
-    def _profile(self, warp_tol):
+    def _profile(self):
         if len(self.factors) < 2:
             raise CompositionError("a product needs at least two factors")
         if sum(isinstance(leaf, Warped) for leaf in leaves(self)) > 1:
             raise CompositionError(
                 "at most one warped factor is allowed: the curvature minima "
                 "only add exactly when a single factor varies")
-        parts = [realize(f, warp_tol) for f in self.factors]
+        parts = [realize(f) for f in self.factors]
         pinned = all(p.eigenvalues is not None for p in parts)
         eigs = [e for p in parts for e in p.eigenvalues] if pinned else None
         return make_profile(sum(p.n for p in parts), sum(p.scalar for p in parts),
                             min(p.kappa0 for p in parts),
-                            sum(p.ric_norm_sq_min for p in parts), eigs,
-                            ode_derived=any(p.rtol == ODE_RTOL for p in parts))
+                            sum(p.ric_norm_sq_min for p in parts), eigs)
 
 
 ManifoldSpec = Union[Einstein, Surface, Sphere, Warped, Product]
@@ -128,16 +127,11 @@ def leaves(spec):
     return [leaf for factor in spec.factors for leaf in leaves(factor)]
 
 
-def realize(spec, warp_tol=1e-10):
-    """Produce the RicciProfile of a spec; raises on invalid parameters.
-
-    The warped factor's minima are exact (warp.warp_extremals); warp_tol
-    is validated but changes no value. The profile still carries the
-    loose ODE tolerance class, as integrated data did.
-    """
-    check_tol(warp_tol)
+def realize(spec):
+    """Produce the RicciProfile of a spec, in the EXACT_RTOL class;
+    raises on invalid parameters."""
     _kind(spec)
-    return spec._profile(warp_tol)
+    return spec._profile()
 
 
 # --- registry of worked examples -------------------------------------------

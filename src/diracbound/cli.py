@@ -102,7 +102,7 @@ def _load_spec(args):
 def _load_profile(args):
     if args.profile:
         return profile_from_dict(_load_json(args.profile))
-    return realize(_load_spec(args), args.tol)
+    return realize(_load_spec(args))
 
 
 # --- bound -----------------------------------------------------------------
@@ -210,8 +210,7 @@ def _sweep_cells(profile, selected, kaehler_dim):
 def _sweep_block(spec, args, selected, params):
     """CSV rows for one block of parameter values."""
     cls, name = SWEEP_PARAMS[args.param]
-    profiles = [realize(_with_param(spec, cls, name, float(v)), args.tol)
-                for v in params]
+    profiles = [realize(_with_param(spec, cls, name, float(v))) for v in params]
     rows = [_sweep_cells(p, selected, args.kaehler_dim) for p in profiles]
     if "minimax_numeric" in selected:
         values, _ = optimize_minimax_block(
@@ -409,6 +408,8 @@ def main(argv=None):
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
+        if "tol" in vars(args):
+            warp.check_tol(args.tol)
         return args.func(args)
     except (DiracBoundError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

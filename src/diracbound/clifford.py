@@ -20,9 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.random  # loaded with the module, not inside the first batch
 
-from .errors import DimensionError, NotSymmetric, ShapeError
+from .errors import DimensionError, NotSymmetric, ParameterRange, ShapeError
 
 MAX_DIM = 8                     # matrix size caps at 2^4 = 16
+BATCH_BYTES = 2**30             # memory one identity batch may hold
 SYMMETRY_ATOL = 1e-14
 SLOT_SYMMETRY_ATOL = 1e-12
 
@@ -149,11 +150,16 @@ def run_identity_batch(n, trials, seed):
 
     Instance inputs are drawn from per-instance generators spawned off
     the root seed, so the summary is reproducible and independent of
-    any batch splitting.
+    any batch splitting. A batch over BATCH_BYTES raises ParameterRange.
     """
     rep = build_rep(n)
     if trials < 1:
         raise ValueError(f"trials must be positive, got {trials}")
+    # peak bytes per trial: S, T and Y, the widest contraction, the stream
+    limit = BATCH_BYTES // (8 * (n**3 + 3 * n * n + n) + 16 * n * 4 ** (n // 2) + 1024)
+    if trials > limit:
+        raise ParameterRange(f"trials must be at most {limit} at n = {n} (the "
+                             f"batch budget is {BATCH_BYTES >> 20} MiB), got {trials}")
     gam = _stack(rep)
     eye = np.eye(gam.shape[1])
     streams = np.random.SeedSequence(seed).spawn(trials)

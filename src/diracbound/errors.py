@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, all DiracBoundErrors.
+
+Each message names the rejected field, parameter or relation."""
 
 
 class DiracBoundError(Exception):
@@ -35,14 +37,6 @@ class UnknownExample(DiracBoundError):
 
 class NonPositiveF(DiracBoundError):
     """The warp function is not positive, or its orbit would reach F <= 0."""
-
-
-class NoPeriod(DiracBoundError):
-    """No periodic return was detected.
-
-    integrate_warp no longer raises it: its orbit is periodic by
-    construction. The name stays importable for callers that catch it.
-    """
 
 
 class NotSymmetric(DiracBoundError):

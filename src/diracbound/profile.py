@@ -113,12 +113,7 @@ _FIELDS = ("n", "scalar", "kappa0", "ric_norm_sq_min")
 
 
 def profile_to_dict(profile):
-    d = {
-        "n": profile.n,
-        "scalar": profile.scalar,
-        "kappa0": profile.kappa0,
-        "ric_norm_sq_min": profile.ric_norm_sq_min,
-    }
+    d = {key: getattr(profile, key) for key in _FIELDS}
     if profile.eigenvalues is not None:
         d["eigenvalues"] = list(profile.eigenvalues)
     return d

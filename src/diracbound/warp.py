@@ -65,7 +65,6 @@ import numpy as np
 import numpy.fft  # loaded with the module, not inside the first ode command
 
 from .errors import DimensionError, NonPositiveF, ParameterRange
-from .optimize import bisect_root
 
 WARP_SCALAR = 16.0 / 5.0
 SAMPLES = 4097                 # covers one period; >= 2048 everywhere
@@ -123,6 +122,22 @@ def _energy(F, Fp, n):
     return Fp**2 / 2.0 + _potential(F, n)
 
 
+def _bisect_root(f, a, b):
+    """Zero of an increasing f on [a, b], bisected down to adjacent floats;
+    of the last two endpoints, the one where |f| is least."""
+    fa, fb = f(a), f(b)
+    while True:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break
+        fm = f(m)
+        if fm < 0.0:
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
+
+
 def _rebase(f0, n):
     """Start above the equilibrium: shift to the orbit's minimum."""
     energy = _potential(f0, n)
@@ -130,7 +145,7 @@ def _rebase(f0, n):
         raise NonPositiveF(
             f"orbit through F(0) = {f0} has energy {energy} >= 0 and reaches F = 0")
     gap = _potential_gap(f0, n)
-    return bisect_root(lambda F: gap - _potential_gap(F, n), 1e-12, 1.0)
+    return _bisect_root(lambda F: gap - _potential_gap(F, n), 1e-12, 1.0)
 
 
 def check_tol(tol):
@@ -145,7 +160,7 @@ def _upper_turning_point(n, f_min):
     # cannot lose the root. Below 2^-53, f_min - 1 rounds to -1, where
     # log1p fails; V(f_min) is then below the last bit of V(1) anyway.
     gap = _potential_gap(f_min if f_min > 2.0**-53 else 2.0**-53, n)
-    return bisect_root(lambda F: _potential_gap(F, n) - gap, 1.0, 2.0)
+    return _bisect_root(lambda F: _potential_gap(F, n) - gap, 1.0, 2.0)
 
 
 def _power_slope(x, d, p):
@@ -355,14 +370,14 @@ def extremal_data(track):
 
 
 @lru_cache(maxsize=64)
-def warp_extremals(n, f0, tol=1e-10):
+def warp_extremals(n, f0):
     """Cached curvature minima of the n = 5 factor, in closed form.
 
     See the module docstring: kappa0 is kappa1 at the lower turning
     point and min |Ric|^2 is taken at the upper one, found by one
     bracketed root. Starting values above the equilibrium are re-based
-    as in integrate_warp, so f0 is then the upper turning point. tol is
-    validated but changes no value.
+    as in integrate_warp, so f0 is then the upper turning point. Both
+    values are exact to round-off, so no tolerance enters.
     """
     if n != 5:
         raise DimensionError(
@@ -370,7 +385,6 @@ def warp_extremals(n, f0, tol=1e-10):
     f0 = float(f0)
     if not f0 > 0.0:
         raise NonPositiveF(f"F(0) must be positive, got {f0}")
-    check_tol(tol)
     energy = _potential(f0, 5)
     if not energy < 0.0:
         raise NonPositiveF(

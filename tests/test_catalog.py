@@ -12,7 +12,7 @@ from diracbound import (EXAMPLES, CompositionError, DimensionError, Einstein,
                         UnknownExample, Warped, named_example, realize,
                         spec_from_dict, spec_to_dict)
 from diracbound import catalog
-from diracbound.profile import ODE_RTOL
+from diracbound.profile import EXACT_RTOL
 
 
 def test_einstein_factor():
@@ -62,7 +62,7 @@ def test_warped_profile():
     assert p.kappa0 == pytest.approx(-8.4953175, abs=1e-6)
     assert p.ric_norm_sq_min == pytest.approx(2.0489334, abs=1e-6)
     assert p.eigenvalues is None
-    assert p.rtol == ODE_RTOL  # integrated data carries the loose class
+    assert p.rtol == EXACT_RTOL  # the minima are closed forms, exact to round-off
 
 
 def test_large_einstein_factor(monkeypatch):
@@ -87,10 +87,10 @@ def test_warped_gates():
             realize(Warped(5, f0))
 
 
-def test_product_with_warped_inherits_loose_class():
+def test_product_with_warped_is_exact_class():
     p = realize(named_example("m7-sigma"))
     assert p.n == 7
-    assert p.rtol == ODE_RTOL
+    assert p.rtol == EXACT_RTOL
     assert p.eigenvalues is None  # one factor has no pinned spectrum
 
 
@@ -145,13 +145,14 @@ def test_registry_catalog_is_schema_valid(schema_validator):
 # every spec tree inside manifold_spec.v1: leaves of the four kinds with
 # their schema bounds, products of two or more factors, nested
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_WARPED = st.builds(Warped, st.just(5), st.floats(min_value=0.0, max_value=1.0,
+                                                  exclude_min=True))
 _LEAVES = st.one_of(
     st.builds(Einstein, st.integers(min_value=2, max_value=64), _FINITE),
     st.builds(Surface, _FINITE),
     st.builds(Sphere, st.floats(min_value=0.0, exclude_min=True,
                                 allow_infinity=False)),
-    st.builds(Warped, st.just(5), st.floats(min_value=0.0, max_value=1.0,
-                                            exclude_min=True)),
+    _WARPED,
 )
 _SPECS = st.recursive(
     _LEAVES,
@@ -160,9 +161,28 @@ _SPECS = st.recursive(
     max_leaves=12)
 
 
-@given(_SPECS)
-def test_spec_tree_round_trips_and_validates(schema_validator, spec):
+def _moderate(leaf):
+    """A leaf whose curvature, summed over 12 leaves, stays far from overflow.
+
+    Below f0 ~ 1e-270 the warped energy underflows to 0 and realize
+    rejects the factor as unbounded, so tiny f0 are left out too.
+    """
+    if isinstance(leaf, Sphere):
+        return 1e-50 <= leaf.radius <= 1e50
+    if isinstance(leaf, Warped):
+        return leaf.f0 >= 1e-200
+    return abs(leaf.scalar) <= 1e100
+
+
+@given(_SPECS, _WARPED)
+def test_spec_tree_round_trips_and_validates(schema_validator, spec, warped):
     doc = spec_to_dict(spec)
     schema_validator("manifold_spec.v1", doc)
     assert spec_from_dict(doc) == spec
     assert spec_from_dict(json.loads(json.dumps(doc))) == spec
+    # the warped minima are closed forms: the exact class holds in any product
+    others = [leaf for leaf in catalog.leaves(spec)
+              if _moderate(leaf) and not isinstance(leaf, Warped)]
+    if _moderate(warped):
+        tree = Product((*others, warped)) if others else warped
+        assert realize(tree).rtol == EXACT_RTOL

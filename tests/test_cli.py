@@ -8,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from diracbound import bounds, cli
@@ -97,12 +98,41 @@ def test_bound_non_finite_profile_exits_1(run_cli, tmp_path, literal, name):
     ("bound", "--example", "t2xs2"),
     ("sweep", "--example", "m7-sigma", "--param", "f0",
      "--from", "0.1", "--to", "0.5", "--steps", "3"),
+    ("bound", "--profile", "{tmp}/profile.json"),
+    ("verify", "--dim", "4", "--trials", "10"),
 ])
 def test_non_finite_tolerance_exits_1(run_cli, tmp_path, argv):
     # a NaN tolerance once made the ODE solver loop forever
+    (tmp_path / "profile.json").write_text(json.dumps(
+        {"n": 4, "scalar": 2.0, "kappa0": 0.0, "ric_norm_sq_min": 2.0}))
     argv = [a.format(tmp=tmp_path) for a in argv]
     proc = run_cli(*argv, "--tol", "nan", expect=1, timeout=60)
     assert "tolerance must be finite and positive" in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--profile", "{tmp}/profile.json"],
+    ["verify", "--dim", "4", "--trials", "10"],
+])
+def test_negative_tolerance_exits_1(capsys, tmp_path, argv):
+    # --tol is checked once after parsing, not where a command uses it
+    (tmp_path / "profile.json").write_text(json.dumps(
+        {"n": 4, "scalar": 2.0, "kappa0": 0.0, "ric_norm_sq_min": 2.0}))
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert cli.main(argv + ["--tol", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "tolerance must be finite and positive" in out.err
+
+
+def test_verify_trials_cap_exits_1(capsys, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the batch must be refused before it allocates")
+
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    monkeypatch.setattr(np, "empty", forbidden)
+    assert cli.main(["verify", "--dim", "8", "--trials", str(10**12)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "trials must be at most" in out.err
 
 
 def test_bound_unknown_example_exits_1(run_cli):

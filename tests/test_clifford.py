@@ -1,10 +1,13 @@
 """Exactness of the representation and the two contraction identities."""
 
+import re
+
 import numpy as np
 import pytest
 
-from diracbound import (DimensionError, NotSymmetric, ShapeError, build_rep,
-                        run_identity_batch, verify_lemma15, verify_ricci_trace)
+from diracbound import (DimensionError, NotSymmetric, ParameterRange,
+                        ShapeError, build_rep, run_identity_batch,
+                        verify_lemma15, verify_ricci_trace)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -135,6 +138,29 @@ def test_batch_summary_deterministic():
 def test_batch_rejects_empty():
     with pytest.raises(ValueError):
         run_identity_batch(4, 0, 1)
+
+
+def test_batch_trials_capped_before_allocating(monkeypatch):
+    class Unspawnable:
+        def __init__(self, seed):
+            pass
+
+        def spawn(self, count):
+            raise AssertionError("streams spawned")
+
+    def no_empty(*args, **kwargs):
+        raise AssertionError("batch arrays allocated")
+
+    monkeypatch.setattr(np.random, "SeedSequence", Unspawnable)
+    monkeypatch.setattr(np, "empty", no_empty)
+    with pytest.raises(ParameterRange, match="1024 MiB") as refused:
+        run_identity_batch(8, 10**18, 0)
+    limit = int(re.search(r"at most (\d+) at n = 8 ", str(refused.value)).group(1))
+    assert 10 * 2000 <= limit  # a 2000-trial batch at n = 8 stays far inside
+    with pytest.raises(ParameterRange, match=f"at most {limit} "):
+        run_identity_batch(8, limit + 1, 0)
+    with pytest.raises(AssertionError, match="streams spawned"):
+        run_identity_batch(8, limit, 0)  # the largest batch passes the cap
 
 
 def test_batch_residuals_small_every_dimension():
