@@ -5,9 +5,14 @@ Runs `diracbound.cli.main` in-process on a fixed list of invocations
 t2xs2 with a Kaehler dimension; `catalog-list` with and without
 `--json`; one short `sweep` per sweepable parameter; m7-sigma's `bound`
 and f0 `sweep` again with `--tol 1e-3`, which must change no byte) and
-records the exit code and stdout of each. tests/test_cli.py compares
-a fresh run with the recorded file byte for byte, so a refactor that
-changes any of these bytes fails there. Write the file with
+records the exit code and stdout of each. Long sweeps, which span many
+blocks of rows, are recorded as the sha256 and line count of their
+stdout: a 2000-row `radius` and a 2000-row `surface_scalar` sweep whose
+grids hold values where Python's `x**2` and `x*x` differ in the last
+bit, a 200-row `f0` sweep, a `--bounds` subset and two nested-product
+specs. tests/test_cli.py compares a fresh run with the recorded file
+byte for byte, so a refactor that changes any of these bytes fails
+there. Write the file with
 
     python scripts/cli_golden.py > tests/cli_golden.json
 
@@ -15,9 +20,11 @@ and review the diff before committing it.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -34,6 +41,33 @@ SWEEPS = (
 )
 # --tol is checked, but warped factors are exact: these match the defaults
 LOOSE_TOL = ("--tol", "1e-3")
+# spec documents passed by name: capture() writes each to a file
+SPECS = {
+    "<nested-sphere>": {"product": [
+        {"product": [{"einstein": {"n": 4, "scalar": -2.0}},
+                     {"sphere": {"radius": 1.0}}]},
+        {"surface": {"scalar": -2.0}}]},
+    "<nested-warped>": {"product": [
+        {"surface": {"scalar": 4.0}},
+        {"product": [{"einstein": {"n": 2, "scalar": 1.0}},
+                     {"warped": {"n": 5, "f0": 0.3}}]}]},
+}
+# recorded as {'sha256', 'lines'} of stdout instead of stdout itself
+LONG_SWEEPS = (
+    ("--example", "s2r-x-hyperbolic", "--param", "radius",
+     "--from", "0.52", "--to", "1.97", "--steps", "2000", "--kaehler-dim", "2"),
+    ("--example", "m7-sigma", "--param", "surface_scalar",
+     "--from", "-7.8", "--to", "11.7", "--steps", "2000"),
+    ("--example", "m7-sigma", "--param", "f0",
+     "--from", "0.05", "--to", "0.95", "--steps", "200"),
+    ("--example", "m7-sigma", "--param", "surface_scalar",
+     "--from", "-7.8", "--to", "11.7", "--steps", "300",
+     "--bounds", "friedrich,minimax_numeric"),
+    ("--spec", "<nested-sphere>", "--param", "radius",
+     "--from", "0.3", "--to", "3", "--steps", "300", "--kaehler-dim", "4"),
+    ("--spec", "<nested-warped>", "--param", "f0",
+     "--from", "0.02", "--to", "1", "--steps", "150"),
+)
 
 
 def invocations():
@@ -49,15 +83,30 @@ def invocations():
     for fmt in ((), ("--csv",)):
         runs.append(("bound", "--example", "m7-sigma", *fmt, *LOOSE_TOL))
     runs.append(("sweep", *SWEEPS[2], *LOOSE_TOL))
+    runs += [("sweep", *argv) for argv in LONG_SWEEPS]
     return runs
 
 
 def capture(argv):
-    """{'argv', 'exit', 'stdout'} of one in-process run of the CLI."""
+    """{'argv', 'exit', 'stdout'} of one in-process run of the CLI; for a
+    long sweep, {'argv', 'exit', 'sha256', 'lines'}."""
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(list(argv))
-    return {"argv": list(argv), "exit": code, "stdout": out.getvalue()}
+    with tempfile.TemporaryDirectory() as tmp:
+        real = []
+        for arg in argv:
+            if arg in SPECS:
+                path = Path(tmp) / "spec.json"
+                path.write_text(json.dumps(SPECS[arg]))
+                arg = str(path)
+            real.append(arg)
+        with contextlib.redirect_stdout(out):
+            code = cli.main(real)
+    text = out.getvalue()
+    if tuple(argv[1:]) in LONG_SWEEPS:
+        return {"argv": list(argv), "exit": code,
+                "sha256": hashlib.sha256(text.encode()).hexdigest(),
+                "lines": text.count("\n")}
+    return {"argv": list(argv), "exit": code, "stdout": text}
 
 
 def captures():
