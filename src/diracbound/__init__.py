@@ -14,20 +14,21 @@ import json
 from importlib import resources
 
 from .bounds import (BoundReport, Method, OptimizerInfo, Shortcuts, best_bound,
-                     condition_19, corollary32_bound, friedrich_bound,
-                     harmonic_spinor_excluded, improvement_condition,
-                     kaehler_bound, minimax_bound_at_t, optimize_minimax,
-                     optimize_minimax_block, shortcuts, theorem31_bound,
-                     zero_scalar_bound)
+                     condition_19, corollary32_bound, friedrich_block,
+                     friedrich_bound, harmonic_spinor_excluded,
+                     improvement_condition, kaehler_block, kaehler_bound,
+                     minimax_bound_at_t, optimize_minimax,
+                     optimize_minimax_block, shortcuts, theorem31_block,
+                     theorem31_bound, zero_scalar_bound)
 from .catalog import (EXAMPLES, Einstein, ManifoldSpec, Product, Sphere,
-                      Surface, Warped, named_example, realize, spec_from_dict,
-                      spec_to_dict)
+                      Surface, Warped, named_example, realize,
+                      realize_columns, spec_from_dict, spec_to_dict)
 from .clifford import (BatchSummary, CliffordRep, TraceResiduals, build_rep,
                        run_identity_batch, verify_lemma15, verify_ricci_trace)
-from .errors import (CompositionError, DimensionError, DiracBoundError,
-                     InconsistentProfile, NonPositiveF, NotSymmetric,
-                     ParameterRange, RicciFlat, ScalarSignError, ShapeError,
-                     UnknownExample)
+from .errors import (CompositionError, CrossCheckFailed, DimensionError,
+                     DiracBoundError, InconsistentProfile, NonPositiveF,
+                     NotSymmetric, ParameterRange, RicciFlat, ScalarSignError,
+                     ShapeError, UnknownExample)
 from .profile import (RicciProfile, make_profile, profile_from_dict,
                       profile_to_dict)
 from .warp import (CurvatureTrack, WarpExtremals, WarpTrajectory,
@@ -45,20 +46,23 @@ def load_schema(name):
 
 __all__ = [
     "BatchSummary", "BoundReport", "CliffordRep", "CompositionError",
-    "CurvatureTrack", "DimensionError", "DiracBoundError", "EXAMPLES",
+    "CrossCheckFailed", "CurvatureTrack", "DimensionError", "DiracBoundError",
+    "EXAMPLES",
     "Einstein", "InconsistentProfile", "ManifoldSpec", "Method",
     "NonPositiveF", "NotSymmetric", "OptimizerInfo", "ParameterRange",
     "Product", "RicciFlat", "RicciProfile", "ScalarSignError", "ShapeError",
     "Shortcuts", "Sphere", "Surface", "TraceResiduals",
     "UnknownExample", "Warped", "WarpExtremals", "WarpTrajectory",
     "best_bound", "build_rep", "condition_19", "corollary32_bound",
-    "curvature_track", "energy_drift", "extremal_data", "friedrich_bound",
-    "harmonic_spinor_excluded", "improvement_condition", "integrate_warp",
-    "kaehler_bound", "load_schema", "make_profile", "minimax_bound_at_t",
+    "curvature_track", "energy_drift", "extremal_data", "friedrich_block",
+    "friedrich_bound", "harmonic_spinor_excluded", "improvement_condition",
+    "integrate_warp", "kaehler_block", "kaehler_bound", "load_schema",
+    "make_profile", "minimax_bound_at_t",
     "named_example", "optimize_minimax", "optimize_minimax_block",
     "profile_from_dict",
-    "profile_to_dict", "realize", "run_identity_batch", "shortcuts",
-    "spec_from_dict", "spec_to_dict", "theorem31_bound",
+    "profile_to_dict", "realize", "realize_columns", "run_identity_batch",
+    "shortcuts", "spec_from_dict", "spec_to_dict", "theorem31_block",
+    "theorem31_bound",
     "verify_lemma15", "verify_ricci_trace", "warp_extremals",
     "write_track_csv", "zero_scalar_bound",
 ]

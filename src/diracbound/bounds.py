@@ -18,6 +18,11 @@ the traceless norm |Ric - R/n|^2:
 
 A collapses to (n / (4 (n - 1))) (|Ric|_0^2 - R kappa0), so A > 0 is
 exactly the condition excluding harmonic spinors.
+
+The closed forms are written once, as elementwise expressions over a
+block of rows (friedrich_block, kaehler_block, theorem31_block); the
+report functions take a profile as a block of one. Squares go through
+profile.pow2, so a row's values equal what Python floats give.
 """
 
 from __future__ import annotations
@@ -28,8 +33,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (DimensionError, ParameterRange, RicciFlat, ScalarSignError,
-                     ShapeError)
+from .errors import (CrossCheckFailed, DimensionError, ParameterRange,
+                     RicciFlat, ScalarSignError, ShapeError)
+from .profile import pow2
 
 # |R| below this counts as vanishing scalar curvature
 SCALAR_ZERO_ATOL = 1e-12
@@ -88,6 +94,11 @@ def _inapplicable(method, reason):
     return BoundReport(method, None, False, False, reason)
 
 
+def _first_max(a, b):
+    """max(a, b) as Python takes it, elementwise: b only where b > a."""
+    return np.where(b > a, b, a)
+
+
 # --- applicability predicates ----------------------------------------------
 
 def harmonic_spinor_excluded(profile):
@@ -116,30 +127,56 @@ def condition_19(profile):
     For R > 0 this is the improvement condition rewritten in traceless
     form; for R <= 0 it reduces to |Ric|_0^2 > R kappa0.
     """
-    n, R = profile.n, profile.scalar
-    rhs = (R / n - profile.kappa0) * max(R / (n - 1), -R)
-    return profile.traceless_norm_sq_min > rhs
+    return bool(_condition_19(profile.n, profile.scalar, profile.kappa0,
+                              profile.traceless_norm_sq_min))
+
+
+def _condition_19(n, R, kappa0, t0):
+    rhs = (R / n - kappa0) * _first_max(R / (n - 1), -R)
+    return t0 > rhs
 
 
 def shortcuts(profile):
     """Evaluate the a, b, c, A shortcut quantities for a profile."""
-    n, R = profile.n, profile.scalar
-    t0 = profile.traceless_norm_sq_min
+    return Shortcuts(*map(float, _shortcut_columns(
+        profile.n, profile.scalar, profile.kappa0, profile.traceless_norm_sq_min)))
+
+
+def _shortcut_columns(n, R, kappa0, t0):
     a = n * R / (8.0 * (n - 1))
-    b = n / (n - 1.0) * (R / n - profile.kappa0)
+    b = n / (n - 1.0) * (R / n - kappa0)
     csq = n / (n - 1.0) * t0
-    c = math.sqrt(csq)
+    c = np.sqrt(csq)
     A = csq / 4.0 + 2.0 * (n - 1.0) / n * a * b
-    return Shortcuts(a, b, c, A)
+    return a, b, c, A
 
 
 # --- classical bounds ------------------------------------------------------
 
+def friedrich_block(n, scalar):
+    """Friedrich values n R / (4 (n - 1)) of a block of rows; 0 where R <= 0."""
+    R = np.asarray(scalar, dtype=float)
+    return np.where(R > 0.0, n * R / (4.0 * (n - 1)), 0.0)
+
+
 def friedrich_bound(profile):
     """lambda^2 >= n R / (4 (n - 1)); vacuous 0 when R <= 0."""
-    n, R = profile.n, profile.scalar
-    value = n * R / (4.0 * (n - 1)) if R > 0.0 else 0.0
+    value = float(friedrich_block(profile.n, profile.scalar))
     return BoundReport(Method.FRIEDRICH, value, False, True)
+
+
+def kaehler_block(n, scalar, complex_dim):
+    """Kaehler values of a block of rows of dimension n; see kaehler_bound."""
+    m = int(complex_dim)
+    if m < 1 or n != 2 * m:
+        raise DimensionError(
+            f"complex dimension {m} needs n = {2 * m}, profile has n = {n}")
+    R = np.asarray(scalar, dtype=float)
+    if m % 2 == 1:
+        value = (m + 1) * R / (4.0 * m)
+    else:
+        value = m * R / (4.0 * (m - 1))
+    return np.where(R <= 0.0, 0.0, value)
 
 
 def kaehler_bound(profile, complex_dim):
@@ -148,26 +185,60 @@ def kaehler_bound(profile, complex_dim):
     lambda^2 >= (m + 1) R / (4 m) for m odd, m R / (4 (m - 1)) for m
     even; vacuous 0 when R <= 0.
     """
-    m = int(complex_dim)
-    if m < 1 or profile.n != 2 * m:
-        raise DimensionError(
-            f"complex dimension {m} needs n = {2 * m}, profile has n = {profile.n}")
-    R = profile.scalar
-    if R <= 0.0:
-        return BoundReport(Method.KAEHLER, 0.0, False, True)
-    if m % 2 == 1:
-        value = (m + 1) * R / (4.0 * m)
-    else:
-        value = m * R / (4.0 * (m - 1))
+    value = float(kaehler_block(profile.n, profile.scalar, complex_dim))
     return BoundReport(Method.KAEHLER, value, False, True)
 
 
 # --- refined bounds --------------------------------------------------------
 
-def _s0_denominator(sc):
-    disc = sc.a**2 * sc.c**2 + sc.A * (sc.A - 2.0 * sc.a * sc.b)
-    root = math.sqrt(max(disc, 0.0))
-    return sc.a * sc.c**2 + sc.c * root, root
+@dataclass(frozen=True)
+class Theorem31Columns:
+    """theorem31 over a block: condition 19 and A per row; value, s0 and
+    f(s0) where both hold (applicable), NaN elsewhere."""
+
+    condition: np.ndarray
+    A: np.ndarray
+    applicable: np.ndarray
+    value: np.ndarray
+    s0: np.ndarray
+    f_s0: np.ndarray
+
+
+def _closed_forms_agree(value, f_s0):
+    """math.isclose(value, f_s0, rel_tol=1e-9) elementwise, where both are
+    finite; False elsewhere."""
+    diff = np.abs(f_s0 - value)
+    close = (diff <= np.abs(1e-9 * f_s0)) | (diff <= np.abs(1e-9 * value))
+    return np.isfinite(value) & np.isfinite(f_s0) & close
+
+
+def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
+    """theorem31_bound on a block of rows of dimension n: Theorem31Columns.
+
+    Raises CrossCheckFailed, whose row is the first applicable row where
+    the closed form is not finite or misses f(s0) by more than 1e-9
+    relative.
+    """
+    R, kappa0, t0 = (np.asarray(x, dtype=float)
+                     for x in (scalar, kappa0, traceless_norm_sq_min))
+    with np.errstate(all="ignore"):
+        condition = _condition_19(n, R, kappa0, t0)
+        a, b, c, A = _shortcut_columns(n, R, kappa0, t0)
+        applicable = condition & ~(A < DEGENERATE_A_ATOL)
+        c2 = pow2(c)
+        root = np.sqrt(_first_max(pow2(a) * c2 + A * (A - 2.0 * a * b), 0.0))
+        value = pow2(A) / (b * A - a * c2 + c * root)
+        s0 = (A - 2.0 * a * b) / (a * c2 + c * root)
+        f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c2 * pow2(s0))
+    failed = np.flatnonzero(applicable & ~_closed_forms_agree(value, f_s0))
+    if failed.size:
+        row = int(failed[0])
+        raise CrossCheckFailed(
+            f"internal cross-check failed: closed form "
+            f"{float(np.ravel(value)[row])} vs f(s0) {float(np.ravel(f_s0)[row])}",
+            row)
+    value, s0, f_s0 = (np.where(applicable, x, np.nan) for x in (value, s0, f_s0))
+    return Theorem31Columns(condition, A, applicable, value, s0, f_s0)
 
 
 def theorem31_bound(profile):
@@ -175,23 +246,20 @@ def theorem31_bound(profile):
 
     Equals the maximum over s >= 0 of f(s) = 2(a + As) / (1 + 2bs + c^2 s^2),
     attained at s0 = (A - 2ab) / (ac^2 + c sqrt(a^2c^2 + A(A - 2ab))); both
-    routes are evaluated and must agree to 1e-9 relative.
+    routes are evaluated and must agree to 1e-9 relative, or
+    CrossCheckFailed is raised.
     """
-    if not condition_19(profile):
+    th = theorem31_block(profile.n, profile.scalar, profile.kappa0,
+                         profile.traceless_norm_sq_min)
+    if not th.condition:
         return _inapplicable(
             Method.THEOREM31,
             "condition |Ric - R/n|_0^2 > (R/n - kappa0) max(R/(n-1), -R) fails")
-    sc = shortcuts(profile)
-    if sc.A < DEGENERATE_A_ATOL:
+    if not th.applicable:
         return _inapplicable(
-            Method.THEOREM31, f"near-degenerate data: A = {sc.A} < {DEGENERATE_A_ATOL}")
-    denom_s0, root = _s0_denominator(sc)
-    value = sc.A**2 / (sc.b * sc.A - sc.a * sc.c**2 + sc.c * root)
-    s0 = (sc.A - 2.0 * sc.a * sc.b) / denom_s0
-    f_s0 = 2.0 * (sc.a + sc.A * s0) / (1.0 + 2.0 * sc.b * s0 + sc.c**2 * s0**2)
-    if not math.isclose(value, f_s0, rel_tol=1e-9):
-        raise ArithmeticError(
-            f"internal cross-check failed: closed form {value} vs f(s0) {f_s0}")
+            Method.THEOREM31,
+            f"near-degenerate data: A = {float(th.A)} < {DEGENERATE_A_ATOL}")
+    value, s0, f_s0 = map(float, (th.value, th.s0, th.f_s0))
     return BoundReport(Method.THEOREM31, value, True, True,
                        optimizer=OptimizerInfo(s0=s0, f_s0=f_s0))
 

@@ -6,17 +6,25 @@ closed form), and products. realize() turns a spec into a validated
 RicciProfile in the exact tolerance class. Scalar curvature and the two
 curvature minima add across product factors; this is exact because at
 most one factor (the warped one) is allowed to vary.
+
+realize_columns is realize over a one-parameter family, as `sweep`
+runs it: factors without the varied leaf are realized once, and the
+varied leaf and the products above it are computed as arrays over a
+block of parameter values, with the same rounding as realize.
 """
 
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Union
+
+import numpy as np
 
 from .errors import (CompositionError, DimensionError, ParameterRange,
                      UnknownExample)
-from .profile import make_profile
+from .profile import (ROW_ERRORS, FirstFailure, PinnedColumns, RicciProfile,
+                      make_profile, make_profile_columns, pow2)
 from .warp import WARP_SCALAR, warp_extremals
 
 # an Einstein factor lists its n eigenvalues, 8 bytes each
@@ -27,6 +35,13 @@ def _einstein_profile(n, scalar):
     """Profile of a factor whose n Ricci eigenvalues all equal scalar / n."""
     mean = scalar / n
     return make_profile(n, scalar, mean, scalar * mean, (mean,) * n)
+
+
+def _einstein_columns(n, scalar, failure):
+    """_einstein_profile over a column of scalars."""
+    mean = scalar / n
+    return make_profile_columns(n, scalar, mean, scalar * mean, failure,
+                                PinnedColumns((), mean, n))
 
 
 @dataclass(frozen=True)
@@ -52,6 +67,9 @@ class Surface:
     def _profile(self):
         return _einstein_profile(2, self.scalar)
 
+    def _columns(self, name, values, failure):
+        return _einstein_columns(2, values, failure)
+
 
 @dataclass(frozen=True)
 class Sphere:
@@ -66,6 +84,13 @@ class Sphere:
                 f"sphere radius must lie in [1e-75, 1e75], got {self.radius}")
         return _einstein_profile(2, 2.0 / self.radius**2)
 
+    def _columns(self, name, values, failure):
+        inside = (1e-75 <= values) & (values <= 1e75)
+        failure.resolve(~inside, lambda i: replace(
+            self, radius=float(values[i]))._profile())
+        scalar = 2.0 / pow2(np.where(inside, values, 1.0))
+        return _einstein_columns(2, scalar, failure)
+
 
 @dataclass(frozen=True)
 class Warped:
@@ -74,33 +99,60 @@ class Warped:
     n: int
     f0: float
 
-    def _profile(self):
+    def _extremals(self):
         if self.n != 5:
             raise DimensionError(
                 f"warped curvature data exists for n = 5 only, got n = {self.n}")
         if not 0.0 < self.f0 <= 1.0:
             raise ParameterRange(f"warped f0 must lie in (0, 1], got {self.f0}")
-        ext = warp_extremals(5, self.f0)
+        return warp_extremals(5, self.f0)
+
+    def _profile(self):
+        ext = self._extremals()
         return make_profile(5, WARP_SCALAR, ext.kappa0, ext.ric_norm_sq_min)
+
+    def _columns(self, name, values, failure):
+        # one cached closed form per value; rows past a failure are not needed
+        extremals = np.full((len(values), 2), np.nan)
+        for i, value in enumerate(values[:failure.limit].tolist()):
+            try:
+                ext = replace(self, **{name: value})._extremals()
+                extremals[i] = ext.kappa0, ext.ric_norm_sq_min
+            except ROW_ERRORS as exc:
+                failure.fail(i, exc)
+                break
+        return make_profile_columns(5, WARP_SCALAR, extremals[:, 0],
+                                    extremals[:, 1], failure)
 
 
 @dataclass(frozen=True)
 class Product:
     factors: tuple["ManifoldSpec", ...]
 
-    def _profile(self):
+    def _check(self):
         if len(self.factors) < 2:
             raise CompositionError("a product needs at least two factors")
         if sum(isinstance(leaf, Warped) for leaf in leaves(self)) > 1:
             raise CompositionError(
                 "at most one warped factor is allowed: the curvature minima "
                 "only add exactly when a single factor varies")
+
+    def _profile(self):
+        self._check()
         parts = [realize(f) for f in self.factors]
         pinned = all(p.eigenvalues is not None for p in parts)
         eigs = [e for p in parts for e in p.eigenvalues] if pinned else None
-        return make_profile(sum(p.n for p in parts), sum(p.scalar for p in parts),
-                            min(p.kappa0 for p in parts),
-                            sum(p.ric_norm_sq_min for p in parts), eigs)
+        return make_profile(*_product_fields(parts), eigs)
+
+
+def _product_fields(parts):
+    """n, scalar, kappa0 and |Ric|^2 of a product of profiles or profile
+    columns: sums from int 0 and the first least kappa0, in factor order."""
+    kappa0 = parts[0].kappa0
+    for p in parts[1:]:
+        kappa0 = np.where(p.kappa0 < kappa0, p.kappa0, kappa0)
+    return (sum(p.n for p in parts), sum(p.scalar for p in parts), kappa0,
+            sum(p.ric_norm_sq_min for p in parts))
 
 
 ManifoldSpec = Union[Einstein, Surface, Sphere, Warped, Product]
@@ -132,6 +184,69 @@ def realize(spec):
     raises on invalid parameters."""
     _kind(spec)
     return spec._profile()
+
+
+# a fixed factor that failed: every row fails there, so its values are unread
+_FAILED = RicciProfile(2, np.nan, np.nan, np.nan, np.nan)
+
+
+def _column_plan(spec, cls, name):
+    """(values, failure) -> profile of one spec node, its fields arrays
+    over the block where the node holds the varied leaf.
+
+    Nodes without the varied leaf are realized here, once; the product
+    nodes above the leaf combine their factors per block.
+    """
+    if isinstance(spec, cls):
+        return lambda values, failure: spec._columns(name, values, failure)
+    if not any(isinstance(leaf, cls) for leaf in leaves(spec)):
+        try:
+            profile = realize(spec)
+        except ROW_ERRORS as exc:
+            def failed(values, failure, exc=exc):
+                failure.fail(0, exc)
+                return _FAILED
+            return failed
+        return lambda values, failure: profile
+    plans = [_column_plan(f, cls, name) for f in spec.factors]
+
+    def product(values, failure):
+        try:
+            spec._check()
+        except CompositionError as exc:
+            failure.fail(0, exc)
+        parts = [plan(values, failure) for plan in plans]
+        if all(p.eigenvalues is not None for p in parts):
+            varied = next(p.eigenvalues for p in parts
+                          if isinstance(p.eigenvalues, PinnedColumns))
+            fixed = [e for p in parts for e in (
+                p.eigenvalues.fixed if p.eigenvalues is varied else p.eigenvalues)]
+            eigs = PinnedColumns(tuple(fixed), varied.column, varied.copies)
+        else:
+            eigs = None
+        return make_profile_columns(*_product_fields(parts), failure, eigs)
+    return product
+
+
+def realize_columns(spec, cls, name):
+    """realize over a family: values -> (profile columns, FirstFailure).
+
+    The family sets field `name` of the one `cls` leaf of spec to each
+    value of a block. Every other factor is realized once, here. The
+    columns are a RicciProfile whose number fields are arrays (see
+    make_profile_columns); row i equals realize of the spec with the
+    i-th value, bit for bit, and the FirstFailure holds the first row for
+    which that realize raises, with its exception.
+    """
+    plan = _column_plan(spec, cls, name)
+
+    def block(values):
+        values = np.asarray(values, dtype=float)
+        failure = FirstFailure(len(values))
+        with np.errstate(all="ignore"):
+            columns = plan(values, failure)
+        return columns, failure
+    return block
 
 
 # --- registry of worked examples -------------------------------------------

@@ -7,9 +7,16 @@ Output is deterministic: identical invocations produce byte-identical
 bytes. CSV cells carry 17 significant digits so 64-bit floats round
 trip; tables round to 6 decimals for reading.
 
+`sweep` computes its rows as arrays, a block of SWEEP_BLOCK rows at a
+time, and writes each block to a temporary file as it is done; the file
+is moved onto --out, or copied to stdout, only when every row is, so a
+sweep that fails leaves no output and memory does not grow with --steps.
+
 Exit codes: 0 success, 1 input or validation error, 2 no bound with
 any information (every method inapplicable or vacuous), 3 identity
-residual above tolerance.
+residual above tolerance, 4 an internal cross-check failed (theorem
+3.1's closed form against f(s0), or the `ode` orbit's energy drift):
+a fault of the computation, not of the input.
 """
 
 from __future__ import annotations
@@ -20,27 +27,32 @@ import io
 import json
 import locale  # noqa: F401  (argparse's gettext imports it on the first message)
 import math
+import os
 import re
+import shutil
 import sys
-from dataclasses import asdict, replace
+import tempfile
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from . import bounds, clifford, warp
-from .bounds import (best_bound, friedrich_bound, kaehler_bound,
-                     optimize_minimax_block, theorem31_bound)
-from .catalog import (EXAMPLES, Product, Sphere, Surface, Warped, leaves,
-                      named_example, realize, spec_from_dict, spec_to_dict)
-from .errors import DiracBoundError
+from . import clifford, warp
+from .bounds import (best_bound, friedrich_block, kaehler_block,
+                     optimize_minimax_block, theorem31_block)
+from .catalog import (EXAMPLES, Sphere, Surface, Warped, leaves, named_example,
+                      realize, realize_columns, spec_from_dict, spec_to_dict)
+from .errors import CrossCheckFailed, DiracBoundError
 from .profile import profile_from_dict, profile_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_BOUND = 2
 EXIT_RESIDUAL = 3
+EXIT_INTERNAL = 4
 
 MAX_SWEEP_STEPS = 10**6
+SWEEP_BLOCK = 512  # rows realized, bounded and written at a time
 SWEEP_COLUMNS = ("friedrich", "kaehler", "theorem31", "minimax_numeric")
 # --param name -> (spec kind, dataclass field) that a sweep rebinds
 SWEEP_PARAMS = {"radius": (Sphere, "radius"), "surface_scalar": (Surface, "scalar"),
@@ -73,6 +85,9 @@ class _Parser(argparse.ArgumentParser):
 
 def _fmt17(x):
     return format(float(x), ".17g")
+
+
+_FMT17 = "%.17g".__mod__   # _fmt17 of a float, mapped over a column
 
 
 def _emit(text, out_path):
@@ -186,46 +201,103 @@ def cmd_bound(args):
 
 # --- sweep -----------------------------------------------------------------
 
-def _with_param(spec, cls, name, value):
-    """The spec with field `name` of every `cls` leaf set to value."""
-    if isinstance(spec, Product):
-        return Product(tuple(_with_param(f, cls, name, value) for f in spec.factors))
-    return replace(spec, **{name: value}) if isinstance(spec, cls) else spec
+def _sweep_grid(start, stop, steps, lo, hi):
+    """Entries lo to hi - 1 of np.linspace(start, stop, steps), computed
+    as linspace computes them, without the other entries."""
+    start, stop = np.float64(start), np.float64(stop)
+    delta, div = stop - start, steps - 1
+    grid = np.arange(lo, hi, dtype=float)
+    step = delta / div
+    grid = grid / div * delta if step == 0 else grid * step
+    grid += start
+    if hi == steps:
+        grid[-1] = stop
+    return grid
 
 
-def _sweep_cells(profile, selected, kaehler_dim):
-    """Closed-form cells of one row; the minimax column is filled per block."""
+def _bound_cells(profile, rows, selected, kaehler_dim):
+    """name -> (values, applicable or None) of the bound columns of rows
+    [0, rows); raises as the report functions would on the first row."""
+    n, R = profile.n, profile.scalar[:rows]
+    kappa0, t0 = profile.kappa0[:rows], profile.traceless_norm_sq_min[:rows]
     cells = {}
     if "friedrich" in selected:
-        cells["friedrich"] = friedrich_bound(profile).value
+        cells["friedrich"] = friedrich_block(n, R), None
     if "kaehler" in selected and kaehler_dim is not None:
-        cells["kaehler"] = kaehler_bound(profile, kaehler_dim).value
+        cells["kaehler"] = kaehler_block(n, R, kaehler_dim), None
     if "theorem31" in selected:
-        report = theorem31_bound(profile)
-        if report.applicable:
-            cells["theorem31"] = report.value
+        th = theorem31_block(n, R, kappa0, t0)
+        cells["theorem31"] = th.value, th.applicable
+    if "minimax_numeric" in selected:
+        cells["minimax_numeric"] = optimize_minimax_block(
+            np.full(rows, n), R, kappa0, t0)[0], None
     return cells
 
 
-def _sweep_block(spec, args, selected, params):
-    """CSV rows for one block of parameter values."""
-    cls, name = SWEEP_PARAMS[args.param]
-    profiles = [realize(_with_param(spec, cls, name, float(v))) for v in params]
-    rows = [_sweep_cells(p, selected, args.kaehler_dim) for p in profiles]
-    if "minimax_numeric" in selected:
-        values, _ = optimize_minimax_block(
-            [p.n for p in profiles], [p.scalar for p in profiles],
-            [p.kappa0 for p in profiles],
-            [p.traceless_norm_sq_min for p in profiles])
-        for cells, value in zip(rows, values):
-            cells["minimax_numeric"] = value
-    lines = []
-    for value, cells in zip(params, rows):
-        row = [_fmt17(value)]
-        row += [_fmt17(cells[c]) if c in cells else "" for c in SWEEP_COLUMNS]
-        row.append(_fmt17(max(cells.values())) if cells else "")
-        lines.append(",".join(row))
-    return lines
+def _csv_block(params, cells):
+    """CSV text of a block: the parameter, the SWEEP_COLUMNS cells (empty
+    where a column is not selected or not applicable) and the best of the
+    filled cells, the first of equal ones."""
+    rows = len(params)
+    text = [list(map(_FMT17, params.tolist()))]
+    best, filled = np.zeros(rows), np.zeros(rows, bool)
+    for name in SWEEP_COLUMNS:
+        if name not in cells:
+            text.append([""] * rows)
+            continue
+        values, applicable = cells[name]
+        column = list(map(_FMT17, values.tolist()))
+        if applicable is None:
+            applicable = np.ones(rows, bool)
+        else:
+            column = [c if a else "" for c, a in zip(column, applicable.tolist())]
+        text.append(column)
+        take = applicable & (~filled | (values > best))
+        best, filled = np.where(take, values, best), filled | applicable
+    text.append([b if f else "" for b, f in
+                 zip(map(_FMT17, best.tolist()), filled.tolist())])
+    return "".join(line + "\n" for line in map(",".join, zip(*text)))
+
+
+def _sweep_block(realize_block, params, args, selected):
+    """CSV text of one block of parameter values.
+
+    Raises what a row-by-row sweep would: the exception of the first row
+    that fails, realize first and then the bounds, with the row's
+    parameter value added to its message.
+    """
+    profile, failure = realize_block(params)
+    cells = {}
+    if failure.limit:
+        try:
+            cells = _bound_cells(profile, failure.limit, selected, args.kaehler_dim)
+        except DiracBoundError as exc:  # kaehler's dimension, a cross-check
+            failure.fail(getattr(exc, "row", 0), exc)
+    if failure.error is not None:
+        exc = failure.error
+        exc.args = (f"{exc} (at {args.param} = {float(params[failure.limit])!r})",)
+        raise exc
+    return _csv_block(params, cells)
+
+
+def _write_whole(out_path, write):
+    """Run write(file) on a temporary file, then move that onto out_path
+    or copy it to stdout; if write raises, nothing is written anywhere."""
+    if not out_path:
+        with tempfile.TemporaryFile("w+", newline="\n") as fh:
+            write(fh)
+            fh.seek(0)
+            shutil.copyfileobj(fh, sys.stdout)
+        return
+    tmp = f"{out_path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "x", newline="\n") as fh:
+            write(fh)
+        os.replace(tmp, out_path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def cmd_sweep(args):
@@ -243,18 +315,21 @@ def cmd_sweep(args):
         if name not in SWEEP_COLUMNS:
             raise ValueError(f"unknown bound column '{name}'; "
                              f"known: {', '.join(SWEEP_COLUMNS)}")
-    cls, _ = SWEEP_PARAMS[args.param]
+    cls, name = SWEEP_PARAMS[args.param]
     sites = sum(isinstance(leaf, cls) for leaf in leaves(spec))
     if sites != 1:
         raise ValueError(f"parameter '{args.param}' must bind to exactly one "
                          f"factor of the spec; found {sites}")
+    realize_block = realize_columns(spec, cls, name)
 
-    lines = ["param," + ",".join(SWEEP_COLUMNS) + ",best"]
-    params = np.linspace(args.start, args.stop, args.steps)
-    for lo in range(0, len(params), bounds.MINIMAX_BLOCK):
-        lines += _sweep_block(spec, args, selected,
-                              params[lo:lo + bounds.MINIMAX_BLOCK])
-    _emit("\n".join(lines) + "\n", args.out)
+    def write(fh):
+        fh.write("param," + ",".join(SWEEP_COLUMNS) + ",best\n")
+        for lo in range(0, args.steps, SWEEP_BLOCK):
+            params = _sweep_grid(args.start, args.stop, args.steps,
+                                 lo, min(lo + SWEEP_BLOCK, args.steps))
+            fh.write(_sweep_block(realize_block, params, args, selected))
+
+    _write_whole(args.out, write)
     return EXIT_OK
 
 
@@ -411,6 +486,9 @@ def main(argv=None):
         if "tol" in vars(args):
             warp.check_tol(args.tol)
         return args.func(args)
+    except CrossCheckFailed as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (DiracBoundError, ValueError, ArithmeticError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

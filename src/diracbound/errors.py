@@ -45,3 +45,12 @@ class NotSymmetric(DiracBoundError):
 
 class ShapeError(DiracBoundError):
     """A tensor argument has the wrong shape or slot symmetry."""
+
+
+class CrossCheckFailed(DiracBoundError, ArithmeticError):
+    """Two routes to the same number disagree: a fault of the computation,
+    not of the input. `row` is the index of the failing row in a block."""
+
+    def __init__(self, message, row=0):
+        super().__init__(message)
+        self.row = row

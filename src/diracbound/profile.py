@@ -7,19 +7,29 @@ the minimum of |Ric|^2. The two minima may be attained at different
 points; no joint attainment is assumed, so any data satisfying the
 pointwise inequalities is accepted. An optional eigenvalue list covers
 the parallel-Ricci case where the spectrum is constant.
+
+make_profile_columns is the array form of make_profile for a block of
+rows that share n, as a sweep produces them: a RicciProfile whose
+number fields are arrays. FirstFailure carries the first row that
+fails, so a block raises what a row-by-row run would.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
-from .errors import DimensionError, InconsistentProfile
+import numpy as np
+
+from .errors import DimensionError, DiracBoundError, InconsistentProfile
 
 # Consistency tolerance classes (relative): closed-form inputs must be
 # exact to float round-off; integrated inputs get the looser class.
 EXACT_RTOL = 1e-12
 ODE_RTOL = 1e-6
+# what building a profile raises for a row's values, rather than a bug
+ROW_ERRORS = (DiracBoundError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -27,7 +37,8 @@ class RicciProfile:
     """Validated curvature summary; build through make_profile.
 
     traceless_norm_sq_min is min |Ric - (R/n) Id|^2, derived from the
-    other fields by make_profile.
+    other fields by make_profile. make_profile_columns builds one for a
+    block of rows, with arrays in the number fields.
     """
 
     n: int
@@ -41,6 +52,31 @@ class RicciProfile:
 
 def _slack(rtol, *values):
     return rtol * max(1.0, *(abs(v) for v in values))
+
+
+def pow2(x):
+    """x**2 elementwise, bit for bit as Python's float power gives it, and
+    inf where that raises OverflowError.
+
+    numpy's square and x * x are correctly rounded, but the C library's
+    pow is not always: on some builds they differ from x**2 in the last
+    bit for about one double in a thousand. Array code that must repeat
+    the scalar code's bytes squares here.
+    """
+    x = np.asarray(x, dtype=float)
+    values = x.ravel().tolist()
+    try:
+        out = np.fromiter(map(float.__pow__, values, repeat(2)), float, len(values))
+    except OverflowError:
+        out = np.array([_pow2_or_inf(v) for v in values], dtype=float)
+    return out.reshape(x.shape)
+
+
+def _pow2_or_inf(x):
+    try:
+        return x**2
+    except OverflowError:
+        return math.inf
 
 
 def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None, *,
@@ -70,6 +106,12 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None, *,
         raise InconsistentProfile(
             f"kappa0 = {kappa0} exceeds scalar/n = {mean}: the smallest "
             "Ricci eigenvalue cannot lie above the mean")
+    try:
+        square = scalar**2
+    except OverflowError:
+        raise InconsistentProfile(
+            f"profile field 'scalar' = {scalar} is too large: its square "
+            "overflows") from None
     cs = scalar * scalar / n
     if ric_norm_sq_min < cs - _slack(rtol, ric_norm_sq_min, cs):
         raise InconsistentProfile(
@@ -103,8 +145,127 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None, *,
 
     # round-off negatives (Einstein data) are clamped to 0; the checks
     # above already bound how negative the difference can be
-    traceless = max(ric_norm_sq_min - scalar**2 / n, 0.0)
+    traceless = max(ric_norm_sq_min - square / n, 0.0)
     return RicciProfile(n, scalar, kappa0, ric_norm_sq_min, traceless, eigs, rtol)
+
+
+# --- array form --------------------------------------------------------------
+
+class FirstFailure:
+    """The first failing row of a block, and its exception.
+
+    Checks run in the order a row-by-row evaluation meets them, so the
+    first row that fails any check fails with its own first check:
+    rows [0, limit) have passed every check so far, and error is the
+    exception of row limit, or None while every row passes.
+    """
+
+    def __init__(self, rows):
+        self.limit, self.error = rows, None
+
+    def fail(self, row, error):
+        if row < self.limit:
+            self.limit, self.error = row, error
+
+    def resolve(self, flagged, check):
+        """Run check(row) on each flagged row below the limit, in order;
+        the first row it raises for fails."""
+        for row in np.flatnonzero(flagged[:self.limit]).tolist():
+            try:
+                check(row)
+            except ROW_ERRORS as exc:
+                self.fail(row, exc)
+                return
+
+
+@dataclass(frozen=True)
+class PinnedColumns:
+    """Eigenvalue lists of a block: each row holds the `fixed` values and
+    `copies` copies of its entry of `column`."""
+
+    fixed: tuple[float, ...]
+    column: np.ndarray
+    copies: int
+
+    def row(self, i):
+        return self.fixed + (float(self.column[i]),) * self.copies
+
+
+# fsum and its float counterpart differ by a few ulps of the summands
+_SUM_ULPS = 8.0 * 2.0**-52
+
+
+def _sum_unsure(fixed_sum, column_sum, size, target, rtol):
+    """Rows where |fsum - target| > slack might hold; see _pinned_unsure."""
+    gap = np.abs(column_sum - target)
+    margin = _SUM_ULPS * (abs(fixed_sum) + size + np.abs(target) + gap) + 1e-300
+    slack = rtol * np.maximum(np.maximum(1.0, np.abs(column_sum)), np.abs(target))
+    return ~(gap + margin <= slack * (1.0 - _SUM_ULPS) - margin)
+
+
+def _pinned_unsure(eigs, n, kappa0, ric, scalar, rtol):
+    """Rows the eigenvalue checks of make_profile may reject.
+
+    The minimum check is exact. The two sums there are math.fsum; here
+    the fixed values are summed once by fsum and the column added in
+    floating point, which misses fsum by a few ulps of the summands, so
+    a row is let through only when its gap clears the slack by that
+    margin. make_profile decides the flagged rows.
+    """
+    fixed, col, k = eigs.fixed, eigs.column, eigs.copies
+    if len(fixed) + k != n or not all(map(math.isfinite, fixed)):
+        return np.ones(col.shape, bool)
+    unsure = ~np.isfinite(col)
+    head = min(fixed, default=math.inf)
+    least = np.where(col < head, col, head)
+    unsure |= np.abs(least - kappa0) > rtol * np.maximum(
+        np.maximum(1.0, np.abs(least)), np.abs(kappa0))
+    total = math.fsum(fixed)
+    unsure |= _sum_unsure(total, total + k * col, k * np.abs(col), scalar, rtol)
+    squares = math.fsum(e * e for e in fixed)
+    col_sq = col * col
+    unsure |= _sum_unsure(squares, squares + k * col_sq, k * col_sq, ric, rtol)
+    return unsure
+
+
+def make_profile_columns(n, scalar, kappa0, ric_norm_sq_min, failure,
+                         eigenvalues=None):
+    """Array form of make_profile on a block of rows that share n: a
+    RicciProfile whose number fields are arrays, and whose eigenvalues
+    are PinnedColumns or None.
+
+    Every check of make_profile is an elementwise expression here with
+    the same rounding, except the fsum eigenvalue sums, which are only
+    bounded (_pinned_unsure). A row that any check flags goes through
+    make_profile itself, so the block accepts exactly the rows it
+    accepts, and failure records the first row it rejects, with its
+    message. Values of accepted rows are bit-identical to make_profile's.
+    """
+    n = int(n)
+    rtol = EXACT_RTOL
+    scalar, kappa0, ric = (np.asarray(a, dtype=float)
+                           for a in (scalar, kappa0, ric_norm_sq_min))
+    scalar, kappa0, ric = np.broadcast_arrays(scalar, kappa0, ric)
+    with np.errstate(all="ignore"):
+        flagged = ~(np.isfinite(scalar) & np.isfinite(kappa0) & np.isfinite(ric))
+        flagged |= n < 2
+        mean = scalar / n
+        flagged |= kappa0 > mean + rtol * np.maximum(
+            np.maximum(1.0, np.abs(kappa0)), np.abs(mean))
+        square = pow2(scalar)
+        flagged |= ~np.isfinite(square)
+        cs = scalar * scalar / n
+        flagged |= ric < cs - rtol * np.maximum(np.maximum(1.0, np.abs(ric)),
+                                                np.abs(cs))
+        if eigenvalues is not None:
+            flagged |= _pinned_unsure(eigenvalues, n, kappa0, ric, scalar, rtol)
+        failure.resolve(flagged, lambda i: make_profile(
+            n, scalar[i], kappa0[i], ric[i],
+            None if eigenvalues is None else eigenvalues.row(i)))
+        ric = np.where(ric < 0.0, 0.0, ric)
+        gap = ric - square / n
+        traceless = np.where(0.0 > gap, 0.0, gap)
+    return RicciProfile(n, scalar, kappa0, ric, traceless, eigenvalues, rtol)
 
 
 # --- JSON field mapping ----------------------------------------------------

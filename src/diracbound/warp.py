@@ -64,7 +64,7 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft  # loaded with the module, not inside the first ode command
 
-from .errors import DimensionError, NonPositiveF, ParameterRange
+from .errors import CrossCheckFailed, DimensionError, NonPositiveF, ParameterRange
 
 WARP_SCALAR = 16.0 / 5.0
 SAMPLES = 4097                 # covers one period; >= 2048 everywhere
@@ -284,8 +284,8 @@ def integrate_warp(n, f0, tol=1e-10):
     values above the equilibrium are re-based at the orbit minimum;
     exactly F(0) = 1 degenerates to the constant solution, whose period
     is reported as the linearized value pi sqrt(n). Raises
-    ArithmeticError when 2^14 nodes leave a Fourier tail above 1e-6 or
-    the samples drift off the energy level.
+    ArithmeticError when 2^14 nodes leave a Fourier tail above 1e-6, and
+    CrossCheckFailed when the samples drift off the energy level.
     """
     n = int(n)
     if n < 5:
@@ -328,7 +328,7 @@ def integrate_warp(n, f0, tol=1e-10):
     energy = _energy(f0, 0.0, n)
     drift = np.max(np.abs(_energy(F, Fp, n) - energy))
     if not drift <= ENERGY_DRIFT_RTOL * max(1.0, abs(energy)):
-        raise ArithmeticError(
+        raise CrossCheckFailed(
             f"energy drift {drift} exceeds {ENERGY_DRIFT_RTOL} of |E|")
     return WarpTrajectory(n, f0, tau, F, Fp, period, energy)
 
