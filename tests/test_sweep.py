@@ -129,7 +129,7 @@ def test_sweep_grid_is_linspace_by_blocks(start, stop, steps):
 
 # --- failures ---------------------------------------------------------------
 
-def _radius_argv(tmp_path, *extra):
+def _radius_argv(*extra):
     return ["sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
             "--from", "9.99e74", "--to", "1.0001e75", "--steps", "5000", *extra]
 
@@ -138,17 +138,17 @@ def test_sweep_leaving_radius_range_in_last_rows_writes_nothing(capsys, tmp_path
     grid = np.linspace(9.99e74, 1.0001e75, 5000)
     first = int(np.argmax(grid > 1e75))
     assert cli.SWEEP_BLOCK < first < 5000 - 1   # fails in a later block
-    assert cli.main(_radius_argv(tmp_path)) == 1
+    assert cli.main(_radius_argv()) == 1
     out = capsys.readouterr()
     assert out.out == ""
     assert "sphere radius must lie in" in out.err
     assert f"(at radius = {float(grid[first])!r})" in out.err
 
     target = tmp_path / "sweep.csv"
-    assert cli.main(_radius_argv(tmp_path, "--out", str(target))) == 1
+    assert cli.main(_radius_argv("--out", str(target))) == 1
     assert not target.exists()
     target.write_text("kept\n")
-    assert cli.main(_radius_argv(tmp_path, "--out", str(target))) == 1
+    assert cli.main(_radius_argv("--out", str(target))) == 1
     assert target.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
 
