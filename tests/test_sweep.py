@@ -118,6 +118,18 @@ def test_pinned_nested_product_matches_oracle_over_blocks():
     assert _sweep(spec, "radius", 0.3, 3.0, cli.SWEEP_BLOCK + 50) == (text, None)
 
 
+def test_sweep_bytes_independent_of_sweep_block(capsys, monkeypatch):
+    argv = ["sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
+            "--from", "0.3", "--to", "3", "--steps", "150", "--kaehler-dim", "2"]
+    outputs = []
+    for size in (1, 7, cli.SWEEP_BLOCK):
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", size)
+        assert cli.main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0].count("\n") == 151
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
 @pytest.mark.parametrize("start,stop,steps", [
     (0.52, 1.97, 2000), (-7.8, 11.7, 5000), (1e-320, 2e-320, 3000), (0.0, 5e-324, 3)])
 def test_sweep_grid_is_linspace_by_blocks(start, stop, steps):
