@@ -10,9 +10,13 @@ blocks of rows, are recorded as the sha256 and line count of their
 stdout: a 2000-row `radius` and a 2000-row `surface_scalar` sweep whose
 grids hold values where Python's `x**2` and `x*x` differ in the last
 bit, a 200-row `f0` sweep, a `--bounds` subset and two nested-product
-specs. tests/test_cli.py compares a fresh run with the recorded file
-byte for byte, so a refactor that changes any of these bytes fails
-there. Write the file with
+specs. Failing invocations record their stderr too: sweeps that fail
+at the first row, in a later block or where f0 leaves (0, 1], a
+Kaehler dimension that does not match n, a spec with two warped
+factors, and `bound` on a product whose scalars cancel.
+tests/test_cli.py compares a fresh run with the recorded file byte for
+byte, so a refactor that changes any of these bytes fails there. Write
+the file with
 
     python scripts/cli_golden.py > tests/cli_golden.json
 
@@ -51,6 +55,11 @@ SPECS = {
         {"surface": {"scalar": 4.0}},
         {"product": [{"einstein": {"n": 2, "scalar": 1.0}},
                      {"warped": {"n": 5, "f0": 0.3}}]}]},
+    "<two-warped>": {"product": [
+        {"surface": {"scalar": 1.0}}, {"warped": {"n": 5, "f0": 0.3}},
+        {"warped": {"n": 5, "f0": 0.5}}]},
+    "<cancelling>": {"product": [{"einstein": {"n": 7, "scalar": 1e5}},
+                                 {"surface": {"scalar": -1e5}}]},
 }
 # recorded as {'sha256', 'lines'} of stdout instead of stdout itself
 LONG_SWEEPS = (
@@ -69,6 +78,21 @@ LONG_SWEEPS = (
      "--from", "0.02", "--to", "1", "--steps", "150"),
 )
 
+# invocations that exit non-zero; stderr is recorded for every such run
+FAILURES = (
+    ("sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
+     "--from", "1e-76", "--to", "1", "--steps", "5"),
+    ("sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
+     "--from", "9.8e74", "--to", "1.001e75", "--steps", "1000"),
+    ("sweep", "--example", "m7-sigma", "--param", "f0",
+     "--from", "0.5", "--to", "1.5", "--steps", "5"),
+    ("sweep", "--example", "m7-sigma", "--param", "surface_scalar",
+     "--from", "-8", "--to", "12", "--steps", "9", "--kaehler-dim", "2"),
+    ("sweep", "--spec", "<two-warped>", "--param", "surface_scalar",
+     "--from", "-1", "--to", "1", "--steps", "3"),
+    ("bound", "--spec", "<cancelling>"),
+)
+
 
 def invocations():
     """Every captured argv, in file order."""
@@ -84,13 +108,14 @@ def invocations():
         runs.append(("bound", "--example", "m7-sigma", *fmt, *LOOSE_TOL))
     runs.append(("sweep", *SWEEPS[2], *LOOSE_TOL))
     runs += [("sweep", *argv) for argv in LONG_SWEEPS]
-    return runs
+    return runs + list(FAILURES)
 
 
 def capture(argv):
     """{'argv', 'exit', 'stdout'} of one in-process run of the CLI; for a
-    long sweep, {'argv', 'exit', 'sha256', 'lines'}."""
-    out = io.StringIO()
+    long sweep, {'argv', 'exit', 'sha256', 'lines'}; plus 'stderr' where
+    the exit code is not 0."""
+    out, err = io.StringIO(), io.StringIO()
     with tempfile.TemporaryDirectory() as tmp:
         real = []
         for arg in argv:
@@ -99,14 +124,18 @@ def capture(argv):
                 path.write_text(json.dumps(SPECS[arg]))
                 arg = str(path)
             real.append(arg)
-        with contextlib.redirect_stdout(out):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(real)
     text = out.getvalue()
     if tuple(argv[1:]) in LONG_SWEEPS:
-        return {"argv": list(argv), "exit": code,
+        case = {"argv": list(argv), "exit": code,
                 "sha256": hashlib.sha256(text.encode()).hexdigest(),
                 "lines": text.count("\n")}
-    return {"argv": list(argv), "exit": code, "stdout": text}
+    else:
+        case = {"argv": list(argv), "exit": code, "stdout": text}
+    if code:
+        case["stderr"] = err.getvalue()
+    return case
 
 
 def captures():
