@@ -12,8 +12,8 @@ grids hold values where Python's `x**2` and `x*x` differ in the last
 bit, a 200-row `f0` sweep, a `--bounds` subset and two nested-product
 specs. Failing invocations record their stderr too: sweeps that fail
 at the first row, in a later block or where f0 leaves (0, 1], a
-Kaehler dimension that does not match n, a spec with two warped
-factors, and `bound` on a product whose scalars cancel.
+Kaehler dimension that does not match n, and a spec with two warped
+factors; `bound` on a product whose scalars cancel is recorded with them.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -78,7 +78,8 @@ LONG_SWEEPS = (
      "--from", "0.02", "--to", "1", "--steps", "150"),
 )
 
-# invocations that exit non-zero; stderr is recorded for every such run
+# inputs that fail, and a product whose scalars cancel (it realizes since
+# realized eigenvalue lists are no longer checked against the sums)
 FAILURES = (
     ("sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
      "--from", "1e-76", "--to", "1", "--steps", "5"),

@@ -194,11 +194,14 @@ def kaehler_bound(profile, complex_dim):
 @dataclass(frozen=True)
 class Theorem31Columns:
     """theorem31 over a block: condition 19 and A per row; value, s0 and
-    f(s0) where both hold (applicable), NaN elsewhere."""
+    f(s0) where both hold (applicable), NaN elsewhere; failed marks the
+    applicable rows whose closed form is not finite or misses f(s0) by
+    more than 1e-9 relative."""
 
     condition: np.ndarray
     A: np.ndarray
     applicable: np.ndarray
+    failed: np.ndarray
     value: np.ndarray
     s0: np.ndarray
     f_s0: np.ndarray
@@ -215,30 +218,31 @@ def _closed_forms_agree(value, f_s0):
 def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
     """theorem31_bound on a block of rows of dimension n: Theorem31Columns.
 
-    Raises CrossCheckFailed, whose row is the first applicable row where
-    the closed form is not finite or misses f(s0) by more than 1e-9
-    relative.
+    Rows whose size max(|R|, |kappa0|, sqrt(t0)) lies outside [2^-250,
+    2^250] are scaled by a power of two, so A^2 cannot overflow; A is
+    tested unscaled. Rows inside keep their bytes: pow2 is not exact
+    under scaling.
     """
     R, kappa0, t0 = (np.asarray(x, dtype=float)
                      for x in (scalar, kappa0, traceless_norm_sq_min))
     with np.errstate(all="ignore"):
+        size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
+        far = ~((2.0**-250 <= size) & (size <= 2.0**250))
+        scale = np.where(far, np.ldexp(1.0, np.frexp(size)[1] - 1), 1.0)
+        R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
         condition = _condition_19(n, R, kappa0, t0)
         a, b, c, A = _shortcut_columns(n, R, kappa0, t0)
-        applicable = condition & ~(A < DEGENERATE_A_ATOL)
+        unscaled_A = A * scale * scale
+        applicable = condition & ~(unscaled_A < DEGENERATE_A_ATOL)
         c2 = pow2(c)
         root = np.sqrt(_first_max(pow2(a) * c2 + A * (A - 2.0 * a * b), 0.0))
-        value = pow2(A) / (b * A - a * c2 + c * root)
+        value = pow2(A) / (b * A - a * c2 + c * root) * scale
         s0 = (A - 2.0 * a * b) / (a * c2 + c * root)
-        f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c2 * pow2(s0))
-    failed = np.flatnonzero(applicable & ~_closed_forms_agree(value, f_s0))
-    if failed.size:
-        row = int(failed[0])
-        raise CrossCheckFailed(
-            f"internal cross-check failed: closed form "
-            f"{float(np.ravel(value)[row])} vs f(s0) {float(np.ravel(f_s0)[row])}",
-            row)
+        f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c2 * pow2(s0)) * scale
+        s0 = s0 / scale
+        failed = applicable & ~_closed_forms_agree(value, f_s0)
     value, s0, f_s0 = (np.where(applicable, x, np.nan) for x in (value, s0, f_s0))
-    return Theorem31Columns(condition, A, applicable, value, s0, f_s0)
+    return Theorem31Columns(condition, unscaled_A, applicable, failed, value, s0, f_s0)
 
 
 def theorem31_bound(profile):
@@ -251,6 +255,10 @@ def theorem31_bound(profile):
     """
     th = theorem31_block(profile.n, profile.scalar, profile.kappa0,
                          profile.traceless_norm_sq_min)
+    if th.failed:
+        raise CrossCheckFailed(
+            f"internal cross-check failed: closed form {float(th.value)} "
+            f"vs f(s0) {float(th.f_s0)}")
     if not th.condition:
         return _inapplicable(
             Method.THEOREM31,

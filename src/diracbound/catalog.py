@@ -7,6 +7,9 @@ RicciProfile in the exact tolerance class. Scalar curvature and the two
 curvature minima add across product factors; this is exact because at
 most one factor (the warped one) is allowed to vary.
 
+Einstein factors and their products also list their Ricci eigenvalues,
+exact by construction, so make_profile does not check them.
+
 realize_columns is realize over a one-parameter family, as `sweep`
 runs it: factors without the varied leaf are realized once, and the
 varied leaf and the products above it are computed as arrays over a
@@ -21,10 +24,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (CompositionError, DimensionError, ParameterRange,
-                     UnknownExample)
-from .profile import (ROW_ERRORS, FirstFailure, PinnedColumns, RicciProfile,
-                      make_profile, make_profile_columns, pow2)
+from .errors import (CompositionError, DimensionError, DiracBoundError,
+                     ParameterRange, UnknownExample)
+from .profile import make_profile, make_profile_columns, pow2
 from .warp import WARP_SCALAR, warp_extremals
 
 # an Einstein factor lists its n eigenvalues, 8 bytes each
@@ -34,14 +36,14 @@ MAX_EINSTEIN_DIM = 10**6
 def _einstein_profile(n, scalar):
     """Profile of a factor whose n Ricci eigenvalues all equal scalar / n."""
     mean = scalar / n
-    return make_profile(n, scalar, mean, scalar * mean, (mean,) * n)
+    return replace(make_profile(n, scalar, mean, scalar * mean),
+                   eigenvalues=(mean,) * n)
 
 
-def _einstein_columns(n, scalar, failure):
-    """_einstein_profile over a column of scalars."""
+def _einstein_columns(n, scalar):
+    """_einstein_profile over a column of scalars, without eigenvalues."""
     mean = scalar / n
-    return make_profile_columns(n, scalar, mean, scalar * mean, failure,
-                                PinnedColumns((), mean, n))
+    return make_profile_columns(n, scalar, mean, scalar * mean)
 
 
 @dataclass(frozen=True)
@@ -67,8 +69,8 @@ class Surface:
     def _profile(self):
         return _einstein_profile(2, self.scalar)
 
-    def _columns(self, name, values, failure):
-        return _einstein_columns(2, values, failure)
+    def _columns(self, name, values):
+        return _einstein_columns(2, values)
 
 
 @dataclass(frozen=True)
@@ -84,12 +86,9 @@ class Sphere:
                 f"sphere radius must lie in [1e-75, 1e75], got {self.radius}")
         return _einstein_profile(2, 2.0 / self.radius**2)
 
-    def _columns(self, name, values, failure):
+    def _columns(self, name, values):
         inside = (1e-75 <= values) & (values <= 1e75)
-        failure.resolve(~inside, lambda i: replace(
-            self, radius=float(values[i]))._profile())
-        scalar = 2.0 / pow2(np.where(inside, values, 1.0))
-        return _einstein_columns(2, scalar, failure)
+        return _einstein_columns(2, 2.0 / pow2(np.where(inside, values, np.nan)))
 
 
 @dataclass(frozen=True)
@@ -111,18 +110,17 @@ class Warped:
         ext = self._extremals()
         return make_profile(5, WARP_SCALAR, ext.kappa0, ext.ric_norm_sq_min)
 
-    def _columns(self, name, values, failure):
-        # one cached closed form per value; rows past a failure are not needed
+    def _columns(self, name, values):
+        # one cached closed form per value; NaN where it raises
         extremals = np.full((len(values), 2), np.nan)
-        for i, value in enumerate(values[:failure.limit].tolist()):
+        for i, value in enumerate(values.tolist()):
             try:
                 ext = replace(self, **{name: value})._extremals()
-                extremals[i] = ext.kappa0, ext.ric_norm_sq_min
-            except ROW_ERRORS as exc:
-                failure.fail(i, exc)
-                break
+            except DiracBoundError:
+                continue
+            extremals[i] = ext.kappa0, ext.ric_norm_sq_min
         return make_profile_columns(5, WARP_SCALAR, extremals[:, 0],
-                                    extremals[:, 1], failure)
+                                    extremals[:, 1])
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,11 @@ class Product:
     def _profile(self):
         self._check()
         parts = [realize(f) for f in self.factors]
-        pinned = all(p.eigenvalues is not None for p in parts)
-        eigs = [e for p in parts for e in p.eigenvalues] if pinned else None
-        return make_profile(*_product_fields(parts), eigs)
+        profile = make_profile(*_product_fields(parts))
+        if any(p.eigenvalues is None for p in parts):
+            return profile
+        return replace(profile, eigenvalues=tuple(sorted(
+            e for p in parts for e in p.eigenvalues)))
 
 
 def _product_fields(parts):
@@ -186,66 +186,39 @@ def realize(spec):
     return spec._profile()
 
 
-# a fixed factor that failed: every row fails there, so its values are unread
-_FAILED = RicciProfile(2, np.nan, np.nan, np.nan, np.nan)
-
-
 def _column_plan(spec, cls, name):
-    """(values, failure) -> profile of one spec node, its fields arrays
-    over the block where the node holds the varied leaf.
-
-    Nodes without the varied leaf are realized here, once; the product
-    nodes above the leaf combine their factors per block.
-    """
+    """values -> (profile, flagged) of one spec node. Nodes without the
+    varied leaf are realized here, once; a product flags a row where it
+    or any factor does."""
     if isinstance(spec, cls):
-        return lambda values, failure: spec._columns(name, values, failure)
+        return lambda values: spec._columns(name, values)
     if not any(isinstance(leaf, cls) for leaf in leaves(spec)):
-        try:
-            profile = realize(spec)
-        except ROW_ERRORS as exc:
-            def failed(values, failure, exc=exc):
-                failure.fail(0, exc)
-                return _FAILED
-            return failed
-        return lambda values, failure: profile
+        profile = realize(spec)
+        return lambda values: (profile, False)
     plans = [_column_plan(f, cls, name) for f in spec.factors]
 
-    def product(values, failure):
-        try:
-            spec._check()
-        except CompositionError as exc:
-            failure.fail(0, exc)
-        parts = [plan(values, failure) for plan in plans]
-        if all(p.eigenvalues is not None for p in parts):
-            varied = next(p.eigenvalues for p in parts
-                          if isinstance(p.eigenvalues, PinnedColumns))
-            fixed = [e for p in parts for e in (
-                p.eigenvalues.fixed if p.eigenvalues is varied else p.eigenvalues)]
-            eigs = PinnedColumns(tuple(fixed), varied.column, varied.copies)
-        else:
-            eigs = None
-        return make_profile_columns(*_product_fields(parts), failure, eigs)
+    def product(values):
+        parts, flags = zip(*(plan(values) for plan in plans))
+        profile, flagged = make_profile_columns(*_product_fields(parts))
+        for flag in flags:
+            flagged = flagged | flag
+        return profile, flagged
     return product
 
 
 def realize_columns(spec, cls, name):
-    """realize over a family: values -> (profile columns, FirstFailure).
+    """realize over a family: values -> (profile, flagged).
 
-    The family sets field `name` of the one `cls` leaf of spec to each
-    value of a block. Every other factor is realized once, here. The
-    columns are a RicciProfile whose number fields are arrays (see
-    make_profile_columns); row i equals realize of the spec with the
-    i-th value, bit for bit, and the FirstFailure holds the first row for
-    which that realize raises, with its exception.
+    The family sets field `name` of the one `cls` leaf of spec, and
+    realize must accept one of its members. The profile's number fields
+    are arrays; flagged marks the rows where realize raises, and every
+    other row equals realize's profile bit for bit.
     """
     plan = _column_plan(spec, cls, name)
 
     def block(values):
-        values = np.asarray(values, dtype=float)
-        failure = FirstFailure(len(values))
         with np.errstate(all="ignore"):
-            columns = plan(values, failure)
-        return columns, failure
+            return plan(np.asarray(values, dtype=float))
     return block
 
 

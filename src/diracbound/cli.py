@@ -11,6 +11,9 @@ trip; tables round to 6 decimals for reading.
 time, and writes each block to a temporary file as it is done; the file
 is moved onto --out, or copied to stdout, only when every row is, so a
 sweep that fails leaves no output and memory does not grow with --steps.
+Why a row fails is decided by realize and the report functions alone,
+on the first row and on the first flagged row of each block; a row the
+column code flags but they accept is a fault of the column code.
 
 Exit codes: 0 success, 1 input or validation error, 2 no bound with
 any information (every method inapplicable or vacuous), 3 identity
@@ -32,16 +35,17 @@ import re
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import clifford, warp
-from .bounds import (best_bound, friedrich_block, kaehler_block,
-                     optimize_minimax_block, theorem31_block)
-from .catalog import (EXAMPLES, Sphere, Surface, Warped, leaves, named_example,
-                      realize, realize_columns, spec_from_dict, spec_to_dict)
+from .bounds import (best_bound, friedrich_block, kaehler_block, kaehler_bound,
+                     optimize_minimax_block, theorem31_block, theorem31_bound)
+from .catalog import (EXAMPLES, Product, Sphere, Surface, Warped, leaves,
+                      named_example, realize, realize_columns, spec_from_dict,
+                      spec_to_dict)
 from .errors import CrossCheckFailed, DiracBoundError
 from .profile import profile_from_dict, profile_to_dict
 
@@ -215,23 +219,24 @@ def _sweep_grid(start, stop, steps, lo, hi):
     return grid
 
 
-def _bound_cells(profile, rows, selected, kaehler_dim):
-    """name -> (values, applicable or None) of the bound columns of rows
-    [0, rows); raises as the report functions would on the first row."""
-    n, R = profile.n, profile.scalar[:rows]
-    kappa0, t0 = profile.kappa0[:rows], profile.traceless_norm_sq_min[:rows]
-    cells = {}
+def _bound_cells(profile, selected, kaehler_dim):
+    """(cells, failed): name -> (values, applicable or None) of the
+    selected bound columns, and the rows where theorem31's cross-check
+    fails."""
+    n, R = profile.n, profile.scalar
+    kappa0, t0 = profile.kappa0, profile.traceless_norm_sq_min
+    cells, failed = {}, False
     if "friedrich" in selected:
         cells["friedrich"] = friedrich_block(n, R), None
     if "kaehler" in selected and kaehler_dim is not None:
         cells["kaehler"] = kaehler_block(n, R, kaehler_dim), None
     if "theorem31" in selected:
         th = theorem31_block(n, R, kappa0, t0)
-        cells["theorem31"] = th.value, th.applicable
+        cells["theorem31"], failed = (th.value, th.applicable), th.failed
     if "minimax_numeric" in selected:
         cells["minimax_numeric"] = optimize_minimax_block(
-            np.full(rows, n), R, kappa0, t0)[0], None
-    return cells
+            np.full(len(R), n), R, kappa0, t0)[0], None
+    return cells, failed
 
 
 def _csv_block(params, cells):
@@ -259,24 +264,41 @@ def _csv_block(params, cells):
     return "".join(line + "\n" for line in map(",".join, zip(*text)))
 
 
-def _sweep_block(realize_block, params, args, selected):
-    """CSV text of one block of parameter values.
+def _with_param(spec, cls, name, value):
+    """The spec with field `name` of every `cls` leaf set to value."""
+    if isinstance(spec, Product):
+        return Product(tuple(_with_param(f, cls, name, value) for f in spec.factors))
+    return replace(spec, **{name: value}) if isinstance(spec, cls) else spec
 
-    Raises what a row-by-row sweep would: the exception of the first row
-    that fails, realize first and then the bounds, with the row's
-    parameter value added to its message.
-    """
-    profile, failure = realize_block(params)
-    cells = {}
-    if failure.limit:
-        try:
-            cells = _bound_cells(profile, failure.limit, selected, args.kaehler_dim)
-        except DiracBoundError as exc:  # kaehler's dimension, a cross-check
-            failure.fail(getattr(exc, "row", 0), exc)
-    if failure.error is not None:
-        exc = failure.error
-        exc.args = (f"{exc} (at {args.param} = {float(params[failure.limit])!r})",)
-        raise exc
+
+def _check_row(spec, value, args, selected):
+    """Realize the row at value and run the selected report functions that
+    can raise; raise their exception with the parameter value added."""
+    try:
+        profile = realize(_with_param(spec, *SWEEP_PARAMS[args.param], value))
+        if "kaehler" in selected and args.kaehler_dim is not None:
+            kaehler_bound(profile, args.kaehler_dim)
+        if "theorem31" in selected:
+            theorem31_bound(profile)
+    except DiracBoundError as exc:
+        exc.args = (f"{exc} (at {args.param} = {value!r})",)
+        raise
+
+
+def _sweep_block(spec, realize_block, params, args, selected):
+    """CSV text of one block of parameter values; the first row that the
+    column code flags, or whose theorem31 cross-check fails, raises
+    through _check_row."""
+    profile, flagged = realize_block(params)
+    with np.errstate(all="ignore"):   # flagged rows hold unchecked values
+        cells, failed = _bound_cells(profile, selected, args.kaehler_dim)
+    bad = np.flatnonzero(flagged | failed)
+    if bad.size:
+        value = float(params[bad[0]])
+        _check_row(spec, value, args, selected)
+        raise CrossCheckFailed(
+            "internal cross-check failed: the column code rejects a row that "
+            f"realize accepts (at {args.param} = {value!r})")
     return _csv_block(params, cells)
 
 
@@ -320,6 +342,9 @@ def cmd_sweep(args):
     if sites != 1:
         raise ValueError(f"parameter '{args.param}' must bind to exactly one "
                          f"factor of the spec; found {sites}")
+    # a fixed factor, the tree or --kaehler-dim fails every row or none
+    first = _sweep_grid(args.start, args.stop, args.steps, 0, 1)
+    _check_row(spec, float(first[0]), args, selected)
     realize_block = realize_columns(spec, cls, name)
 
     def write(fh):
@@ -327,7 +352,7 @@ def cmd_sweep(args):
         for lo in range(0, args.steps, SWEEP_BLOCK):
             params = _sweep_grid(args.start, args.stop, args.steps,
                                  lo, min(lo + SWEEP_BLOCK, args.steps))
-            fh.write(_sweep_block(realize_block, params, args, selected))
+            fh.write(_sweep_block(spec, realize_block, params, args, selected))
 
     _write_whole(args.out, write)
     return EXIT_OK

@@ -49,8 +49,4 @@ class ShapeError(DiracBoundError):
 
 class CrossCheckFailed(DiracBoundError, ArithmeticError):
     """Two routes to the same number disagree: a fault of the computation,
-    not of the input. `row` is the index of the failing row in a block."""
-
-    def __init__(self, message, row=0):
-        super().__init__(message)
-        self.row = row
+    not of the input."""

@@ -10,8 +10,8 @@ the parallel-Ricci case where the spectrum is constant.
 
 make_profile_columns is the array form of make_profile for a block of
 rows that share n, as a sweep produces them: a RicciProfile whose
-number fields are arrays. FirstFailure carries the first row that
-fails, so a block raises what a row-by-row run would.
+number fields are arrays, and a mask of the rows that make_profile
+rejects. It does not say why a row fails; make_profile on that row does.
 """
 
 from __future__ import annotations
@@ -22,14 +22,12 @@ from itertools import repeat
 
 import numpy as np
 
-from .errors import DimensionError, DiracBoundError, InconsistentProfile
+from .errors import DimensionError, InconsistentProfile
 
 # Consistency tolerance classes (relative): closed-form inputs must be
 # exact to float round-off; integrated inputs get the looser class.
 EXACT_RTOL = 1e-12
 ODE_RTOL = 1e-6
-# what building a profile raises for a row's values, rather than a bug
-ROW_ERRORS = (DiracBoundError, ArithmeticError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -151,101 +149,18 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None, *,
 
 # --- array form --------------------------------------------------------------
 
-class FirstFailure:
-    """The first failing row of a block, and its exception.
+def make_profile_columns(n, scalar, kappa0, ric_norm_sq_min):
+    """Array form of make_profile, without eigenvalues, on a block of rows
+    that share n: (profile, flagged), a RicciProfile whose number fields
+    are arrays and the mask of rows make_profile rejects.
 
-    Checks run in the order a row-by-row evaluation meets them, so the
-    first row that fails any check fails with its own first check:
-    rows [0, limit) have passed every check so far, and error is the
-    exception of row limit, or None while every row passes.
-    """
-
-    def __init__(self, rows):
-        self.limit, self.error = rows, None
-
-    def fail(self, row, error):
-        if row < self.limit:
-            self.limit, self.error = row, error
-
-    def resolve(self, flagged, check):
-        """Run check(row) on each flagged row below the limit, in order;
-        the first row it raises for fails."""
-        for row in np.flatnonzero(flagged[:self.limit]).tolist():
-            try:
-                check(row)
-            except ROW_ERRORS as exc:
-                self.fail(row, exc)
-                return
-
-
-@dataclass(frozen=True)
-class PinnedColumns:
-    """Eigenvalue lists of a block: each row holds the `fixed` values and
-    `copies` copies of its entry of `column`."""
-
-    fixed: tuple[float, ...]
-    column: np.ndarray
-    copies: int
-
-    def row(self, i):
-        return self.fixed + (float(self.column[i]),) * self.copies
-
-
-# fsum and its float counterpart differ by a few ulps of the summands
-_SUM_ULPS = 8.0 * 2.0**-52
-
-
-def _sum_unsure(fixed_sum, column_sum, size, target, rtol):
-    """Rows where |fsum - target| > slack might hold; see _pinned_unsure."""
-    gap = np.abs(column_sum - target)
-    margin = _SUM_ULPS * (abs(fixed_sum) + size + np.abs(target) + gap) + 1e-300
-    slack = rtol * np.maximum(np.maximum(1.0, np.abs(column_sum)), np.abs(target))
-    return ~(gap + margin <= slack * (1.0 - _SUM_ULPS) - margin)
-
-
-def _pinned_unsure(eigs, n, kappa0, ric, scalar, rtol):
-    """Rows the eigenvalue checks of make_profile may reject.
-
-    The minimum check is exact. The two sums there are math.fsum; here
-    the fixed values are summed once by fsum and the column added in
-    floating point, which misses fsum by a few ulps of the summands, so
-    a row is let through only when its gap clears the slack by that
-    margin. make_profile decides the flagged rows.
-    """
-    fixed, col, k = eigs.fixed, eigs.column, eigs.copies
-    if len(fixed) + k != n or not all(map(math.isfinite, fixed)):
-        return np.ones(col.shape, bool)
-    unsure = ~np.isfinite(col)
-    head = min(fixed, default=math.inf)
-    least = np.where(col < head, col, head)
-    unsure |= np.abs(least - kappa0) > rtol * np.maximum(
-        np.maximum(1.0, np.abs(least)), np.abs(kappa0))
-    total = math.fsum(fixed)
-    unsure |= _sum_unsure(total, total + k * col, k * np.abs(col), scalar, rtol)
-    squares = math.fsum(e * e for e in fixed)
-    col_sq = col * col
-    unsure |= _sum_unsure(squares, squares + k * col_sq, k * col_sq, ric, rtol)
-    return unsure
-
-
-def make_profile_columns(n, scalar, kappa0, ric_norm_sq_min, failure,
-                         eigenvalues=None):
-    """Array form of make_profile on a block of rows that share n: a
-    RicciProfile whose number fields are arrays, and whose eigenvalues
-    are PinnedColumns or None.
-
-    Every check of make_profile is an elementwise expression here with
-    the same rounding, except the fsum eigenvalue sums, which are only
-    bounded (_pinned_unsure). A row that any check flags goes through
-    make_profile itself, so the block accepts exactly the rows it
-    accepts, and failure records the first row it rejects, with its
-    message. Values of accepted rows are bit-identical to make_profile's.
+    Every check is make_profile's as an elementwise expression with the
+    same rounding, so unflagged rows are bit-identical to make_profile's.
     """
     n = int(n)
     rtol = EXACT_RTOL
-    scalar, kappa0, ric = (np.asarray(a, dtype=float)
-                           for a in (scalar, kappa0, ric_norm_sq_min))
-    scalar, kappa0, ric = np.broadcast_arrays(scalar, kappa0, ric)
+    scalar, kappa0, ric = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (scalar, kappa0, ric_norm_sq_min)))
     with np.errstate(all="ignore"):
         flagged = ~(np.isfinite(scalar) & np.isfinite(kappa0) & np.isfinite(ric))
         flagged |= n < 2
@@ -257,15 +172,10 @@ def make_profile_columns(n, scalar, kappa0, ric_norm_sq_min, failure,
         cs = scalar * scalar / n
         flagged |= ric < cs - rtol * np.maximum(np.maximum(1.0, np.abs(ric)),
                                                 np.abs(cs))
-        if eigenvalues is not None:
-            flagged |= _pinned_unsure(eigenvalues, n, kappa0, ric, scalar, rtol)
-        failure.resolve(flagged, lambda i: make_profile(
-            n, scalar[i], kappa0[i], ric[i],
-            None if eigenvalues is None else eigenvalues.row(i)))
         ric = np.where(ric < 0.0, 0.0, ric)
         gap = ric - square / n
         traceless = np.where(0.0 > gap, 0.0, gap)
-    return RicciProfile(n, scalar, kappa0, ric, traceless, eigenvalues, rtol)
+    return RicciProfile(n, scalar, kappa0, ric, traceless, None, rtol), flagged
 
 
 # --- JSON field mapping ----------------------------------------------------

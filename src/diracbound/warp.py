@@ -122,6 +122,18 @@ def _energy(F, Fp, n):
     return Fp**2 / 2.0 + _potential(F, n)
 
 
+def _bounded_energy(f0, n):
+    """V(f0), the energy of the orbit through F(0) = f0, if it is bounded.
+    V < 0 on (0, 1], also where V(f0) underflows to 0 (f0 < 1e-269)."""
+    if not f0 > 0.0:
+        raise NonPositiveF(f"F(0) must be positive, got {f0}")
+    energy = _potential(f0, n)
+    if f0 > 1.0 and not energy < 0.0:
+        raise NonPositiveF(
+            f"orbit through F(0) = {f0} has energy {energy} >= 0 and reaches F = 0")
+    return energy
+
+
 def _bisect_root(f, a, b):
     """Zero of an increasing f on [a, b], bisected down to adjacent floats;
     of the last two endpoints, the one where |f| is least."""
@@ -291,13 +303,8 @@ def integrate_warp(n, f0, tol=1e-10):
     if n < 5:
         raise DimensionError(f"warp exponent needs n >= 5, got n = {n}")
     f0 = float(f0)
-    if not f0 > 0.0:
-        raise NonPositiveF(f"F(0) must be positive, got {f0}")
     check_tol(tol)
-    energy = _potential(f0, n)
-    if not energy < 0.0:
-        raise NonPositiveF(
-            f"orbit through F(0) = {f0} has energy {energy} >= 0 and reaches F = 0")
+    _bounded_energy(f0, n)
     if f0 > 1.0 + 1e-12:
         f0 = _rebase(f0, n)
 
@@ -383,12 +390,7 @@ def warp_extremals(n, f0):
         raise DimensionError(
             f"curvature formulas are specific to n = 5, got n = {n}")
     f0 = float(f0)
-    if not f0 > 0.0:
-        raise NonPositiveF(f"F(0) must be positive, got {f0}")
-    energy = _potential(f0, 5)
-    if not energy < 0.0:
-        raise NonPositiveF(
-            f"orbit through F(0) = {f0} has energy {energy} >= 0 and reaches F = 0")
+    energy = _bounded_energy(f0, 5)
     if f0 > 1.0 + 1e-12:
         f_min, f_max = _rebase(f0, 5), f0
     else:

@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
 
 import diracbound as db
 
@@ -75,3 +76,8 @@ def random_spectrum_profile(rng, n, scalar=None):
     if scalar is not None:
         eigs += (scalar - eigs.sum()) / n
     return spectrum_profile(eigs)
+
+
+# random consistent profiles with n from 2 to 8, for property tests
+spectra = st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
+                   min_size=2, max_size=8).map(spectrum_profile)

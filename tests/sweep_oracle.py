@@ -5,10 +5,6 @@ tree and evaluates the closed forms in Python floats, as the sweep did
 before it computed columns; only the mini-max column calls the library
 (optimize_minimax, a block of one). Where that per-row run raises, the
 oracle reports the exception and the row's parameter value.
-
-One difference is deliberate: where the Python-float theorem 3.1 divides
-by zero, overflows in a square or yields a closed form that is not
-finite, the oracle raises CrossCheckFailed, as the array form does.
 """
 
 from __future__ import annotations
@@ -49,8 +45,18 @@ def kaehler(p, complex_dim):
 
 
 def theorem31(p):
-    """theorem 3.1's value, or None where it does not apply."""
+    """theorem 3.1's value, or None where it does not apply.
+
+    A row whose size max(|R|, |kappa0|, sqrt(t0)) lies outside
+    [2^-250, 2^250] is computed scaled by a power of two near its size,
+    so A^2 cannot overflow; A is tested unscaled.
+    """
     n, R, kappa0, t0 = p.n, p.scalar, p.kappa0, p.traceless_norm_sq_min
+    size = max(abs(R), abs(kappa0), math.sqrt(t0))
+    scale = 1.0
+    if not 2.0**-250 <= size <= 2.0**250:
+        scale = math.ldexp(1.0, math.frexp(size)[1] - 1)
+    R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
     if not t0 > (R / n - kappa0) * max(R / (n - 1), -R):
         return None
     a = n * R / (8.0 * (n - 1))
@@ -58,15 +64,12 @@ def theorem31(p):
     csq = n / (n - 1.0) * t0
     c = math.sqrt(csq)
     A = csq / 4.0 + 2.0 * (n - 1.0) / n * a * b
-    if A < DEGENERATE_A_ATOL:
+    if A * scale * scale < DEGENERATE_A_ATOL:
         return None
-    try:
-        root = math.sqrt(max(a**2 * c**2 + A * (A - 2.0 * a * b), 0.0))
-        value = A**2 / (b * A - a * c**2 + c * root)
-        s0 = (A - 2.0 * a * b) / (a * c**2 + c * root)
-        f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c**2 * s0**2)
-    except (ZeroDivisionError, OverflowError) as exc:
-        raise CrossCheckFailed(f"closed form not finite: {exc}") from None
+    root = math.sqrt(max(a**2 * c**2 + A * (A - 2.0 * a * b), 0.0))
+    value = A**2 / (b * A - a * c**2 + c * root) * scale
+    s0 = (A - 2.0 * a * b) / (a * c**2 + c * root)
+    f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c**2 * s0**2) * scale
     if not (math.isfinite(value) and math.isclose(value, f_s0, rel_tol=1e-9)):
         raise CrossCheckFailed(f"closed form {value} vs f(s0) {f_s0}")
     return value

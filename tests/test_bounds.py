@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import random_spectrum_profile, spectrum_profile
+from conftest import random_spectrum_profile, spectra, spectrum_profile
 from diracbound import (DimensionError, Method, ParameterRange, RicciFlat,
                         ScalarSignError, ShapeError, best_bound, bounds,
                         condition_19, corollary32_bound, friedrich_bound,
@@ -217,10 +217,6 @@ def test_best_bound_without_kaehler_dim():
 
 # --- batched mini-max kernel: properties over random spectra ---------------
 
-spectra = st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
-                   min_size=2, max_size=8).map(spectrum_profile)
-
-
 def _block(profiles):
     return optimize_minimax_block([p.n for p in profiles],
                                   [p.scalar for p in profiles],
@@ -274,3 +270,37 @@ def test_minimax_closes_on_theorem31(p):
     r = optimize_minimax(p)
     assert r.value == pytest.approx(th.value, rel=1e-9)
     assert r.optimizer.t_star == pytest.approx(t_fix, abs=1e-5)
+
+
+# --- invariants the paper implies, as properties ---------------------------
+
+@given(spectra)
+def test_best_is_at_least_friedrich(p):
+    assert best_bound(p).value >= friedrich_bound(p).value
+
+
+@given(spectra)
+def test_theorem31_equals_corollary32_where_both_apply(p):
+    th, co = theorem31_bound(p), corollary32_bound(p)
+    if th.applicable and co.applicable:
+        assert th.value == pytest.approx(co.value, rel=1e-9)
+
+
+@given(spectra)
+def test_zero_scalar_equals_theorem31_at_zero_scalar(p):
+    # the spectrum shifted to mean 0, so that R = 0 exactly
+    eigs = np.array(p.eigenvalues) - p.scalar / p.n
+    q = make_profile(p.n, 0.0, float(eigs.min()), float(np.sum(eigs**2)))
+    th = theorem31_bound(q)
+    if th.applicable and q.ric_norm_sq_min > 0.0:
+        assert zero_scalar_bound(q).value == pytest.approx(th.value, rel=1e-9)
+
+
+def test_theorem31_scales_rows_beyond_2_to_250():
+    # A is of order R^2 = 1e300, so A^2 overflows unless the row is scaled
+    big = make_profile(4, 1e150, 0.0, 5e299)
+    th, mm = theorem31_bound(big), optimize_minimax(big)
+    assert th.applicable
+    assert th.value == pytest.approx(mm.value, rel=1e-9)
+    assert th.value == pytest.approx(1e150 * theorem31_bound(
+        make_profile(4, 1.0, 0.0, 0.5)).value, rel=1e-12)

@@ -162,15 +162,9 @@ _SPECS = st.recursive(
 
 
 def _moderate(leaf):
-    """A leaf whose curvature, summed over 12 leaves, stays far from overflow.
-
-    Below f0 ~ 1e-270 the warped energy underflows to 0 and realize
-    rejects the factor as unbounded, so tiny f0 are left out too.
-    """
+    """A leaf whose curvature, summed over 12 leaves, stays far from overflow."""
     if isinstance(leaf, Sphere):
         return 1e-50 <= leaf.radius <= 1e50
-    if isinstance(leaf, Warped):
-        return leaf.f0 >= 1e-200
     return abs(leaf.scalar) <= 1e100
 
 
@@ -182,7 +176,33 @@ def test_spec_tree_round_trips_and_validates(schema_validator, spec, warped):
     assert spec_from_dict(json.loads(json.dumps(doc))) == spec
     # the warped minima are closed forms: the exact class holds in any product
     others = [leaf for leaf in catalog.leaves(spec)
-              if _moderate(leaf) and not isinstance(leaf, Warped)]
-    if _moderate(warped):
-        tree = Product((*others, warped)) if others else warped
-        assert realize(tree).rtol == EXACT_RTOL
+              if not isinstance(leaf, Warped) and _moderate(leaf)]
+    # every f0 in (0, 1] realizes, also where V(f0) underflows to 0
+    tree = Product((*others, warped)) if others else warped
+    assert realize(tree).rtol == EXACT_RTOL
+
+
+def test_product_whose_scalars_cancel_realizes():
+    # the eigenvalues sum to 3.6e-12, the scalars to exactly 0
+    p = realize(Product((Einstein(7, 1e5), Surface(-1e5))))
+    assert (p.n, p.scalar, p.kappa0) == (9, 0.0, -5e4)
+    assert p.eigenvalues == (-5e4,) * 2 + (1e5 / 7,) * 7
+
+
+_FREE_LEAVES = st.one_of(
+    st.builds(Einstein, st.integers(2, 8), st.floats(-1e6, 1e6)),
+    st.builds(Surface, st.floats(-1e6, 1e6)),
+    st.builds(Sphere, st.floats(1e-3, 1e3)))
+
+
+@given(st.lists(_FREE_LEAVES, min_size=1, max_size=3), st.integers(2, 8),
+       st.floats(-1e-6, 1e-6))
+def test_products_with_nearly_cancelling_scalars_realize(free, n, residue):
+    # the last factor cancels the scalar of the others up to residue
+    rest = sum(realize(leaf).scalar for leaf in free)
+    last = Surface(residue - rest) if n == 2 else Einstein(n, residue - rest)
+    spec = Product((*free, last))
+    parts = [realize(factor) for factor in spec.factors]
+    p = realize(spec)
+    assert p.scalar == sum(part.scalar for part in parts)
+    assert p.eigenvalues == tuple(sorted(e for part in parts for e in part.eigenvalues))

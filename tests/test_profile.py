@@ -8,8 +8,7 @@ import pytest
 from conftest import random_spectrum_profile, spectrum_profile
 from diracbound import (DimensionError, InconsistentProfile, make_profile,
                         profile_from_dict, profile_to_dict)
-from diracbound.profile import (EXACT_RTOL, ODE_RTOL, FirstFailure,
-                                PinnedColumns, make_profile_columns, pow2)
+from diracbound.profile import EXACT_RTOL, ODE_RTOL, pow2
 
 
 def test_round_product_profile():
@@ -116,40 +115,6 @@ def test_dict_round_trip():
 def test_from_dict_diagnostics(doc, pattern):
     with pytest.raises(ValueError, match=pattern):
         profile_from_dict(doc)
-
-
-def _row_outcome(make, *fields):
-    try:
-        p = make(*fields)
-    except InconsistentProfile as exc:
-        return str(exc)
-    return p.traceless_norm_sq_min
-
-
-def test_columns_decide_each_row_as_make_profile_does():
-    # pinned rows whose sums straddle the 1e-12 slack, so the bounded fsum
-    # leaves some rows to make_profile; each row must come out the same
-    rng = np.random.default_rng(8)
-    fixed = tuple(rng.uniform(-3.0, 3.0, 3).tolist())
-    column = rng.uniform(-3.0, 3.0, 400)
-    exact = np.array([math.fsum(fixed + (c, c)) for c in column])
-    scalar = exact + np.maximum(1.0, np.abs(exact)) * rng.uniform(-2e-12, 2e-12, 400)
-    kappa0 = np.minimum(min(fixed), column)
-    ric = np.array([math.fsum(e * e for e in fixed + (c, c)) for c in column])
-    ric = ric * (1.0 + rng.uniform(-2e-12, 2e-12, 400))
-    rejected = 0
-    for i in range(400):
-        row = (5, scalar[i], kappa0[i], ric[i], fixed + (column[i],) * 2)
-        want = _row_outcome(make_profile, *row)
-        failure = FirstFailure(1)
-        got = make_profile_columns(5, scalar[i:i + 1], kappa0[i:i + 1], ric[i:i + 1],
-                                   failure, PinnedColumns(fixed, column[i:i + 1], 2))
-        if failure.error is not None:
-            assert str(failure.error) == want
-            rejected += 1
-        else:
-            assert got.traceless_norm_sq_min[0] == want
-    assert 50 < rejected < 350
 
 
 def test_pow2_is_pythons_float_power():

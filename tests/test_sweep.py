@@ -111,7 +111,7 @@ def test_columns_match_row_by_row_oracle(case):
 
 
 def test_pinned_nested_product_matches_oracle_over_blocks():
-    # the eigenvalue sums of pinned products are fsum; rows span two blocks
+    # Einstein factors in a nested product, with rows in two blocks
     spec = Product((Product((Einstein(3, -1.5), Sphere(1.0))), Surface(-2.0)))
     text, exc, _ = oracle_sweep(spec, "radius", 0.3, 3.0, cli.SWEEP_BLOCK + 50)
     assert exc is None
@@ -204,6 +204,26 @@ def test_sweep_row_with_overflowing_scalar_names_the_row():
     assert "(at surface_scalar = 1e+154)" in str(err)
 
 
+def test_bound_on_curvature_beyond_1e77_exits_0(tmp_path, capsys):
+    # A is of order 1e300 here, and A^2 overflows unless the row is scaled
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"product": [{"einstein": {"n": 2, "scalar": 1}},
+                                            {"surface": {"scalar": 1e150}}]}))
+    assert cli.main(["bound", "--spec", str(path), "--json"]) == 0
+    reports = {r["method"]: r["value"] for r in json.loads(capsys.readouterr().out)["reports"]}
+    assert reports["theorem31"] == pytest.approx(reports["minimax_numeric"], rel=1e-9)
+
+
+def test_radius_sweep_from_1e_minus_75_exits_0(capsys):
+    argv = ["sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
+            "--from", "1e-75", "--to", "1e-74", "--steps", "4"]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    assert out.err == "" and out.out.count("\n") == 5
+    first = out.out.splitlines()[1].split(",")
+    assert float(first[3]) == pytest.approx(float(first[4]), rel=1e-9)
+
+
 # --- exit code 4 ------------------------------------------------------------
 
 def _disagree(value, f_s0):
@@ -219,10 +239,10 @@ def test_bound_cross_check_failure_exits_4(capsys, monkeypatch):
 
 
 def test_sweep_cross_check_failure_exits_4_and_names_the_row(capsys, monkeypatch):
+    # the fault depends on the value, not on the row's place in a block,
+    # so the row check sees it as the column code does
     def disagree_late(value, f_s0):
-        agree = np.ones(np.shape(value), bool)
-        agree[3:] = False
-        return agree
+        return ~(np.asarray(value) < 0.6)
 
     monkeypatch.setattr(bounds, "_closed_forms_agree", disagree_late)
     argv = ["sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
@@ -232,6 +252,28 @@ def test_sweep_cross_check_failure_exits_4_and_names_the_row(capsys, monkeypatch
     assert out.out == "" and "Traceback" not in out.err
     assert "internal cross-check failed" in out.err
     assert "(at radius = 0.875)" in out.err
+
+
+def test_sweep_row_flagged_but_accepted_exits_4(capsys, monkeypatch):
+    # a row that the column code flags and realize accepts is its fault
+    columns = cli.realize_columns
+
+    def flag_third_row(spec, cls, name):
+        block = columns(spec, cls, name)
+
+        def flagged_block(values):
+            profile, flagged = block(values)
+            return profile, flagged | (np.arange(len(values)) == 2)
+        return flagged_block
+
+    monkeypatch.setattr(cli, "realize_columns", flag_third_row)
+    argv = ["sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
+            "--from", "0.5", "--to", "1.5", "--steps", "9"]
+    assert cli.main(argv) == cli.EXIT_INTERNAL
+    out = capsys.readouterr()
+    assert out.out == "" and "Traceback" not in out.err
+    assert "internal cross-check failed" in out.err
+    assert "(at radius = 0.75)" in out.err
 
 
 def test_ode_energy_drift_failure_exits_4(capsys, monkeypatch, tmp_path):

@@ -168,6 +168,16 @@ def test_closed_form_constant_orbit():
     assert (ext.kappa0, ext.ric_norm_sq_min) == (0.0, 2.56)
 
 
+def test_orbits_whose_energy_underflows_are_bounded():
+    # below f0 ~ 1e-269, V(f0) underflows to 0; every f0 in (0, 1] is bounded
+    ext = warp_extremals(5, 5e-324)
+    assert math.isfinite(ext.kappa0) and ext.kappa0 < -1e258
+    assert ext.ric_norm_sq_min == pytest.approx(2.048, rel=1e-15)
+    traj = integrate_warp(5, 1e-300)
+    assert traj.energy == 0.0 and traj.f0 == 1e-300
+    assert traj.F.min() == 1e-300
+
+
 def test_closed_form_input_gates():
     with pytest.raises(DimensionError):
         warp_extremals(7, 0.5)
