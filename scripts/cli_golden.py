@@ -14,6 +14,8 @@ specs. Failing invocations record their stderr too: sweeps that fail
 at the first row, in a later block or where f0 leaves (0, 1], a
 Kaehler dimension that does not match n, and a spec with two warped
 factors; `bound` on a product whose scalars cancel is recorded with them.
+`verify` is recorded in JSON at n = 8 with 2000 and with 10 trials and
+at n = 4 with 200, and in text at n = 7 with 100.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -93,6 +95,12 @@ FAILURES = (
      "--from", "-1", "--to", "1", "--steps", "3"),
     ("bound", "--spec", "<cancelling>"),
 )
+VERIFIES = (
+    ("--dim", "8", "--trials", "2000", "--seed", "7", "--json"),
+    ("--dim", "4", "--trials", "200", "--seed", "42", "--json"),
+    ("--dim", "7", "--trials", "100", "--seed", "7"),
+    ("--dim", "8", "--trials", "10", "--seed", "7", "--json"),
+)
 
 
 def invocations():
@@ -109,6 +117,7 @@ def invocations():
         runs.append(("bound", "--example", "m7-sigma", *fmt, *LOOSE_TOL))
     runs.append(("sweep", *SWEEPS[2], *LOOSE_TOL))
     runs += [("sweep", *argv) for argv in LONG_SWEEPS]
+    runs += [("verify", *argv) for argv in VERIFIES]
     return runs + list(FAILURES)
 
 
