@@ -357,11 +357,15 @@ def minimax_bound_at_t(profile, t):
             + (n / (n - 1)) (t^2 - t/2) |Ric - R/n|_0^2
 
     so x must clear the larger root. Returns 0 when the quadratic has no
-    real root or the root is negative (the bound is vacuous there).
+    real root or the root is negative (the bound is vacuous there). At
+    t = 0, q = 0 and the root is the Friedrich value -p0 (0 for R <= 0),
+    returned in that closed form.
     """
     t = float(t)
     if not 0.0 <= t <= 0.5:
         raise ParameterRange(f"t must lie in [0, 1/2], got {t}")
+    if t == 0.0:
+        return float(friedrich_block(profile.n, profile.scalar))
     root = _minimax_root(profile.n, profile.scalar, profile.kappa0,
                          profile.traceless_norm_sq_min)
     return float(root(np.full((1, 1), t))[0, 0])
@@ -371,9 +375,15 @@ _GRID = np.linspace(0.0, 0.5, MINIMAX_GRID)
 _OFFSETS = np.arange(-(MINIMAX_REFINE // 2), MINIMAX_REFINE // 2 + 1, dtype=float)
 
 
-def _maximize(root):
-    """Grid search, then nested grids around the best t; see optimize_minimax_block."""
+def _maximize(root, at_zero):
+    """Grid search, then nested grids around the best t; see optimize_minimax_block.
+
+    at_zero is each row's exact value at t = 0, where the kernel can lose
+    it: when |R| is tiny beside the row's curvature scale, the scaled p0^2
+    underflows and the root comes out as |p0| / 2.
+    """
     vals = root(_GRID)
+    vals[:, 0] = at_zero  # _GRID[0] is t = 0
     i = np.argmax(vals, axis=1)
     idx = np.arange(len(i))
     t_star, value = _GRID[i], vals[idx, i]
@@ -398,9 +408,10 @@ def optimize_minimax_block(n, scalar, kappa0, traceless_norm_sq_min):
     MINIMAX_GRID points; then, for a fixed number of rounds, on a grid of
     MINIMAX_REFINE points spanning one step either side of the best t so
     far, until the step is at most MINIMAX_T_TOL. The first grid contains
-    t = 0, so no value falls below the Friedrich bound. Rows go through
-    the kernel MINIMAX_BLOCK at a time, and a row's result does not
-    depend on the block it lands in.
+    t = 0, where the Friedrich value itself is taken, so no value falls
+    below the Friedrich bound. Rows go through the kernel MINIMAX_BLOCK
+    at a time, and a row's result does not depend on the block it lands
+    in.
     """
     cols = [np.asarray(a, dtype=float).reshape(-1)
             for a in (n, scalar, kappa0, traceless_norm_sq_min)]
@@ -411,7 +422,8 @@ def optimize_minimax_block(n, scalar, kappa0, traceless_norm_sq_min):
     for lo in range(0, rows, MINIMAX_BLOCK):
         block = slice(lo, lo + MINIMAX_BLOCK)
         root = _minimax_root(*(c[block, None] for c in cols))
-        value[block], t_star[block] = _maximize(root)
+        at_zero = friedrich_block(cols[0][block], cols[1][block])
+        value[block], t_star[block] = _maximize(root, at_zero)
     return value, t_star
 
 

@@ -8,13 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_spectrum_profile, spectra, spectrum_profile
-from diracbound import (DimensionError, Method, ParameterRange, RicciFlat,
-                        ScalarSignError, ShapeError, best_bound, bounds,
+from diracbound import (DimensionError, Method, ParameterRange, Product,
+                        RicciFlat, ScalarSignError, ShapeError, Surface,
+                        Warped, best_bound, bounds,
                         condition_19, corollary32_bound, friedrich_bound,
                         harmonic_spinor_excluded, improvement_condition,
                         kaehler_bound, make_profile, minimax_bound_at_t,
                         optimize_minimax, optimize_minimax_block, shortcuts,
-                        theorem31_bound, zero_scalar_bound)
+                        realize, theorem31_bound, zero_scalar_bound)
 
 # flat torus times unit sphere: the closed-book reference case
 T2XS2 = make_profile(4, 2.0, 0.0, 2.0, (0, 0, 1, 1))
@@ -257,6 +258,20 @@ def test_minimax_value_sign_and_friedrich_floor(p):
     assert math.copysign(1.0, r.value) == 1.0   # never -0
     assert r.value >= friedrich_bound(p).value
     assert 0.0 <= r.optimizer.t_star <= 0.5
+
+
+def test_minimax_keeps_friedrich_floor_when_kappa0_dwarfs_scalar():
+    # kappa0 is about -1.6e200 beside R = 4.2: scaled by a power of two
+    # near |kappa0|, p0^2 underflows, and the kernel's root at t = 0 came
+    # out as |p0| / 2 = 0.6125 with an optimum of 1.05 under Friedrich
+    p = realize(Product((Surface(1.0), Warped(5, 1e-250))))
+    friedrich = friedrich_bound(p).value
+    assert friedrich == 1.2250000000000001
+    assert minimax_bound_at_t(p, 0.0) == friedrich
+    r = optimize_minimax(p)
+    assert r.value >= friedrich
+    value, _ = _block([p, T2XS2])
+    assert value[0] == r.value
 
 
 @given(spectra)

@@ -135,6 +135,12 @@ def test_verify_trials_cap_exits_1(capsys, monkeypatch):
     assert out.out == "" and "trials must be at most" in out.err
 
 
+def test_verify_negative_seed_exits_1_naming_seed(capsys):
+    assert cli.main(["verify", "--dim", "4", "--trials", "10", "--seed", "-1"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: seed must be non-negative, got -1\n"
+
+
 def test_bound_unknown_example_exits_1(run_cli):
     proc = run_cli("bound", "--example", "nope", expect=1)
     assert "unknown example" in proc.stderr

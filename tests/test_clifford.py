@@ -1,12 +1,15 @@
 """Exactness of the representation and the two contraction identities."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diracbound import (DimensionError, NotSymmetric, ParameterRange,
-                        ShapeError, build_rep, run_identity_batch,
+                        ShapeError, build_rep, clifford, run_identity_batch,
                         verify_lemma15, verify_ricci_trace)
 
 
@@ -136,8 +139,18 @@ def test_batch_summary_deterministic():
 
 
 def test_batch_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ParameterRange):
         run_identity_batch(4, 0, 1)
+
+
+@pytest.mark.parametrize("trials, seed, name", [(0, 1, "trials"), (10, -1, "seed")])
+def test_batch_rejects_bad_input_before_spawning(monkeypatch, trials, seed, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("streams spawned")
+
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    with pytest.raises(ParameterRange, match=f"^{name} must be"):
+        run_identity_batch(4, trials, seed)
 
 
 def test_batch_trials_capped_before_allocating(monkeypatch):
@@ -169,3 +182,100 @@ def test_batch_residuals_small_every_dimension():
         assert s.trace_residual_full <= 1e-12
         assert s.trace_residual_traceless <= 1e-12
         assert s.lemma_residual <= 1e-12
+
+
+def _reference_batch(n, trials, seed):
+    """The whole-batch computation: three draws per trial, einsum with an
+    optimized path, svd of every matrix. From 64 trials at n = 8 (16 at
+    n = 4) the path's products are the ones run_identity_batch uses."""
+    gam = np.stack(build_rep(n).generators)
+
+    def contract(coeffs):
+        return np.einsum("...kl,kab,lbc->...ac", coeffs, gam, gam, optimize=True)
+
+    S_batch, T_batch, Y_batch = [], [], []
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(stream)
+        S = rng.standard_normal((n, n))
+        S_batch.append((S + S.T) / 2.0)
+        T_batch.append(_totally_symmetric(rng, n))
+        Y_batch.append(rng.standard_normal(n))
+    S, T, Y = np.array(S_batch), np.array(T_batch), np.array(Y_batch)
+    trace = np.einsum("tkk->t", S)
+    full = contract(S) + trace[:, None, None] * np.eye(gam.shape[1])
+    traceless = contract(S - (trace / n)[:, None, None] * np.eye(n))
+    B = np.einsum("tkil,ti->tkl", T, Y)
+    lemma = contract(np.swapaxes(B, 1, 2)) - contract(B)
+    worst = [float(np.max(np.linalg.svd(m, compute_uv=False)[..., 0]))
+             for m in (full, traceless, lemma)]
+    return clifford.BatchSummary(n, trials, seed, *worst)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_batch_matches_whole_batch_reference(n):
+    for trials, seed in ((64, 3), (300, 12345)):
+        assert run_identity_batch(n, trials, seed) == _reference_batch(n, trials, seed)
+
+
+@pytest.mark.parametrize("n", (5, 8))
+def test_batch_summary_does_not_depend_on_chunk(monkeypatch, n):
+    # 300 trials leave a last chunk of 44 at the default size
+    expected = run_identity_batch(n, 300, 11)
+    for size in (1, 7, 256, 4096):
+        monkeypatch.setattr(clifford, "CHUNK", size)
+        assert run_identity_batch(n, 300, 11) == expected, size
+
+
+@st.composite
+def matrix_batches(draw):
+    """(matrices, cut points): complex d x d matrices of round-off size
+    with all-zero ones, exact and one-ulp ties, one outlier, and rows
+    scaled by 2^e for e up to +-500; cuts split them into chunks."""
+    d = draw(st.sampled_from([1, 2, 4, 16]))
+    count = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = 1e-15 * (rng.standard_normal((count, d, d))
+                    + 1j * rng.standard_normal((count, d, d)))
+    index = st.integers(0, count - 1)
+    for i in draw(st.lists(index, max_size=5)):
+        mats[i] = 0.0
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=5)):
+        mats[j] = mats[i]
+    for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
+        mats[j] = mats[i]
+        mats[j, 0, 0] = np.nextafter(mats[i, 0, 0].real, np.inf) + 1j * mats[i, 0, 0].imag
+    if draw(st.booleans()):
+        mats[draw(index)] *= 1e3
+    if draw(st.booleans()):
+        scales = draw(st.lists(st.sampled_from([-500, -499, -1, 0, 1, 499, 500]),
+                               min_size=count, max_size=count))
+        exps = np.array(scales)[:, None, None]
+        mats = np.ldexp(mats.real, exps) + 1j * np.ldexp(mats.imag, exps)
+    cuts = sorted(draw(st.lists(st.integers(1, count), max_size=6)))
+    return mats, cuts
+
+
+@given(matrix_batches())
+def test_pruned_max_is_the_svd_max(batch):
+    mats, cuts = batch
+    acc = clifford._PrunedMax()
+    for part in np.split(mats, cuts):
+        if len(part):
+            acc.add(part)
+    assert acc.value == float(np.max(np.linalg.svd(mats, compute_uv=False)[..., 0]))
+
+
+def _batch_peak(trials):
+    tracemalloc.start()
+    try:
+        run_identity_batch(8, trials, 3)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_batch_memory_does_not_grow_with_trials():
+    small = _batch_peak(2000)
+    large = _batch_peak(20000)
+    # one chunk is held, not the batch: well under 4 MiB more
+    assert large - small < 4 * 2**20, (small, large)
