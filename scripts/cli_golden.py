@@ -14,6 +14,13 @@ specs. Failing invocations record their stderr too: sweeps that fail
 at the first row, in a later block or where f0 leaves (0, 1], a
 Kaehler dimension that does not match n, and a spec with two warped
 factors; `bound` on a product whose scalars cancel is recorded with them.
+`bound` is recorded on one document per validity rule: `--profile`
+documents with a NaN field, kappa0 above R/n, |Ric|^2 below R^2/n, a
+scalar whose square overflows and eigenvalue lists of the wrong length,
+sum, minimum and squared sum; `--spec` documents with an Einstein
+factor of n = 1 and of n above MAX_EINSTEIN_DIM, a warped factor of
+n = 6 and of f0 = 0, a sphere radius below 1e-75, and a product of
+valid surfaces whose summed scalar squares past the float range.
 `verify` is recorded in JSON at n = 8 with 2000 and with 10 trials and
 at n = 4 with 200, and in text at n = 7 with 100.
 tests/test_cli.py compares a fresh run with the recorded file byte for
@@ -47,8 +54,8 @@ SWEEPS = (
 )
 # --tol is checked, but warped factors are exact: these match the defaults
 LOOSE_TOL = ("--tol", "1e-3")
-# spec documents passed by name: capture() writes each to a file
-SPECS = {
+# spec and profile documents passed by name: capture() writes each to a file
+DOCUMENTS = {
     "<nested-sphere>": {"product": [
         {"product": [{"einstein": {"n": 4, "scalar": -2.0}},
                      {"sphere": {"radius": 1.0}}]},
@@ -62,7 +69,31 @@ SPECS = {
         {"warped": {"n": 5, "f0": 0.5}}]},
     "<cancelling>": {"product": [{"einstein": {"n": 7, "scalar": 1e5}},
                                  {"surface": {"scalar": -1e5}}]},
+    "<einstein-n-1>": {"einstein": {"n": 1, "scalar": 1.0}},
+    "<einstein-n-over-cap>": {"einstein": {"n": 10**6 + 1, "scalar": 1.0}},
+    "<warped-n-6>": {"warped": {"n": 6, "f0": 0.3}},
+    "<warped-f0-0>": {"warped": {"n": 5, "f0": 0.0}},
+    "<sphere-1e-76>": {"sphere": {"radius": 1e-76}},
+    "<overflowing-product>": {"product": [{"surface": {"scalar": 1e154}},
+                                          {"surface": {"scalar": 1e154}}]},
 }
+_T2XS2 = {"n": 4, "scalar": 2.0, "kappa0": 0.0, "ric_norm_sq_min": 2.0}
+DOCUMENTS.update({
+    "<nan-field>": {**_T2XS2, "kappa0": float("nan")},
+    "<kappa0-above-mean>": {**_T2XS2, "kappa0": 0.6},
+    "<cauchy-schwarz>": {**_T2XS2, "ric_norm_sq_min": 0.9},
+    "<square-overflows>": {**_T2XS2, "scalar": 1e155, "ric_norm_sq_min": 1e300},
+    "<eigenvalue-count>": {**_T2XS2, "eigenvalues": [0.0, 1.0, 1.0]},
+    "<eigenvalue-sum>": {**_T2XS2, "eigenvalues": [0.0, 0.5, 0.5, 0.5]},
+    "<eigenvalue-min>": {**_T2XS2, "eigenvalues": [0.1, 0.4, 0.5, 1.0]},
+    "<eigenvalue-squares>": {**_T2XS2, "eigenvalues": [0.0, 0.0, 0.5, 1.5]},
+})
+# one failing document per validity rule
+PROFILE_FAILURES = ("<nan-field>", "<kappa0-above-mean>", "<cauchy-schwarz>",
+                    "<square-overflows>", "<eigenvalue-count>", "<eigenvalue-sum>",
+                    "<eigenvalue-min>", "<eigenvalue-squares>")
+SPEC_FAILURES = ("<einstein-n-1>", "<einstein-n-over-cap>", "<warped-n-6>",
+                 "<warped-f0-0>", "<sphere-1e-76>", "<overflowing-product>")
 # recorded as {'sha256', 'lines'} of stdout instead of stdout itself
 LONG_SWEEPS = (
     ("--example", "s2r-x-hyperbolic", "--param", "radius",
@@ -94,6 +125,8 @@ FAILURES = (
     ("sweep", "--spec", "<two-warped>", "--param", "surface_scalar",
      "--from", "-1", "--to", "1", "--steps", "3"),
     ("bound", "--spec", "<cancelling>"),
+    *(("bound", "--profile", doc) for doc in PROFILE_FAILURES),
+    *(("bound", "--spec", doc) for doc in SPEC_FAILURES),
 )
 VERIFIES = (
     ("--dim", "8", "--trials", "2000", "--seed", "7", "--json"),
@@ -129,9 +162,9 @@ def capture(argv):
     with tempfile.TemporaryDirectory() as tmp:
         real = []
         for arg in argv:
-            if arg in SPECS:
-                path = Path(tmp) / "spec.json"
-                path.write_text(json.dumps(SPECS[arg]))
+            if arg in DOCUMENTS:
+                path = Path(tmp) / "document.json"
+                path.write_text(json.dumps(DOCUMENTS[arg]))
                 arg = str(path)
             real.append(arg)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
