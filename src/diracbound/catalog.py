@@ -2,48 +2,48 @@
 
 Specs are small declarative trees: Einstein factors, constant-curvature
 surfaces, round spheres, the n = 5 warped circle bundle (its minima in
-closed form), and products. realize() turns a spec into a validated
-RicciProfile in the exact tolerance class. Scalar curvature and the two
-curvature minima add across product factors; this is exact because at
-most one factor (the warped one) is allowed to vary.
+closed form), and products. Scalar curvature and the two curvature
+minima add across product factors; this is exact because at most one
+factor (the warped one) is allowed to vary.
+
+A leaf kind defines its curvature only as columns over a block of
+values of its fields (`_columns`), with its field ranges as rows of a
+rule table (`_rules`, as in profile); a product merges its factors'
+columns. realize runs this code on a block of one and raises the first
+rule broken; realize_columns runs it over a block of values of one
+field, as `sweep` does, and flags the rows that break any rule.
 
 Einstein factors and their products also list their Ricci eigenvalues,
-exact by construction, so make_profile does not check them.
-
-realize_columns is realize over a one-parameter family, as `sweep`
-runs it: factors without the varied leaf are realized once, and the
-varied leaf and the products above it are computed as arrays over a
-block of parameter values, with the same rounding as realize.
+exact by construction; realize builds the list once every rule holds,
+so make_profile does not check it.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, fields, replace
+from functools import reduce
+from itertools import repeat
+from operator import or_
 from typing import Union
 
 import numpy as np
 
-from .errors import (CompositionError, DimensionError, DiracBoundError,
-                     ParameterRange, UnknownExample)
-from .profile import make_profile, make_profile_columns, pow2
+from .errors import (CompositionError, DimensionError, ParameterRange,
+                     UnknownExample)
+from .profile import enforce, flag, pow2, profile_columns, row_of_one
 from .warp import WARP_SCALAR, warp_extremals
 
 # an Einstein factor lists its n eigenvalues, 8 bytes each
 MAX_EINSTEIN_DIM = 10**6
 
 
-def _einstein_profile(n, scalar):
-    """Profile of a factor whose n Ricci eigenvalues all equal scalar / n."""
+def _einstein(n, scalar):
+    """Columns of a factor whose n Ricci eigenvalues all equal scalar / n:
+    n, scalar, kappa0, |Ric|^2 and the spectrum, (eigenvalue, count)."""
     mean = scalar / n
-    return replace(make_profile(n, scalar, mean, scalar * mean),
-                   eigenvalues=(mean,) * n)
-
-
-def _einstein_columns(n, scalar):
-    """_einstein_profile over a column of scalars, without eigenvalues."""
-    mean = scalar / n
-    return make_profile_columns(n, scalar, mean, scalar * mean)
+    return n, scalar, mean, scalar * mean, ((mean, n),)
 
 
 @dataclass(frozen=True)
@@ -53,11 +53,9 @@ class Einstein:
     n: int
     scalar: float
 
-    def _profile(self):
-        if self.n > MAX_EINSTEIN_DIM:
-            raise ParameterRange(f"einstein field 'n' must be at most "
-                                 f"{MAX_EINSTEIN_DIM}, got {self.n}")
-        return _einstein_profile(self.n, self.scalar)
+    _rules = ((lambda f: f["n"] > MAX_EINSTEIN_DIM, ParameterRange,
+               f"einstein field 'n' must be at most {MAX_EINSTEIN_DIM}, got {{n}}"),)
+    _columns = staticmethod(_einstein)
 
 
 @dataclass(frozen=True)
@@ -66,11 +64,11 @@ class Surface:
 
     scalar: float
 
-    def _profile(self):
-        return _einstein_profile(2, self.scalar)
+    _rules = ()
 
-    def _columns(self, name, values):
-        return _einstein_columns(2, values)
+    @staticmethod
+    def _columns(scalar):
+        return _einstein(2, scalar)
 
 
 @dataclass(frozen=True)
@@ -79,16 +77,13 @@ class Sphere:
 
     radius: float
 
-    def _profile(self):
-        # the range keeps the scalar 2 / radius^2 and its square normal floats
-        if not 1e-75 <= self.radius <= 1e75:
-            raise ParameterRange(
-                f"sphere radius must lie in [1e-75, 1e75], got {self.radius}")
-        return _einstein_profile(2, 2.0 / self.radius**2)
+    # the range keeps the scalar 2 / radius^2 and its square normal floats
+    _rules = ((lambda f: ~((1e-75 <= f["radius"]) & (f["radius"] <= 1e75)),
+               ParameterRange, "sphere radius must lie in [1e-75, 1e75], got {radius}"),)
 
-    def _columns(self, name, values):
-        inside = (1e-75 <= values) & (values <= 1e75)
-        return _einstein_columns(2, 2.0 / pow2(np.where(inside, values, np.nan)))
+    @staticmethod
+    def _columns(radius):
+        return _einstein(2, 2.0 / pow2(radius))
 
 
 @dataclass(frozen=True)
@@ -98,29 +93,22 @@ class Warped:
     n: int
     f0: float
 
-    def _extremals(self):
-        if self.n != 5:
-            raise DimensionError(
-                f"warped curvature data exists for n = 5 only, got n = {self.n}")
-        if not 0.0 < self.f0 <= 1.0:
-            raise ParameterRange(f"warped f0 must lie in (0, 1], got {self.f0}")
-        return warp_extremals(5, self.f0)
+    _rules = (
+        (lambda f: f["n"] != 5, DimensionError,
+         "warped curvature data exists for n = 5 only, got n = {n}"),
+        (lambda f: ~((0.0 < f["f0"]) & (f["f0"] <= 1.0)), ParameterRange,
+         "warped f0 must lie in (0, 1], got {f0}"),
+    )
 
-    def _profile(self):
-        ext = self._extremals()
-        return make_profile(5, WARP_SCALAR, ext.kappa0, ext.ric_norm_sq_min)
-
-    def _columns(self, name, values):
-        # one cached closed form per value; NaN where it raises
-        extremals = np.full((len(values), 2), np.nan)
-        for i, value in enumerate(values.tolist()):
-            try:
-                ext = replace(self, **{name: value})._extremals()
-            except DiracBoundError:
-                continue
-            extremals[i] = ext.kappa0, ext.ric_norm_sq_min
-        return make_profile_columns(5, WARP_SCALAR, extremals[:, 0],
-                                    extremals[:, 1])
+    @staticmethod
+    def _columns(n, f0):
+        # one cached closed form per value; NaN in the rows a rule rejects
+        extremals = np.full((len(f0), 2), np.nan)
+        for i, value in enumerate(f0.tolist()):
+            if not math.isnan(value):
+                ext = warp_extremals(5, value)
+                extremals[i] = ext.kappa0, ext.ric_norm_sq_min
+        return 5, WARP_SCALAR, extremals[:, 0], extremals[:, 1], None
 
 
 @dataclass(frozen=True)
@@ -135,31 +123,12 @@ class Product:
                 "at most one warped factor is allowed: the curvature minima "
                 "only add exactly when a single factor varies")
 
-    def _profile(self):
-        self._check()
-        parts = [realize(f) for f in self.factors]
-        profile = make_profile(*_product_fields(parts))
-        if any(p.eigenvalues is None for p in parts):
-            return profile
-        return replace(profile, eigenvalues=tuple(sorted(
-            e for p in parts for e in p.eigenvalues)))
-
-
-def _product_fields(parts):
-    """n, scalar, kappa0 and |Ric|^2 of a product of profiles or profile
-    columns: sums from int 0 and the first least kappa0, in factor order."""
-    kappa0 = parts[0].kappa0
-    for p in parts[1:]:
-        kappa0 = np.where(p.kappa0 < kappa0, p.kappa0, kappa0)
-    return (sum(p.n for p in parts), sum(p.scalar for p in parts), kappa0,
-            sum(p.ric_norm_sq_min for p in parts))
-
 
 ManifoldSpec = Union[Einstein, Surface, Sphere, Warped, Product]
 
 # JSON key (the lower-case class name) -> dataclass: the one place that
 # defines a spec kind. Its fields are its JSON fields (int or float); its
-# _profile method gives its curvature.
+# _rules and _columns give its curvature.
 SPEC_KINDS = {cls.__name__.lower(): cls
               for cls in (Product, Einstein, Surface, Sphere, Warped)}
 _KIND_OF = {cls: kind for kind, cls in SPEC_KINDS.items()}
@@ -179,47 +148,68 @@ def leaves(spec):
     return [leaf for factor in spec.factors for leaf in leaves(factor)]
 
 
+@np.errstate(all="ignore")
+def _block(spec, check, vary=None):
+    """(profile, flagged, spectrum) of a spec tree over a block of rows.
+
+    vary = (cls, name, values) sets float field `name` of the `cls` leaf
+    to a column of values; every other float field is a block of one.
+    check, profile.flag or profile.enforce, runs a leaf's rules, whose
+    broken rows reach its _columns as NaN, then the profile rules on its
+    columns; a product runs its factors in order, then the profile rules
+    on their merge. spectrum lists (eigenvalue, count) pairs if every
+    leaf lists its eigenvalues, else it is None.
+    """
+    if _kind(spec) == "product":
+        spec._check()
+        parts, flags, spectra = zip(*(_block(f, check, vary) for f in spec.factors))
+        # sums from int 0, and the first least kappa0
+        kappa0 = parts[0].kappa0
+        for p in parts[1:]:
+            kappa0 = np.where(p.kappa0 < kappa0, p.kappa0, kappa0)
+        profile, flagged = profile_columns(
+            sum(p.n for p in parts), sum(p.scalar for p in parts), kappa0,
+            sum(p.ric_norm_sq_min for p in parts), check)
+        spectrum = None if None in spectra else sum(spectra, ())
+        return profile, reduce(or_, flags, flagged), spectrum
+    values = {f.name: getattr(spec, f.name) if f.type == "int"
+              else np.array([getattr(spec, f.name)]) for f in fields(spec)}
+    if vary is not None and isinstance(spec, vary[0]):
+        values[vary[1]] = vary[2]
+    flagged = check(spec._rules, values)
+    *columns, spectrum = spec._columns(**{
+        key: np.where(flagged, np.nan, value) if isinstance(value, np.ndarray)
+        else value for key, value in values.items()})
+    profile, bad = profile_columns(*columns, check)
+    return profile, flagged | bad, spectrum
+
+
+def _eigenvalues(spectrum):
+    """The sorted eigenvalue list of a block of one's (eigenvalue, count)."""
+    return tuple(sorted(e for value, count in spectrum
+                        for e in repeat(value.item(), count)))
+
+
 def realize(spec):
-    """Produce the RicciProfile of a spec, in the EXACT_RTOL class;
-    raises on invalid parameters."""
-    _kind(spec)
-    return spec._profile()
-
-
-def _column_plan(spec, cls, name):
-    """values -> (profile, flagged) of one spec node. Nodes without the
-    varied leaf are realized here, once; a product flags a row where it
-    or any factor does."""
-    if isinstance(spec, cls):
-        return lambda values: spec._columns(name, values)
-    if not any(isinstance(leaf, cls) for leaf in leaves(spec)):
-        profile = realize(spec)
-        return lambda values: (profile, False)
-    plans = [_column_plan(f, cls, name) for f in spec.factors]
-
-    def product(values):
-        parts, flags = zip(*(plan(values) for plan in plans))
-        profile, flagged = make_profile_columns(*_product_fields(parts))
-        for flag in flags:
-            flagged = flagged | flag
-        return profile, flagged
-    return product
+    """The RicciProfile of a spec, with Python numbers in its fields;
+    raises the first rule that its parameters break."""
+    profile, _, spectrum = _block(spec, enforce)
+    profile = row_of_one(profile)
+    if spectrum is None:
+        return profile
+    return replace(profile, eigenvalues=_eigenvalues(spectrum))
 
 
 def realize_columns(spec, cls, name):
     """realize over a family: values -> (profile, flagged).
 
-    The family sets field `name` of the one `cls` leaf of spec, and
-    realize must accept one of its members. The profile's number fields
-    are arrays; flagged marks the rows where realize raises, and every
-    other row equals realize's profile bit for bit.
+    The family sets float field `name` of the one `cls` leaf of spec,
+    and realize must accept one of its members. The profile's number
+    fields are arrays; flagged marks the rows where realize raises, and
+    every other row equals realize's profile bit for bit.
     """
-    plan = _column_plan(spec, cls, name)
-
-    def block(values):
-        with np.errstate(all="ignore"):
-            return plan(np.asarray(values, dtype=float))
-    return block
+    return lambda values: _block(
+        spec, flag, (cls, name, np.asarray(values, dtype=float)))[:2]
 
 
 # --- registry of worked examples -------------------------------------------

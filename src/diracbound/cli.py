@@ -11,9 +11,12 @@ trip; tables round to 6 decimals for reading.
 time, and writes each block to a temporary file as it is done; the file
 is moved onto --out, or copied to stdout, only when every row is, so a
 sweep that fails leaves no output and memory does not grow with --steps.
-Why a row fails is decided by realize and the report functions alone,
-on the first row and on the first flagged row of each block; a row the
-column code flags but they accept is a fault of the column code.
+A block and a single row run the same rule tables (see catalog and
+profile): realize_columns flags the rows that break a rule, and realize,
+on a block of one, raises the first rule that the row breaks. So the
+message of a failing sweep comes from realize and the report functions,
+run on the first row and on the first flagged row of each block; a row
+that the columns flag and that they accept is an internal fault.
 
 Exit codes: 0 success, 1 input or validation error, 2 no bound with
 any information (every method inapplicable or vacuous), 3 identity

@@ -31,7 +31,7 @@ import numpy.random  # loaded with the module, not inside the first batch
 from .errors import DimensionError, NotSymmetric, ParameterRange, ShapeError
 
 MAX_DIM = 8                     # matrix size caps at 2^4 = 16
-BATCH_BYTES = 2**30             # caps trials as if a batch held them all
+MAX_TRIALS = 10**6              # bounds the run time; memory does not grow with trials
 CHUNK = 256                     # trials drawn and contracted together
 PRUNE_RTOL = 1e-6               # slack on the singular value bounds
 SYMMETRY_ATOL = 1e-14
@@ -253,20 +253,17 @@ def run_identity_batch(n, trials, seed):
     largest singular value from np.linalg.svd, maximized over the
     trials exactly; cheap bounds spare svd every matrix that cannot hold
     the maximum (see _PrunedMax). trials < 1, a negative seed and more
-    trials than a BATCH_BYTES budget allows raise ParameterRange before
-    any stream is spawned.
+    than MAX_TRIALS trials raise ParameterRange before any stream is
+    spawned.
     """
     rep = build_rep(n)
     if trials < 1:
         raise ParameterRange(f"trials must be positive, got {trials}")
     if seed < 0:
         raise ParameterRange(f"seed must be non-negative, got {seed}")
-    # the cap of a batch that held every trial at once: bytes per trial
-    # of S, T and Y, the widest contraction and the stream
-    limit = BATCH_BYTES // (8 * (n**3 + 3 * n * n + n) + 16 * n * 4 ** (n // 2) + 1024)
-    if trials > limit:
-        raise ParameterRange(f"trials must be at most {limit} at n = {n} (the "
-                             f"batch budget is {BATCH_BYTES >> 20} MiB), got {trials}")
+    if trials > MAX_TRIALS:
+        raise ParameterRange(f"trials must be at most {MAX_TRIALS}, which bounds "
+                             f"the run time, got {trials}")
     products = _products(rep)
     root = np.random.SeedSequence(seed)
     worst = [_PrunedMax() for _ in range(3)]

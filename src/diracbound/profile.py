@@ -8,26 +8,27 @@ points; no joint attainment is assumed, so any data satisfying the
 pointwise inequalities is accepted. An optional eigenvalue list covers
 the parallel-Ricci case where the spectrum is constant.
 
-make_profile_columns is the array form of make_profile for a block of
-rows that share n, as a sweep produces them: a RicciProfile whose
-number fields are arrays, and a mask of the rows that make_profile
-rejects. It does not say why a row fails; make_profile on that row does.
+Each validity rule is one row of an ordered table (PROFILE_RULES here,
+the leaf ranges in catalog). profile_columns computes a profile over a
+block of rows that share n and runs the table through `flag`, which
+marks the rows that break a rule, or `enforce`, which on a block of one
+raises the first rule broken. make_profile is the block of one; the
+eigenvalue list of a profile document is then checked in scalar code.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import repeat
 
 import numpy as np
 
 from .errors import DimensionError, InconsistentProfile
 
-# Consistency tolerance classes (relative): closed-form inputs must be
-# exact to float round-off; integrated inputs get the looser class.
+# relative slack of every consistency relation: the data is exact to round-off
 EXACT_RTOL = 1e-12
-ODE_RTOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class RicciProfile:
     """Validated curvature summary; build through make_profile.
 
     traceless_norm_sq_min is min |Ric - (R/n) Id|^2, derived from the
-    other fields by make_profile. make_profile_columns builds one for a
-    block of rows, with arrays in the number fields.
+    other fields. profile_columns builds one for a block of rows, with
+    arrays in the number fields.
     """
 
     n: int
@@ -45,11 +46,54 @@ class RicciProfile:
     ric_norm_sq_min: float
     traceless_norm_sq_min: float
     eigenvalues: tuple[float, ...] | None = None
-    rtol: float = EXACT_RTOL
 
 
-def _slack(rtol, *values):
-    return rtol * max(1.0, *(abs(v) for v in values))
+# A rule table is an ordered tuple of rows (fails, error, message):
+# fails(columns) marks the rows of a block that break the rule, and such
+# a row raises error(message), formatted with the row's values.
+
+def flag(rules, columns):
+    """Column form of a rule table: the mask of rows that break any rule."""
+    flagged = False
+    for fails, _, _ in rules:
+        flagged = flagged | fails(columns)
+    return flagged
+
+
+def enforce(rules, columns):
+    """Scalar form of a rule table, on a block of one: raise the first rule
+    that the row breaks; otherwise flag nothing."""
+    for fails, error, message in rules:
+        if np.asarray(fails(columns)).any():
+            raise error(message.format_map({
+                key: value.item() if isinstance(value, np.ndarray) else value
+                for key, value in columns.items()}))
+    return False
+
+
+def _slack(*values):
+    """EXACT_RTOL * max(1, |value|, ...), elementwise."""
+    return EXACT_RTOL * reduce(np.maximum, map(np.abs, values), 1.0)
+
+
+def _finite(name):
+    return (lambda c: ~np.isfinite(c[name]), InconsistentProfile,
+            f"profile field '{name}' must be finite, got {{{name}}}")
+
+
+# in the order a block of one checks them, as make_profile always has
+PROFILE_RULES = (
+    (lambda c: c["n"] < 2, DimensionError, "profile dimension must be >= 2, got n={n}"),
+    _finite("scalar"), _finite("kappa0"), _finite("ric_norm_sq_min"),
+    (lambda c: c["kappa0"] > c["mean"] + _slack(c["kappa0"], c["mean"]),
+     InconsistentProfile, "kappa0 = {kappa0} exceeds scalar/n = {mean}: the "
+     "smallest Ricci eigenvalue cannot lie above the mean"),
+    (lambda c: ~np.isfinite(c["square"]), InconsistentProfile,
+     "profile field 'scalar' = {scalar} is too large: its square overflows"),
+    (lambda c: c["ric_norm_sq_min"] < c["cs"] - _slack(c["ric_norm_sq_min"], c["cs"]),
+     InconsistentProfile, "ric_norm_sq_min = {ric_norm_sq_min} is below "
+     "scalar^2/n = {cs} (Cauchy-Schwarz)"),
+)
 
 
 def pow2(x):
@@ -77,105 +121,68 @@ def _pow2_or_inf(x):
         return math.inf
 
 
-def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None, *,
-                 ode_derived=False):
+@np.errstate(all="ignore")
+def profile_columns(n, scalar, kappa0, ric_norm_sq_min, check=flag):
+    """(profile, flagged) of a block of rows that share n: a RicciProfile
+    whose number fields are arrays, and check(PROFILE_RULES, ...), which
+    is the mask of rows that break a rule under `flag` and raises the
+    first broken rule under `enforce`."""
+    scalar, kappa0, ric = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (scalar, kappa0, ric_norm_sq_min)))
+    square = pow2(scalar)
+    flagged = check(PROFILE_RULES, {
+        "n": n, "scalar": scalar, "kappa0": kappa0, "ric_norm_sq_min": ric,
+        "mean": scalar / n, "square": square, "cs": scalar * scalar / n})
+    # tiny negatives can only come from the Cauchy-Schwarz slack, and
+    # round-off negatives of the traceless part (Einstein data) are
+    # clamped to 0; the rules bound how negative they can be
+    ric = np.where(ric < 0.0, 0.0, ric)
+    gap = ric - square / n
+    traceless = np.where(0.0 > gap, 0.0, gap)
+    return RicciProfile(n, scalar, kappa0, ric, traceless), flagged
+
+
+def row_of_one(profile):
+    """A profile over a block of one row, with Python numbers in its fields."""
+    return RicciProfile(int(profile.n), profile.scalar.item(), profile.kappa0.item(),
+                        profile.ric_norm_sq_min.item(),
+                        profile.traceless_norm_sq_min.item(), profile.eigenvalues)
+
+
+def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None):
     """Validate curvature data and return a RicciProfile.
 
     Rejection is total: a NaN or infinite value, or any relation
-    violated by more than the tolerance class, raises
-    InconsistentProfile naming the field or the relation. Pass
-    ode_derived=True for data coming out of a numerical integration,
-    which relaxes the consistency tolerance from 1e-12 to 1e-6.
+    violated by more than EXACT_RTOL relative, raises InconsistentProfile
+    naming the field or the relation (PROFILE_RULES, then the checks of
+    the eigenvalue list against the other fields).
     """
-    n = int(n)
-    if n < 2:
-        raise DimensionError(f"profile dimension must be >= 2, got n={n}")
-    scalar = float(scalar)
-    kappa0 = float(kappa0)
-    ric_norm_sq_min = float(ric_norm_sq_min)
-    for name, value in (("scalar", scalar), ("kappa0", kappa0),
-                        ("ric_norm_sq_min", ric_norm_sq_min)):
-        if not math.isfinite(value):
-            raise InconsistentProfile(f"profile field '{name}' must be finite, got {value}")
-    rtol = ODE_RTOL if ode_derived else EXACT_RTOL
-
-    mean = scalar / n
-    if kappa0 > mean + _slack(rtol, kappa0, mean):
+    profile = row_of_one(profile_columns(
+        int(n), *([float(v)] for v in (scalar, kappa0, ric_norm_sq_min)),
+        enforce)[0])
+    if eigenvalues is None:
+        return profile
+    n, scalar, kappa0 = profile.n, profile.scalar, profile.kappa0
+    eigs = tuple(sorted(float(e) for e in eigenvalues))
+    if not all(map(math.isfinite, eigs)):
         raise InconsistentProfile(
-            f"kappa0 = {kappa0} exceeds scalar/n = {mean}: the smallest "
-            "Ricci eigenvalue cannot lie above the mean")
-    try:
-        square = scalar**2
-    except OverflowError:
+            f"profile field 'eigenvalues' must be finite, got {list(eigs)}")
+    if len(eigs) != n:
         raise InconsistentProfile(
-            f"profile field 'scalar' = {scalar} is too large: its square "
-            "overflows") from None
-    cs = scalar * scalar / n
-    if ric_norm_sq_min < cs - _slack(rtol, ric_norm_sq_min, cs):
+            f"eigenvalues has length {len(eigs)}, expected n = {n}")
+    total = math.fsum(eigs)
+    if abs(total - scalar) > _slack(total, scalar):
         raise InconsistentProfile(
-            f"ric_norm_sq_min = {ric_norm_sq_min} is below scalar^2/n = {cs} "
-            "(Cauchy-Schwarz)")
-    if ric_norm_sq_min < 0.0:
-        # tiny negatives can only come from the slack above
-        ric_norm_sq_min = 0.0
-
-    eigs = None
-    if eigenvalues is not None:
-        eigs = tuple(sorted(float(e) for e in eigenvalues))
-        if not all(map(math.isfinite, eigs)):
-            raise InconsistentProfile(
-                f"profile field 'eigenvalues' must be finite, got {list(eigs)}")
-        if len(eigs) != n:
-            raise InconsistentProfile(
-                f"eigenvalues has length {len(eigs)}, expected n = {n}")
-        total = math.fsum(eigs)
-        if abs(total - scalar) > _slack(rtol, total, scalar):
-            raise InconsistentProfile(
-                f"sum(eigenvalues) = {total} does not match scalar = {scalar}")
-        if abs(eigs[0] - kappa0) > _slack(rtol, eigs[0], kappa0):
-            raise InconsistentProfile(
-                f"min(eigenvalues) = {eigs[0]} does not match kappa0 = {kappa0}")
-        sq = math.fsum(e * e for e in eigs)
-        if abs(sq - ric_norm_sq_min) > _slack(rtol, sq, ric_norm_sq_min):
-            raise InconsistentProfile(
-                f"sum of squared eigenvalues = {sq} does not match "
-                f"ric_norm_sq_min = {ric_norm_sq_min}")
-
-    # round-off negatives (Einstein data) are clamped to 0; the checks
-    # above already bound how negative the difference can be
-    traceless = max(ric_norm_sq_min - square / n, 0.0)
-    return RicciProfile(n, scalar, kappa0, ric_norm_sq_min, traceless, eigs, rtol)
-
-
-# --- array form --------------------------------------------------------------
-
-def make_profile_columns(n, scalar, kappa0, ric_norm_sq_min):
-    """Array form of make_profile, without eigenvalues, on a block of rows
-    that share n: (profile, flagged), a RicciProfile whose number fields
-    are arrays and the mask of rows make_profile rejects.
-
-    Every check is make_profile's as an elementwise expression with the
-    same rounding, so unflagged rows are bit-identical to make_profile's.
-    """
-    n = int(n)
-    rtol = EXACT_RTOL
-    scalar, kappa0, ric = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (scalar, kappa0, ric_norm_sq_min)))
-    with np.errstate(all="ignore"):
-        flagged = ~(np.isfinite(scalar) & np.isfinite(kappa0) & np.isfinite(ric))
-        flagged |= n < 2
-        mean = scalar / n
-        flagged |= kappa0 > mean + rtol * np.maximum(
-            np.maximum(1.0, np.abs(kappa0)), np.abs(mean))
-        square = pow2(scalar)
-        flagged |= ~np.isfinite(square)
-        cs = scalar * scalar / n
-        flagged |= ric < cs - rtol * np.maximum(np.maximum(1.0, np.abs(ric)),
-                                                np.abs(cs))
-        ric = np.where(ric < 0.0, 0.0, ric)
-        gap = ric - square / n
-        traceless = np.where(0.0 > gap, 0.0, gap)
-    return RicciProfile(n, scalar, kappa0, ric, traceless, None, rtol), flagged
+            f"sum(eigenvalues) = {total} does not match scalar = {scalar}")
+    if abs(eigs[0] - kappa0) > _slack(eigs[0], kappa0):
+        raise InconsistentProfile(
+            f"min(eigenvalues) = {eigs[0]} does not match kappa0 = {kappa0}")
+    sq = math.fsum(e * e for e in eigs)
+    if abs(sq - profile.ric_norm_sq_min) > _slack(sq, profile.ric_norm_sq_min):
+        raise InconsistentProfile(
+            f"sum of squared eigenvalues = {sq} does not match "
+            f"ric_norm_sq_min = {profile.ric_norm_sq_min}")
+    return replace(profile, eigenvalues=eigs)
 
 
 # --- JSON field mapping ----------------------------------------------------
@@ -190,7 +197,7 @@ def profile_to_dict(profile):
     return d
 
 
-def profile_from_dict(data, *, ode_derived=False):
+def profile_from_dict(data):
     """Build a profile from parsed JSON; errors name the offending field."""
     if not isinstance(data, dict):
         raise ValueError("profile document must be a JSON object")
@@ -212,4 +219,4 @@ def profile_from_dict(data, *, ode_derived=False):
     if unknown:
         raise ValueError(f"unknown profile field '{sorted(unknown)[0]}'")
     return make_profile(data["n"], data["scalar"], data["kappa0"],
-                        data["ric_norm_sq_min"], eigs, ode_derived=ode_derived)
+                        data["ric_norm_sq_min"], eigs)

@@ -5,6 +5,13 @@ tree and evaluates the closed forms in Python floats, as the sweep did
 before it computed columns; only the mini-max column calls the library
 (optimize_minimax, a block of one). Where that per-row run raises, the
 oracle reports the exception and the row's parameter value.
+
+The rows are realized by reference_realize, not by the library's
+realize: the library runs its rule tables on a block of one, the same
+code as its column path, so it could not check that path. The reference
+writes every validity rule and leaf range as its own float statement,
+in the library's order, and only the warped factor's closed-form minima
+come from the library (warp_extremals).
 """
 
 from __future__ import annotations
@@ -14,11 +21,124 @@ from dataclasses import replace
 
 import numpy as np
 
-from diracbound import Product, optimize_minimax, realize
+from diracbound import (Einstein, Product, RicciProfile, Sphere, Surface, Warped,
+                        optimize_minimax, warp_extremals)
+from diracbound.catalog import leaves
 from diracbound.cli import SWEEP_COLUMNS, SWEEP_PARAMS
-from diracbound.errors import CrossCheckFailed, DimensionError
+from diracbound.errors import (CompositionError, CrossCheckFailed, DimensionError,
+                               InconsistentProfile, ParameterRange)
+from diracbound.warp import WARP_SCALAR
 
 DEGENERATE_A_ATOL = 1e-14
+EXACT_RTOL = 1e-12
+MAX_EINSTEIN_DIM = 10**6
+
+
+# --- Python-float reference of make_profile and realize ----------------------
+
+def _slack(*values):
+    return EXACT_RTOL * max(1.0, *(abs(v) for v in values))
+
+
+def reference_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None):
+    """make_profile, one Python float at a time."""
+    n = int(n)
+    if n < 2:
+        raise DimensionError(f"profile dimension must be >= 2, got n={n}")
+    scalar, kappa0, ric = float(scalar), float(kappa0), float(ric_norm_sq_min)
+    for name, value in (("scalar", scalar), ("kappa0", kappa0),
+                        ("ric_norm_sq_min", ric)):
+        if not math.isfinite(value):
+            raise InconsistentProfile(f"profile field '{name}' must be finite, got {value}")
+    mean = scalar / n
+    if kappa0 > mean + _slack(kappa0, mean):
+        raise InconsistentProfile(
+            f"kappa0 = {kappa0} exceeds scalar/n = {mean}: the smallest "
+            "Ricci eigenvalue cannot lie above the mean")
+    try:
+        square = scalar**2
+    except OverflowError:
+        raise InconsistentProfile(
+            f"profile field 'scalar' = {scalar} is too large: its square "
+            "overflows") from None
+    cs = scalar * scalar / n
+    if ric < cs - _slack(ric, cs):
+        raise InconsistentProfile(
+            f"ric_norm_sq_min = {ric} is below scalar^2/n = {cs} (Cauchy-Schwarz)")
+    if ric < 0.0:
+        ric = 0.0
+    eigs = None
+    if eigenvalues is not None:
+        eigs = tuple(sorted(float(e) for e in eigenvalues))
+        if not all(map(math.isfinite, eigs)):
+            raise InconsistentProfile(
+                f"profile field 'eigenvalues' must be finite, got {list(eigs)}")
+        if len(eigs) != n:
+            raise InconsistentProfile(
+                f"eigenvalues has length {len(eigs)}, expected n = {n}")
+        total = math.fsum(eigs)
+        if abs(total - scalar) > _slack(total, scalar):
+            raise InconsistentProfile(
+                f"sum(eigenvalues) = {total} does not match scalar = {scalar}")
+        if abs(eigs[0] - kappa0) > _slack(eigs[0], kappa0):
+            raise InconsistentProfile(
+                f"min(eigenvalues) = {eigs[0]} does not match kappa0 = {kappa0}")
+        sq = math.fsum(e * e for e in eigs)
+        if abs(sq - ric) > _slack(sq, ric):
+            raise InconsistentProfile(
+                f"sum of squared eigenvalues = {sq} does not match "
+                f"ric_norm_sq_min = {ric}")
+    traceless = max(ric - square / n, 0.0)
+    return RicciProfile(n, scalar, kappa0, ric, traceless, eigs)
+
+
+def _reference_einstein(n, scalar):
+    mean = scalar / n
+    return replace(reference_profile(n, scalar, mean, scalar * mean),
+                   eigenvalues=(mean,) * n)
+
+
+def reference_realize(spec):
+    """realize, one leaf and one Python float at a time."""
+    if isinstance(spec, Einstein):
+        if spec.n > MAX_EINSTEIN_DIM:
+            raise ParameterRange(f"einstein field 'n' must be at most "
+                                 f"{MAX_EINSTEIN_DIM}, got {spec.n}")
+        return _reference_einstein(spec.n, spec.scalar)
+    if isinstance(spec, Surface):
+        return _reference_einstein(2, spec.scalar)
+    if isinstance(spec, Sphere):
+        if not 1e-75 <= spec.radius <= 1e75:
+            raise ParameterRange(
+                f"sphere radius must lie in [1e-75, 1e75], got {spec.radius}")
+        return _reference_einstein(2, 2.0 / spec.radius**2)
+    if isinstance(spec, Warped):
+        if spec.n != 5:
+            raise DimensionError(
+                f"warped curvature data exists for n = 5 only, got n = {spec.n}")
+        if not 0.0 < spec.f0 <= 1.0:
+            raise ParameterRange(f"warped f0 must lie in (0, 1], got {spec.f0}")
+        ext = warp_extremals(5, spec.f0)
+        return reference_profile(5, WARP_SCALAR, ext.kappa0, ext.ric_norm_sq_min)
+    if len(spec.factors) < 2:
+        raise CompositionError("a product needs at least two factors")
+    if sum(isinstance(leaf, Warped) for leaf in leaves(spec)) > 1:
+        raise CompositionError(
+            "at most one warped factor is allowed: the curvature minima "
+            "only add exactly when a single factor varies")
+    parts = [reference_realize(f) for f in spec.factors]
+    kappa0 = parts[0].kappa0
+    for p in parts[1:]:
+        kappa0 = p.kappa0 if p.kappa0 < kappa0 else kappa0
+    profile = reference_profile(sum(p.n for p in parts), sum(p.scalar for p in parts),
+                                kappa0, sum(p.ric_norm_sq_min for p in parts))
+    if any(p.eigenvalues is None for p in parts):
+        return profile
+    return replace(profile, eigenvalues=tuple(sorted(
+        e for p in parts for e in p.eigenvalues)))
+
+
+# --- the row-by-row sweep -----------------------------------------------------
 
 
 def with_param(spec, cls, name, value):
@@ -87,7 +207,7 @@ def oracle_sweep(spec, param, start, stop, steps, selected=SWEEP_COLUMNS,
     lines = ["param," + ",".join(SWEEP_COLUMNS) + ",best"]
     for value in np.linspace(start, stop, steps).tolist():
         try:
-            profile = realize(with_param(spec, cls, name, value))
+            profile = reference_realize(with_param(spec, cls, name, value))
             cells = {}
             if "friedrich" in selected:
                 cells["friedrich"] = friedrich(profile)
@@ -106,3 +226,17 @@ def oracle_sweep(spec, param, start, stop, steps, selected=SWEEP_COLUMNS,
         row.append(_fmt17(max(cells.values())) if cells else "")
         lines.append(",".join(row))
     return "\n".join(lines) + "\n", None, None
+
+
+def outcome(build, *args):
+    """('profile', (type, value) of every number, eigenvalues listed or not)
+    of build(*args), floats by their hex form so that -0.0 and 0.0 differ,
+    or (exception class, message) of what it raises."""
+    try:
+        p = build(*args)
+    except Exception as exc:  # noqa: BLE001 (compared with the library's)
+        return type(exc), str(exc)
+    numbers = (p.n, p.scalar, p.kappa0, p.ric_norm_sq_min,
+               p.traceless_norm_sq_min, *(p.eigenvalues or ()))
+    return ("profile", [(type(x), x.hex() if type(x) is float else x) for x in numbers],
+            p.eigenvalues is None)

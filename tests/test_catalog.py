@@ -4,7 +4,7 @@ import json
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracbound import (EXAMPLES, CompositionError, DimensionError, Einstein,
@@ -12,7 +12,7 @@ from diracbound import (EXAMPLES, CompositionError, DimensionError, Einstein,
                         UnknownExample, Warped, named_example, realize,
                         spec_from_dict, spec_to_dict)
 from diracbound import catalog
-from diracbound.profile import EXACT_RTOL
+from sweep_oracle import outcome, reference_realize
 
 
 def test_einstein_factor():
@@ -62,7 +62,6 @@ def test_warped_profile():
     assert p.kappa0 == pytest.approx(-8.4953175, abs=1e-6)
     assert p.ric_norm_sq_min == pytest.approx(2.0489334, abs=1e-6)
     assert p.eigenvalues is None
-    assert p.rtol == EXACT_RTOL  # the minima are closed forms, exact to round-off
 
 
 def test_large_einstein_factor(monkeypatch):
@@ -73,7 +72,7 @@ def test_large_einstein_factor(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the eigenvalue tuple must not be built")
 
-    monkeypatch.setattr(catalog, "_einstein_profile", forbidden)
+    monkeypatch.setattr(catalog, "_eigenvalues", forbidden)
     for n in (catalog.MAX_EINSTEIN_DIM + 1, 10**12):
         with pytest.raises(ParameterRange, match="einstein field 'n'"):
             realize(Einstein(n, 1.0))
@@ -90,7 +89,6 @@ def test_warped_gates():
 def test_product_with_warped_is_exact_class():
     p = realize(named_example("m7-sigma"))
     assert p.n == 7
-    assert p.rtol == EXACT_RTOL
     assert p.eigenvalues is None  # one factor has no pinned spectrum
 
 
@@ -174,12 +172,37 @@ def test_spec_tree_round_trips_and_validates(schema_validator, spec, warped):
     schema_validator("manifold_spec.v1", doc)
     assert spec_from_dict(doc) == spec
     assert spec_from_dict(json.loads(json.dumps(doc))) == spec
-    # the warped minima are closed forms: the exact class holds in any product
+    # the warped minima are closed forms, exact in any product
     others = [leaf for leaf in catalog.leaves(spec)
               if not isinstance(leaf, Warped) and _moderate(leaf)]
     # every f0 in (0, 1] realizes, also where V(f0) underflows to 0
     tree = Product((*others, warped)) if others else warped
-    assert realize(tree).rtol == EXACT_RTOL
+    assert realize(tree).n == 5 + sum(getattr(leaf, "n", 2) for leaf in others)
+
+
+# leaves that break a range, and products of one factor; an Einstein
+# factor of n <= 0 is left out, where the reference divides by zero
+_BAD_LEAVES = st.one_of(
+    st.builds(Einstein, st.sampled_from([1, 10**6 + 1, 10**12]), _FINITE),
+    st.builds(Sphere, st.sampled_from([1e-76, math.nextafter(1e-75, 0.0), 1e-75, 1e75,
+                                       math.nextafter(1e75, math.inf), 0.0, -1.0,
+                                       math.inf, math.nan])),
+    st.builds(Warped, st.sampled_from([4, 5, 6]),
+              st.sampled_from([0.0, -0.5, 5e-324, 1.0, math.nextafter(1.0, 2.0),
+                               math.nan])),
+)
+_ANY_SPECS = st.recursive(
+    _LEAVES | _BAD_LEAVES,
+    lambda factors: st.lists(factors, min_size=1, max_size=4).map(
+        lambda items: Product(tuple(items))),
+    max_leaves=12)
+
+
+@settings(max_examples=300)
+@given(_SPECS | _ANY_SPECS)
+def test_realize_matches_float_reference(spec):
+    # the same profile, bit for bit, or the same exception and message
+    assert outcome(realize, spec) == outcome(reference_realize, spec)
 
 
 def test_product_whose_scalars_cancel_realizes():

@@ -166,14 +166,17 @@ def test_batch_trials_capped_before_allocating(monkeypatch):
 
     monkeypatch.setattr(np.random, "SeedSequence", Unspawnable)
     monkeypatch.setattr(np, "empty", no_empty)
-    with pytest.raises(ParameterRange, match="1024 MiB") as refused:
+    with pytest.raises(ParameterRange, match="bounds the run time") as refused:
         run_identity_batch(8, 10**18, 0)
-    limit = int(re.search(r"at most (\d+) at n = 8 ", str(refused.value)).group(1))
-    assert 10 * 2000 <= limit  # a 2000-trial batch at n = 8 stays far inside
-    with pytest.raises(ParameterRange, match=f"at most {limit} "):
-        run_identity_batch(8, limit + 1, 0)
-    with pytest.raises(AssertionError, match="streams spawned"):
-        run_identity_batch(8, limit, 0)  # the largest batch passes the cap
+    limit = int(re.search(r"at most (\d+),", str(refused.value)).group(1))
+    # every count the old per-n memory caps accepted (27191 at n = 8 up
+    # to 808540 at n = 2) stays accepted
+    assert limit == clifford.MAX_TRIALS >= 808540
+    for n in (2, 8):
+        with pytest.raises(ParameterRange, match=f"at most {limit}, "):
+            run_identity_batch(n, limit + 1, 0)
+        with pytest.raises(AssertionError, match="streams spawned"):
+            run_identity_batch(n, limit, 0)  # the largest batch passes the cap
 
 
 def test_batch_residuals_small_every_dimension():

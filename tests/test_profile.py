@@ -1,20 +1,23 @@
 """Validation and bookkeeping of curvature profiles."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_spectrum_profile, spectrum_profile
 from diracbound import (DimensionError, InconsistentProfile, make_profile,
                         profile_from_dict, profile_to_dict)
-from diracbound.profile import EXACT_RTOL, ODE_RTOL, pow2
+from diracbound.profile import pow2
+from sweep_oracle import EXACT_RTOL, outcome, reference_profile
 
 
 def test_round_product_profile():
     p = make_profile(4, 2.0, 0.0, 2.0, (0.0, 1.0, 0.0, 1.0))
     assert p.eigenvalues == (0.0, 0.0, 1.0, 1.0)  # stored sorted
-    assert p.rtol == EXACT_RTOL
 
 
 def test_dimension_gate():
@@ -69,14 +72,6 @@ def test_non_finite_fields_are_named(fields, name):
         make_profile(4, *fields)
 
 
-def test_ode_tolerance_class():
-    # 1e-9 slip: fatal for closed-form data, fine for integrated data
-    with pytest.raises(InconsistentProfile):
-        make_profile(4, 2.0, 0.0, 2.0 + 1e-9, (0, 0, 1, 1))
-    p = make_profile(4, 2.0, 0.0, 2.0 + 1e-9, (0, 0, 1, 1), ode_derived=True)
-    assert p.rtol == ODE_RTOL
-
-
 def test_traceless_identity():
     rng = np.random.default_rng(11)
     for _ in range(200):
@@ -96,10 +91,10 @@ def test_dict_round_trip():
     p = make_profile(4, 2.0, 0.0, 2.0, (0, 0, 1, 1))
     q = profile_from_dict(profile_to_dict(p))
     assert q == p
-    bare = make_profile(5, 3.2, -8.5, 7.1, ode_derived=True)
+    bare = make_profile(5, 3.2, -8.5, 7.1)
     d = profile_to_dict(bare)
     assert "eigenvalues" not in d
-    assert profile_from_dict(d, ode_derived=True) == bare
+    assert profile_from_dict(d) == bare
 
 
 @pytest.mark.parametrize("doc,pattern", [
@@ -129,3 +124,60 @@ def _square_or_inf(x):
         return x**2
     except OverflowError:
         return math.inf
+
+
+# --- make_profile against the Python-float reference ------------------------
+
+_SQRT_MAX = math.sqrt(sys.float_info.max)   # 1.34e154: squares past it overflow
+_ULPS = st.integers(-3, 3)
+
+
+def _shift(x, ulps):
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, math.copysign(math.inf, ulps))
+    return x
+
+
+@st.composite
+def _near(draw, value):
+    """Any float, value itself, or a few ulps either side of an edge of the
+    slack around it, value +- EXACT_RTOL * max(1, |value|)."""
+    choice = draw(st.sampled_from(["value", "edge", "edge", "any"]))
+    if choice == "any" or not math.isfinite(value):
+        return draw(st.floats())
+    if choice == "value":
+        return value
+    edge = value + draw(st.sampled_from([-1, 1])) * EXACT_RTOL * max(1.0, abs(value))
+    return _shift(edge, draw(_ULPS))
+
+
+_SCALARS = (st.floats() | st.floats(-1e3, 1e3)
+            | st.builds(lambda sign, ulps: sign * _shift(_SQRT_MAX, ulps),
+                        st.sampled_from([-1.0, 1.0]), _ULPS)
+            | st.builds(lambda sign, x: sign * x, st.sampled_from([-1.0, 1.0]),
+                        st.floats(1.3e154, 1.4e154)))
+
+
+@st.composite
+def _profile_fields(draw):
+    """(n, scalar, kappa0, ric_norm_sq_min, eigenvalues) about every rule's edge:
+    the sums of an eigenvalue list, or a scalar with its mean and R^2/n."""
+    if draw(st.booleans()):
+        eigs = draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=9))
+        n = len(eigs) + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        fields = (math.fsum(eigs), min(eigs), math.fsum(e * e for e in eigs))
+        if draw(st.sampled_from([False] * 4 + [True])):
+            eigs[draw(st.integers(0, len(eigs) - 1))] = draw(st.sampled_from(
+                [math.nan, math.inf, -math.inf]))
+        return (n, *(draw(_near(x)) for x in fields), eigs)
+    n = draw(st.sampled_from([*range(2, 10)] * 2 + [0, 1]))
+    scalar = draw(_SCALARS)
+    kappa0 = draw(_near(scalar / max(n, 1)))
+    ric = draw(_near(scalar * scalar / max(n, 1)) | st.sampled_from([-1e-15, -0.0]))
+    return n, scalar, kappa0, ric, None
+
+
+@settings(max_examples=400)
+@given(_profile_fields())
+def test_make_profile_matches_float_reference(fields):
+    assert outcome(make_profile, *fields) == outcome(reference_profile, *fields)
