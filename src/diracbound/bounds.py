@@ -23,6 +23,13 @@ The closed forms are written once, as elementwise expressions over a
 block of rows (friedrich_block, kaehler_block, theorem31_block); the
 report functions take a profile as a block of one. Squares go through
 profile.pow2, so a row's values equal what Python floats give.
+
+The mini-max bound is the best over t in [0, 1/2] of the larger root r(t)
+of G(x, t) = x^2 + p(t) x + q(t). G is convex in t (its t^2 coefficient
+is n t0 / (n - 1) >= 0), and above the vertex -p(t)/2, r(t) >= x exactly
+where G(x, t) <= 0; -p is linear in t, so above F = max(-p0/2, -(p0 +
+drop)/2, 0) every superlevel set of r is an interval. That holds for the
+kernel's computed row constants too: optimize_minimax_block uses it.
 """
 
 from __future__ import annotations
@@ -46,8 +53,11 @@ MINIMAX_GRID = 256
 # points per refinement round; odd, so the centre is the current best t
 MINIMAX_REFINE = 65
 MINIMAX_T_TOL = 1e-10
-# rows per mini-max kernel call: bounds the (rows, grid) work arrays
+# rows per full-grid kernel call: bounds the (rows, grid) work arrays
 MINIMAX_BLOCK = 64
+# fewer rows take the full grid: the windows' fixed cost exceeds their gain
+MINIMAX_WINDOW_MIN = 96
+_SEARCH_ROWS = 1024   # rows per certified search: bounds its work arrays
 
 
 class Method(str, enum.Enum):
@@ -219,26 +229,36 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
     """theorem31_bound on a block of rows of dimension n: Theorem31Columns.
 
     Rows whose size max(|R|, |kappa0|, sqrt(t0)) lies outside [2^-250,
-    2^250] are scaled by a power of two, so A^2 cannot overflow; A is
-    tested unscaled. Rows inside keep their bytes: pow2 is not exact
-    under scaling.
+    2^250] are scaled by a power of two near max(|R|, sqrt(t0), sqrt(|R
+    kappa0|), 2^-1000 |kappa0|), about sqrt(A), and A^2 is divided out,
+    so no term leaves the float range; A is tested unscaled. Rows inside
+    keep their bytes: pow2 is not exact under scaling.
     """
     R, kappa0, t0 = (np.asarray(x, dtype=float)
                      for x in (scalar, kappa0, traceless_norm_sq_min))
     with np.errstate(all="ignore"):
         size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
         far = ~((2.0**-250 <= size) & (size <= 2.0**250))
+        size = np.maximum(np.maximum(np.abs(R), np.sqrt(t0)), np.maximum(
+            np.sqrt(np.abs(R)) * np.sqrt(np.abs(kappa0)), np.abs(kappa0) * 2.0**-1000))
         scale = np.where(far, np.ldexp(1.0, np.frexp(size)[1] - 1), 1.0)
         R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
         condition = _condition_19(n, R, kappa0, t0)
         a, b, c, A = _shortcut_columns(n, R, kappa0, t0)
         unscaled_A = A * scale * scale
         applicable = condition & ~(unscaled_A < DEGENERATE_A_ATOL)
-        c2 = pow2(c)
-        root = np.sqrt(_first_max(pow2(a) * c2 + A * (A - 2.0 * a * b), 0.0))
+        c2, d = pow2(c), A - 2.0 * a * b
+        root = np.sqrt(_first_max(pow2(a) * c2 + A * d, 0.0))
         value = pow2(A) / (b * A - a * c2 + c * root) * scale
-        s0 = (A - 2.0 * a * b) / (a * c2 + c * root)
+        s0 = d / (a * c2 + c * root)
         f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c2 * pow2(s0)) * scale
+        if np.any(far):   # A divided out of value and s0, s0 out of f(s0)
+            ratio = a * c / A
+            root = np.sqrt(_first_max(ratio * ratio + d / A, 0.0))
+            value = np.where(far, A * scale / (b - a * c2 / A + c * root), value)
+            s0 = np.where(far, d / A / (a * c2 / A + c * root), s0)
+            f_s0 = np.where(far, 2.0 * (a / s0 + A) * scale
+                            / (1.0 / s0 + 2.0 * b + c2 * s0), f_s0)
         s0 = s0 / scale
         failed = applicable & ~_closed_forms_agree(value, f_s0)
     value, s0, f_s0 = (np.where(applicable, x, np.nan) for x in (value, s0, f_s0))
@@ -315,35 +335,28 @@ def zero_scalar_bound(profile):
 
 # --- mini-max principle ----------------------------------------------------
 
-def _minimax_root(n, R, kappa0, t0):
-    """t -> larger root of the mini-max quadratic, clamped at +0.
-
-    Arguments broadcast: per-row columns of shape (rows, 1) against t
-    of shape (rows, k) or (1, k). Every operation is elementwise and
-    correctly rounded, so a row's values do not depend on the others.
-    Each row is scaled by a power of two near its curvature size, so p^2
-    cannot underflow; the scaling is exact, so it changes no value that
-    did not underflow.
-    """
+def _constants(n, R, kappa0, t0):
+    """Per-row constants (scale, nn, drop, p0, R/4, t0) of the kernel, in
+    units of a power of two near the row's size, so p^2 cannot underflow."""
     size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
     scale = np.ldexp(1.0, np.frexp(size)[1])
     R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
     nn = n / (n - 1.0)
-    drop = nn * (R / n - kappa0)
-    p0 = -n * R / (4.0 * (n - 1))
-    quarter_R = R / 4.0
+    return scale, nn, nn * (R / n - kappa0), -n * R / (4.0 * (n - 1)), R / 4.0, t0
 
-    def root(t):
-        u = 2.0 * t * drop
-        p = p0 + u
-        q = nn * (t * t - t / 2.0) * t0 - u * quarter_R
-        disc = p * p - 4.0 * q
-        # |p| + s never cancels: (-p + s) / 2 for p <= 0, -2q / (p + s) else
-        ps = np.abs(p) + np.sqrt(np.maximum(disc, 0.0))
-        x = np.divide(-2.0 * q, ps, out=ps / 2.0, where=p > 0.0)
-        return np.where((disc >= 0.0) & (x > 0.0), x, 0.0) * scale
 
-    return root
+def _root(k, t):
+    """Larger root of the mini-max quadratic at t, clamped at +0; t of shape
+    (rows, w) or (w,). Elementwise, so rows do not depend on each other."""
+    scale, nn, drop, p0, quarter_R, t0 = k
+    u = 2.0 * t * drop
+    p = p0 + u
+    q = nn * (t * t - t / 2.0) * t0 - u * quarter_R
+    disc = p * p - 4.0 * q
+    # |p| + s never cancels: (-p + s) / 2 for p <= 0, -2q / (p + s) else
+    ps = np.abs(p) + np.sqrt(np.maximum(disc, 0.0))
+    x = np.divide(-2.0 * q, ps, out=ps / 2.0, where=p > 0.0)
+    return np.where((disc >= 0.0) & (x > 0.0), x, 0.0) * scale
 
 
 def minimax_bound_at_t(profile, t):
@@ -366,52 +379,146 @@ def minimax_bound_at_t(profile, t):
         raise ParameterRange(f"t must lie in [0, 1/2], got {t}")
     if t == 0.0:
         return float(friedrich_block(profile.n, profile.scalar))
-    root = _minimax_root(profile.n, profile.scalar, profile.kappa0,
-                         profile.traceless_norm_sq_min)
-    return float(root(np.full((1, 1), t))[0, 0])
+    k = _constants(profile.n, profile.scalar, profile.kappa0, profile.traceless_norm_sq_min)
+    return float(_root(k, np.full((1, 1), t))[0, 0])
 
 
 _GRID = np.linspace(0.0, 0.5, MINIMAX_GRID)
 _OFFSETS = np.arange(-(MINIMAX_REFINE // 2), MINIMAX_REFINE // 2 + 1, dtype=float)
+_MID = MINIMAX_REFINE // 2     # the column of the best t in a refinement grid
+# the coarse grid (None), then refinement steps while the last was above MINIMAX_T_TOL
+_ROUNDS = [None] + [_GRID[1] / _MID**i for i in range(1, 64)
+                    if _GRID[1] / _MID**(i - 1) > MINIMAX_T_TOL]
+_WINDOW = np.arange(5)
+_EPS, _ETA, _TINY = 2.0**-53, 2.0**-20, 2.0**-300
 
 
-def _maximize(root, at_zero):
-    """Grid search, then nested grids around the best t; see optimize_minimax_block.
+def _round(k, at_zero, t_star, value, step, lo=None):
+    """One round on the coarse grid (step None; at t = 0 it takes at_zero,
+    Friedrich's value, which the kernel loses where the scaled p0^2
+    underflows) or the refinement grid of step about t_star, whole or per
+    row the window from column lo: (t_star, value, ts, vals, t_star's column)."""
+    first = 0 if lo is None else lo
+    cols = slice(None) if lo is None else lo[:, None] + _WINDOW
+    ts = _GRID[cols] if step is None else np.minimum(np.maximum(
+        t_star[:, None] + step * _OFFSETS[cols], 0.0), 0.5)
+    vals = _root(k, ts)
+    if step is None:
+        vals[:, 0] = np.where(first == 0, at_zero, vals[:, 0])
+    r, j = np.arange(len(vals)), vals.argmax(axis=1)
+    best = vals[r, j]
+    t_best = ts[r, j] if ts.ndim == 2 else ts[j]
+    better = True if step is None else best > value   # ties keep the earlier
+    return (np.where(better, t_best, t_star), np.where(better, best, value),
+            ts, vals, np.where(better, j, _MID - first))
 
-    at_zero is each row's exact value at t = 0, where the kernel can lose
-    it: when |R| is tiny beside the row's curvature scale, the scaled p0^2
-    underflows and the root comes out as |p0| / 2.
-    """
-    vals = root(_GRID)
-    vals[:, 0] = at_zero  # _GRID[0] is t = 0
-    i = np.argmax(vals, axis=1)
-    idx = np.arange(len(i))
-    t_star, value = _GRID[i], vals[idx, i]
-    step = _GRID[1]
-    while step > MINIMAX_T_TOL:
-        step /= MINIMAX_REFINE // 2
-        ts = np.clip(t_star[:, None] + step * _OFFSETS, 0.0, 0.5)
-        vals = root(ts)
-        j = np.argmax(vals, axis=1)
-        # ties keep the earlier best; keeps t_star = 0 on flat profiles
-        better = vals[idx, j] > value
-        t_star = np.where(better, ts[idx, j], t_star)
-        value = np.where(better, vals[idx, j], value)
-    return value, t_star
+
+def _vertex(vals, at, half):
+    """Vertex of the parabola through column at of vals and its neighbours, in
+    units of their spacing / (2 half), rounded; 0 if undefined or beyond _MID."""
+    r, last = np.arange(len(at)), vals.shape[1] - 1
+    vl, v0, vr = (vals[r, np.minimum(np.maximum(at + d, 0), last)] for d in (-1, 0, 1))
+    off = half * (vl - vr) / (vl - 2.0 * v0 + vr)
+    return np.rint(np.where(np.abs(off) <= _MID, off, 0.0)).astype(int)
+
+
+def _full_grid(k, at_zero, t_star, value, rounds):
+    """(value, t_star) after whole-grid rounds, MINIMAX_BLOCK rows at a time."""
+    out_v, out_t = np.empty(len(at_zero)), np.empty(len(at_zero))
+    for lo in range(0, len(at_zero), MINIMAX_BLOCK):
+        b = slice(lo, lo + MINIMAX_BLOCK)
+        kb, t, v = tuple(c[b] for c in k), t_star[b], value[b]
+        for step in rounds:
+            t, v = _round(kb, at_zero[b], t, v, step)[:2]
+        out_v[b], out_t[b] = v, t
+    return out_v, out_t
+
+
+@np.errstate(all="ignore")
+def _search(cols):
+    """optimize_minimax_block on one chunk of rows."""
+    k = _constants(*(c[:, None] for c in cols))
+    at_zero = friedrich_block(cols[0], cols[1])
+    rows = len(at_zero)
+    t_star, value = np.zeros(rows), np.zeros(rows)
+    if rows < MINIMAX_WINDOW_MIN:
+        return _full_grid(k, at_zero, t_star, value, _ROUNDS)
+    scale, nn, drop, p0, quarter_R, t0 = (c[:, 0] for c in k)
+    P, Q = np.abs(p0) + np.abs(drop), nn * t0 / 8.0 + np.abs(drop * quarter_R)
+    terms = np.abs(np.stack((p0, drop, quarter_R, t0)))
+    normal = np.all((terms == 0.0) | (terms >= _TINY), axis=0)
+    # per row: scale, p_min, e_p, e_q and e_d (NaN where a term can underflow)
+    bound = np.stack((scale, np.minimum(p0, p0 + drop), _EPS * (P + np.abs(drop)),
+                      3.0 * _EPS * Q, np.where(normal, _EPS * (6 * P * P + 16 * Q), np.nan)))
+    vals = _root(k, _GRID[::15])   # 18 points, both ends
+    vals[:, 0] = at_zero
+    cols = np.clip(15 * vals.argmax(axis=1)[:, None] + np.arange(-15, 16, 3),
+                   0, MINIMAX_GRID - 1)
+    vals = np.where(cols == 0, at_zero[:, None], _root(k, _GRID[cols]))
+    j = vals.argmax(axis=1)
+    lo = cols[np.arange(rows), j] + _vertex(vals, j, 1.5) - 2
+    out_v, out_t, act = np.empty(rows), np.empty(rows), np.arange(rows)   # act: still windowed
+    for n_round, step in enumerate(_ROUNDS):
+        last = MINIMAX_GRID - 1 if step is None else MINIMAX_REFINE - 1
+        if step is not None:
+            lo = _MID - 2 + np.where((t_star == 0.0) | (t_star == 0.5), 0, shift)
+        lo = np.minimum(np.maximum(lo, 0), last - 4)
+        t, v, ts, vals, at = _round(k, at_zero, t_star, value, step, lo)
+        scale, p_min, e_p, e_q, e_d = bound
+        L = v / scale * (1.0 - _ETA)
+        S, Lp = 2.0 * L + p_min, L + np.maximum(p_min, 0.0)
+        delta = 2.0 * (e_q / (L * Lp) + (e_p + e_d / (2.0 * S)) / (2.0 * Lp) + 3.0 * _EPS)
+        witness = v * (1.0 - 2.0 * delta)   # M - 2E
+        ok = ((S > 0.0) & (L >= _TINY) & (v >= 2.0**-1000) & (e_d < _ETA * S * S)
+              & (delta < _ETA / 4.0) & (at >= 0) & (at <= 4)
+              & ((ts[:, 0] == 0.0) | (lo == 0) | (vals[:, 0] < witness))
+              & ((ts[:, 4] == 0.5) | (lo == last - 4) | (vals[:, 4] < witness)))
+        shift = _vertex(vals, at, _MID / 2.0)
+        if not ok.all():
+            bad = ~ok
+            kb = tuple(c[bad] for c in k)
+            if step is None:   # the whole coarse grid; later rounds try windows
+                v[bad], t[bad] = _full_grid(kb, at_zero[bad], t[bad], v[bad], [None])
+                shift[bad] = 0
+            else:              # the whole grid from this round on
+                out_v[act[bad]], out_t[act[bad]] = _full_grid(
+                    kb, at_zero[bad], t_star[bad], value[bad], _ROUNDS[n_round:])
+                act, at_zero, t, v, shift = (x[ok] for x in (act, at_zero, t, v, shift))
+                k, bound = tuple(c[ok] for c in k), bound[:, ok]
+        t_star, value = t, v
+    out_v[act], out_t[act] = value, t_star
+    return out_v, out_t
 
 
 def optimize_minimax_block(n, scalar, kappa0, traceless_norm_sq_min):
     """Maximize the mini-max bound over t in [0, 1/2] for a block of rows.
 
     Takes equal-length arrays of n, R, kappa0 and min |Ric - R/n|^2 and
-    returns the arrays (value, t_star). Each row is searched on a grid of
-    MINIMAX_GRID points; then, for a fixed number of rounds, on a grid of
-    MINIMAX_REFINE points spanning one step either side of the best t so
-    far, until the step is at most MINIMAX_T_TOL. The first grid contains
-    t = 0, where the Friedrich value itself is taken, so no value falls
-    below the Friedrich bound. Rows go through the kernel MINIMAX_BLOCK
-    at a time, and a row's result does not depend on the block it lands
-    in.
+    returns the arrays (value, t_star) of a grid search: MINIMAX_GRID
+    points, then rounds of MINIMAX_REFINE points spanning one step either
+    side of the best t so far, until the step is at most MINIMAX_T_TOL.
+    Ties keep the earlier point. At t = 0 the Friedrich value itself is
+    taken, so no value falls below it.
+
+    A round evaluates only 5 points when it proves the whole grid picks
+    the same one. With M the best value so far and r the exact root (see
+    above), |computed - r| <= E = delta M, one bound per row wherever
+    either is about M, from first-order bounds of each operation (eps =
+    2^-53, safety factor 2), p >= p_min = min(p0, p0 + drop), s >= 2M +
+    p_min and |q| >= M (p + s)/2. If M - 2E > F and each end of the window
+    is computed below M - 2E (strictly, as argmax keeps the first of equal
+    values), is the grid's end or a clipped copy of t = 0 or 1/2, no
+    skipped j is computed >= M: r(j) and r(best) would be >= M - E, so r
+    at the end between them, which would be computed >= M - 2E.
+
+    Windows are centred on the vertex of the parabola through the best
+    point and its neighbours: of an 18-point subgrid, then of every third
+    point near its best, in the coarse round; of the last round later, or
+    on t* at 0 or 1/2. A row left unproved takes that round's whole grid,
+    MINIMAX_BLOCK rows at a time, and after a refinement round every later
+    one (its values are flat within rounding). So do rows with M <= F or
+    a scaled term that can underflow, and blocks of fewer than
+    MINIMAX_WINDOW_MIN rows.
     """
     cols = [np.asarray(a, dtype=float).reshape(-1)
             for a in (n, scalar, kappa0, traceless_norm_sq_min)]
@@ -419,23 +526,16 @@ def optimize_minimax_block(n, scalar, kappa0, traceless_norm_sq_min):
     if any(len(c) != rows for c in cols):
         raise ShapeError(f"row arrays differ in length: {[len(c) for c in cols]}")
     value, t_star = np.empty(rows), np.empty(rows)
-    for lo in range(0, rows, MINIMAX_BLOCK):
-        block = slice(lo, lo + MINIMAX_BLOCK)
-        root = _minimax_root(*(c[block, None] for c in cols))
-        at_zero = friedrich_block(cols[0][block], cols[1][block])
-        value[block], t_star[block] = _maximize(root, at_zero)
+    for lo in range(0, rows, _SEARCH_ROWS):
+        chunk = slice(lo, lo + _SEARCH_ROWS)
+        value[chunk], t_star[chunk] = _search([c[chunk] for c in cols])
     return value, t_star
 
 
 def optimize_minimax(profile):
-    """Maximize minimax_bound_at_t over t in [0, 1/2].
-
-    optimize_minimax_block on a block of one: a coarse grid of
-    MINIMAX_GRID points, then a fixed number of nested grids of
-    MINIMAX_REFINE points around the best t until the step is at most
-    MINIMAX_T_TOL. Ties keep the earlier point, so t_star = 0 on flat
-    (Einstein) profiles. The grid contains t = 0, so the result never
-    falls below the Friedrich value.
+    """Maximize minimax_bound_at_t over t in [0, 1/2]: optimize_minimax_block
+    on a block of one, which takes the whole grid. t_star = 0 on flat
+    (Einstein) profiles, and the value never falls below Friedrich's.
     """
     value, t_star = optimize_minimax_block(
         profile.n, profile.scalar, profile.kappa0, profile.traceless_norm_sq_min)
@@ -464,6 +564,6 @@ def best_bound(profile, complex_dim=None):
     reports.append(optimize_minimax(profile))
 
     best = max(r.value for r in reports if r.applicable)
-    margin = 1e-9 * max(1.0, abs(best))
+    margin = 1e-9 * abs(best)
     winner = next(r for r in reports if r.applicable and r.value >= best - margin)
     return replace(winner, subreports=tuple(reports))

@@ -177,8 +177,12 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None):
     if abs(eigs[0] - kappa0) > _slack(eigs[0], kappa0):
         raise InconsistentProfile(
             f"min(eigenvalues) = {eigs[0]} does not match kappa0 = {kappa0}")
-    sq = math.fsum(e * e for e in eigs)
-    if abs(sq - profile.ric_norm_sq_min) > _slack(sq, profile.ric_norm_sq_min):
+    try:
+        sq = math.fsum(e * e for e in eigs)
+    except OverflowError:   # the exact sum is beyond the float range
+        sq = math.inf
+    if not (sq < math.inf
+            and abs(sq - profile.ric_norm_sq_min) <= _slack(sq, profile.ric_norm_sq_min)):
         raise InconsistentProfile(
             f"sum of squared eigenvalues = {sq} does not match "
             f"ric_norm_sq_min = {profile.ric_norm_sq_min}")

@@ -83,8 +83,11 @@ def reference_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None):
         if abs(eigs[0] - kappa0) > _slack(eigs[0], kappa0):
             raise InconsistentProfile(
                 f"min(eigenvalues) = {eigs[0]} does not match kappa0 = {kappa0}")
-        sq = math.fsum(e * e for e in eigs)
-        if abs(sq - ric) > _slack(sq, ric):
+        try:
+            sq = math.fsum(e * e for e in eigs)
+        except OverflowError:
+            sq = math.inf
+        if not (sq < math.inf and abs(sq - ric) <= _slack(sq, ric)):
             raise InconsistentProfile(
                 f"sum of squared eigenvalues = {sq} does not match "
                 f"ric_norm_sq_min = {ric}")
@@ -168,13 +171,17 @@ def theorem31(p):
     """theorem 3.1's value, or None where it does not apply.
 
     A row whose size max(|R|, |kappa0|, sqrt(t0)) lies outside
-    [2^-250, 2^250] is computed scaled by a power of two near its size,
-    so A^2 cannot overflow; A is tested unscaled.
+    [2^-250, 2^250] is far: it is computed scaled by a power of two near
+    max(|R|, sqrt(t0), sqrt(|R kappa0|), 2^-1000 |kappa0|), with A divided
+    out of value and s0 and s0 divided out of f(s0); A is tested unscaled.
     """
     n, R, kappa0, t0 = p.n, p.scalar, p.kappa0, p.traceless_norm_sq_min
     size = max(abs(R), abs(kappa0), math.sqrt(t0))
+    far = not 2.0**-250 <= size <= 2.0**250
     scale = 1.0
-    if not 2.0**-250 <= size <= 2.0**250:
+    if far:
+        size = max(abs(R), math.sqrt(t0), math.sqrt(abs(R)) * math.sqrt(abs(kappa0)),
+                   abs(kappa0) * 2.0**-1000)
         scale = math.ldexp(1.0, math.frexp(size)[1] - 1)
     R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
     if not t0 > (R / n - kappa0) * max(R / (n - 1), -R):
@@ -186,10 +193,17 @@ def theorem31(p):
     A = csq / 4.0 + 2.0 * (n - 1.0) / n * a * b
     if A * scale * scale < DEGENERATE_A_ATOL:
         return None
-    root = math.sqrt(max(a**2 * c**2 + A * (A - 2.0 * a * b), 0.0))
-    value = A**2 / (b * A - a * c**2 + c * root) * scale
-    s0 = (A - 2.0 * a * b) / (a * c**2 + c * root)
-    f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c**2 * s0**2) * scale
+    if far:
+        ratio = a * c / A
+        root = math.sqrt(max(ratio * ratio + (A - 2.0 * a * b) / A, 0.0))
+        value = A * scale / (b - a * c**2 / A + c * root)
+        s0 = (A - 2.0 * a * b) / A / (a * c**2 / A + c * root)
+        f_s0 = 2.0 * (a / s0 + A) * scale / (1.0 / s0 + 2.0 * b + c**2 * s0)
+    else:
+        root = math.sqrt(max(a**2 * c**2 + A * (A - 2.0 * a * b), 0.0))
+        value = A**2 / (b * A - a * c**2 + c * root)
+        s0 = (A - 2.0 * a * b) / (a * c**2 + c * root)
+        f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c**2 * s0**2)
     if not (math.isfinite(value) and math.isclose(value, f_s0, rel_tol=1e-9)):
         raise CrossCheckFailed(f"closed form {value} vs f(s0) {f_s0}")
     return value

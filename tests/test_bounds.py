@@ -4,13 +4,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spectrum_profile, spectra, spectrum_profile
 from diracbound import (DimensionError, Method, ParameterRange, Product,
                         RicciFlat, ScalarSignError, ShapeError, Surface,
-                        Warped, best_bound, bounds,
+                        Warped, best_bound, bounds, cli,
                         condition_19, corollary32_bound, friedrich_bound,
                         harmonic_spinor_excluded, improvement_condition,
                         kaehler_bound, make_profile, minimax_bound_at_t,
@@ -247,8 +247,8 @@ def test_minimax_block_rejects_ragged_rows():
 
 @given(spectra, st.floats(0.0, 0.5))
 def test_minimax_at_t_is_the_kernel(p, t):
-    root = bounds._minimax_root(p.n, p.scalar, p.kappa0, p.traceless_norm_sq_min)
-    kernel = root(np.array([[0.0, t, 0.5]]))[0, 1]
+    k = bounds._constants(p.n, p.scalar, p.kappa0, p.traceless_norm_sq_min)
+    kernel = bounds._root(k, np.array([[0.0, t, 0.5]]))[0, 1]
     assert minimax_bound_at_t(p, t) == kernel
 
 
@@ -272,6 +272,133 @@ def test_minimax_keeps_friedrich_floor_when_kappa0_dwarfs_scalar():
     assert r.value >= friedrich
     value, _ = _block([p, T2XS2])
     assert value[0] == r.value
+
+
+# --- the certified search against the full-grid kernel it replaced ---------
+
+def _full_grid_reference(n, R, kappa0, t0):
+    """optimize_minimax_block before the certified search: every row on
+    all 256 coarse points, then on all 65 points of each refinement round."""
+    n, R, kappa0, t0 = (np.asarray(c, dtype=float)[:, None] for c in (n, R, kappa0, t0))
+    size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
+    scale = np.ldexp(1.0, np.frexp(size)[1])
+    at_zero = bounds.friedrich_block(n[:, 0], R[:, 0])
+    R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
+    nn = n / (n - 1.0)
+    drop = nn * (R / n - kappa0)
+    p0 = -n * R / (4.0 * (n - 1))
+
+    def root(t):
+        u = 2.0 * t * drop
+        p = p0 + u
+        q = nn * (t * t - t / 2.0) * t0 - u * (R / 4.0)
+        disc = p * p - 4.0 * q
+        ps = np.abs(p) + np.sqrt(np.maximum(disc, 0.0))
+        x = np.divide(-2.0 * q, ps, out=ps / 2.0, where=p > 0.0)
+        return np.where((disc >= 0.0) & (x > 0.0), x, 0.0) * scale
+
+    grid = np.linspace(0.0, 0.5, 256)
+    vals = root(grid)
+    vals[:, 0] = at_zero
+    i = np.argmax(vals, axis=1)
+    idx = np.arange(len(i))
+    t_star, value = grid[i], vals[idx, i]
+    step = grid[1]
+    while step > 1e-10:
+        step /= 32
+        ts = np.clip(t_star[:, None] + step * np.arange(-32.0, 33.0), 0.0, 0.5)
+        vals = root(ts)
+        j = np.argmax(vals, axis=1)
+        better = vals[idx, j] > value
+        t_star = np.where(better, ts[idx, j], t_star)
+        value = np.where(better, vals[idx, j], value)
+    return value, t_star
+
+
+def _row(p):
+    return p.n, p.scalar, p.kappa0, p.traceless_norm_sq_min
+
+
+def _scaled_row(p, e):
+    return p.n, math.ldexp(p.scalar, e), math.ldexp(p.kappa0, e), math.ldexp(
+        p.traceless_norm_sq_min, 2 * e)
+
+
+# kappa0 far below R: the scaled p0^2 underflows and t = 0 takes the
+# Friedrich value, which the kernel's root misses
+_DWARFED = _row(realize(Product((Surface(1.0), Warped(5, 1e-250)))))
+_rows = st.one_of(
+    spectra.map(_row),
+    st.builds(_scaled_row, spectra, st.sampled_from([-500, 500])),
+    st.builds(lambda n, x: _row(spectrum_profile([x] * n)),   # Einstein
+              st.integers(2, 8), st.floats(-10.0, 10.0)),
+    spectra.map(lambda p: (p.n, -abs(p.scalar), min(p.kappa0, -abs(p.scalar) / p.n),
+                           p.traceless_norm_sq_min)),          # R <= 0
+    st.builds(lambda p, e: (p.n, p.scalar, p.kappa0 - 10.0**e, p.traceless_norm_sq_min),
+              spectra, st.floats(0.0, 300.0)),
+    st.just(_DWARFED),
+    # kappa0 above R/n, which profiles refuse: the root rises to t* = 1/2
+    st.builds(lambda p, d: (p.n, abs(p.scalar), abs(p.scalar) / p.n + d,
+                            p.traceless_norm_sq_min), spectra, st.floats(0.01, 5.0)),
+)
+
+
+@settings(max_examples=400)
+@given(st.lists(_rows, min_size=1, max_size=40), st.sampled_from([1, 7, 64]),
+       st.none() | st.integers(0, 2**32 - 1))
+def test_certified_search_matches_full_grid(rows, block, misplace):
+    cols = [np.array(c, dtype=float) for c in zip(*rows)]
+    expect = _full_grid_reference(*cols)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bounds, "MINIMAX_WINDOW_MIN", 1)   # windows even for short lists
+        mp.setattr(bounds, "MINIMAX_BLOCK", block)
+        if misplace is not None:   # windows off the predicted argmax
+            rng = np.random.default_rng(misplace)
+            mp.setattr(bounds, "_vertex", lambda vals, at, half: rng.integers(-8, 9, len(at)))
+        got = optimize_minimax_block(*cols)
+    # bit for bit, sign of zero included
+    assert [g.tobytes() for g in got] == [e.tobytes() for e in expect]
+
+
+def test_certified_search_evaluates_a_third_of_the_grid(tmp_path, monkeypatch):
+    """The work, not the time: points evaluated per row, over the two
+    2000-row sweeps of the sweep-bounds benchmark and over a block of one."""
+    points = []
+    root = bounds._root
+
+    def counting(k, t):
+        out = root(k, t)
+        points.append(out.size)
+        return out
+
+    monkeypatch.setattr(bounds, "_root", counting)
+    for argv in (["--example", "s2r-x-hyperbolic", "--param", "radius", "--from", "0.52",
+                  "--to", "1.97", "--kaehler-dim", "2"],
+                 ["--example", "m7-sigma", "--param", "surface_scalar", "--from", "-7.8",
+                  "--to", "11.7"]):
+        points.clear()
+        argv = ["sweep", *argv, "--steps", "2000", "--out", str(tmp_path / "s.csv")]
+        assert cli.main(argv) == 0
+        assert sum(points) / 2000 <= 250   # the full grid is 581
+    points.clear()
+    optimize_minimax(T2XS2)
+    assert sum(points) == 256 + 5 * 65
+
+
+@given(st.one_of(spectra, st.builds(
+    lambda p, e: make_profile(p.n, math.ldexp(p.scalar, e), math.ldexp(p.kappa0, e),
+                              math.ldexp(p.ric_norm_sq_min, 2 * e)),
+    spectra, st.sampled_from([-500, 500]))))
+def test_minimax_equals_its_closed_form(p):
+    """Probe 1: the optimum is theorem 3.1 where that applies, else the
+    better end of [0, 1/2]."""
+    r, th = optimize_minimax(p), theorem31_bound(p)
+    assert 0.0 <= r.optimizer.t_star <= 0.5
+    if th.applicable:
+        assert r.value == pytest.approx(th.value, rel=1e-11)
+    else:
+        edge = max(friedrich_bound(p).value, minimax_bound_at_t(p, 0.5))
+        assert r.value == pytest.approx(edge, rel=1e-12)
 
 
 @given(spectra)
@@ -309,6 +436,19 @@ def test_zero_scalar_equals_theorem31_at_zero_scalar(p):
     th = theorem31_bound(q)
     if th.applicable and q.ric_norm_sq_min > 0.0:
         assert zero_scalar_bound(q).value == pytest.approx(th.value, rel=1e-9)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("kappa0", [-1e76, -1e100, -1e160, -1e230, -1e300])
+@pytest.mark.parametrize("ric", [1e-6, 1.0, 1e6, 1e300])
+def test_theorem31_is_zero_scalar_on_far_rows(n, kappa0, ric):
+    # scaled by a power of two near |kappa0|, A^2 underflowed: the closed
+    # form read 0 and f(s0) NaN, and `bound` exited 4
+    p = make_profile(n, 0.0, kappa0, ric)
+    th, zero = theorem31_bound(p), zero_scalar_bound(p)
+    assert th.applicable
+    assert th.value == pytest.approx(zero.value, rel=1e-9)
+    assert th.optimizer.f_s0 == pytest.approx(zero.value, rel=1e-9)
 
 
 def test_theorem31_scales_rows_beyond_2_to_250():

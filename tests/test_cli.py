@@ -92,6 +92,31 @@ def test_bound_non_finite_profile_exits_1(run_cli, tmp_path, literal, name):
     assert "Traceback" not in proc.stderr and proc.stdout == ""
 
 
+def test_bound_far_zero_scalar_profile_exits_0(capsys, tmp_path):
+    # |kappa0| = 1e100 beside |Ric|^2 = 1: theorem31's cross-check read
+    # "closed form 0.0 vs f(s0) nan" and the command exited 4
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"n": 2, "scalar": 0, "kappa0": -1e100,
+                                "ric_norm_sq_min": 1}))
+    assert cli.main(["bound", "--profile", str(path), "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    values = {r["method"]: r["value"] for r in doc["reports"]}
+    assert values["theorem31"] == pytest.approx(values["zero_scalar"], rel=1e-9)
+    assert doc["best"]["value"] == pytest.approx(2.5e-101, rel=1e-9)
+
+
+@pytest.mark.parametrize("eigs", [[1e160, -1e160], [1.3e154, -1.3e154]])
+def test_bound_eigenvalue_squares_beyond_float_range_exit_1(capsys, tmp_path, eigs):
+    # each square overflows, or only their sum does (fsum raised OverflowError)
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps({"n": 2, "scalar": 0, "kappa0": min(eigs),
+                                "ric_norm_sq_min": 1, "eigenvalues": eigs}))
+    assert cli.main(["bound", "--profile", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "sum of squared eigenvalues = inf does not match" in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("ode", "--f0", "0.5", "--out", "{tmp}/t.csv"),
     ("bound", "--example", "m7-sigma"),
