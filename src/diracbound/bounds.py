@@ -337,9 +337,10 @@ def zero_scalar_bound(profile):
 
 def _constants(n, R, kappa0, t0):
     """Per-row constants (scale, nn, drop, p0, R/4, t0) of the kernel, in
-    units of a power of two near the row's size, so p^2 cannot underflow."""
+    units of a power of two near the row's size, so p^2 cannot underflow.
+    The exponent stops at 1023, where 2^1024 would overflow to inf."""
     size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
-    scale = np.ldexp(1.0, np.frexp(size)[1])
+    scale = np.ldexp(1.0, np.minimum(np.frexp(size)[1], 1023))
     R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
     nn = n / (n - 1.0)
     return scale, nn, nn * (R / n - kappa0), -n * R / (4.0 * (n - 1)), R / 4.0, t0

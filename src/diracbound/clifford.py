@@ -13,11 +13,11 @@ tensor behind v_k = T(k, Y, .) is totally symmetric. Residuals are
 operator norms (largest singular value).
 
 run_identity_batch streams its trials in chunks of CHUNK: one draw per
-trial from its own spawned stream, one matmul of the chunk's
-coefficients against the exact products g_k g_l, and rigorous bounds
-on every residual's norm, so that svd runs only on the few matrices
-that can hold the batch maximum. Memory does not grow with the number
-of trials, and the summary does not depend on how the batch is split.
+trial from its own spawned stream, one real matmul of the chunk's
+coefficients against the exact products g_k g_l, and one-sided bounds
+on each residual's norm, so that svd runs only on the few matrices that
+can raise the running maximum. Memory does not grow with the number of
+trials, and the summary does not depend on how the batch is split.
 """
 
 from __future__ import annotations
@@ -111,14 +111,16 @@ def _opnorms(mats):
 def _contract(products, *coeffs):
     """sum_{k,l} c[k, l] g_k g_l for every matrix c of each stack.
 
-    All the stacks go through one matmul, and callers pass at least two
-    matrices in all: numpy takes gemv for a single row, which rounds
+    All the stacks go through one dgemm: the real coefficient rows times
+    the products viewed as (re, im) float pairs, with the complex product's
+    bits, since each product entry is 0, +-1 or +-i. Callers pass at least
+    two matrices in all: numpy takes gemv for a single row, which rounds
     differently, while with two rows or more gemm sums each row alike
     whatever else shares the call.
     """
     d = math.isqrt(products.shape[1])
     rows = [c.reshape(-1, products.shape[0]) for c in coeffs]
-    out = (np.concatenate(rows) @ products).reshape(-1, d, d)
+    out = (np.concatenate(rows) @ products.view(float)).view(complex).reshape(-1, d, d)
     parts = np.split(out, np.cumsum([len(r) for r in rows[:-1]]))
     return [p.reshape(c.shape[:-2] + (d, d)) for p, c in zip(parts, coeffs)]
 
@@ -165,53 +167,51 @@ def verify_lemma15(rep, T, Y):
     return float(_opnorms(swapped - straight))
 
 
-def _opnorm_bounds(mats):
-    """Rigorous (lower, upper) bounds on log sigma, the natural log of the
-    largest singular value, of each matrix of a stack.
-
-    With s the largest entry modulus and M = (A/s)^H (A/s), whose top
-    eigenvalue is (sigma/s)^2, every column of M^8 has norm at most
-    (sigma/s)^16, and the Frobenius norm of M^8 is at least that. So
-    1/32 of the logs of the largest squared column norm and of the
-    squared Frobenius norm, plus log s, bracket log sigma, to within
-    log(d)/32 for d x d matrices. Scaling keeps sigma/s near [1, d], so
-    no power overflows or loses the top eigenvalue to underflow, and
-    logs keep the bounds accurate where s is subnormal; rounding moves
-    either bound by far less than PRUNE_RTOL. A zero matrix gets -inf.
-    """
-    s = np.max(np.abs(mats), axis=(-2, -1))
-    # real and imaginary parts are divided as reals: numpy's complex
-    # division by a subnormal s overflows
-    parts = np.ascontiguousarray(mats).view(float)
-    a = (parts / np.where(s > 0.0, s, 1.0)[:, None, None]).view(complex)
-    m = np.conj(np.swapaxes(a, -1, -2)) @ a
-    for _ in range(3):
-        m = m @ m
-    col = np.sum(m.real**2 + m.imag**2, axis=-2)
-    with np.errstate(divide="ignore"):
-        log_s = np.log(s)
-        return (np.log(np.max(col, axis=-1)) / 32.0 + log_s,
-                np.log(np.sum(col, axis=-1)) / 32.0 + log_s)
-
-
 class _PrunedMax:
     """Largest singular value from np.linalg.svd over stacks of matrices.
 
-    Each stack added raises the floor to its largest lower bound; only
-    the matrices whose upper bound reaches the floor, within PRUNE_RTOL
-    relative either side, go through svd. Any other matrix has a smaller
-    singular value than one already seen, so the running value is the
-    exact maximum over every matrix added, as np.max of svd over all.
+    Each matrix A is scaled by 2^-e, exactly, so that its largest real or
+    imaginary part lies in [1/2, 1): a nonzero A has sigma >= 1/2. The
+    matrix of largest Frobenius norm goes through svd, and its value joins
+    the running value v. The others go on only while their bounds reach
+    (1 - PRUNE_RTOL) v 2^-e: the l2, l4 and l8 norms of A's singular values,
+    ||A||_F, ||M||_F^(1/2) and ||M^2||_F^(1/4) with M = A^H A, one matmul
+    each, which lie between sigma and d^(1/2), d^(1/4), d^(1/8) sigma for
+    d x d matrices. Those that pass all three go through svd; any other
+    has a smaller singular value than one seen already. So the running
+    value is np.max of svd over every matrix added.
+
+    Rounding: in these units no power overflows, and the entries that
+    underflow move a bound by at most d 2^-1075 absolute. Each bound of a
+    nonzero A is at least 1/2 and off by about d^2 eps relative, far below
+    PRUNE_RTOL, which also covers svd's own rounding. v 2^-e is exact, or
+    overflows to inf, which rightly prunes, or is below 2^-1022, under
+    every such bound. Bounds are never scaled back by 2^e, nor norms taken
+    of unscaled parts: both round or underflow on subnormal entries.
     """
 
     def __init__(self):
-        self.floor = -np.inf
         self.value = 0.0
 
+    def _reach(self, bounds, e):
+        with np.errstate(over="ignore"):
+            return bounds >= np.ldexp(self.value * (1.0 - PRUNE_RTOL), -e)
+
     def add(self, mats):
-        lower, upper = _opnorm_bounds(mats)
-        self.floor = max(self.floor, float(np.max(lower)))
-        keep = upper >= self.floor - 2.0 * PRUNE_RTOL
+        x = np.ascontiguousarray(mats).view(float)
+        e = np.frexp(np.max(np.abs(x), axis=(-2, -1)))[1]
+        x = np.ldexp(x, -e[:, None, None])
+        fro = np.sqrt(np.einsum("kij,kij->k", x, x))
+        top = np.argmax(np.ldexp(fro, e - np.max(e)))
+        self.value = max(self.value, float(_opnorms(mats[top:top + 1])[0]))
+        keep = self._reach(fro, e) & (np.arange(len(mats)) != top)
+        x = x[keep].view(complex)
+        for power in (0.25, 0.125):     # sigma's l4, then l8 norm
+            x = np.conj(np.swapaxes(x, -1, -2)) @ x
+            f = x.view(float)
+            passed = self._reach(np.einsum("kij,kij->k", f, f) ** power, e[keep])
+            keep[keep] = passed
+            x = x[passed]
         if keep.any():
             self.value = max(self.value, float(np.max(_opnorms(mats[keep]))))
 

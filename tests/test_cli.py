@@ -105,6 +105,18 @@ def test_bound_far_zero_scalar_profile_exits_0(capsys, tmp_path):
     assert doc["best"]["value"] == pytest.approx(2.5e-101, rel=1e-9)
 
 
+@pytest.mark.parametrize("fmt", [(), ("--json",), ("--csv",)])
+@pytest.mark.parametrize("kappa0", [-1.7e308, -np.finfo(float).max])
+def test_bound_profile_beyond_2_to_1023_prints_no_nan(capsys, tmp_path, kappa0, fmt):
+    # the mini-max kernel scaled such rows by 2^1024 = inf and printed nan
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"n": 2, "scalar": 0, "kappa0": kappa0,
+                                "ric_norm_sq_min": 1}))
+    assert cli.main(["bound", "--profile", str(path), *fmt]) == 0
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out.lower() and captured.err == ""
+
+
 @pytest.mark.parametrize("eigs", [[1e160, -1e160], [1.3e154, -1.3e154]])
 def test_bound_eigenvalue_squares_beyond_float_range_exit_1(capsys, tmp_path, eigs):
     # each square overflows, or only their sum does (fsum raised OverflowError)

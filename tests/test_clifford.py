@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracbound import (DimensionError, NotSymmetric, ParameterRange,
@@ -220,6 +220,25 @@ def test_batch_matches_whole_batch_reference(n):
         assert run_identity_batch(n, trials, seed) == _reference_batch(n, trials, seed)
 
 
+@settings(max_examples=8)
+@given(st.sampled_from([4, 8]), st.integers(64, 300), st.integers(0, 2**32 - 1))
+def test_batch_matches_whole_batch_reference_on_drawn_seeds(n, trials, seed):
+    assert run_identity_batch(n, trials, seed) == _reference_batch(n, trials, seed)
+
+
+def test_batch_sends_few_matrices_to_svd(monkeypatch):
+    sent = []
+
+    def counting(mats):
+        sent.append(len(mats))
+        return np.linalg.svd(mats, compute_uv=False)[..., 0]
+
+    monkeypatch.setattr(clifford, "_opnorms", counting)
+    run_identity_batch(8, 2000, 5)
+    # the bounds, not svd, clear all but a few of the 3 x 2000 residuals
+    assert 3 <= sum(sent) <= 150, sent
+
+
 @pytest.mark.parametrize("n", (5, 8))
 def test_batch_summary_does_not_depend_on_chunk(monkeypatch, n):
     # 300 trials leave a last chunk of 44 at the default size
@@ -233,7 +252,9 @@ def test_batch_summary_does_not_depend_on_chunk(monkeypatch, n):
 def matrix_batches(draw):
     """(matrices, cut points): complex d x d matrices of round-off size
     with all-zero ones, exact and one-ulp ties, one outlier, and rows
-    scaled by 2^e for e up to +-500; cuts split them into chunks."""
+    scaled by 2^e for e up to +-500, into the subnormals (e from -1070,
+    mostly zeros and one-ulp entries, to -1000, subnormal with about 24
+    bits) and near overflow (e = 1000, 1060); cuts split them into chunks."""
     d = draw(st.sampled_from([1, 2, 4, 16]))
     count = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -250,7 +271,8 @@ def matrix_batches(draw):
     if draw(st.booleans()):
         mats[draw(index)] *= 1e3
     if draw(st.booleans()):
-        scales = draw(st.lists(st.sampled_from([-500, -499, -1, 0, 1, 499, 500]),
+        scales = draw(st.lists(st.sampled_from([-1070, -1030, -1000, -500, -499, -1,
+                                                0, 1, 499, 500, 1000, 1060]),
                                min_size=count, max_size=count))
         exps = np.array(scales)[:, None, None]
         mats = np.ldexp(mats.real, exps) + 1j * np.ldexp(mats.imag, exps)
