@@ -22,7 +22,11 @@ factor of n = 1 and of n above MAX_EINSTEIN_DIM, a warped factor of
 n = 6 and of f0 = 0, a sphere radius below 1e-75, and a product of
 valid surfaces whose summed scalar squares past the float range.
 `verify` is recorded in JSON at n = 8 with 2000 and with 10 trials and
-at n = 4 with 200, and in text at n = 7 with 100.
+at n = 4 with 200, and in text at n = 7 with 100, all at one-word
+seeds; then at seeds of several 32-bit words: n = 8 with 257 trials
+(a last chunk of one trial) at 2^32, two words, n = 5 with 300 at
+2^128 + 1, five words, past SeedSequence's four-word pool, and in text
+at n = 6 with 50 at a 40-digit seed.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -133,6 +137,9 @@ VERIFIES = (
     ("--dim", "4", "--trials", "200", "--seed", "42", "--json"),
     ("--dim", "7", "--trials", "100", "--seed", "7"),
     ("--dim", "8", "--trials", "10", "--seed", "7", "--json"),
+    ("--dim", "8", "--trials", "257", "--seed", str(2**32), "--json"),
+    ("--dim", "5", "--trials", "300", "--seed", str(2**128 + 1), "--json"),
+    ("--dim", "6", "--trials", "50", "--seed", "1234567890123456789012345678901234567890"),
 )
 
 
