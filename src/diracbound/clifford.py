@@ -13,16 +13,21 @@ tensor behind v_k = T(k, Y, .) is totally symmetric. Residuals are
 operator norms (largest singular value).
 
 run_identity_batch streams its trials in chunks of CHUNK: one draw per
-trial from its own spawned stream, one real matmul of the chunk's
-coefficients against the exact products g_k g_l, and one-sided bounds
-on each residual's norm, so that svd runs only on the few matrices that
-can raise the running maximum. Memory does not grow with the number of
+trial from its own stream, one real matmul of the chunk's coefficients
+against the exact products g_k g_l, and one-sided bounds on each
+residual's norm, so that svd runs only on the few matrices that can
+raise the running maximum. Memory does not grow with the number of
 trials, and the summary does not depend on how the batch is split.
+Trial i's stream is the PCG64 of the i-th child spawned off
+SeedSequence(seed), but no child is built: _stream_states hashes a whole
+chunk's states out of the parent's pool with numpy's own constants, so
+they, and every draw, equal the spawned children's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +41,11 @@ CHUNK = 256                     # trials drawn and contracted together
 PRUNE_RTOL = 1e-6               # slack on the singular value bounds
 SYMMETRY_ATOL = 1e-14
 SLOT_SYMMETRY_ATOL = 1e-12
+
+# numpy's SeedSequence hash constants and PCG64's LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715       # MIX_MULT_L, MIX_MULT_R
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -82,9 +92,16 @@ def _hermitian_generators(n):
     return gens
 
 
+def _integer(value, name, error):
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def build_rep(n):
     """Generators of the rank-n Clifford algebra, size 2^floor(n/2)."""
-    n = int(n)
+    n = _integer(n, "n", DimensionError)
     if not 2 <= n <= MAX_DIM:
         raise DimensionError(f"representation is built for 2 <= n <= {MAX_DIM}, "
                              f"got n = {n}")
@@ -216,13 +233,43 @@ class _PrunedMax:
             self.value = max(self.value, float(np.max(_opnorms(mats[keep]))))
 
 
-def _chunk_residuals(products, n, streams):
-    """The three residual stacks of one chunk of trials, one per stream."""
-    k = len(streams)
+def _stream_states(pool, seed, lo, k):
+    """PCG64 (state, inc) int pairs of the children lo .. lo+k-1 spawned
+    off SeedSequence(seed), whose pool is pool.
+
+    A child's entropy is the seed, padded to at least 4 uint32 words, then
+    its index, so mix_entropy's last step hashes the index into each word
+    of the parent's pool, its hash constant past 16 + 4 (words - 4) steps.
+    generate_state(4, uint64) follows, then PCG64's two seeding steps. All
+    operands are np.uint32, so the array products wrap mod 2^32.
+    """
+    u32 = np.uint32
+    skip = 16 + 4 * (max(4, (seed.bit_length() + 31) // 32) - 4)
+    hash_a = np.array([_INIT_A * pow(_MULT_A, skip + j, 2**32) % 2**32 for j in range(5)], u32)
+    hash_b = np.array([_INIT_B * pow(_MULT_B, j, 2**32) % 2**32 for j in range(9)], u32)
+    key = (np.arange(lo, lo + k, dtype=u32) ^ hash_a[:4, None]) * hash_a[1:, None]
+    mixed = pool[:, None] * u32(_MIX_L) - (key ^ key >> u32(16)) * u32(_MIX_R)
+    mixed ^= mixed >> u32(16)
+    words = (np.tile(mixed, (2, 1)) ^ hash_b[:8, None]) * hash_b[1:, None]
+    words ^= words >> u32(16)
+    states = []
+    for a, b, c, d in words.T.astype("<u4", order="C").view("<u8").tolist():
+        inc = ((c << 64 | d) << 1 | 1) % 2**128
+        states.append(((((a << 64 | b) + inc) * _PCG_MULT + inc) % 2**128, inc))
+    return states
+
+
+def _chunk_residuals(products, n, states):
+    """The three residual stacks of one chunk of trials, one per PCG64
+    (state, inc)."""
+    k = len(states)
     draws = np.empty((k, n * n + n**3 + n))
-    for row, stream in zip(draws, streams):
+    gen = np.random.Generator(np.random.PCG64(0))
+    for row, (state, inc) in zip(draws, states):
+        gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                                   "state": {"state": state, "inc": inc}}
         # one call draws S, T and Y in the order of three separate calls
-        np.random.Generator(np.random.PCG64(stream)).standard_normal(out=row)
+        gen.standard_normal(out=row)
     S = draws[:, :n * n].reshape(k, n, n)
     S = (S + np.swapaxes(S, 1, 2)) / 2.0
     T = draws[:, n * n:-n].reshape(k, n, n, n)
@@ -244,19 +291,22 @@ def _chunk_residuals(products, n, streams):
 def run_identity_batch(n, trials, seed):
     """Worst-case residuals over random well-formed inputs.
 
-    Trial i draws S, T and Y from its own generator, the i-th child
-    spawned off SeedSequence(seed), so the summary is reproducible.
-    Trials run CHUNK at a time, children spawned chunk by chunk (which
-    gives the same children as one spawn), so memory does not grow with
-    trials, and every matrix is computed alike in any chunk: the summary
-    does not depend on how the batch is split. Each residual is the
-    largest singular value from np.linalg.svd, maximized over the
-    trials exactly; cheap bounds spare svd every matrix that cannot hold
-    the maximum (see _PrunedMax). trials < 1, a negative seed and more
-    than MAX_TRIALS trials raise ParameterRange before any stream is
-    spawned.
+    Trial i draws S, T and Y from the PCG64 of the i-th child spawned
+    off SeedSequence(seed), so the summary is reproducible; its state is
+    derived by _stream_states, equal to the child's. Trials run CHUNK at
+    a time, so memory does not grow with trials, and every matrix is
+    computed alike in any chunk: the summary does not depend on how the
+    batch is split. Each residual is the largest singular value from
+    np.linalg.svd, maximized over the trials exactly; cheap bounds spare
+    svd every matrix that cannot hold the maximum (see _PrunedMax).
+    A non-integer n (ints, bools and numpy integers pass) raises
+    DimensionError, as build_rep does; a non-integer trials or seed,
+    trials < 1, a negative seed and more than MAX_TRIALS trials raise
+    ParameterRange, all before any stream state is derived.
     """
     rep = build_rep(n)
+    trials = _integer(trials, "trials", ParameterRange)
+    seed = _integer(seed, "seed", ParameterRange)
     if trials < 1:
         raise ParameterRange(f"trials must be positive, got {trials}")
     if seed < 0:
@@ -265,10 +315,10 @@ def run_identity_batch(n, trials, seed):
         raise ParameterRange(f"trials must be at most {MAX_TRIALS}, which bounds "
                              f"the run time, got {trials}")
     products = _products(rep)
-    root = np.random.SeedSequence(seed)
+    pool = np.random.SeedSequence(seed).pool
     worst = [_PrunedMax() for _ in range(3)]
     for lo in range(0, trials, CHUNK):
-        streams = root.spawn(min(CHUNK, trials - lo))
-        for acc, mats in zip(worst, _chunk_residuals(products, n, streams)):
+        states = _stream_states(pool, seed, lo, min(CHUNK, trials - lo))
+        for acc, mats in zip(worst, _chunk_residuals(products, rep.n, states)):
             acc.add(mats)
-    return BatchSummary(n, trials, int(seed), *(acc.value for acc in worst))
+    return BatchSummary(rep.n, trials, int(seed), *(acc.value for acc in worst))

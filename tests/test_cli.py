@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
+import contextlib
 import csv
 import importlib.util
 import io
@@ -10,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracbound import bounds, cli
 
@@ -346,6 +349,25 @@ def test_verify_ok(run_cli, schema_validator):
     schema_validator("verify_summary.v1", doc)
     assert doc["ok"] is True
     assert doc["max_residual"] <= 1e-12
+
+
+@settings(max_examples=25)
+@given(st.integers(2, 8), st.integers(1, 300), st.integers(2**32, 2**300),
+       st.one_of(st.floats(1e-17, 1e-11), st.sampled_from([1e-30, 1e-12])))
+def test_verify_json_in_process(schema_validator, dim, trials, seed, tol):
+    argv = ["verify", "--dim", str(dim), "--trials", str(trials),
+            "--seed", str(seed), "--tol", repr(tol), "--json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    doc = json.loads(out.getvalue())
+    schema_validator("verify_summary.v1", doc)
+    assert (doc["n"], doc["trials"], doc["seed"], doc["tolerance"]) == (dim, trials, seed, tol)
+    assert doc["max_residual"] == max(doc["trace_residual_full"],
+                                      doc["trace_residual_traceless"],
+                                      doc["lemma_residual"])
+    assert code in (0, 3)
+    assert (code == 0) == doc["ok"] == (doc["max_residual"] <= tol)
 
 
 def test_verify_text_output(run_cli):

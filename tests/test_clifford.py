@@ -1,11 +1,12 @@
 """Exactness of the representation and the two contraction identities."""
 
+import math
 import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracbound import (DimensionError, NotSymmetric, ParameterRange,
@@ -153,12 +154,41 @@ def test_batch_rejects_bad_input_before_spawning(monkeypatch, trials, seed, name
         run_identity_batch(4, trials, seed)
 
 
+@pytest.mark.parametrize("n, trials, seed, error, name", [
+    (8.5, 10, 3, DimensionError, "n"),     # run_identity_batch checks n in build_rep
+    ("8", 10, 3, DimensionError, "n"),
+    (8, 10, 3.0, ParameterRange, "seed"),
+    (8, 2.5, 3, ParameterRange, "trials"),
+    (8, 10, math.nan, ParameterRange, "seed"),
+    (8, "10", 3, ParameterRange, "trials"),
+    (8, 10, "3", ParameterRange, "seed"),
+])
+def test_batch_rejects_non_integer_arguments(monkeypatch, n, trials, seed, error, name):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("streams spawned")
+
+    monkeypatch.setattr(np.random, "SeedSequence", forbidden)
+    with pytest.raises(error, match=f"^{name} must be an integer, got "):
+        run_identity_batch(n, trials, seed)
+
+
+def test_batch_takes_integer_types():
+    expected = run_identity_batch(4, 20, 1)
+    for n, trials, seed in ((np.int64(4), np.int32(20), np.uint64(1)), (4, 20, True)):
+        got = run_identity_batch(n, trials, seed)
+        assert got == expected and type(got.seed) is int
+
+
 def test_batch_trials_capped_before_allocating(monkeypatch):
     class Unspawnable:
         def __init__(self, seed):
             pass
 
         def spawn(self, count):
+            raise AssertionError("streams spawned")
+
+        @property
+        def pool(self):     # the stream states are derived from the pool
             raise AssertionError("streams spawned")
 
     def no_empty(*args, **kwargs):
@@ -221,9 +251,34 @@ def test_batch_matches_whole_batch_reference(n):
 
 
 @settings(max_examples=8)
-@given(st.sampled_from([4, 8]), st.integers(64, 300), st.integers(0, 2**32 - 1))
+@given(st.sampled_from([4, 8]), st.integers(64, 300), st.integers(0, 2**300))
+@example(8, 257, 2**128 + 1)    # the drawn seeds stay below four words
+@example(4, 300, 2**300)
 def test_batch_matches_whole_batch_reference_on_drawn_seeds(n, trials, seed):
     assert run_identity_batch(n, trials, seed) == _reference_batch(n, trials, seed)
+
+
+@given(st.integers(0, 2**400),
+       st.sampled_from([0, 255, 256, clifford.MAX_TRIALS - clifford.CHUNK]),
+       st.sampled_from([1, 3, clifford.CHUNK]))
+@example(0, 0, 3)
+@example(2**32 - 1, 255, 3)
+@example(2**32, 256, 3)
+@example(2**128 - 1, clifford.MAX_TRIALS - clifford.CHUNK, clifford.CHUNK)
+@example(2**128, 0, clifford.CHUNK)
+def test_stream_states_are_the_spawned_childrens(seed, lo, k):
+    # the i-th spawned child is SeedSequence(seed, spawn_key=(i,)), built
+    # here directly rather than by spawning up to a million children
+    root = np.random.SeedSequence(seed)
+    states = clifford._stream_states(root.pool, seed, lo, k)
+    assert len(states) == k
+    children = [np.random.SeedSequence(seed, spawn_key=(i,)) for i in range(lo, lo + k)]
+    if lo == 0:
+        assert [c.state for c in map(np.random.PCG64, root.spawn(k))] == [
+            c.state for c in map(np.random.PCG64, children)]
+    for i, (got, child) in enumerate(zip(states, children), lo):
+        want = np.random.PCG64(child).state["state"]
+        assert got == (want["state"], want["inc"]), i
 
 
 def test_batch_sends_few_matrices_to_svd(monkeypatch):
