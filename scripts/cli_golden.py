@@ -16,11 +16,13 @@ Kaehler dimension that does not match n, and a spec with two warped
 factors; `bound` on a product whose scalars cancel is recorded with them.
 `bound` is recorded on one document per validity rule: `--profile`
 documents with a NaN field, kappa0 above R/n, |Ric|^2 below R^2/n, a
-scalar whose square overflows and eigenvalue lists of the wrong length,
-sum, minimum and squared sum; `--spec` documents with an Einstein
-factor of n = 1 and of n above MAX_EINSTEIN_DIM, a warped factor of
-n = 6 and of f0 = 0, a sphere radius below 1e-75, and a product of
-valid surfaces whose summed scalar squares past the float range.
+scalar whose square overflows, eigenvalue lists of the wrong length,
+sum, minimum and squared sum, and n = 10^12, above MAX_EINSTEIN_DIM;
+`--spec` documents with an Einstein factor of n = 1 and of n above
+MAX_EINSTEIN_DIM, a warped factor of n = 6 and of f0 = 0, a sphere
+radius below 1e-75, a product of valid surfaces whose summed scalar
+squares past the float range, and products nested 33 deep, one past
+MAX_SPEC_DEPTH, and 3000 deep, past what json.loads parses.
 `verify` is recorded in JSON at n = 8 with 2000 and with 10 trials and
 at n = 4 with 200, and in text at n = 7 with 100, all at one-word
 seeds; then at seeds of several 32-bit words: n = 8 with 257 trials
@@ -58,7 +60,17 @@ SWEEPS = (
 )
 # --tol is checked, but warped factors are exact: these match the defaults
 LOOSE_TOL = ("--tol", "1e-3")
-# spec and profile documents passed by name: capture() writes each to a file
+
+
+def _deep_spec(depth):
+    """JSON text of products nested depth deep; json.dumps recurses too far
+    to write the deepest."""
+    leaf = '{"surface": {"scalar": 1.0}}'
+    return '{"product": [' * depth + leaf + (", " + leaf + "]}") * depth
+
+
+# spec and profile documents passed by name: capture() writes each to a
+# file, as JSON text if it is a string and through json.dumps otherwise
 DOCUMENTS = {
     "<nested-sphere>": {"product": [
         {"product": [{"einstein": {"n": 4, "scalar": -2.0}},
@@ -80,6 +92,8 @@ DOCUMENTS = {
     "<sphere-1e-76>": {"sphere": {"radius": 1e-76}},
     "<overflowing-product>": {"product": [{"surface": {"scalar": 1e154}},
                                           {"surface": {"scalar": 1e154}}]},
+    "<products-33-deep>": _deep_spec(33),
+    "<products-3000-deep>": _deep_spec(3000),
 }
 _T2XS2 = {"n": 4, "scalar": 2.0, "kappa0": 0.0, "ric_norm_sq_min": 2.0}
 DOCUMENTS.update({
@@ -91,13 +105,15 @@ DOCUMENTS.update({
     "<eigenvalue-sum>": {**_T2XS2, "eigenvalues": [0.0, 0.5, 0.5, 0.5]},
     "<eigenvalue-min>": {**_T2XS2, "eigenvalues": [0.1, 0.4, 0.5, 1.0]},
     "<eigenvalue-squares>": {**_T2XS2, "eigenvalues": [0.0, 0.0, 0.5, 1.5]},
+    "<n-over-cap>": {"n": 10**12, "scalar": 1e6, "kappa0": 1e-75, "ric_norm_sq_min": 5},
 })
 # one failing document per validity rule
 PROFILE_FAILURES = ("<nan-field>", "<kappa0-above-mean>", "<cauchy-schwarz>",
                     "<square-overflows>", "<eigenvalue-count>", "<eigenvalue-sum>",
-                    "<eigenvalue-min>", "<eigenvalue-squares>")
+                    "<eigenvalue-min>", "<eigenvalue-squares>", "<n-over-cap>")
 SPEC_FAILURES = ("<einstein-n-1>", "<einstein-n-over-cap>", "<warped-n-6>",
-                 "<warped-f0-0>", "<sphere-1e-76>", "<overflowing-product>")
+                 "<warped-f0-0>", "<sphere-1e-76>", "<overflowing-product>",
+                 "<products-33-deep>", "<products-3000-deep>")
 # recorded as {'sha256', 'lines'} of stdout instead of stdout itself
 LONG_SWEEPS = (
     ("--example", "s2r-x-hyperbolic", "--param", "radius",
@@ -170,8 +186,9 @@ def capture(argv):
         real = []
         for arg in argv:
             if arg in DOCUMENTS:
+                doc = DOCUMENTS[arg]
                 path = Path(tmp) / "document.json"
-                path.write_text(json.dumps(DOCUMENTS[arg]))
+                path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
                 arg = str(path)
             real.append(arg)
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

@@ -437,9 +437,22 @@ def _full_grid(k, at_zero, t_star, value, rounds):
 
 @np.errstate(all="ignore")
 def _search(cols):
-    """optimize_minimax_block on one chunk of rows."""
+    """optimize_minimax_block on one chunk of rows: (+0, +0) on the rows
+    that the sign certificate proves vacuous, _windows on the rest."""
     k = _constants(*(c[:, None] for c in cols))
     at_zero = friedrich_block(cols[0], cols[1])
+    _, nn, drop, p0, quarter_R, t0 = (c[:, 0] for c in k)
+    lift = 2.0 * drop * np.abs(quarter_R)
+    vacuous = ((p0 >= 0.0) & (drop >= 0.0) & (quarter_R <= 0.0) & (lift >= _TINY)
+               & (lift * (1.0 - _ETA) >= nn * t0 / 2.0))
+    value, t_star = np.zeros(len(at_zero)), np.zeros(len(at_zero))
+    rest = np.flatnonzero(~vacuous)
+    value[rest], t_star[rest] = _windows(tuple(c[rest] for c in k), at_zero[rest])
+    return value, t_star
+
+
+def _windows(k, at_zero):
+    """The certified window search on rows of kernel constants k."""
     rows = len(at_zero)
     t_star, value = np.zeros(rows), np.zeros(rows)
     if rows < MINIMAX_WINDOW_MIN:
@@ -500,6 +513,19 @@ def optimize_minimax_block(n, scalar, kappa0, traceless_norm_sq_min):
     side of the best t so far, until the step is at most MINIMAX_T_TOL.
     Ties keep the earlier point. At t = 0 the Friedrich value itself is
     taken, so no value falls below it.
+
+    Rows that a sign certificate proves vacuous take no point at all:
+    they get (value, t_star) = (+0, +0), which is what every grid point
+    gives them. In the row's scaled constants the certificate asks for
+    p0 >= 0, drop >= 0, R/4 <= 0, L = 2 drop |R/4| >= 2^-300 and
+    L (1 - 2^-20) >= nn t0 / 2. Its proof uses IEEE +, - and x alone:
+    the computed p = p0 + 2 t drop is then >= 0, so the computed root is
+    > 0 exactly where the computed q < 0. For t in [0, 1/2], fl(t t) <=
+    t/2, so the t0 term of q is <= 0 and its size is at most nn t0 t/2
+    (1 + eps)^2; the drop term is at least t L (1 - eps)^2, far above
+    the underflow threshold at every t > 0 of the grids, which are
+    multiples of 2^-86. The margin 2^-20 covers those factors and the
+    certificate's own roundings, so the computed q >= 0 at every t.
 
     A round evaluates only 5 points when it proves the whole grid picks
     the same one. With M the best value so far and r the exact root (see

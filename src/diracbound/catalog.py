@@ -32,11 +32,12 @@ import numpy as np
 
 from .errors import (CompositionError, DimensionError, ParameterRange,
                      UnknownExample)
-from .profile import enforce, flag, pow2, profile_columns, row_of_one
+from .profile import (MAX_EINSTEIN_DIM, enforce, flag, pow2, profile_columns,
+                      row_of_one)
 from .warp import WARP_SCALAR, warp_extremals
 
-# an Einstein factor lists its n eigenvalues, 8 bytes each
-MAX_EINSTEIN_DIM = 10**6
+# products nested deeper are refused: every spec walk recurses per level
+MAX_SPEC_DEPTH = 32
 
 
 def _einstein(n, scalar):
@@ -269,7 +270,13 @@ def _field_value(body, kind, field):
 
 
 def spec_from_dict(data):
-    """Parse a spec document; errors name the offending field."""
+    """Parse a spec document; errors name the offending field. Products
+    nest at most MAX_SPEC_DEPTH deep."""
+    return _parse_spec(data, MAX_SPEC_DEPTH)
+
+
+def _parse_spec(data, levels):
+    """spec_from_dict, with `levels` more products allowed inside data."""
     if not isinstance(data, dict) or len(data) != 1:
         raise ValueError("spec document must be an object with exactly one "
                          f"of: {', '.join(SPEC_KINDS)}")
@@ -279,7 +286,9 @@ def spec_from_dict(data):
             raise ValueError("spec field 'product' must be a list of specs")
         if len(body) < 2:
             raise ValueError("spec field 'product' needs at least two factors")
-        return Product(tuple(spec_from_dict(item) for item in body))
+        if levels == 0:
+            raise ValueError(f"spec products nest more than {MAX_SPEC_DEPTH} deep")
+        return Product(tuple(_parse_spec(item, levels - 1) for item in body))
     if kind not in SPEC_KINDS:
         raise ValueError(f"unknown spec kind '{kind}'")
     if not isinstance(body, dict):

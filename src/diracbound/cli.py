@@ -94,9 +94,6 @@ def _fmt17(x):
     return format(float(x), ".17g")
 
 
-_FMT17 = "%.17g".__mod__   # _fmt17 of a float, mapped over a column
-
-
 def _emit(text, out_path):
     if out_path:
         Path(out_path).write_text(text, newline="\n")
@@ -113,6 +110,8 @@ def _load_json(path):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{path} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValueError("JSON document nests too deeply to parse") from None
 
 
 def _load_spec(args):
@@ -242,29 +241,36 @@ def _bound_cells(profile, selected, kaehler_dim):
     return cells, failed
 
 
+# the line format of each pattern of filled cells (param, SWEEP_COLUMNS,
+# best): bit i of the index is set where cell i is filled
+_CELLS = len(SWEEP_COLUMNS) + 2
+_LINE_FORMATS = tuple(",".join("%.17g" if code >> i & 1 else "" for i in range(_CELLS))
+                      + "\n" for code in range(2**_CELLS))
+
+
 def _csv_block(params, cells):
     """CSV text of a block: the parameter, the SWEEP_COLUMNS cells (empty
     where a column is not selected or not applicable) and the best of the
-    filled cells, the first of equal ones."""
+    filled cells, the first of equal ones. One % writes the whole block:
+    each row takes the line format of its filled cells, which are passed
+    in row-major order."""
     rows = len(params)
-    text = [list(map(_FMT17, params.tolist()))]
-    best, filled = np.zeros(rows), np.zeros(rows, bool)
-    for name in SWEEP_COLUMNS:
+    table, filled = np.zeros((rows, _CELLS)), np.zeros((rows, _CELLS), bool)
+    table[:, 0], filled[:, 0] = params, True
+    best, any_filled = table[:, -1], filled[:, -1]
+    for i, name in enumerate(SWEEP_COLUMNS, 1):
         if name not in cells:
-            text.append([""] * rows)
             continue
         values, applicable = cells[name]
-        column = list(map(_FMT17, values.tolist()))
         if applicable is None:
             applicable = np.ones(rows, bool)
-        else:
-            column = [c if a else "" for c, a in zip(column, applicable.tolist())]
-        text.append(column)
-        take = applicable & (~filled | (values > best))
-        best, filled = np.where(take, values, best), filled | applicable
-    text.append([b if f else "" for b, f in
-                 zip(map(_FMT17, best.tolist()), filled.tolist())])
-    return "".join(line + "\n" for line in map(",".join, zip(*text)))
+        table[:, i], filled[:, i] = values, applicable
+        take = applicable & (~any_filled | (values > best))
+        best[:] = np.where(take, values, best)
+        any_filled |= applicable
+    codes = filled @ (1 << np.arange(_CELLS))
+    return "".join(map(_LINE_FORMATS.__getitem__, codes.tolist())) \
+        % tuple(table[filled].tolist())
 
 
 def _with_param(spec, cls, name, value):

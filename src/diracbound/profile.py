@@ -29,6 +29,9 @@ from .errors import DimensionError, InconsistentProfile
 
 # relative slack of every consistency relation: the data is exact to round-off
 EXACT_RTOL = 1e-12
+# the largest n of a profile and of an Einstein factor, which lists its n
+# eigenvalues, 8 bytes each; at far larger n theorem 3.1's terms cancel
+MAX_EINSTEIN_DIM = 10**6
 
 
 @dataclass(frozen=True)
@@ -84,6 +87,8 @@ def _finite(name):
 # in the order a block of one checks them, as make_profile always has
 PROFILE_RULES = (
     (lambda c: c["n"] < 2, DimensionError, "profile dimension must be >= 2, got n={n}"),
+    (lambda c: c["n"] > MAX_EINSTEIN_DIM, DimensionError,
+     f"profile dimension must be at most {MAX_EINSTEIN_DIM}, got n={{n}}"),
     _finite("scalar"), _finite("kappa0"), _finite("ric_norm_sq_min"),
     (lambda c: c["kappa0"] > c["mean"] + _slack(c["kappa0"], c["mean"]),
      InconsistentProfile, "kappa0 = {kappa0} exceeds scalar/n = {mean}: the "

@@ -134,15 +134,25 @@ def _bounded_energy(f0, n):
     return energy
 
 
-def _bisect_root(f, a, b):
-    """Zero of an increasing f on [a, b], bisected down to adjacent floats;
-    of the last two endpoints, the one where |f| is least."""
-    fa, fb = f(a), f(b)
+def _level_point(n, gap, a, b):
+    """The F in [a, b] where _potential_gap(F, n) = gap, for [a, b] on one
+    side of F = 1, where the gap is monotone: bisected down to adjacent
+    floats, and of the last two endpoints the one where the miss is least.
+
+    The loop inlines _potential_gap, in its expression order, with its
+    two constants taken once. Below F = 1 the miss is signed as gap -
+    _potential_gap(F, n), so that it rises with F on either side.
+    """
+    sign = 1.0 if a >= 1.0 else -1.0
+    fa, fb = (sign * (_potential_gap(F, n) - gap) for F in (a, b))
+    ratio, power = n / (2.0 * n - 4.0), 2.0 - 4.0 / n
+    expm1, log1p = math.expm1, math.log1p
     while True:
         m = 0.5 * (a + b)
         if not a < m < b:
             break
-        fm = f(m)
+        u = m - 1.0
+        fm = sign * (u * (m + 1.0) / 2.0 - ratio * expm1(power * log1p(u)) - gap)
         if fm < 0.0:
             a, fa = m, fm
         else:
@@ -156,8 +166,7 @@ def _rebase(f0, n):
     if energy >= -1e-12:
         raise NonPositiveF(
             f"orbit through F(0) = {f0} has energy {energy} >= 0 and reaches F = 0")
-    gap = _potential_gap(f0, n)
-    return _bisect_root(lambda F: gap - _potential_gap(F, n), 1e-12, 1.0)
+    return _level_point(n, _potential_gap(f0, n), 1e-12, 1.0)
 
 
 def check_tol(tol):
@@ -172,7 +181,7 @@ def _upper_turning_point(n, f_min):
     # cannot lose the root. Below 2^-53, f_min - 1 rounds to -1, where
     # log1p fails; V(f_min) is then below the last bit of V(1) anyway.
     gap = _potential_gap(f_min if f_min > 2.0**-53 else 2.0**-53, n)
-    return _bisect_root(lambda F: _potential_gap(F, n) - gap, 1.0, 2.0)
+    return _level_point(n, gap, 1.0, 2.0)
 
 
 def _power_slope(x, d, p):

@@ -45,6 +45,9 @@ def reference_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None):
     n = int(n)
     if n < 2:
         raise DimensionError(f"profile dimension must be >= 2, got n={n}")
+    if n > MAX_EINSTEIN_DIM:
+        raise DimensionError(
+            f"profile dimension must be at most {MAX_EINSTEIN_DIM}, got n={n}")
     scalar, kappa0, ric = float(scalar), float(kappa0), float(ric_norm_sq_min)
     for name, value in (("scalar", scalar), ("kappa0", kappa0),
                         ("ric_norm_sq_min", ric)):

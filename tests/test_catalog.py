@@ -135,6 +135,23 @@ def test_spec_from_dict_diagnostics(doc, pattern):
         spec_from_dict(doc)
 
 
+def _nested(depth):
+    """Products nested depth deep, each of a surface and the one inside."""
+    spec = {"surface": {"scalar": 1.0}}
+    for _ in range(depth):
+        spec = {"product": [spec, {"surface": {"scalar": 1.0}}]}
+    return spec
+
+
+def test_spec_products_nest_at_most_32_deep():
+    spec = spec_from_dict(_nested(catalog.MAX_SPEC_DEPTH))
+    assert realize(spec).n == 2 * (catalog.MAX_SPEC_DEPTH + 1)
+    # far past the interpreter's recursion limit, the cap still answers
+    for depth in (catalog.MAX_SPEC_DEPTH + 1, 5000):
+        with pytest.raises(ValueError, match="nest more than 32 deep"):
+            spec_from_dict(_nested(depth))
+
+
 def test_registry_catalog_is_schema_valid(schema_validator):
     for name, (spec, _) in EXAMPLES.items():
         schema_validator("manifold_spec.v1", spec_to_dict(spec))

@@ -4,6 +4,7 @@ import contextlib
 import csv
 import importlib.util
 import io
+import itertools
 import json
 import subprocess
 import sys
@@ -297,6 +298,44 @@ def test_sweep_rows_independent_of_block_size(capsys, monkeypatch):
         outputs.append(capsys.readouterr().out)
     assert outputs[0].count("\n") == 151
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _csv_reference(params, cells):
+    """_csv_block one cell at a time, each through "%.17g"."""
+    lines = []
+    for r, param in enumerate(params.tolist()):
+        row, best = ["%.17g" % param], None
+        for name in cli.SWEEP_COLUMNS:
+            values, applicable = cells.get(name, (None, None))
+            if values is None or (applicable is not None and not applicable[r]):
+                row.append("")
+                continue
+            value = float(values[r])
+            row.append("%.17g" % value)
+            if best is None or value > best:
+                best = value
+        row.append("" if best is None else "%.17g" % best)
+        lines.append(",".join(row) + "\n")
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("selected", [
+    names for size in range(len(cli.SWEEP_COLUMNS) + 1)
+    for names in itertools.combinations(cli.SWEEP_COLUMNS, size)])
+def test_csv_block_matches_per_cell_format(selected):
+    rng = np.random.default_rng(len(selected))
+    special = [-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -1.7976931348623157e308,
+               0.1, 1.0 / 3.0, -2.5, 1e22]
+    rows = 40
+    params = np.concatenate((special, rng.normal(size=rows - len(special))))
+    cells = {}
+    for name in selected:
+        values = rng.permutation(np.concatenate((special, rng.normal(
+            scale=10.0, size=rows - len(special)))))
+        values[rng.random(rows) < 0.2] = -0.0   # ties with 0 keep the first
+        applicable = None if name == "friedrich" else rng.random(rows) < 0.7
+        cells[name] = values, applicable
+    assert cli._csv_block(params, cells) == _csv_reference(params, cells)
 
 
 def test_sweep_radius_outside_float_range_exits_1(run_cli):

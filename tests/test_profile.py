@@ -23,6 +23,11 @@ def test_round_product_profile():
 def test_dimension_gate():
     with pytest.raises(DimensionError):
         make_profile(1, 1.0, 1.0, 1.0)
+    # at n = 10^12, theorem 3.1 used to fail its cross-check by cancellation
+    make_profile(10**6, 1e6, 1e-75, 2e6)
+    for n in (10**6 + 1, 10**12, 10**30):
+        with pytest.raises(DimensionError, match="at most 1000000"):
+            make_profile(n, 1e6, 1e-75, 5.0)
 
 
 def test_long_eigenvalue_lists_sum_exactly():

@@ -302,3 +302,38 @@ def test_orbit_input_gates_reject_nan_and_inf():
     for f0 in (math.nan, math.inf, -math.inf):
         with pytest.raises(NonPositiveF):
             integrate_warp(5, f0)
+
+
+def _bisect_root(f, a, b):
+    """The generic bisection that the turning points were written with: the
+    zero of an increasing f on [a, b], bisected down to adjacent floats;
+    of the last two endpoints, the one where |f| is least."""
+    fa, fb = f(a), f(b)
+    while True:
+        m = 0.5 * (a + b)
+        if not a < m < b:
+            break
+        fm = f(m)
+        if fm < 0.0:
+            a, fa = m, fm
+        else:
+            b, fb = m, fm
+    return a if abs(fa) <= abs(fb) else b
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_turning_points_match_the_generic_bisection(n):
+    """_level_point inlines the potential gap: the same bits as the generic
+    bisection, on both turning points, far below 1 and above 1."""
+    gap = warp._potential_gap
+    rng = np.random.default_rng(n)
+    top = warp._upper_turning_point(n, 1e-300)
+    lows = np.concatenate((rng.uniform(0.0, 1.0, 800), 10.0 ** rng.uniform(-300, -250, 200),
+                           10.0 ** rng.uniform(-250, 0.0, 500)))
+    for f0 in lows[lows > 0.0].tolist():
+        level = gap(max(f0, 2.0**-53), n)
+        assert warp._upper_turning_point(n, f0) == _bisect_root(
+            lambda F: gap(F, n) - level, 1.0, 2.0)
+    for f0 in rng.uniform(1.0 + 1e-9, top, 1500).tolist():
+        level = gap(f0, n)
+        assert warp._rebase(f0, n) == _bisect_root(lambda F: level - gap(F, n), 1e-12, 1.0)
