@@ -8,9 +8,10 @@ and f0 `sweep` again with `--tol 1e-3`, which must change no byte) and
 records the exit code and stdout of each. Long sweeps, which span many
 blocks of rows, are recorded as the sha256 and line count of their
 stdout: a 2000-row `radius` and a 2000-row `surface_scalar` sweep whose
-grids hold values where Python's `x**2` and `x*x` differ in the last
-bit, a 200-row `f0` sweep, a `--bounds` subset and two nested-product
-specs. Failing invocations record their stderr too: sweeps that fail
+grids hold values where the C library's pow(x, 2) and the correctly
+rounded x * x differ in the last bit on some builds, so the file holds
+squares taken as products; a 200-row `f0` sweep, a `--bounds` subset and
+two nested-product specs. Failing invocations record their stderr too: sweeps that fail
 at the first row, in a later block or where f0 leaves (0, 1], a
 Kaehler dimension that does not match n, and a spec with two warped
 factors; `bound` on a product whose scalars cancel is recorded with them.
@@ -29,6 +30,11 @@ seeds; then at seeds of several 32-bit words: n = 8 with 257 trials
 (a last chunk of one trial) at 2^32, two words, n = 5 with 300 at
 2^128 + 1, five words, past SeedSequence's four-word pool, and in text
 at n = 6 with 50 at a 40-digit seed.
+Last come the inputs that theorem 3.1's degeneracy guard once got wrong
+when it read A unscaled: `bound` on an Einstein factor, two surfaces
+and a sphere whose traceless residue passed it, a 600-row sphere
+`radius` sweep (recorded by its sha256) that met such a residue, and,
+as CSV, a sphere times a surface at curvature 1e-8, which it refused.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -94,6 +100,13 @@ DOCUMENTS = {
                                           {"surface": {"scalar": 1e154}}]},
     "<products-33-deep>": _deep_spec(33),
     "<products-3000-deep>": _deep_spec(3000),
+    "<einstein-3-residue>": {"einstein": {"n": 3, "scalar": 60.12505021455109}},
+    "<surface-residue>": {"surface": {"scalar": 16.107421932223275}},
+    "<sphere-residue>": {"sphere": {"radius": 0.15392320534223705}},
+    "<surface-7e79>": {"surface": {"scalar": 7.395659432387313e+79}},
+    "<unit-sphere>": {"sphere": {"radius": 1.0}},
+    "<sphere-x-surface-1e-8>": {"product": [{"sphere": {"radius": 10000.0}},
+                                            {"surface": {"scalar": -1e-8}}]},
 }
 _T2XS2 = {"n": 4, "scalar": 2.0, "kappa0": 0.0, "ric_norm_sq_min": 2.0}
 DOCUMENTS.update({
@@ -129,6 +142,18 @@ LONG_SWEEPS = (
      "--from", "0.3", "--to", "3", "--steps", "300", "--kaehler-dim", "4"),
     ("--spec", "<nested-warped>", "--param", "f0",
      "--from", "0.02", "--to", "1", "--steps", "150"),
+)
+# Einstein data whose traceless residue once passed theorem 3.1's
+# degeneracy guard, and t2xs2-like data at curvature 1e-8, which the
+# guard once refused; the guard reads A in the row's units
+RESIDUE_SWEEP = ("--spec", "<unit-sphere>", "--param", "radius",
+                 "--from", "0.1", "--to", "2", "--steps", "600")
+SCALED_GUARD = (
+    *(("bound", "--spec", doc) for doc in (
+        "<einstein-3-residue>", "<surface-residue>", "<sphere-residue>",
+        "<surface-7e79>")),
+    ("sweep", *RESIDUE_SWEEP),
+    ("bound", "--spec", "<sphere-x-surface-1e-8>", "--csv"),
 )
 
 # inputs that fail, and a product whose scalars cancel (it realizes since
@@ -174,7 +199,7 @@ def invocations():
     runs.append(("sweep", *SWEEPS[2], *LOOSE_TOL))
     runs += [("sweep", *argv) for argv in LONG_SWEEPS]
     runs += [("verify", *argv) for argv in VERIFIES]
-    return runs + list(FAILURES)
+    return runs + list(FAILURES) + list(SCALED_GUARD)
 
 
 def capture(argv):
@@ -194,7 +219,7 @@ def capture(argv):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = cli.main(real)
     text = out.getvalue()
-    if tuple(argv[1:]) in LONG_SWEEPS:
+    if tuple(argv[1:]) in (*LONG_SWEEPS, RESIDUE_SWEEP):
         case = {"argv": list(argv), "exit": code,
                 "sha256": hashlib.sha256(text.encode()).hexdigest(),
                 "lines": text.count("\n")}

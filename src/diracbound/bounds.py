@@ -21,8 +21,7 @@ exactly the condition excluding harmonic spinors.
 
 The closed forms are written once, as elementwise expressions over a
 block of rows (friedrich_block, kaehler_block, theorem31_block); the
-report functions take a profile as a block of one. Squares go through
-profile.pow2, so a row's values equal what Python floats give.
+report functions take a profile as a block of one.
 
 The mini-max bound is the best over t in [0, 1/2] of the larger root r(t)
 of G(x, t) = x^2 + p(t) x + q(t). G is convex in t (its t^2 coefficient
@@ -42,7 +41,6 @@ import numpy as np
 
 from .errors import (CrossCheckFailed, DimensionError, ParameterRange,
                      RicciFlat, ScalarSignError, ShapeError)
-from .profile import pow2
 
 # |R| below this counts as vanishing scalar curvature
 SCALAR_ZERO_ATOL = 1e-12
@@ -203,13 +201,15 @@ def kaehler_bound(profile, complex_dim):
 
 @dataclass(frozen=True)
 class Theorem31Columns:
-    """theorem31 over a block: condition 19 and A per row; value, s0 and
-    f(s0) where both hold (applicable), NaN elsewhere; failed marks the
-    applicable rows whose closed form is not finite or misses f(s0) by
-    more than 1e-9 relative."""
+    """theorem31 over a block: condition 19, and A in units of the row's
+    power-of-two scale, per row; value, s0 and f(s0) where both hold
+    (applicable), NaN elsewhere; failed marks the applicable rows whose
+    closed form is not finite or misses f(s0) by more than 1e-9
+    relative."""
 
     condition: np.ndarray
     A: np.ndarray
+    scale: np.ndarray
     applicable: np.ndarray
     failed: np.ndarray
     value: np.ndarray
@@ -228,11 +228,14 @@ def _closed_forms_agree(value, f_s0):
 def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
     """theorem31_bound on a block of rows of dimension n: Theorem31Columns.
 
-    Rows whose size max(|R|, |kappa0|, sqrt(t0)) lies outside [2^-250,
-    2^250] are scaled by a power of two near max(|R|, sqrt(t0), sqrt(|R
-    kappa0|), 2^-1000 |kappa0|), about sqrt(A), and A^2 is divided out,
-    so no term leaves the float range; A is tested unscaled. Rows inside
-    keep their bytes: pow2 is not exact under scaling.
+    Every row is computed in units of a power of two near max(|R|,
+    sqrt(t0), sqrt(|R kappa0|), 2^-1000 |kappa0|), about sqrt(A), and A
+    is tested in those units. Squares are products, so the scaling is
+    exact outside underflow and overflow. Rows whose size max(|R|,
+    |kappa0|, sqrt(t0)) lies outside [2^-250, 2^250] also divide A^2 out,
+    so no term leaves the float range. A kappa0 above R/n, which a
+    profile accepts within its slack or gets from underflow, counts as
+    R/n: a lower kappa0 only weakens the hypothesis.
     """
     R, kappa0, t0 = (np.asarray(x, dtype=float)
                      for x in (scalar, kappa0, traceless_norm_sq_min))
@@ -241,17 +244,17 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
         far = ~((2.0**-250 <= size) & (size <= 2.0**250))
         size = np.maximum(np.maximum(np.abs(R), np.sqrt(t0)), np.maximum(
             np.sqrt(np.abs(R)) * np.sqrt(np.abs(kappa0)), np.abs(kappa0) * 2.0**-1000))
-        scale = np.where(far, np.ldexp(1.0, np.frexp(size)[1] - 1), 1.0)
+        scale = np.ldexp(1.0, np.frexp(size)[1] - 1)
         R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
+        kappa0 = np.where(kappa0 > R / n, R / n, kappa0)
         condition = _condition_19(n, R, kappa0, t0)
         a, b, c, A = _shortcut_columns(n, R, kappa0, t0)
-        unscaled_A = A * scale * scale
-        applicable = condition & ~(unscaled_A < DEGENERATE_A_ATOL)
-        c2, d = pow2(c), A - 2.0 * a * b
-        root = np.sqrt(_first_max(pow2(a) * c2 + A * d, 0.0))
-        value = pow2(A) / (b * A - a * c2 + c * root) * scale
+        applicable = condition & ~(A < DEGENERATE_A_ATOL)
+        c2, d = c * c, A - 2.0 * a * b
+        root = np.sqrt(_first_max(a * a * c2 + A * d, 0.0))
+        value = A * A / (b * A - a * c2 + c * root) * scale
         s0 = d / (a * c2 + c * root)
-        f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c2 * pow2(s0)) * scale
+        f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c2 * (s0 * s0)) * scale
         if np.any(far):   # A divided out of value and s0, s0 out of f(s0)
             ratio = a * c / A
             root = np.sqrt(_first_max(ratio * ratio + d / A, 0.0))
@@ -262,7 +265,7 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
         s0 = s0 / scale
         failed = applicable & ~_closed_forms_agree(value, f_s0)
     value, s0, f_s0 = (np.where(applicable, x, np.nan) for x in (value, s0, f_s0))
-    return Theorem31Columns(condition, unscaled_A, applicable, failed, value, s0, f_s0)
+    return Theorem31Columns(condition, A, scale, applicable, failed, value, s0, f_s0)
 
 
 def theorem31_bound(profile):
@@ -286,7 +289,8 @@ def theorem31_bound(profile):
     if not th.applicable:
         return _inapplicable(
             Method.THEOREM31,
-            f"near-degenerate data: A = {float(th.A)} < {DEGENERATE_A_ATOL}")
+            f"near-degenerate data: A / s^2 = {float(th.A)} < {DEGENERATE_A_ATOL} "
+            f"at the row's scale s = {float(th.scale)}")
     value, s0, f_s0 = map(float, (th.value, th.s0, th.f_s0))
     return BoundReport(Method.THEOREM31, value, True, True,
                        optimizer=OptimizerInfo(s0=s0, f_s0=f_s0))
@@ -309,10 +313,11 @@ def corollary32_bound(profile):
             "improvement condition |Ric|_0^2 > R (R - kappa0) / (n - 1) fails")
     sc = shortcuts(profile)
     d = sc.A - 2.0 * sc.a * sc.b
-    alpha = sc.a * sc.c**2 + d * sc.b
-    beta = (sc.c**2 - sc.b**2) * d**2
+    alpha = sc.a * (sc.c * sc.c) + d * sc.b
+    beta = (sc.c * sc.c - sc.b * sc.b) * (d * d)
     n, R = profile.n, profile.scalar
-    value = n * R / (4.0 * (n - 1)) + d**2 / (alpha + math.sqrt(max(alpha**2 + beta, 0.0)))
+    root = math.sqrt(max(alpha * alpha + beta, 0.0))
+    value = n * R / (4.0 * (n - 1)) + d * d / (alpha + root)
     return BoundReport(Method.COROLLARY32, value, True, True)
 
 

@@ -32,8 +32,7 @@ import numpy as np
 
 from .errors import (CompositionError, DimensionError, ParameterRange,
                      UnknownExample)
-from .profile import (MAX_EINSTEIN_DIM, enforce, flag, pow2, profile_columns,
-                      row_of_one)
+from .profile import MAX_EINSTEIN_DIM, enforce, flag, profile_columns, row_of_one
 from .warp import WARP_SCALAR, warp_extremals
 
 # products nested deeper are refused: every spec walk recurses per level
@@ -84,7 +83,7 @@ class Sphere:
 
     @staticmethod
     def _columns(radius):
-        return _einstein(2, 2.0 / pow2(radius))
+        return _einstein(2, 2.0 / (radius * radius))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import repeat
 
 import numpy as np
 
@@ -101,31 +100,6 @@ PROFILE_RULES = (
 )
 
 
-def pow2(x):
-    """x**2 elementwise, bit for bit as Python's float power gives it, and
-    inf where that raises OverflowError.
-
-    numpy's square and x * x are correctly rounded, but the C library's
-    pow is not always: on some builds they differ from x**2 in the last
-    bit for about one double in a thousand. Array code that must repeat
-    the scalar code's bytes squares here.
-    """
-    x = np.asarray(x, dtype=float)
-    values = x.ravel().tolist()
-    try:
-        out = np.fromiter(map(float.__pow__, values, repeat(2)), float, len(values))
-    except OverflowError:
-        out = np.array([_pow2_or_inf(v) for v in values], dtype=float)
-    return out.reshape(x.shape)
-
-
-def _pow2_or_inf(x):
-    try:
-        return x**2
-    except OverflowError:
-        return math.inf
-
-
 @np.errstate(all="ignore")
 def profile_columns(n, scalar, kappa0, ric_norm_sq_min, check=flag):
     """(profile, flagged) of a block of rows that share n: a RicciProfile
@@ -134,10 +108,10 @@ def profile_columns(n, scalar, kappa0, ric_norm_sq_min, check=flag):
     first broken rule under `enforce`."""
     scalar, kappa0, ric = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (scalar, kappa0, ric_norm_sq_min)))
-    square = pow2(scalar)
+    square = scalar * scalar
     flagged = check(PROFILE_RULES, {
         "n": n, "scalar": scalar, "kappa0": kappa0, "ric_norm_sq_min": ric,
-        "mean": scalar / n, "square": square, "cs": scalar * scalar / n})
+        "mean": scalar / n, "square": square, "cs": square / n})
     # tiny negatives can only come from the Cauchy-Schwarz slack, and
     # round-off negatives of the traceless part (Einstein data) are
     # clamped to 0; the rules bound how negative they can be

@@ -103,7 +103,7 @@ class WarpExtremals:
 
 
 def _potential(F, n):
-    return F**2 / 2.0 - n / (2.0 * n - 4.0) * F ** (2.0 - 4.0 / n)
+    return F * F / 2.0 - n / (2.0 * n - 4.0) * F ** (2.0 - 4.0 / n)
 
 
 def _potential_gap(F, n):
@@ -119,7 +119,7 @@ def _potential_gap(F, n):
 
 
 def _energy(F, Fp, n):
-    return Fp**2 / 2.0 + _potential(F, n)
+    return Fp * Fp / 2.0 + _potential(F, n)
 
 
 def _bounded_energy(f0, n):
@@ -405,7 +405,8 @@ def warp_extremals(n, f0):
     else:
         f_min, f_max = f0, _upper_turning_point(5, f0)
     kappa0 = (8.0 / 5.0) * (1.0 - f_min ** (-4.0 / 5.0))
-    ric = 256.0 / 125.0 + (576.0 / 125.0) * (energy / f_max**2) ** 2
+    ratio = energy / (f_max * f_max)
+    ric = 256.0 / 125.0 + (576.0 / 125.0) * (ratio * ratio)
     return WarpExtremals(kappa0, ric)
 
 

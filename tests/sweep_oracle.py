@@ -58,13 +58,12 @@ def reference_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None):
         raise InconsistentProfile(
             f"kappa0 = {kappa0} exceeds scalar/n = {mean}: the smallest "
             "Ricci eigenvalue cannot lie above the mean")
-    try:
-        square = scalar**2
-    except OverflowError:
+    square = scalar * scalar
+    if math.isinf(square):
         raise InconsistentProfile(
             f"profile field 'scalar' = {scalar} is too large: its square "
-            "overflows") from None
-    cs = scalar * scalar / n
+            "overflows")
+    cs = square / n
     if ric < cs - _slack(ric, cs):
         raise InconsistentProfile(
             f"ric_norm_sq_min = {ric} is below scalar^2/n = {cs} (Cauchy-Schwarz)")
@@ -117,7 +116,7 @@ def reference_realize(spec):
         if not 1e-75 <= spec.radius <= 1e75:
             raise ParameterRange(
                 f"sphere radius must lie in [1e-75, 1e75], got {spec.radius}")
-        return _reference_einstein(2, 2.0 / spec.radius**2)
+        return _reference_einstein(2, 2.0 / (spec.radius * spec.radius))
     if isinstance(spec, Warped):
         if spec.n != 5:
             raise DimensionError(
@@ -173,20 +172,20 @@ def kaehler(p, complex_dim):
 def theorem31(p):
     """theorem 3.1's value, or None where it does not apply.
 
-    A row whose size max(|R|, |kappa0|, sqrt(t0)) lies outside
-    [2^-250, 2^250] is far: it is computed scaled by a power of two near
-    max(|R|, sqrt(t0), sqrt(|R kappa0|), 2^-1000 |kappa0|), with A divided
-    out of value and s0 and s0 divided out of f(s0); A is tested unscaled.
+    Every row is computed scaled by a power of two near max(|R|,
+    sqrt(t0), sqrt(|R kappa0|), 2^-1000 |kappa0|), with kappa0 lowered to
+    R/n where it lies above, and A is tested in those units. A row whose
+    size max(|R|, |kappa0|, sqrt(t0)) lies outside [2^-250, 2^250] is
+    far: A is divided out of its value and s0, and s0 out of its f(s0).
     """
     n, R, kappa0, t0 = p.n, p.scalar, p.kappa0, p.traceless_norm_sq_min
     size = max(abs(R), abs(kappa0), math.sqrt(t0))
     far = not 2.0**-250 <= size <= 2.0**250
-    scale = 1.0
-    if far:
-        size = max(abs(R), math.sqrt(t0), math.sqrt(abs(R)) * math.sqrt(abs(kappa0)),
-                   abs(kappa0) * 2.0**-1000)
-        scale = math.ldexp(1.0, math.frexp(size)[1] - 1)
+    size = max(abs(R), math.sqrt(t0), math.sqrt(abs(R)) * math.sqrt(abs(kappa0)),
+               abs(kappa0) * 2.0**-1000)
+    scale = math.ldexp(1.0, math.frexp(size)[1] - 1)
     R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
+    kappa0 = min(kappa0, R / n)
     if not t0 > (R / n - kappa0) * max(R / (n - 1), -R):
         return None
     a = n * R / (8.0 * (n - 1))
@@ -194,19 +193,19 @@ def theorem31(p):
     csq = n / (n - 1.0) * t0
     c = math.sqrt(csq)
     A = csq / 4.0 + 2.0 * (n - 1.0) / n * a * b
-    if A * scale * scale < DEGENERATE_A_ATOL:
+    if A < DEGENERATE_A_ATOL:
         return None
     if far:
         ratio = a * c / A
         root = math.sqrt(max(ratio * ratio + (A - 2.0 * a * b) / A, 0.0))
-        value = A * scale / (b - a * c**2 / A + c * root)
-        s0 = (A - 2.0 * a * b) / A / (a * c**2 / A + c * root)
-        f_s0 = 2.0 * (a / s0 + A) * scale / (1.0 / s0 + 2.0 * b + c**2 * s0)
+        value = A * scale / (b - a * (c * c) / A + c * root)
+        s0 = (A - 2.0 * a * b) / A / (a * (c * c) / A + c * root)
+        f_s0 = 2.0 * (a / s0 + A) * scale / (1.0 / s0 + 2.0 * b + c * c * s0)
     else:
-        root = math.sqrt(max(a**2 * c**2 + A * (A - 2.0 * a * b), 0.0))
-        value = A**2 / (b * A - a * c**2 + c * root)
-        s0 = (A - 2.0 * a * b) / (a * c**2 + c * root)
-        f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c**2 * s0**2)
+        root = math.sqrt(max(a * a * (c * c) + A * (A - 2.0 * a * b), 0.0))
+        value = A * A / (b * A - a * (c * c) + c * root) * scale
+        s0 = (A - 2.0 * a * b) / (a * (c * c) + c * root)
+        f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c * c * (s0 * s0)) * scale
     if not (math.isfinite(value) and math.isclose(value, f_s0, rel_tol=1e-9)):
         raise CrossCheckFailed(f"closed form {value} vs f(s0) {f_s0}")
     return value

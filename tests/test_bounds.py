@@ -8,14 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spectrum_profile, spectra, spectrum_profile
-from diracbound import (DimensionError, Method, ParameterRange, Product,
-                        RicciFlat, ScalarSignError, ShapeError, Surface,
+from diracbound import (DimensionError, Einstein, Method, ParameterRange, Product,
+                        RicciFlat, ScalarSignError, ShapeError, Sphere, Surface,
                         Warped, best_bound, bounds, cli,
                         condition_19, corollary32_bound, friedrich_bound,
                         harmonic_spinor_excluded, improvement_condition,
                         kaehler_bound, make_profile, minimax_bound_at_t,
                         optimize_minimax, optimize_minimax_block, shortcuts,
-                        realize, theorem31_bound, zero_scalar_bound)
+                        realize, theorem31_block, theorem31_bound,
+                        zero_scalar_bound)
 
 # flat torus times unit sphere: the closed-book reference case
 T2XS2 = make_profile(4, 2.0, 0.0, 2.0, (0, 0, 1, 1))
@@ -320,8 +321,8 @@ def _row(p):
 
 
 def _scaled_row(p, e):
-    return p.n, math.ldexp(p.scalar, e), math.ldexp(p.kappa0, e), math.ldexp(
-        p.traceless_norm_sq_min, 2 * e)
+    n, R, kappa0, t0 = p if isinstance(p, tuple) else _row(p)
+    return n, math.ldexp(R, e), math.ldexp(kappa0, e), math.ldexp(t0, 2 * e)
 
 
 def _vacuous_edge(n, R, gap, k, sign, e):
@@ -454,6 +455,52 @@ def test_zero_scalar_equals_theorem31_at_zero_scalar(p):
         assert zero_scalar_bound(q).value == pytest.approx(th.value, rel=1e-9)
 
 
+def _specs(top):
+    """Einstein (n from 2 to 11), surface and sphere leaves of |scalar| <= top,
+    and products of two or three of them."""
+    leaf = st.one_of(st.builds(Einstein, st.integers(2, 11), st.floats(-top, top)),
+                     st.builds(Surface, st.floats(-top, top)),
+                     st.builds(Sphere, st.floats(max(1e-75, math.sqrt(2.0 / top)), 1e75)))
+    return leaf | st.lists(leaf, min_size=2, max_size=3).map(lambda f: Product(tuple(f)))
+
+
+def _near(R, kappa0, t0):
+    size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
+    return (2.0**-250 <= size) & (size <= 2.0**250)
+
+
+@settings(max_examples=300)
+@given(spectra | _specs(1e6).map(realize),
+       st.lists(st.integers(-400, 400), min_size=1, max_size=22))
+def test_theorem31_is_homogeneous(p, ks):
+    """Theorem 3.1 at (s R, s kappa0, s^2 t0), s = 2^k: the same
+    applicability, and s times the value (s0 over s), bit for bit while
+    both rows lie in [2^-250, 2^250]. Scales at which the data itself
+    underflows are left out."""
+    base = _row(p)
+    ks = [k for k in ks if _scaled_row(_scaled_row(p, k), -k) == base]
+    if not ks:
+        return
+    rows = np.array([_scaled_row(p, k) for k in ks])
+    th = theorem31_block(p.n, *rows[:, 1:].T)
+    one = theorem31_block(*base)
+    assert (th.applicable == one.applicable).all()
+    if not one.applicable:
+        return
+    k, exact = np.array(ks), _near(*rows[:, 1:].T) & _near(*base[1:])
+    for got, unit, power in ((th.value, one.value, k), (th.s0, one.s0, -k),
+                             (th.f_s0, one.f_s0, k)):
+        assert got[exact].tobytes() == np.ldexp(unit, power)[exact].tobytes()
+    # elsewhere one row takes the far rows' formula, which rounds otherwise
+    assert th.value[~exact] == pytest.approx(np.ldexp(one.value, k)[~exact], rel=1e-12)
+
+
+@settings(max_examples=300)
+@given(_specs(1e150))
+def test_best_bound_cross_checks_pass_on_valid_specs(spec):
+    best_bound(realize(spec))   # CrossCheckFailed would escape
+
+
 @pytest.mark.parametrize("n", [2, 4])
 @pytest.mark.parametrize("kappa0", [-1e76, -1e100, -1e160, -1e230, -1e300])
 @pytest.mark.parametrize("ric", [1e-6, 1.0, 1e6, 1e300])
@@ -475,3 +522,16 @@ def test_theorem31_scales_rows_beyond_2_to_250():
     assert th.value == pytest.approx(mm.value, rel=1e-9)
     assert th.value == pytest.approx(1e150 * theorem31_bound(
         make_profile(4, 1.0, 0.0, 0.5)).value, rel=1e-12)
+
+
+def test_theorem31_lowers_kappa0_above_the_mean_to_it():
+    # kappa0 above R/n, within the profile's absolute slack or from the
+    # underflow of R/n, once made the scaled A pass the guard with b < 0:
+    # the closed form went negative and f(s0) NaN, and `bound` exited 4
+    above = make_profile(4, 1e-20, 1e-13, 1e-30)
+    th = theorem31_bound(above)
+    assert th.applicable and th.value > 0.0
+    assert th == theorem31_bound(make_profile(4, 1e-20, 2.5e-21, 1e-30))
+    for p in (make_profile(2, -1e-20, 1e-13, 5e-41), realize(Surface(-5e-324))):
+        assert not theorem31_bound(p).applicable
+        best_bound(p)

@@ -34,7 +34,7 @@ def test_sphere_is_surface():
             realize(Sphere(radius))
     for radius in (1e-75, 1e75):
         p = realize(Sphere(radius))
-        assert p.scalar == 2.0 / radius**2 and 0.0 < p.ric_norm_sq_min < math.inf
+        assert p.scalar == 2.0 / (radius * radius) and 0.0 < p.ric_norm_sq_min < math.inf
 
 
 def test_product_composition():

@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,8 @@ from hypothesis import strategies as st
 from conftest import random_spectrum_profile, spectrum_profile
 from diracbound import (DimensionError, InconsistentProfile, make_profile,
                         profile_from_dict, profile_to_dict)
-from diracbound.profile import pow2
+from diracbound.catalog import Sphere
+from diracbound.profile import profile_columns
 from sweep_oracle import EXACT_RTOL, outcome, reference_profile
 
 
@@ -117,18 +119,38 @@ def test_from_dict_diagnostics(doc, pattern):
         profile_from_dict(doc)
 
 
-def test_pow2_is_pythons_float_power():
+def test_squares_are_correctly_rounded():
+    # the square that the profile rules and the traceless norm use, and
+    # the sphere's scalar 2 / radius^2, against exact rational arithmetic
     x = np.random.default_rng(3).uniform(-1e3, 1e3, 20000)
     x = np.concatenate((x, [0.0, -0.0, 2.0**511, 1.4e154, 1e200, -1e300, math.inf]))
-    assert pow2(x).tolist() == [_square_or_inf(v) for v in x.tolist()]
-    assert np.isnan(pow2(math.nan))
+    seen = {}
+    profile_columns(2, x, x, x, check=lambda rules, columns: seen.update(columns))
+    squares = [_square(v) for v in x.tolist()]
+    assert seen["square"].tolist() == squares
+    assert squares[-5:] == [2.0**1022] + [math.inf] * 4
+    with np.errstate(all="ignore"):
+        scalar = Sphere._columns(x)[1]
+    assert scalar.tolist() == [_two_over(v) for v in squares]
 
 
-def _square_or_inf(x):
+def _nearest(q):
+    """The float nearest the rational q >= 0, inf past the float range."""
     try:
-        return x**2
+        return float(q)
     except OverflowError:
         return math.inf
+
+
+def _square(v):
+    return math.inf if math.isinf(v) else _nearest(Fraction(v) ** 2)
+
+
+def _two_over(v):
+    """2 / v for v >= 0, correctly rounded."""
+    if v == 0.0:
+        return math.inf
+    return 0.0 if math.isinf(v) else _nearest(Fraction(2) / Fraction(v))
 
 
 # --- make_profile against the Python-float reference ------------------------
