@@ -10,11 +10,12 @@ blocks of rows, are recorded as the sha256 and line count of their
 stdout: a 2000-row `radius` and a 2000-row `surface_scalar` sweep whose
 grids hold values where the C library's pow(x, 2) and the correctly
 rounded x * x differ in the last bit on some builds, so the file holds
-squares taken as products; a 200-row `f0` sweep, a `--bounds` subset and
-two nested-product specs. Failing invocations record their stderr too: sweeps that fail
-at the first row, in a later block or where f0 leaves (0, 1], a
-Kaehler dimension that does not match n, and a spec with two warped
-factors; `bound` on a product whose scalars cancel is recorded with them.
+squares taken as products; a 200-row `f0` sweep, a `--bounds` subset
+and two nested-product specs. Failing invocations record their stderr
+too: sweeps that fail at the first row, in a later block or where f0
+leaves (0, 1], a Kaehler dimension that does not match n, and a spec
+with two warped factors; `bound` on a product whose scalars cancel is
+recorded with them.
 `bound` is recorded on one document per validity rule: `--profile`
 documents with a NaN field, kappa0 above R/n, |Ric|^2 below R^2/n, a
 scalar whose square overflows, eigenvalue lists of the wrong length,
