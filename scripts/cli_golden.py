@@ -36,6 +36,11 @@ when it read A unscaled: `bound` on an Einstein factor, two surfaces
 and a sphere whose traceless residue passed it, a 600-row sphere
 `radius` sweep (recorded by its sha256) that met such a residue, and,
 as CSV, a sphere times a surface at curvature 1e-8, which it refused.
+Then argparse's own bytes, at COLUMNS=80, where it wraps help and
+usage: no arguments, `-h` and each subcommand's `-h`, an unknown
+command, `bound` with no input source or with both `--json` and
+`--csv`, `verify --dim x`, a misspelt `sweep --param`, and an argument
+that no parser knows, which the top-level parser reports.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -50,8 +55,10 @@ import hashlib
 import io
 import json
 import sys
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
@@ -174,6 +181,18 @@ FAILURES = (
     *(("bound", "--profile", doc) for doc in PROFILE_FAILURES),
     *(("bound", "--spec", doc) for doc in SPEC_FAILURES),
 )
+# help and usage errors; each subcommand's -h, in the parser's order
+PARSER = (
+    (), ("-h",),
+    *((command, "-h") for command in ("bound", "sweep", "ode", "verify", "catalog-list")),
+    ("frobnicate",),
+    ("bound",),
+    ("bound", "--example", "t2xs2", "--json", "--csv"),
+    ("verify", "--dim", "x"),
+    ("sweep", "--example", "m7-sigma", "--param", "radiu",
+     "--from", "0", "--to", "1", "--steps", "3"),
+    ("bound", "--example", "t2xs2", "--bogus"),
+)
 VERIFIES = (
     ("--dim", "8", "--trials", "2000", "--seed", "7", "--json"),
     ("--dim", "4", "--trials", "200", "--seed", "42", "--json"),
@@ -200,7 +219,7 @@ def invocations():
     runs.append(("sweep", *SWEEPS[2], *LOOSE_TOL))
     runs += [("sweep", *argv) for argv in LONG_SWEEPS]
     runs += [("verify", *argv) for argv in VERIFIES]
-    return runs + list(FAILURES) + list(SCALED_GUARD)
+    return runs + list(FAILURES) + list(SCALED_GUARD) + list(PARSER)
 
 
 def capture(argv):
@@ -217,7 +236,9 @@ def capture(argv):
                 path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
                 arg = str(path)
             real.append(arg)
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        # argparse wraps help and usage at the terminal width
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+                mock.patch.dict(os.environ, {"COLUMNS": "80"}):
             code = cli.main(real)
     text = out.getvalue()
     if tuple(argv[1:]) in (*LONG_SWEEPS, RESIDUE_SWEEP):
