@@ -2,10 +2,11 @@
 
 Subcommands: bound (evaluate every lower bound on one profile), sweep
 (one-parameter family to CSV), ode (warp trajectory dump plus summary),
-verify (Clifford identity batches), catalog-list (named examples).
-Output is deterministic: identical invocations produce byte-identical
-bytes. CSV cells carry 17 significant digits so 64-bit floats round
-trip; tables round to 6 decimals for reading.
+verify (Clifford identity batches), catalog-list (named examples);
+`main` builds only the parser of the subcommand it runs. Output is
+deterministic: identical invocations produce byte-identical bytes. CSV
+cells carry 17 significant digits so 64-bit floats round trip; tables
+round to 6 decimals for reading.
 
 `sweep` computes its rows as arrays, a block of SWEEP_BLOCK rows at a
 time, and writes each block to a temporary file as it is done; the file
@@ -437,13 +438,7 @@ def cmd_catalog_list(args):
 
 # --- parser ----------------------------------------------------------------
 
-def build_parser():
-    parser = _Parser(prog="diracbound",
-                     description="Lower bounds for Dirac eigenvalues from "
-                                 "pointwise Ricci data.")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-
-    p = sub.add_parser("bound", help="evaluate every bound on one profile")
+def _bound_args(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--profile", metavar="PATH", help="curvature profile JSON")
     src.add_argument("--spec", metavar="PATH", help="manifold spec JSON")
@@ -458,7 +453,8 @@ def build_parser():
                    help=_COMPAT_TOL_HELP)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("sweep", help="one-parameter bound family to CSV")
+
+def _sweep_args(p):
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--spec", metavar="PATH", help="manifold spec JSON")
     src.add_argument("--example", metavar="NAME", help="named example")
@@ -480,7 +476,8 @@ def build_parser():
                    help=_COMPAT_TOL_HELP)
     p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("ode", help="sample one warp orbit, dump CSV track")
+
+def _ode_args(p):
     p.add_argument("--n", type=int, default=5, metavar="N",
                    help="fiber exponent dimension (default 5)")
     p.add_argument("--f0", type=float, required=True, metavar="F0",
@@ -491,7 +488,8 @@ def build_parser():
                    help="CSV path for the sampled track")
     p.set_defaults(func=cmd_ode)
 
-    p = sub.add_parser("verify", help="run the Clifford identity batches")
+
+def _verify_args(p):
     p.add_argument("--dim", type=int, required=True, metavar="N",
                    help="frame dimension, 2 to 8")
     p.add_argument("--trials", type=int, default=1000, metavar="K",
@@ -503,17 +501,36 @@ def build_parser():
     p.add_argument("--json", action="store_true", help="machine output")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("catalog-list", help="list the named examples")
+
+def _catalog_list_args(p):
     p.add_argument("--json", action="store_true", help="machine output")
     p.set_defaults(func=cmd_catalog_list)
 
+
+COMMANDS = {"bound": ("evaluate every bound on one profile", _bound_args),
+            "sweep": ("one-parameter bound family to CSV", _sweep_args),
+            "ode": ("sample one warp orbit, dump CSV track", _ode_args),
+            "verify": ("run the Clifford identity batches", _verify_args),
+            "catalog-list": ("list the named examples", _catalog_list_args)}
+
+
+def build_parser(command=None):
+    """The CLI's parser, with only `command`'s subparser if it names one,
+    else with all; no parser's bytes depend on which others are built."""
+    parser = _Parser(prog="diracbound",
+                     description="Lower bounds for Dirac eigenvalues from "
+                                 "pointwise Ricci data.")
+    sub = parser.add_subparsers(dest="command", required=True, metavar="command")
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        if command not in COMMANDS or command == name:
+            add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

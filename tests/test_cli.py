@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
+import argparse
 import contextlib
 import csv
 import importlib.util
@@ -497,3 +498,34 @@ def test_cli_imports_no_scipy_and_main_imports_nothing(tmp_path):
     report = json.loads(proc.stdout)
     assert report["scipy"] == []
     assert report["new"] == {argv[0]: [0, []] for argv in argvs}
+
+
+def test_main_builds_only_the_invoked_subparser(monkeypatch, tmp_path):
+    """The work, not the time: subparsers built per run of main. A
+    command builds its own; help, no arguments and an unknown command
+    build all five, and so does build_parser() with no argument."""
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counting(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
+    every = ["bound", "sweep", "ode", "verify", "catalog-list"]
+    runs = [(["bound", "--example", "t2xs2"], 0, ["bound"]),
+            (["sweep", "--example", "m7-sigma", "--param", "f0",
+              "--from", "0.1", "--to", "0.9", "--steps", "3"], 0, ["sweep"]),
+            (["ode", "--f0", "0.3", "--out", str(tmp_path / "t.csv")], 0, ["ode"]),
+            (["verify", "--dim", "4", "--trials", "10"], 0, ["verify"]),
+            (["catalog-list"], 0, ["catalog-list"]),
+            ([], 1, every), (["-h"], 0, every), (["frobnicate"], 1, every)]
+    for argv, code, names in runs:
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == code, argv
+        assert built == names, argv
+    built.clear()
+    cli.build_parser()
+    assert built == every
