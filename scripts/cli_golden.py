@@ -40,7 +40,9 @@ Then argparse's own bytes, at COLUMNS=80, where it wraps help and
 usage: no arguments, `-h` and each subcommand's `-h`, an unknown
 command, `bound` with no input source or with both `--json` and
 `--csv`, `verify --dim x`, a misspelt `sweep --param`, and an argument
-that no parser knows, which the top-level parser reports.
+that no parser knows, which the top-level parser reports. Last, `ode`
+at n = 4, 7, 10^12 and 10^16, which it refuses before integrating, with
+`--out` pointing into the temporary directory.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -181,6 +183,10 @@ FAILURES = (
     *(("bound", "--profile", doc) for doc in PROFILE_FAILURES),
     *(("bound", "--spec", doc) for doc in SPEC_FAILURES),
 )
+# ode at n other than 5; capture() points --out into its temporary directory
+TRACK = "<track.csv>"
+ODE_FAILURES = tuple(("ode", "--n", str(n), "--f0", "0.3", "--out", TRACK)
+                     for n in (4, 7, 10**12, 10**16))
 # help and usage errors; each subcommand's -h, in the parser's order
 PARSER = (
     (), ("-h",),
@@ -219,7 +225,7 @@ def invocations():
     runs.append(("sweep", *SWEEPS[2], *LOOSE_TOL))
     runs += [("sweep", *argv) for argv in LONG_SWEEPS]
     runs += [("verify", *argv) for argv in VERIFIES]
-    return runs + list(FAILURES) + list(SCALED_GUARD) + list(PARSER)
+    return runs + [*FAILURES, *SCALED_GUARD, *PARSER, *ODE_FAILURES]
 
 
 def capture(argv):
@@ -235,6 +241,8 @@ def capture(argv):
                 path = Path(tmp) / "document.json"
                 path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
                 arg = str(path)
+            elif arg == TRACK:
+                arg = str(Path(tmp) / "track.csv")
             real.append(arg)
         # argparse wraps help and usage at the terminal width
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \

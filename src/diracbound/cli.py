@@ -371,6 +371,7 @@ def cmd_sweep(args):
 # --- ode -------------------------------------------------------------------
 
 def cmd_ode(args):
+    warp.check_n(args.n)
     traj = warp.integrate_warp(args.n, args.f0, args.tol)
     track = warp.curvature_track(traj)
     ext = warp.warp_extremals(5, traj.f0)

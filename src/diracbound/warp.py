@@ -169,6 +169,12 @@ def _rebase(f0, n):
     return _level_point(n, _potential_gap(f0, n), 1e-12, 1.0)
 
 
+def check_n(n):
+    """Reject an n other than 5, the only one the curvature formulas know."""
+    if n != 5:
+        raise DimensionError(f"curvature formulas are specific to n = 5, got n = {n}")
+
+
 def check_tol(tol):
     """Reject a tolerance that is not finite and positive."""
     if not (math.isfinite(tol) and tol > 0.0):
@@ -356,9 +362,7 @@ def energy_drift(traj):
 
 def curvature_track(traj):
     """Ricci eigenvalues along the orbit; defined for n = 5 only."""
-    if traj.n != 5:
-        raise DimensionError(
-            f"curvature formulas are specific to n = 5, got n = {traj.n}")
+    check_n(traj.n)
     kappa1 = (24.0 / 25.0) * (traj.Fp / traj.F) ** 2 \
         + (8.0 / 5.0) * (1.0 - traj.F ** (-4.0 / 5.0))
     kappa2 = (WARP_SCALAR - kappa1) / 4.0
@@ -395,9 +399,7 @@ def warp_extremals(n, f0):
     as in integrate_warp, so f0 is then the upper turning point. Both
     values are exact to round-off, so no tolerance enters.
     """
-    if n != 5:
-        raise DimensionError(
-            f"curvature formulas are specific to n = 5, got n = {n}")
+    check_n(n)
     f0 = float(f0)
     energy = _bounded_energy(f0, 5)
     if f0 > 1.0 + 1e-12:

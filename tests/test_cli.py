@@ -377,9 +377,12 @@ def test_ode_constant_orbit(run_cli, tmp_path):
 def test_ode_rejects_other_dimensions(run_cli, tmp_path):
     run_cli("ode", "--n", "4", "--f0", "0.3",
             "--out", str(tmp_path / "x.csv"), expect=1)
-    proc = run_cli("ode", "--n", "7", "--f0", "0.3",
-                   "--out", str(tmp_path / "y.csv"), expect=1)
-    assert "n = 5" in proc.stderr
+    for n in (7, 10**12, 10**16):   # refused before the orbit is integrated
+        proc = run_cli("ode", "--n", str(n), "--f0", "0.3",
+                       "--out", str(tmp_path / "y.csv"), expect=1)
+        assert "n = 5" in proc.stderr
+        assert "Warning" not in proc.stderr
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_ok(run_cli, schema_validator):
