@@ -42,7 +42,12 @@ command, `bound` with no input source or with both `--json` and
 `--csv`, `verify --dim x`, a misspelt `sweep --param`, and an argument
 that no parser knows, which the top-level parser reports. Last, `ode`
 at n = 4, 7, 10^12 and 10^16, which it refuses before integrating, with
-`--out` pointing into the temporary directory.
+`--out` pointing into the temporary directory. Last, the mini-max
+column at its edges: `bound --csv` on a profile whose kappa0 lies above
+R/n within the profile's slack, on a surface of scalar -5e-324 (R/n
+underflows) and on a profile whose |kappa0| = 1e300 dwarfs |Ric|^2 = 1,
+and a two-row `sweep --bounds friedrich,minimax_numeric` whose first row
+fails theorem 3.1's cross-check.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -129,6 +134,12 @@ DOCUMENTS.update({
     "<eigenvalue-min>": {**_T2XS2, "eigenvalues": [0.1, 0.4, 0.5, 1.0]},
     "<eigenvalue-squares>": {**_T2XS2, "eigenvalues": [0.0, 0.0, 0.5, 1.5]},
     "<n-over-cap>": {"n": 10**12, "scalar": 1e6, "kappa0": 1e-75, "ric_norm_sq_min": 5},
+    "<kappa0-above-tiny-mean>": {"n": 2, "scalar": -1e-20, "kappa0": 1e-13,
+                                 "ric_norm_sq_min": 5e-41},
+    "<kappa0-dwarfs-ric>": {"n": 2, "scalar": 0, "kappa0": -1e300, "ric_norm_sq_min": 1},
+    "<surface-subnormal>": {"surface": {"scalar": -5e-324}},
+    "<einstein-x-surface-f-s0-cancels>": {"product": [
+        {"einstein": {"n": 2, "scalar": -339535793094.0}}, {"surface": {"scalar": 1.0}}]},
 })
 # one failing document per validity rule
 PROFILE_FAILURES = ("<nan-field>", "<kappa0-above-mean>", "<cauchy-schwarz>",
@@ -187,6 +198,16 @@ FAILURES = (
 TRACK = "<track.csv>"
 ODE_FAILURES = tuple(("ode", "--n", str(n), "--f0", "0.3", "--out", TRACK)
                      for n in (4, 7, 10**12, 10**16))
+# the mini-max column at its edges: kappa0 above R/n (within the profile's
+# slack, or where R/n underflows), |kappa0| far above |Ric|^2, and a row
+# whose theorem31 cross-check fails, with theorem31 left out of the sweep
+MINIMAX_EDGES = (
+    ("bound", "--profile", "<kappa0-above-tiny-mean>", "--csv"),
+    ("bound", "--spec", "<surface-subnormal>", "--csv"),
+    ("bound", "--profile", "<kappa0-dwarfs-ric>", "--csv"),
+    ("sweep", "--spec", "<einstein-x-surface-f-s0-cancels>", "--param", "surface_scalar",
+     "--from", "1", "--to", "2", "--steps", "2", "--bounds", "friedrich,minimax_numeric"),
+)
 # help and usage errors; each subcommand's -h, in the parser's order
 PARSER = (
     (), ("-h",),
@@ -225,7 +246,7 @@ def invocations():
     runs.append(("sweep", *SWEEPS[2], *LOOSE_TOL))
     runs += [("sweep", *argv) for argv in LONG_SWEEPS]
     runs += [("verify", *argv) for argv in VERIFIES]
-    return runs + [*FAILURES, *SCALED_GUARD, *PARSER, *ODE_FAILURES]
+    return runs + [*FAILURES, *SCALED_GUARD, *PARSER, *ODE_FAILURES, *MINIMAX_EDGES]
 
 
 def capture(argv):
