@@ -40,14 +40,15 @@ Then argparse's own bytes, at COLUMNS=80, where it wraps help and
 usage: no arguments, `-h` and each subcommand's `-h`, an unknown
 command, `bound` with no input source or with both `--json` and
 `--csv`, `verify --dim x`, a misspelt `sweep --param`, and an argument
-that no parser knows, which the top-level parser reports. Last, `ode`
-at n = 4, 7, 10^12 and 10^16, which it refuses before integrating, with
-`--out` pointing into the temporary directory. Last, the mini-max
-column at its edges: `bound --csv` on a profile whose kappa0 lies above
-R/n within the profile's slack, on a surface of scalar -5e-324 (R/n
-underflows) and on a profile whose |kappa0| = 1e300 dwarfs |Ric|^2 = 1,
-and a two-row `sweep --bounds friedrich,minimax_numeric` whose first row
-fails theorem 3.1's cross-check.
+that no parser knows, which the top-level parser reports. Then `ode`
+with `--n` 4, 7, 10^12 and 10^16, an option it does not have (its
+curvature formulas are those of n = 5), with `--out` pointing into the
+temporary directory. Last, the mini-max column, which reads theorem
+3.1's closed form, at its edges: `bound --csv` on a profile whose kappa0
+lies above R/n within the profile's slack, on a surface of scalar
+-5e-324 (R/n underflows) and on a profile whose |kappa0| = 1e300 dwarfs
+|Ric|^2 = 1, and a two-row `sweep --bounds friedrich,minimax_numeric`
+whose first row fails theorem 3.1's cross-check.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -194,7 +195,7 @@ FAILURES = (
     *(("bound", "--profile", doc) for doc in PROFILE_FAILURES),
     *(("bound", "--spec", doc) for doc in SPEC_FAILURES),
 )
-# ode at n other than 5; capture() points --out into its temporary directory
+# ode has no --n; capture() points --out into its temporary directory
 TRACK = "<track.csv>"
 ODE_FAILURES = tuple(("ode", "--n", str(n), "--f0", "0.3", "--out", TRACK)
                      for n in (4, 7, 10**12, 10**16))

@@ -24,11 +24,10 @@ block of rows (friedrich_block, kaehler_block, theorem31_block); the
 report functions take a profile as a block of one.
 
 The mini-max bound is the best over t in [0, 1/2] of the larger root r(t)
-of G(x, t) = x^2 + p(t) x + q(t). G is convex in t (its t^2 coefficient
-is n t0 / (n - 1) >= 0), and above the vertex -p(t)/2, r(t) >= x exactly
-where G(x, t) <= 0; -p is linear in t, so above F = max(-p0/2, -(p0 +
-drop)/2, 0) every superlevel set of r is an interval. That holds for the
-kernel's computed row constants too: optimize_minimax_block uses it.
+of G(x, t) = x^2 + p(t) x + q(t). Optimizing over t is what theorem 3.1
+does in closed form: the best r is theorem 3.1's value where that applies,
+and the better end of [0, 1/2] elsewhere (optimize_minimax_block derives
+this), so the mini-max column takes no numerical search.
 """
 
 from __future__ import annotations
@@ -46,16 +45,6 @@ from .errors import (CrossCheckFailed, DimensionError, ParameterRange,
 SCALAR_ZERO_ATOL = 1e-12
 # Einstein-limit guard: below this the refined denominator is pure noise
 DEGENERATE_A_ATOL = 1e-14
-
-MINIMAX_GRID = 256
-# points per refinement round; odd, so the centre is the current best t
-MINIMAX_REFINE = 65
-MINIMAX_T_TOL = 1e-10
-# rows per full-grid kernel call: bounds the (rows, grid) work arrays
-MINIMAX_BLOCK = 64
-# fewer rows take the full grid: the windows' fixed cost exceeds their gain
-MINIMAX_WINDOW_MIN = 96
-_SEARCH_ROWS = 1024   # rows per certified search: bounds its work arrays
 
 
 class Method(str, enum.Enum):
@@ -268,6 +257,14 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
     return Theorem31Columns(condition, A, scale, applicable, failed, value, s0, f_s0)
 
 
+def _raise_failed(th):
+    """Raise CrossCheckFailed if th, theorem31_block of one profile, failed."""
+    if th.failed.any():
+        raise CrossCheckFailed(
+            f"internal cross-check failed: closed form {th.value.item()} "
+            f"vs f(s0) {th.f_s0.item()}")
+
+
 def theorem31_bound(profile):
     """Refined strict bound lambda^2 > A^2 / (bA - ac^2 + c sqrt(a^2c^2 + A(A - 2ab))).
 
@@ -278,10 +275,7 @@ def theorem31_bound(profile):
     """
     th = theorem31_block(profile.n, profile.scalar, profile.kappa0,
                          profile.traceless_norm_sq_min)
-    if th.failed:
-        raise CrossCheckFailed(
-            f"internal cross-check failed: closed form {float(th.value)} "
-            f"vs f(s0) {float(th.f_s0)}")
+    _raise_failed(th)
     if not th.condition:
         return _inapplicable(
             Method.THEOREM31,
@@ -343,10 +337,12 @@ def zero_scalar_bound(profile):
 def _constants(n, R, kappa0, t0):
     """Per-row constants (scale, nn, drop, p0, R/4, t0) of the kernel, in
     units of a power of two near the row's size, so p^2 cannot underflow.
-    The exponent stops at 1023, where 2^1024 would overflow to inf."""
+    The exponent stops at 1023, where 2^1024 would overflow to inf. A
+    kappa0 above R/n counts as R/n, as in theorem31_block."""
     size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
     scale = np.ldexp(1.0, np.minimum(np.frexp(size)[1], 1023))
     R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
+    kappa0 = np.where(kappa0 > R / n, R / n, kappa0)
     nn = n / (n - 1.0)
     return scale, nn, nn * (R / n - kappa0), -n * R / (4.0 * (n - 1)), R / 4.0, t0
 
@@ -389,190 +385,71 @@ def minimax_bound_at_t(profile, t):
     return float(_root(k, np.full((1, 1), t))[0, 0])
 
 
-_GRID = np.linspace(0.0, 0.5, MINIMAX_GRID)
-_OFFSETS = np.arange(-(MINIMAX_REFINE // 2), MINIMAX_REFINE // 2 + 1, dtype=float)
-_MID = MINIMAX_REFINE // 2     # the column of the best t in a refinement grid
-# the coarse grid (None), then refinement steps while the last was above MINIMAX_T_TOL
-_ROUNDS = [None] + [_GRID[1] / _MID**i for i in range(1, 64)
-                    if _GRID[1] / _MID**(i - 1) > MINIMAX_T_TOL]
-_WINDOW = np.arange(5)
-_EPS, _ETA, _TINY = 2.0**-53, 2.0**-20, 2.0**-300
-
-
-def _round(k, at_zero, t_star, value, step, lo=None):
-    """One round on the coarse grid (step None; at t = 0 it takes at_zero,
-    Friedrich's value, which the kernel loses where the scaled p0^2
-    underflows) or the refinement grid of step about t_star, whole or per
-    row the window from column lo: (t_star, value, ts, vals, t_star's column)."""
-    first = 0 if lo is None else lo
-    cols = slice(None) if lo is None else lo[:, None] + _WINDOW
-    ts = _GRID[cols] if step is None else np.minimum(np.maximum(
-        t_star[:, None] + step * _OFFSETS[cols], 0.0), 0.5)
-    vals = _root(k, ts)
-    if step is None:
-        vals[:, 0] = np.where(first == 0, at_zero, vals[:, 0])
-    r, j = np.arange(len(vals)), vals.argmax(axis=1)
-    best = vals[r, j]
-    t_best = ts[r, j] if ts.ndim == 2 else ts[j]
-    better = True if step is None else best > value   # ties keep the earlier
-    return (np.where(better, t_best, t_star), np.where(better, best, value),
-            ts, vals, np.where(better, j, _MID - first))
-
-
-def _vertex(vals, at, half):
-    """Vertex of the parabola through column at of vals and its neighbours, in
-    units of their spacing / (2 half), rounded; 0 if undefined or beyond _MID."""
-    r, last = np.arange(len(at)), vals.shape[1] - 1
-    vl, v0, vr = (vals[r, np.minimum(np.maximum(at + d, 0), last)] for d in (-1, 0, 1))
-    off = half * (vl - vr) / (vl - 2.0 * v0 + vr)
-    return np.rint(np.where(np.abs(off) <= _MID, off, 0.0)).astype(int)
-
-
-def _full_grid(k, at_zero, t_star, value, rounds):
-    """(value, t_star) after whole-grid rounds, MINIMAX_BLOCK rows at a time."""
-    out_v, out_t = np.empty(len(at_zero)), np.empty(len(at_zero))
-    for lo in range(0, len(at_zero), MINIMAX_BLOCK):
-        b = slice(lo, lo + MINIMAX_BLOCK)
-        kb, t, v = tuple(c[b] for c in k), t_star[b], value[b]
-        for step in rounds:
-            t, v = _round(kb, at_zero[b], t, v, step)[:2]
-        out_v[b], out_t[b] = v, t
-    return out_v, out_t
-
-
-@np.errstate(all="ignore")
-def _search(cols):
-    """optimize_minimax_block on one chunk of rows: (+0, +0) on the rows
-    that the sign certificate proves vacuous, _windows on the rest."""
-    k = _constants(*(c[:, None] for c in cols))
-    at_zero = friedrich_block(cols[0], cols[1])
-    _, nn, drop, p0, quarter_R, t0 = (c[:, 0] for c in k)
-    lift = 2.0 * drop * np.abs(quarter_R)
-    vacuous = ((p0 >= 0.0) & (drop >= 0.0) & (quarter_R <= 0.0) & (lift >= _TINY)
-               & (lift * (1.0 - _ETA) >= nn * t0 / 2.0))
-    value, t_star = np.zeros(len(at_zero)), np.zeros(len(at_zero))
-    rest = np.flatnonzero(~vacuous)
-    value[rest], t_star[rest] = _windows(tuple(c[rest] for c in k), at_zero[rest])
+def _minimax_block(n, R, kappa0, t0, th):
+    """optimize_minimax_block's (value, t_star) over rows whose theorem31
+    columns are th."""
+    with np.errstate(all="ignore"):
+        edge = _root(_constants(n, R, kappa0, t0), 0.5)
+    friedrich = friedrich_block(n, R)
+    value = np.where(th.applicable, th.value, _first_max(friedrich, edge))
+    t_star = np.where(th.applicable, th.s0 * th.value,
+                      np.where(edge > friedrich, 0.5, 0.0))
     return value, t_star
 
 
-def _windows(k, at_zero):
-    """The certified window search on rows of kernel constants k."""
-    rows = len(at_zero)
-    t_star, value = np.zeros(rows), np.zeros(rows)
-    if rows < MINIMAX_WINDOW_MIN:
-        return _full_grid(k, at_zero, t_star, value, _ROUNDS)
-    scale, nn, drop, p0, quarter_R, t0 = (c[:, 0] for c in k)
-    P, Q = np.abs(p0) + np.abs(drop), nn * t0 / 8.0 + np.abs(drop * quarter_R)
-    terms = np.abs(np.stack((p0, drop, quarter_R, t0)))
-    normal = np.all((terms == 0.0) | (terms >= _TINY), axis=0)
-    # per row: scale, p_min, e_p, e_q and e_d (NaN where a term can underflow)
-    bound = np.stack((scale, np.minimum(p0, p0 + drop), _EPS * (P + np.abs(drop)),
-                      3.0 * _EPS * Q, np.where(normal, _EPS * (6 * P * P + 16 * Q), np.nan)))
-    vals = _root(k, _GRID[::15])   # 18 points, both ends
-    vals[:, 0] = at_zero
-    cols = np.clip(15 * vals.argmax(axis=1)[:, None] + np.arange(-15, 16, 3),
-                   0, MINIMAX_GRID - 1)
-    vals = np.where(cols == 0, at_zero[:, None], _root(k, _GRID[cols]))
-    j = vals.argmax(axis=1)
-    lo = cols[np.arange(rows), j] + _vertex(vals, j, 1.5) - 2
-    out_v, out_t, act = np.empty(rows), np.empty(rows), np.arange(rows)   # act: still windowed
-    for n_round, step in enumerate(_ROUNDS):
-        last = MINIMAX_GRID - 1 if step is None else MINIMAX_REFINE - 1
-        if step is not None:
-            lo = _MID - 2 + np.where((t_star == 0.0) | (t_star == 0.5), 0, shift)
-        lo = np.minimum(np.maximum(lo, 0), last - 4)
-        t, v, ts, vals, at = _round(k, at_zero, t_star, value, step, lo)
-        scale, p_min, e_p, e_q, e_d = bound
-        L = v / scale * (1.0 - _ETA)
-        S, Lp = 2.0 * L + p_min, L + np.maximum(p_min, 0.0)
-        delta = 2.0 * (e_q / (L * Lp) + (e_p + e_d / (2.0 * S)) / (2.0 * Lp) + 3.0 * _EPS)
-        witness = v * (1.0 - 2.0 * delta)   # M - 2E
-        ok = ((S > 0.0) & (L >= _TINY) & (v >= 2.0**-1000) & (e_d < _ETA * S * S)
-              & (delta < _ETA / 4.0) & (at >= 0) & (at <= 4)
-              & ((ts[:, 0] == 0.0) | (lo == 0) | (vals[:, 0] < witness))
-              & ((ts[:, 4] == 0.5) | (lo == last - 4) | (vals[:, 4] < witness)))
-        shift = _vertex(vals, at, _MID / 2.0)
-        if not ok.all():
-            bad = ~ok
-            kb = tuple(c[bad] for c in k)
-            if step is None:   # the whole coarse grid; later rounds try windows
-                v[bad], t[bad] = _full_grid(kb, at_zero[bad], t[bad], v[bad], [None])
-                shift[bad] = 0
-            else:              # the whole grid from this round on
-                out_v[act[bad]], out_t[act[bad]] = _full_grid(
-                    kb, at_zero[bad], t_star[bad], value[bad], _ROUNDS[n_round:])
-                act, at_zero, t, v, shift = (x[ok] for x in (act, at_zero, t, v, shift))
-                k, bound = tuple(c[ok] for c in k), bound[:, ok]
-        t_star, value = t, v
-    out_v[act], out_t[act] = value, t_star
-    return out_v, out_t
-
-
 def optimize_minimax_block(n, scalar, kappa0, traceless_norm_sq_min):
-    """Maximize the mini-max bound over t in [0, 1/2] for a block of rows.
+    """Maximize the mini-max bound r(t) over t in [0, 1/2] for a block of rows.
 
     Takes equal-length arrays of n, R, kappa0 and min |Ric - R/n|^2 and
-    returns the arrays (value, t_star) of a grid search: MINIMAX_GRID
-    points, then rounds of MINIMAX_REFINE points spanning one step either
-    side of the best t so far, until the step is at most MINIMAX_T_TOL.
-    Ties keep the earlier point. At t = 0 the Friedrich value itself is
-    taken, so no value falls below it.
+    returns the arrays (value, t_star), in closed form: on rows where
+    theorem 3.1 applies, theorem31_block's value and t_star = s0 value;
+    elsewhere the better end, max(Friedrich, r(1/2)), with t_star = 1/2
+    where r(1/2) is larger and 0 on ties. Each row is computed alone.
 
-    Rows that a sign certificate proves vacuous take no point at all:
-    they get (value, t_star) = (+0, +0), which is what every grid point
-    gives them. In the row's scaled constants the certificate asks for
-    p0 >= 0, drop >= 0, R/4 <= 0, L = 2 drop |R/4| >= 2^-300 and
-    L (1 - 2^-20) >= nn t0 / 2. Its proof uses IEEE +, - and x alone:
-    the computed p = p0 + 2 t drop is then >= 0, so the computed root is
-    > 0 exactly where the computed q < 0. For t in [0, 1/2], fl(t t) <=
-    t/2, so the t0 term of q is <= 0 and its size is at most nn t0 t/2
-    (1 + eps)^2; the drop term is at least t L (1 - eps)^2, far above
-    the underflow threshold at every t > 0 of the grids, which are
-    multiples of 2^-86. The margin 2^-20 covers those factors and the
-    certificate's own roundings, so the computed q >= 0 at every t.
+    Why. In the shortcuts, G(x, t) = x^2 - 2 a x + 2 b t x - 2 A t +
+    c^2 t^2 = x (x (1 + 2 b s + c^2 s^2) - 2 (a + A s)) with s = t / x,
+    so x > 0 is a root of G(., t) exactly where x = f(t / x), f being
+    theorem 3.1's function (its denominator is positive: b >= 0, as a
+    kappa0 above R/n counts as R/n). So every positive r(t) is a value of
+    f, and every f(s) > 0 with t = s f(s) in [0, 1/2] is at most r(t).
 
-    A round evaluates only 5 points when it proves the whole grid picks
-    the same one. With M the best value so far and r the exact root (see
-    above), |computed - r| <= E = delta M, one bound per row wherever
-    either is about M, from first-order bounds of each operation (eps =
-    2^-53, safety factor 2), p >= p_min = min(p0, p0 + drop), s >= 2M +
-    p_min and |q| >= M (p + s)/2. If M - 2E > F and each end of the window
-    is computed below M - 2E (strictly, as argmax keeps the first of equal
-    values), is the grid's end or a clipped copy of t = 0 or 1/2, no
-    skipped j is computed >= M: r(j) and r(best) would be >= M - E, so r
-    at the end between them, which would be computed >= M - 2E.
+    f' has the sign of d - 2 a c^2 s - A c^2 s^2, d = A - 2ab. Theorem
+    3.1 applies where A > 0 and d > 0 (condition 19); f then rises to
+    M = f(s0) and falls, so r <= M and r(t*) >= M at t* = s0 M. f' = 0
+    gives M = A / (b + c^2 s0), so t* = (A - b M) / c^2 > 0, and as M >=
+    f(0) = 2a and M > 0, t* <= min(d, A) / c^2 <= 1/4 (d = c^2/4 - 2ab/n,
+    A = c^2/4 + 2ab (n-1)/n): the maximum is M, at t* in (0, 1/4].
 
-    Windows are centred on the vertex of the parabola through the best
-    point and its neighbours: of an 18-point subgrid, then of every third
-    point near its best, in the coarse round; of the last round later, or
-    on t* at 0 or 1/2. A row left unproved takes that round's whole grid,
-    MINIMAX_BLOCK rows at a time, and after a refinement round every later
-    one (its values are flat within rounding). So do rows with M <= F or
-    a scaled term that can underflow, and blocks of fewer than
-    MINIMAX_WINDOW_MIN rows.
+    Elsewhere f has no turn s > 0 with f(s) > 0: with c > 0 and d <= 0,
+    a > 0 (R < 0 forces d > 0, R = 0 gives d = c^2/4) and f falls while
+    positive; with A <= 0 and a <= 0, f <= 0; with c = 0, f is monotone.
+    A turn of r at t in (0, 1/2) with r(t) > 0 would be one of f at
+    t / r(t), so r peaks at t = 0 (Friedrich's value) or t = 1/2. Rows
+    that theorem31's degeneracy guard drops (A below 1e-14 s^2, s the row's
+    scale squared) take the ends too, within about 1e-13 s of the peak.
     """
     cols = [np.asarray(a, dtype=float).reshape(-1)
             for a in (n, scalar, kappa0, traceless_norm_sq_min)]
     rows = len(cols[0])
     if any(len(c) != rows for c in cols):
         raise ShapeError(f"row arrays differ in length: {[len(c) for c in cols]}")
-    value, t_star = np.empty(rows), np.empty(rows)
-    for lo in range(0, rows, _SEARCH_ROWS):
-        chunk = slice(lo, lo + _SEARCH_ROWS)
-        value[chunk], t_star[chunk] = _search([c[chunk] for c in cols])
-    return value, t_star
+    return _minimax_block(*cols, theorem31_block(*cols))
 
 
 def optimize_minimax(profile):
     """Maximize minimax_bound_at_t over t in [0, 1/2]: optimize_minimax_block
-    on a block of one, which takes the whole grid. t_star = 0 on flat
-    (Einstein) profiles, and the value never falls below Friedrich's.
+    on one profile. t_star = 0 on flat (Einstein) profiles, and the value
+    never falls below Friedrich's. Where theorem 3.1 applies the value is
+    its closed form, so a failed theorem31 cross-check raises
+    CrossCheckFailed here too.
     """
-    value, t_star = optimize_minimax_block(
-        profile.n, profile.scalar, profile.kappa0, profile.traceless_norm_sq_min)
-    return BoundReport(Method.MINIMAX_NUMERIC, float(value[0]), False, True,
-                       optimizer=OptimizerInfo(t_star=float(t_star[0])))
+    cols = [np.array([x], dtype=float) for x in (
+        profile.n, profile.scalar, profile.kappa0, profile.traceless_norm_sq_min)]
+    th = theorem31_block(*cols)
+    _raise_failed(th)
+    value, t_star = _minimax_block(*cols, th)
+    return BoundReport(Method.MINIMAX_NUMERIC, value.item(), False, True,
+                       optimizer=OptimizerInfo(t_star=t_star.item()))
 
 
 # --- aggregation -----------------------------------------------------------

@@ -46,7 +46,8 @@ import numpy as np
 
 from . import clifford, warp
 from .bounds import (best_bound, friedrich_block, kaehler_block, kaehler_bound,
-                     optimize_minimax_block, theorem31_block, theorem31_bound)
+                     optimize_minimax, optimize_minimax_block, theorem31_block,
+                     theorem31_bound)
 from .catalog import (EXAMPLES, Product, Sphere, Surface, Warped, leaves,
                       named_example, realize, realize_columns, spec_from_dict,
                       spec_to_dict)
@@ -225,7 +226,7 @@ def _sweep_grid(start, stop, steps, lo, hi):
 def _bound_cells(profile, selected, kaehler_dim):
     """(cells, failed): name -> (values, applicable or None) of the
     selected bound columns, and the rows where theorem31's cross-check
-    fails."""
+    fails, which the minimax_numeric column reads too."""
     n, R = profile.n, profile.scalar
     kappa0, t0 = profile.kappa0, profile.traceless_norm_sq_min
     cells, failed = {}, False
@@ -233,9 +234,11 @@ def _bound_cells(profile, selected, kaehler_dim):
         cells["friedrich"] = friedrich_block(n, R), None
     if "kaehler" in selected and kaehler_dim is not None:
         cells["kaehler"] = kaehler_block(n, R, kaehler_dim), None
-    if "theorem31" in selected:
+    if "theorem31" in selected or "minimax_numeric" in selected:
         th = theorem31_block(n, R, kappa0, t0)
-        cells["theorem31"], failed = (th.value, th.applicable), th.failed
+        failed = th.failed
+    if "theorem31" in selected:
+        cells["theorem31"] = th.value, th.applicable
     if "minimax_numeric" in selected:
         cells["minimax_numeric"] = optimize_minimax_block(
             np.full(len(R), n), R, kappa0, t0)[0], None
@@ -290,6 +293,8 @@ def _check_row(spec, value, args, selected):
             kaehler_bound(profile, args.kaehler_dim)
         if "theorem31" in selected:
             theorem31_bound(profile)
+        if "minimax_numeric" in selected:
+            optimize_minimax(profile)
     except DiracBoundError as exc:
         exc.args = (f"{exc} (at {args.param} = {value!r})",)
         raise
@@ -297,8 +302,8 @@ def _check_row(spec, value, args, selected):
 
 def _sweep_block(spec, realize_block, params, args, selected):
     """CSV text of one block of parameter values; the first row that the
-    column code flags, or whose theorem31 cross-check fails, raises
-    through _check_row."""
+    column code flags, or whose theorem31 cross-check fails (with
+    theorem31 or minimax_numeric selected), raises through _check_row."""
     profile, flagged = realize_block(params)
     with np.errstate(all="ignore"):   # flagged rows hold unchecked values
         cells, failed = _bound_cells(profile, selected, args.kaehler_dim)
@@ -371,8 +376,7 @@ def cmd_sweep(args):
 # --- ode -------------------------------------------------------------------
 
 def cmd_ode(args):
-    warp.check_n(args.n)
-    traj = warp.integrate_warp(args.n, args.f0, args.tol)
+    traj = warp.integrate_warp(5, args.f0, args.tol)
     track = warp.curvature_track(traj)
     ext = warp.warp_extremals(5, traj.f0)
     warp.write_track_csv(args.out, traj, track)
@@ -479,8 +483,6 @@ def _sweep_args(p):
 
 
 def _ode_args(p):
-    p.add_argument("--n", type=int, default=5, metavar="N",
-                   help="fiber exponent dimension (default 5)")
     p.add_argument("--f0", type=float, required=True, metavar="F0",
                    help="starting value F(0)")
     p.add_argument("--tol", type=float, default=1e-10, metavar="TOL",

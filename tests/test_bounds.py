@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spectrum_profile, spectra, spectrum_profile
-from diracbound import (DimensionError, Einstein, Method, ParameterRange, Product,
+from diracbound import (CrossCheckFailed, DimensionError, Einstein, Method,
+                        ParameterRange, Product,
                         RicciFlat, ScalarSignError, ShapeError, Sphere, Surface,
                         Warped, best_bound, bounds, cli,
                         condition_19, corollary32_bound, friedrich_bound,
@@ -226,19 +227,32 @@ def _block(profiles):
                                   [p.traceless_norm_sq_min for p in profiles])
 
 
+def _single_minimax(p):
+    """(value, t_star) of optimize_minimax(p). Where that raises
+    CrossCheckFailed, theorem31_bound must raise too, and the block row
+    carries theorem 3.1's failed value, which callers check through
+    theorem31_block's failed column."""
+    try:
+        r = optimize_minimax(p)
+        return r.value, r.optimizer.t_star
+    except CrossCheckFailed:
+        with pytest.raises(CrossCheckFailed):
+            theorem31_bound(p)
+        th = theorem31_block(*_row(p))
+        assert th.failed
+        return float(th.value), float(th.s0 * th.value)
+
+
 @given(st.lists(spectra, min_size=1, max_size=12), st.data())
 def test_minimax_block_rows_match_single_profile(profiles, data):
-    single = [optimize_minimax(p) for p in profiles]
+    single = [_single_minimax(p) for p in profiles]
     order = data.draw(st.permutations(range(len(profiles))))
-    expect_v = np.array([single[i].value for i in order])
-    expect_t = np.array([single[i].optimizer.t_star for i in order])
-    for size in (1, 7, bounds.MINIMAX_BLOCK):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bounds, "MINIMAX_BLOCK", size)
-            value, t_star = _block([profiles[i] for i in order])
-        # bit for bit, sign of zero included
-        assert value.tobytes() == expect_v.tobytes()
-        assert t_star.tobytes() == expect_t.tobytes()
+    expect_v = np.array([single[i][0] for i in order])
+    expect_t = np.array([single[i][1] for i in order])
+    value, t_star = _block([profiles[i] for i in order])
+    # bit for bit, sign of zero included
+    assert value.tobytes() == expect_v.tobytes()
+    assert t_star.tobytes() == expect_t.tobytes()
 
 
 def test_minimax_block_rejects_ragged_rows():
@@ -275,11 +289,11 @@ def test_minimax_keeps_friedrich_floor_when_kappa0_dwarfs_scalar():
     assert value[0] == r.value
 
 
-# --- the certified search against the full-grid kernel it replaced ---------
+# --- the closed form against the full-grid search it replaced -------------
 
 def _full_grid_reference(n, R, kappa0, t0):
-    """optimize_minimax_block before the certified search: every row on
-    all 256 coarse points, then on all 65 points of each refinement round."""
+    """optimize_minimax_block as a grid search: every row on all 256 coarse
+    points, then on all 65 points of each refinement round."""
     n, R, kappa0, t0 = (np.asarray(c, dtype=float)[:, None] for c in (n, R, kappa0, t0))
     size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
     scale = np.ldexp(1.0, np.frexp(size)[1])
@@ -327,8 +341,8 @@ def _scaled_row(p, e):
 
 def _vacuous_edge(n, R, gap, k, sign, e):
     """R < 0, kappa0 = R/n - gap, and t0 off the edge 4 drop |R/4| / nn of the
-    vacuous rows by a factor 1 +- 2^-k, scaled by 2^e: the sign certificate's
-    margin 2^-20 falls among these rows."""
+    vacuous rows (q >= 0 at every t, so every root is 0) by a factor 1 +-
+    2^-k, scaled by 2^e: condition 19 holds on one side only."""
     nn = n / (n - 1.0)
     kappa0 = R / n - gap
     drop = nn * (R / n - kappa0)
@@ -349,7 +363,7 @@ _rows = st.one_of(
     st.builds(lambda p, e: (p.n, p.scalar, p.kappa0 - 10.0**e, p.traceless_norm_sq_min),
               spectra, st.floats(0.0, 300.0)),
     st.just(_DWARFED),
-    # kappa0 above R/n, which profiles refuse: the root rises to t* = 1/2
+    # kappa0 above R/n, which profiles refuse: it counts as R/n
     st.builds(lambda p, d: (p.n, abs(p.scalar), abs(p.scalar) / p.n + d,
                             p.traceless_norm_sq_min), spectra, st.floats(0.01, 5.0)),
     st.builds(_vacuous_edge, st.integers(2, 11), st.floats(-10.0, -1e-3),
@@ -359,47 +373,24 @@ _rows = st.one_of(
 
 
 @settings(max_examples=400)
-@given(st.lists(_rows, min_size=1, max_size=40), st.sampled_from([1, 7, 64]),
-       st.none() | st.integers(0, 2**32 - 1))
-def test_certified_search_matches_full_grid(rows, block, misplace):
+@given(st.lists(_rows, min_size=1, max_size=40))
+def test_minimax_closed_form_matches_full_grid(rows):
+    """The closed form against the grid search it replaced, with a kappa0
+    above R/n lowered to R/n, as both now read it: within 1e-11 relative,
+    or 1e-13 of the row's scale s (theorem31_block's). The grid cannot
+    reach a t* below its finest step, about 6e-11; theorem 3.1's A cancels
+    where the bound is about 1e-15 of the curvature, and so does the
+    grid's q; and on rows that the degeneracy guard drops (A below 1e-14
+    s^2), the better end stands in for a maximum that is flat within
+    rounding. t* = s0 value lies in (0, 1/4] where theorem 3.1 applies."""
     cols = [np.array(c, dtype=float) for c in zip(*rows)]
-    expect = _full_grid_reference(*cols)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bounds, "MINIMAX_WINDOW_MIN", 1)   # windows even for short lists
-        mp.setattr(bounds, "MINIMAX_BLOCK", block)
-        if misplace is not None:   # windows off the predicted argmax
-            rng = np.random.default_rng(misplace)
-            mp.setattr(bounds, "_vertex", lambda vals, at, half: rng.integers(-8, 9, len(at)))
-        got = optimize_minimax_block(*cols)
-    # bit for bit, sign of zero included
-    assert [g.tobytes() for g in got] == [e.tobytes() for e in expect]
-
-
-def test_certified_search_evaluates_a_third_of_the_grid(tmp_path, monkeypatch):
-    """The work, not the time: points evaluated per row, over the two
-    2000-row sweeps of the sweep-bounds benchmark and over a block of one.
-    The counts repeat exactly: 184.0 per radius row, and 104.765 per
-    m7-sigma row, whose vacuous rows take no point."""
-    points = []
-    root = bounds._root
-
-    def counting(k, t):
-        out = root(k, t)
-        points.append(out.size)
-        return out
-
-    monkeypatch.setattr(bounds, "_root", counting)
-    for argv, most in ((["--example", "s2r-x-hyperbolic", "--param", "radius",
-                         "--from", "0.52", "--to", "1.97", "--kaehler-dim", "2"], 184),
-                       (["--example", "m7-sigma", "--param", "surface_scalar",
-                         "--from", "-7.8", "--to", "11.7"], 105)):
-        points.clear()
-        argv = ["sweep", *argv, "--steps", "2000", "--out", str(tmp_path / "s.csv")]
-        assert cli.main(argv) == 0
-        assert sum(points) / 2000 <= most   # the full grid is 581
-    points.clear()
-    optimize_minimax(T2XS2)
-    assert sum(points) == 256 + 5 * 65
+    n, R, kappa0, t0 = cols
+    expect, _ = _full_grid_reference(n, R, np.minimum(kappa0, R / n), t0)
+    value, t_star = optimize_minimax_block(*cols)
+    th = theorem31_block(*cols)
+    assert (np.abs(value - expect) <= 1e-11 * expect + 1e-13 * th.scale).all()
+    assert ((0.0 <= t_star) & (t_star <= 0.5)).all()
+    assert ((t_star[th.applicable] > 0.0) & (t_star[th.applicable] <= 0.25 + 1e-12)).all()
 
 
 @given(st.one_of(spectra, st.builds(
@@ -473,25 +464,32 @@ def _near(R, kappa0, t0):
 @given(spectra | _specs(1e6).map(realize),
        st.lists(st.integers(-400, 400), min_size=1, max_size=22))
 def test_theorem31_is_homogeneous(p, ks):
-    """Theorem 3.1 at (s R, s kappa0, s^2 t0), s = 2^k: the same
-    applicability, and s times the value (s0 over s), bit for bit while
-    both rows lie in [2^-250, 2^250]. Scales at which the data itself
-    underflows are left out."""
+    """Theorem 3.1 and the mini-max bound at (s R, s kappa0, s^2 t0), s =
+    2^k: the same applicability, s times the value, the same t* (s0 over
+    s), bit for bit while both rows lie in [2^-250, 2^250]. Scales at
+    which the data itself underflows are left out."""
     base = _row(p)
     ks = [k for k in ks if _scaled_row(_scaled_row(p, k), -k) == base]
     if not ks:
         return
     rows = np.array([_scaled_row(p, k) for k in ks])
+    k, exact = np.array(ks), _near(*rows[:, 1:].T) & _near(*base[1:])
+    value, t_star = optimize_minimax_block(np.full(len(ks), p.n), *rows[:, 1:].T)
+    unit_value, unit_t = optimize_minimax_block(*([x] for x in base))
+    assert value[exact].tobytes() == np.ldexp(unit_value, k)[exact].tobytes()
+    assert t_star[exact].tobytes() == np.broadcast_to(unit_t, k.shape)[exact].tobytes()
+    # elsewhere one row takes the far rows' formula, which rounds otherwise
+    assert value[~exact] == pytest.approx(np.ldexp(unit_value, k)[~exact], rel=1e-12)
+    assert t_star[~exact] == pytest.approx(np.broadcast_to(unit_t, k.shape)[~exact],
+                                           rel=1e-12)
     th = theorem31_block(p.n, *rows[:, 1:].T)
     one = theorem31_block(*base)
     assert (th.applicable == one.applicable).all()
     if not one.applicable:
         return
-    k, exact = np.array(ks), _near(*rows[:, 1:].T) & _near(*base[1:])
     for got, unit, power in ((th.value, one.value, k), (th.s0, one.s0, -k),
                              (th.f_s0, one.f_s0, k)):
         assert got[exact].tobytes() == np.ldexp(unit, power)[exact].tobytes()
-    # elsewhere one row takes the far rows' formula, which rounds otherwise
     assert th.value[~exact] == pytest.approx(np.ldexp(one.value, k)[~exact], rel=1e-12)
 
 
@@ -512,6 +510,8 @@ def test_theorem31_is_zero_scalar_on_far_rows(n, kappa0, ric):
     assert th.applicable
     assert th.value == pytest.approx(zero.value, rel=1e-9)
     assert th.optimizer.f_s0 == pytest.approx(zero.value, rel=1e-9)
+    # the mini-max kernel, scaled near |kappa0|, lost the scaled t0 and read 0
+    assert optimize_minimax(p).value == th.value
 
 
 def test_theorem31_scales_rows_beyond_2_to_250():
@@ -532,6 +532,10 @@ def test_theorem31_lowers_kappa0_above_the_mean_to_it():
     th = theorem31_bound(above)
     assert th.applicable and th.value > 0.0
     assert th == theorem31_bound(make_profile(4, 1e-20, 2.5e-21, 1e-30))
+    # the mini-max kernel read the raw kappa0 and found 2.0000000750000005e-13
+    # at t = 1/2 on the first, 5e-324 on the second
     for p in (make_profile(2, -1e-20, 1e-13, 5e-41), realize(Surface(-5e-324))):
         assert not theorem31_bound(p).applicable
+        assert minimax_bound_at_t(p, 0.5) == 0.0
+        assert optimize_minimax(p).value == 0.0
         best_bound(p)

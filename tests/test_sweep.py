@@ -15,7 +15,8 @@ from sweep_oracle import oracle_sweep
 
 from diracbound import (Einstein, InconsistentProfile, Product, Sphere,
                         Surface, Warped, bounds, catalog, cli, make_profile,
-                        spec_to_dict, warp)
+                        optimize_minimax, realize, spec_from_dict, spec_to_dict,
+                        warp)
 from diracbound.errors import CrossCheckFailed
 
 
@@ -274,6 +275,31 @@ def test_sweep_row_flagged_but_accepted_exits_4(capsys, monkeypatch):
     assert out.out == "" and "Traceback" not in out.err
     assert "internal cross-check failed" in out.err
     assert "(at radius = 0.75)" in out.err
+
+
+def test_minimax_column_exits_4_where_theorem31_fails(capsys, tmp_path):
+    # the mini-max column is theorem 3.1's value where that applies, so a
+    # row whose cross-check fails fails without the theorem31 column too
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"product": [
+        {"einstein": {"n": 2, "scalar": -339535793094.0}}, {"surface": {"scalar": 1.0}}]}))
+    errors = []
+    for columns in ("friedrich,minimax_numeric", "friedrich,theorem31"):
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--spec", str(spec), "--param", "surface_scalar",
+                "--from", "1", "--to", "2", "--steps", "2", "--bounds", columns,
+                "--out", str(out)]
+        assert cli.main(argv) == cli.EXIT_INTERNAL
+        assert not out.exists()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors.append(captured.err)
+    assert errors[0] == errors[1]
+    assert "internal cross-check failed: closed form" in errors[0]
+    assert "(at surface_scalar = 1.0)" in errors[0]
+    assert cli.main(["bound", "--spec", str(spec)]) == cli.EXIT_INTERNAL
+    with pytest.raises(CrossCheckFailed):
+        optimize_minimax(realize(spec_from_dict(json.loads(spec.read_text()))))
 
 
 def test_ode_energy_drift_failure_exits_4(capsys, monkeypatch, tmp_path):
