@@ -348,8 +348,9 @@ def _constants(n, R, kappa0, t0):
 
 
 def _root(k, t):
-    """Larger root of the mini-max quadratic at t, clamped at +0; t of shape
-    (rows, w) or (w,). Elementwise, so rows do not depend on each other."""
+    """Larger root of the mini-max quadratic at t, clamped at +0; t broadcasts
+    against the row constants, and the result is an array. Elementwise, so
+    rows do not depend on each other."""
     scale, nn, drop, p0, quarter_R, t0 = k
     u = 2.0 * t * drop
     p = p0 + u
