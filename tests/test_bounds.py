@@ -11,7 +11,7 @@ from conftest import random_spectrum_profile, spectra, spectrum_profile
 from diracbound import (CrossCheckFailed, DimensionError, Einstein, Method,
                         ParameterRange, Product,
                         RicciFlat, ScalarSignError, ShapeError, Sphere, Surface,
-                        Warped, best_bound, bounds, cli,
+                        Warped, best_bound, bounds,
                         condition_19, corollary32_bound, friedrich_bound,
                         harmonic_spinor_excluded, improvement_condition,
                         kaehler_bound, make_profile, minimax_bound_at_t,
