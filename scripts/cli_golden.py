@@ -47,8 +47,12 @@ temporary directory. Last, the mini-max column, which reads theorem
 3.1's closed form, at its edges: `bound --csv` on a profile whose kappa0
 lies above R/n within the profile's slack, on a surface of scalar
 -5e-324 (R/n underflows) and on a profile whose |kappa0| = 1e300 dwarfs
-|Ric|^2 = 1, and a two-row `sweep --bounds friedrich,minimax_numeric`
-whose first row fails theorem 3.1's cross-check.
+|Ric|^2 = 1, a two-row `sweep --bounds friedrich,minimax_numeric`
+whose first row fails theorem 3.1's cross-check, `bound --csv` on a
+profile whose |kappa0| = 1e278 dwarfs R = 1e-44, and, on a surface of
+scalar 31.4 times a five-dimensional Einstein factor of scalar 78.5
+(an Einstein product: all seven Ricci eigenvalues are 15.7), `bound
+--csv` and a two-row `surface_scalar` sweep from 31.4.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -141,6 +145,10 @@ DOCUMENTS.update({
     "<surface-subnormal>": {"surface": {"scalar": -5e-324}},
     "<einstein-x-surface-f-s0-cancels>": {"product": [
         {"einstein": {"n": 2, "scalar": -339535793094.0}}, {"surface": {"scalar": 1.0}}]},
+    "<kappa0-dwarfs-tiny-scalar>": {"n": 5, "scalar": 1e-44, "kappa0": -1e278,
+                                    "ric_norm_sq_min": 2e-89},
+    "<einstein-product>": {"product": [{"surface": {"scalar": 31.4}},
+                                       {"einstein": {"n": 5, "scalar": 78.5}}]},
 })
 # one failing document per validity rule
 PROFILE_FAILURES = ("<nan-field>", "<kappa0-above-mean>", "<cauchy-schwarz>",
@@ -200,14 +208,20 @@ TRACK = "<track.csv>"
 ODE_FAILURES = tuple(("ode", "--n", str(n), "--f0", "0.3", "--out", TRACK)
                      for n in (4, 7, 10**12, 10**16))
 # the mini-max column at its edges: kappa0 above R/n (within the profile's
-# slack, or where R/n underflows), |kappa0| far above |Ric|^2, and a row
-# whose theorem31 cross-check fails, with theorem31 left out of the sweep
+# slack, or where R/n underflows), |kappa0| far above |Ric|^2, a row
+# whose theorem31 cross-check fails, with theorem31 left out of the sweep,
+# |kappa0| = 1e278 far above a tiny R, and an Einstein product (all seven
+# Ricci eigenvalues 15.7), as a bound and as the first row of a sweep
 MINIMAX_EDGES = (
     ("bound", "--profile", "<kappa0-above-tiny-mean>", "--csv"),
     ("bound", "--spec", "<surface-subnormal>", "--csv"),
     ("bound", "--profile", "<kappa0-dwarfs-ric>", "--csv"),
     ("sweep", "--spec", "<einstein-x-surface-f-s0-cancels>", "--param", "surface_scalar",
      "--from", "1", "--to", "2", "--steps", "2", "--bounds", "friedrich,minimax_numeric"),
+    ("bound", "--profile", "<kappa0-dwarfs-tiny-scalar>", "--csv"),
+    ("bound", "--spec", "<einstein-product>", "--csv"),
+    ("sweep", "--spec", "<einstein-product>", "--param", "surface_scalar",
+     "--from", "31.4", "--to", "31.5", "--steps", "2"),
 )
 # help and usage errors; each subcommand's -h, in the parser's order
 PARSER = (
