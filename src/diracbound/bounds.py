@@ -26,8 +26,8 @@ report functions take a profile as a block of one.
 The mini-max bound is the best over t in [0, 1/2] of the larger root r(t)
 of G(x, t) = x^2 + p(t) x + q(t). Optimizing over t is what theorem 3.1
 does in closed form: the best r is theorem 3.1's value where that applies,
-and the better end of [0, 1/2] elsewhere (optimize_minimax_block derives
-this), so the mini-max column takes no numerical search.
+and Friedrich's value elsewhere (optimize_minimax_block derives this), so
+theorem31_block fills the mini-max columns too, without a search.
 """
 
 from __future__ import annotations
@@ -194,7 +194,9 @@ class Theorem31Columns:
     power-of-two scale, per row; value, s0 and f(s0) where both hold
     (applicable), NaN elsewhere; failed marks the applicable rows whose
     closed form is not finite or misses f(s0) by more than 1e-9
-    relative."""
+    relative. minimax and t_star are the mini-max bound's columns (see
+    optimize_minimax_block): value and s0 value where applicable,
+    Friedrich's value and 0 elsewhere."""
 
     condition: np.ndarray
     A: np.ndarray
@@ -204,6 +206,8 @@ class Theorem31Columns:
     value: np.ndarray
     s0: np.ndarray
     f_s0: np.ndarray
+    minimax: np.ndarray
+    t_star: np.ndarray
 
 
 def _closed_forms_agree(value, f_s0):
@@ -228,6 +232,7 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
     """
     R, kappa0, t0 = (np.asarray(x, dtype=float)
                      for x in (scalar, kappa0, traceless_norm_sq_min))
+    friedrich = friedrich_block(n, R)
     with np.errstate(all="ignore"):
         size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
         far = ~((2.0**-250 <= size) & (size <= 2.0**250))
@@ -254,15 +259,20 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
         s0 = s0 / scale
         failed = applicable & ~_closed_forms_agree(value, f_s0)
     value, s0, f_s0 = (np.where(applicable, x, np.nan) for x in (value, s0, f_s0))
-    return Theorem31Columns(condition, A, scale, applicable, failed, value, s0, f_s0)
+    return Theorem31Columns(condition, A, scale, applicable, failed, value, s0, f_s0,
+                            np.where(applicable, value, friedrich),
+                            np.where(applicable, s0 * value, 0.0))
 
 
-def _raise_failed(th):
-    """Raise CrossCheckFailed if th, theorem31_block of one profile, failed."""
-    if th.failed.any():
+def _checked_theorem31(profile):
+    """theorem31_block of one profile; CrossCheckFailed if its cross-check fails."""
+    th = theorem31_block(profile.n, profile.scalar, profile.kappa0,
+                         profile.traceless_norm_sq_min)
+    if th.failed:
         raise CrossCheckFailed(
-            f"internal cross-check failed: closed form {th.value.item()} "
-            f"vs f(s0) {th.f_s0.item()}")
+            f"internal cross-check failed: closed form {float(th.value)} "
+            f"vs f(s0) {float(th.f_s0)}")
+    return th
 
 
 def theorem31_bound(profile):
@@ -273,9 +283,7 @@ def theorem31_bound(profile):
     routes are evaluated and must agree to 1e-9 relative, or
     CrossCheckFailed is raised.
     """
-    th = theorem31_block(profile.n, profile.scalar, profile.kappa0,
-                         profile.traceless_norm_sq_min)
-    _raise_failed(th)
+    th = _checked_theorem31(profile)
     if not th.condition:
         return _inapplicable(
             Method.THEOREM31,
@@ -386,26 +394,13 @@ def minimax_bound_at_t(profile, t):
     return float(_root(k, np.full((1, 1), t))[0, 0])
 
 
-def _minimax_block(n, R, kappa0, t0, th):
-    """optimize_minimax_block's (value, t_star) over rows whose theorem31
-    columns are th."""
-    with np.errstate(all="ignore"):
-        edge = _root(_constants(n, R, kappa0, t0), 0.5)
-    friedrich = friedrich_block(n, R)
-    value = np.where(th.applicable, th.value, _first_max(friedrich, edge))
-    t_star = np.where(th.applicable, th.s0 * th.value,
-                      np.where(edge > friedrich, 0.5, 0.0))
-    return value, t_star
-
-
 def optimize_minimax_block(n, scalar, kappa0, traceless_norm_sq_min):
     """Maximize the mini-max bound r(t) over t in [0, 1/2] for a block of rows.
 
     Takes equal-length arrays of n, R, kappa0 and min |Ric - R/n|^2 and
-    returns the arrays (value, t_star), in closed form: on rows where
-    theorem 3.1 applies, theorem31_block's value and t_star = s0 value;
-    elsewhere the better end, max(Friedrich, r(1/2)), with t_star = 1/2
-    where r(1/2) is larger and 0 on ties. Each row is computed alone.
+    returns theorem31_block's arrays (minimax, t_star): on rows where
+    theorem 3.1 applies, its value and t_star = s0 value; elsewhere
+    Friedrich's value and t_star = 0. Each row is computed alone.
 
     Why. In the shortcuts, G(x, t) = x^2 - 2 a x + 2 b t x - 2 A t +
     c^2 t^2 = x (x (1 + 2 b s + c^2 s^2) - 2 (a + A s)) with s = t / x,
@@ -425,32 +420,34 @@ def optimize_minimax_block(n, scalar, kappa0, traceless_norm_sq_min):
     a > 0 (R < 0 forces d > 0, R = 0 gives d = c^2/4) and f falls while
     positive; with A <= 0 and a <= 0, f <= 0; with c = 0, f is monotone.
     A turn of r at t in (0, 1/2) with r(t) > 0 would be one of f at
-    t / r(t), so r peaks at t = 0 (Friedrich's value) or t = 1/2. Rows
-    that theorem31's degeneracy guard drops (A below 1e-14 s^2, s the row's
-    scale squared) take the ends too, within about 1e-13 s of the peak.
+    t / r(t), so r peaks at t = 0, Friedrich's value 2a (0 for R <= 0),
+    or at t = 1/2, which never does better: G(x, 1/2) = x^2 + (b - 2a) x
+    - b R / 4. For R > 0, G(2a, 1/2) = b R / (4 (n - 1)) >= 0 and 2a lies
+    right of the vertex a - b/2, so r(1/2) <= 2a; for R <= 0 the roots sum
+    to 2a - b <= 0 with product -b R / 4 >= 0, so r(1/2) = 0. Rows that
+    theorem31's degeneracy guard drops (A below 1e-14 s^2, s the row's
+    scale) take Friedrich's value too, within about 1e-13 s of the peak.
     """
     cols = [np.asarray(a, dtype=float).reshape(-1)
             for a in (n, scalar, kappa0, traceless_norm_sq_min)]
     rows = len(cols[0])
     if any(len(c) != rows for c in cols):
         raise ShapeError(f"row arrays differ in length: {[len(c) for c in cols]}")
-    return _minimax_block(*cols, theorem31_block(*cols))
+    th = theorem31_block(*cols)
+    return th.minimax, th.t_star
 
 
 def optimize_minimax(profile):
-    """Maximize minimax_bound_at_t over t in [0, 1/2]: optimize_minimax_block
-    on one profile. t_star = 0 on flat (Einstein) profiles, and the value
-    never falls below Friedrich's. Where theorem 3.1 applies the value is
-    its closed form, so a failed theorem31 cross-check raises
-    CrossCheckFailed here too.
+    """Maximize minimax_bound_at_t over t in [0, 1/2]: theorem31_block's
+    minimax and t_star columns of one profile. On flat (Einstein)
+    profiles, where theorem 3.1 does not apply, that is Friedrich's value
+    at t_star = 0; the value never falls below Friedrich's. The checked
+    evaluation is theorem31_bound's, so a failed theorem31 cross-check
+    raises CrossCheckFailed here too.
     """
-    cols = [np.array([x], dtype=float) for x in (
-        profile.n, profile.scalar, profile.kappa0, profile.traceless_norm_sq_min)]
-    th = theorem31_block(*cols)
-    _raise_failed(th)
-    value, t_star = _minimax_block(*cols, th)
-    return BoundReport(Method.MINIMAX_NUMERIC, value.item(), False, True,
-                       optimizer=OptimizerInfo(t_star=t_star.item()))
+    th = _checked_theorem31(profile)
+    return BoundReport(Method.MINIMAX_NUMERIC, float(th.minimax), False, True,
+                       optimizer=OptimizerInfo(t_star=float(th.t_star)))
 
 
 # --- aggregation -----------------------------------------------------------

@@ -46,8 +46,7 @@ import numpy as np
 
 from . import clifford, warp
 from .bounds import (best_bound, friedrich_block, kaehler_block, kaehler_bound,
-                     optimize_minimax, optimize_minimax_block, theorem31_block,
-                     theorem31_bound)
+                     theorem31_block, theorem31_bound)
 from .catalog import (EXAMPLES, Product, Sphere, Surface, Warped, leaves,
                       named_example, realize, realize_columns, spec_from_dict,
                       spec_to_dict)
@@ -226,7 +225,7 @@ def _sweep_grid(start, stop, steps, lo, hi):
 def _bound_cells(profile, selected, kaehler_dim):
     """(cells, failed): name -> (values, applicable or None) of the
     selected bound columns, and the rows where theorem31's cross-check
-    fails, which the minimax_numeric column reads too."""
+    fails; the minimax_numeric column is one of theorem31_block's."""
     n, R = profile.n, profile.scalar
     kappa0, t0 = profile.kappa0, profile.traceless_norm_sq_min
     cells, failed = {}, False
@@ -240,8 +239,7 @@ def _bound_cells(profile, selected, kaehler_dim):
     if "theorem31" in selected:
         cells["theorem31"] = th.value, th.applicable
     if "minimax_numeric" in selected:
-        cells["minimax_numeric"] = optimize_minimax_block(
-            np.full(len(R), n), R, kappa0, t0)[0], None
+        cells["minimax_numeric"] = th.minimax, None
     return cells, failed
 
 
@@ -291,10 +289,8 @@ def _check_row(spec, value, args, selected):
         profile = realize(_with_param(spec, *SWEEP_PARAMS[args.param], value))
         if "kaehler" in selected and args.kaehler_dim is not None:
             kaehler_bound(profile, args.kaehler_dim)
-        if "theorem31" in selected:
+        if "theorem31" in selected or "minimax_numeric" in selected:
             theorem31_bound(profile)
-        if "minimax_numeric" in selected:
-            optimize_minimax(profile)
     except DiracBoundError as exc:
         exc.args = (f"{exc} (at {args.param} = {value!r})",)
         raise

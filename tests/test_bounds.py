@@ -172,10 +172,13 @@ def test_minimax_at_zero_is_friedrich():
 
 
 def test_minimax_einstein_peaks_at_zero():
-    r = optimize_minimax(spectrum_profile([3.0] * 4))
-    assert r.optimizer.t_star == 0.0
-    assert r.value == pytest.approx(friedrich_bound(
-        spectrum_profile([3.0] * 4)).value, rel=1e-15)
+    # the product's seven Ricci eigenvalues are all 15.7; its r(1/2) lies
+    # one ulp above Friedrich's value
+    for p in (spectrum_profile([3.0] * 4),
+              realize(Product((Surface(31.4), Einstein(5, 78.5))))):
+        r = optimize_minimax(p)
+        assert r.optimizer.t_star == 0.0
+        assert r.value == friedrich_bound(p).value
 
 
 def test_optimize_minimax_dominates_grid():
@@ -287,6 +290,17 @@ def test_minimax_keeps_friedrich_floor_when_kappa0_dwarfs_scalar():
     assert r.value >= friedrich
     value, _ = _block([p, T2XS2])
     assert value[0] == r.value
+    # |kappa0| = 1e278 beside R = 1e-44: in the kernel's units R is a
+    # subnormal, and r(1/2) came out 12% above Friedrich's value
+    p = make_profile(5, 1e-44, -1e278, 2e-89)
+    assert best_bound(p).method is Method.FRIEDRICH
+    assert optimize_minimax(p).value == friedrich_bound(p).value
+
+
+@given(spectra)
+def test_minimax_end_never_beats_friedrich(p):
+    """r(1/2) <= 2a, Friedrich's value (optimize_minimax_block derives it)."""
+    assert minimax_bound_at_t(p, 0.5) <= friedrich_bound(p).value * (1 + 2**-50)
 
 
 # --- the closed form against the full-grid search it replaced -------------
@@ -381,7 +395,7 @@ def test_minimax_closed_form_matches_full_grid(rows):
     reach a t* below its finest step, about 6e-11; theorem 3.1's A cancels
     where the bound is about 1e-15 of the curvature, and so does the
     grid's q; and on rows that the degeneracy guard drops (A below 1e-14
-    s^2), the better end stands in for a maximum that is flat within
+    s^2), Friedrich's value stands in for a maximum that is flat within
     rounding. t* = s0 value lies in (0, 1/4] where theorem 3.1 applies."""
     cols = [np.array(c, dtype=float) for c in zip(*rows)]
     n, R, kappa0, t0 = cols
@@ -398,15 +412,15 @@ def test_minimax_closed_form_matches_full_grid(rows):
                               math.ldexp(p.ric_norm_sq_min, 2 * e)),
     spectra, st.sampled_from([-500, 500]))))
 def test_minimax_equals_its_closed_form(p):
-    """Probe 1: the optimum is theorem 3.1 where that applies, else the
-    better end of [0, 1/2]."""
+    """Probe 1: the optimum is theorem 3.1 where that applies, else
+    Friedrich's value at t* = 0."""
     r, th = optimize_minimax(p), theorem31_bound(p)
     assert 0.0 <= r.optimizer.t_star <= 0.5
     if th.applicable:
         assert r.value == pytest.approx(th.value, rel=1e-11)
     else:
-        edge = max(friedrich_bound(p).value, minimax_bound_at_t(p, 0.5))
-        assert r.value == pytest.approx(edge, rel=1e-12)
+        assert r.value == friedrich_bound(p).value
+        assert r.optimizer.t_star == 0.0
 
 
 @given(spectra)

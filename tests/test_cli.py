@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracbound import cli
+from diracbound import bounds, cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -290,13 +290,26 @@ def test_sweep_negative_scalar_cells_are_not_negative_zero(run_cli):
 
 
 def test_sweep_rows_independent_of_block_size(capsys, monkeypatch):
+    """Same bytes at any block size; theorem31_block runs once per block,
+    for the theorem31 and minimax_numeric columns both, and once more for
+    the first row's check."""
     argv = ["sweep", "--example", "m7-sigma", "--param", "surface_scalar",
             "--from", "-8", "--to", "12", "--steps", "150"]
+    real, calls = bounds.theorem31_block, []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(bounds, "theorem31_block", counted)
+    monkeypatch.setattr(cli, "theorem31_block", counted)
     outputs = []
     for size in (1, 7, cli.SWEEP_BLOCK):
         monkeypatch.setattr(cli, "SWEEP_BLOCK", size)
+        calls.clear()
         assert cli.main(argv) == 0
         outputs.append(capsys.readouterr().out)
+        assert len(calls) == -(-150 // size) + 1
     assert outputs[0].count("\n") == 151
     assert outputs[0] == outputs[1] == outputs[2]
 
