@@ -291,7 +291,7 @@ def test_minimax_keeps_friedrich_floor_when_kappa0_dwarfs_scalar():
     value, _ = _block([p, T2XS2])
     assert value[0] == r.value
     # |kappa0| = 1e278 beside R = 1e-44: in the kernel's units R is a
-    # subnormal, and r(1/2) came out 12% above Friedrich's value
+    # subnormal, and r(1/2) comes out 12% above Friedrich's value
     p = make_profile(5, 1e-44, -1e278, 2e-89)
     assert best_bound(p).method is Method.FRIEDRICH
     assert optimize_minimax(p).value == friedrich_bound(p).value
