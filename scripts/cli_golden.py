@@ -43,7 +43,7 @@ command, `bound` with no input source or with both `--json` and
 that no parser knows, which the top-level parser reports. Then `ode`
 with `--n` 4, 7, 10^12 and 10^16, an option it does not have (its
 curvature formulas are those of n = 5), with `--out` pointing into the
-temporary directory. Last, the mini-max column, which reads theorem
+temporary directory. Then the mini-max column, which reads theorem
 3.1's closed form, at its edges: `bound --csv` on a profile whose kappa0
 lies above R/n within the profile's slack, on a surface of scalar
 -5e-324 (R/n underflows) and on a profile whose |kappa0| = 1e300 dwarfs
@@ -52,7 +52,15 @@ whose first row fails theorem 3.1's cross-check, `bound --csv` on a
 profile whose |kappa0| = 1e278 dwarfs R = 1e-44, and, on a surface of
 scalar 31.4 times a five-dimensional Einstein factor of scalar 78.5
 (an Einstein product: all seven Ricci eigenvalues are 15.7), `bound
---csv` and a two-row `surface_scalar` sweep from 31.4.
+--csv` and a two-row `surface_scalar` sweep from 31.4. Then the warp
+turning points: `ode` at f0 = 0.3 and at f0 = 1.3 (above the
+equilibrium, so re-based at the orbit's minimum), whose `--out` track
+is recorded as its sha256 and line count beside the summary, and two
+300-row m7-sigma `f0` sweeps recorded by their sha256, one over
+[1e-9, 1e-3] and one over [0.999, 1], which ends on the constant
+orbit. Last, `bound --csv` on a profile whose scalar, kappa0 and
+|Ric|^2 are all round-off of order 1e-17, the zero-scalar bound's
+relative zero test.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -223,6 +231,20 @@ MINIMAX_EDGES = (
     ("sweep", "--spec", "<einstein-product>", "--param", "surface_scalar",
      "--from", "31.4", "--to", "31.5", "--steps", "2"),
 )
+# the warp turning points: ode runs with their track, and f0 sweeps near
+# both ends of (0, 1]
+ODE_RUNS = (("ode", "--f0", "0.3", "--out", TRACK), ("ode", "--f0", "1.3", "--out", TRACK))
+WARP_SWEEPS = (
+    ("--example", "m7-sigma", "--param", "f0",
+     "--from", "1e-9", "--to", "1e-3", "--steps", "300"),
+    ("--example", "m7-sigma", "--param", "f0",
+     "--from", "0.999", "--to", "1", "--steps", "300"),
+)
+# round-off-sized data: R, kappa0 and |Ric|^2 of order 1e-17 and 1e-35
+DOCUMENTS["<round-off-scalar>"] = {"n": 2, "scalar": -1.0364355780741957e-17,
+                                   "kappa0": -8.14712369817478e-18,
+                                   "ric_norm_sq_min": 7.129174266132629e-35}
+ZERO_SCALAR_EDGES = (("bound", "--csv", "--profile", "<round-off-scalar>"),)
 # help and usage errors; each subcommand's -h, in the parser's order
 PARSER = (
     (), ("-h",),
@@ -261,14 +283,18 @@ def invocations():
     runs.append(("sweep", *SWEEPS[2], *LOOSE_TOL))
     runs += [("sweep", *argv) for argv in LONG_SWEEPS]
     runs += [("verify", *argv) for argv in VERIFIES]
-    return runs + [*FAILURES, *SCALED_GUARD, *PARSER, *ODE_FAILURES, *MINIMAX_EDGES]
+    return runs + [*FAILURES, *SCALED_GUARD, *PARSER, *ODE_FAILURES, *MINIMAX_EDGES,
+                   *ODE_RUNS, *(("sweep", *argv) for argv in WARP_SWEEPS),
+                   *ZERO_SCALAR_EDGES]
 
 
 def capture(argv):
     """{'argv', 'exit', 'stdout'} of one in-process run of the CLI; for a
     long sweep, {'argv', 'exit', 'sha256', 'lines'}; plus 'stderr' where
-    the exit code is not 0."""
+    the exit code is not 0, and 'out', the {'sha256', 'lines'} of the
+    `--out` track, where the run wrote one."""
     out, err = io.StringIO(), io.StringIO()
+    track = None
     with tempfile.TemporaryDirectory() as tmp:
         real = []
         for arg in argv:
@@ -278,22 +304,28 @@ def capture(argv):
                 path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
                 arg = str(path)
             elif arg == TRACK:
-                arg = str(Path(tmp) / "track.csv")
+                track = Path(tmp) / "track.csv"
+                arg = str(track)
             real.append(arg)
         # argparse wraps help and usage at the terminal width
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 mock.patch.dict(os.environ, {"COLUMNS": "80"}):
             code = cli.main(real)
+        written = track.read_bytes() if track and track.exists() else None
     text = out.getvalue()
-    if tuple(argv[1:]) in (*LONG_SWEEPS, RESIDUE_SWEEP):
-        case = {"argv": list(argv), "exit": code,
-                "sha256": hashlib.sha256(text.encode()).hexdigest(),
-                "lines": text.count("\n")}
+    if tuple(argv[1:]) in (*LONG_SWEEPS, RESIDUE_SWEEP, *WARP_SWEEPS):
+        case = {"argv": list(argv), "exit": code, **_digest(text.encode())}
     else:
         case = {"argv": list(argv), "exit": code, "stdout": text}
     if code:
         case["stderr"] = err.getvalue()
+    if written is not None:
+        case["out"] = _digest(written)
     return case
+
+
+def _digest(data):
+    return {"sha256": hashlib.sha256(data).hexdigest(), "lines": data.count(b"\n")}
 
 
 def captures():
