@@ -31,9 +31,13 @@ is least where |E| / F^2 is least, at the upper turning point:
     min |Ric|^2 = 256/125 + (576/125) (E / F_max^2)^2.
 
 For f0 <= 1, F_min = f0 and F_max is the root of V(F) = E on
-(1, (5/3)^(5/4)], where V increases from V(1) = -1/3 to 0; that root,
+(1, (5/3)^(5/4)], where V increases from V(1) = -1/3 to 0. That root,
 taken as V(F) - V(1) = E - V(1) to keep small orbits well conditioned,
-is the only numerical step of warp_extremals.
+is the only numerical step of warp_extremals: [1, 2] is bisected down
+to adjacent floats, from the bracket that a Newton estimate of the root
+shows the bisection must reach, once the misses at its ends certify it.
+The result has the bits of the whole bisection (_upper_turning_point
+gives the rounding bound and the argument).
 
 integrate_warp samples one period of the orbit for the `ode` command
 without an ODE solver. Between the turning points, F = c - h cos(theta)
@@ -134,17 +138,20 @@ def _bounded_energy(f0, n):
     return energy
 
 
-def _level_point(n, gap, a, b):
+def _level_point(n, gap, a, b, misses=None):
     """The F in [a, b] where _potential_gap(F, n) = gap, for [a, b] on one
     side of F = 1, where the gap is monotone: bisected down to adjacent
     floats, and of the last two endpoints the one where the miss is least.
 
     The loop inlines _potential_gap, in its expression order, with its
     two constants taken once. Below F = 1 the miss is signed as gap -
-    _potential_gap(F, n), so that it rises with F on either side.
+    _potential_gap(F, n), so that it rises with F on either side. misses,
+    if given, are the signed misses at a and b, as the loop computes them.
     """
     sign = 1.0 if a >= 1.0 else -1.0
-    fa, fb = (sign * (_potential_gap(F, n) - gap) for F in (a, b))
+    if misses is None:
+        misses = (sign * (_potential_gap(F, n) - gap) for F in (a, b))
+    fa, fb = misses
     ratio, power = n / (2.0 * n - 4.0), 2.0 - 4.0 / n
     expm1, log1p = math.expm1, math.log1p
     while True:
@@ -182,12 +189,102 @@ def check_tol(tol):
 
 
 def _upper_turning_point(n, f_min):
-    """F_max of the bounded orbit whose lower turning point is f_min < 1."""
+    """F_max of the bounded orbit whose lower turning point is f_min < 1:
+    the bisection of [1, 2] that _level_point runs, with the steps whose
+    side is certain skipped.
+
+    Newton's method on the miss H(F) = V(F) - V(1) - gap starts at
+    1 + sqrt(n gap / 2), where (2/n) (F - 1)^2, which lies below the
+    convex V - V(1) (V''(1) = 4/n and V''' > 0), reaches gap, so its
+    iterates fall monotonically to the root r. Bisecting [1, 2] holds
+    the dyadic bracket [1 + j 2^-k, 1 + (j+1) 2^-k] after k steps; the
+    jump goes to the smallest one that holds r with a margin of
+    4 eps(r) / H'(r) plus 4 ulps on either side, certifies it by the
+    float misses at its ends, and runs _level_point's loop from there,
+    handing it those misses. Where gap <= 0 (f_min = 1), Newton leaves
+    (1, 2) or the certificate fails, [1, 2] is bisected whole.
+
+    Rounding (Higham, Accuracy and Stability of Numerical Algorithms,
+    2nd ed., 2002, ch. 3). The miss is evaluated as t1 - t2 - gap, with
+    t1 = u (F + 1) / 2, t2 = ratio expm1(power log1p(u)) and u = F - 1,
+    in _level_point's order. Take unit roundoff 2^-53, u exact, log1p
+    and expm1 within one ulp, ratio = n / (2n - 4) within one unit and
+    power = 2 - 4/n within 5/3. Then t1 is off by at most 2 units
+    relative and t2 by 12.7: 4.7 in power log1p(u), grown by at most
+    y e^y / expm1(y) <= 1.85 (y <= 2 log 2) through expm1, plus 4. The
+    two subtractions add a unit of t1 + t2 and one of t1 + t2 + gap.
+    So one evaluation at F in [1, 2] misses the exact H(F) by at most
+    eps(F) = 2^-53 (4 t1 + 16 t2 + gap), where 16 rather than 14.7
+    covers the second-order terms. The certificate asks for a miss
+    below -2 eps at the left end a, above +2 eps at the right end b,
+    and b >= 1 + n 2^-49.
+
+    Why the bits cannot change. Until the bracket is 2^-52 wide every
+    midpoint is an exact dyadic, and each midpoint that the bisection
+    meets before [a, b] lies at or left of a, or at or right of b.
+    H + eps increases on [1, 2] (H' = F - F^(1-4/n) >= 0, and t1 and t2
+    increase), so at such an m <= a the float miss is at most H(m) +
+    eps(m) <= H(a) + eps(a) <= miss(a) + 2 eps(a) < 0. H - eps increases
+    where F^(4/n) >= (1 + 2^-49) / (1 - 2^-51), which F >= 1 + n 2^-49
+    ensures, so at an m >= b the float miss is at least H(b) - eps(b) >=
+    miss(b) - 2 eps(b) > 0. The bisection therefore takes the side the
+    jump assumed at every skipped midpoint, reaches [a, b] with the same
+    end misses, and the remaining steps are the same loop.
+    """
     # V(2) > 0 > E for every n >= 5, so rounding in V at the zero of V
     # cannot lose the root. Below 2^-53, f_min - 1 rounds to -1, where
     # log1p fails; V(f_min) is then below the last bit of V(1) anyway.
     gap = _potential_gap(f_min if f_min > 2.0**-53 else 2.0**-53, n)
-    return _level_point(n, gap, 1.0, 2.0)
+    bracket = _certified_bracket(n, gap) if gap > 0.0 else None
+    if bracket is None:
+        return _level_point(n, gap, 1.0, 2.0)
+    a, b, fa, fb = bracket
+    return _level_point(n, gap, a, b, (fa, fb))
+
+
+def _certified_bracket(n, gap):
+    """(a, b, miss(a), miss(b)) of the jump in _upper_turning_point, or
+    None where Newton leaves (1, 2) or the certificate fails."""
+    ratio, power = n / (2.0 * n - 4.0), 2.0 - 4.0 / n
+    expm1, log1p = math.expm1, math.log1p
+    r = min(1.0 + math.sqrt(n * gap / 2.0), 2.0)
+    for _ in range(64):
+        u = r - 1.0
+        e = expm1(power * log1p(u))
+        t1, t2 = u * (r + 1.0) / 2.0, ratio * e
+        slope = r - (1.0 + e) / r       # H' = F - F^(1-4/n); 0 at r = 1
+        if not slope > 0.0:
+            return None
+        step = (t1 - t2 - gap) / slope
+        r -= step
+        if not 1.0 < r < 2.0:
+            return None
+        # H'' < 1, so the next step would be below step^2 / (2 H') < 2^-50;
+        # or this one is down to the rounding, 4 eps / H'
+        if step * step < 2.0**-49 * slope \
+                or abs(step) * slope < 2.0**-51 * (4.0 * t1 + 16.0 * t2 + gap):
+            break
+    else:
+        return None
+    eps = 2.0**-53 * (4.0 * t1 + 16.0 * t2 + gap)
+    # [lo, hi] is r widened by 4 eps / H' and 4 ulps, in ulps above 1;
+    # the bracket is the level-k dyadic one that holds it
+    x, margin = (r - 1.0) * 2.0**52, 2.0**54 * eps / slope + 4.0
+    lo, hi = int(max(x - margin, 0.0)), int(min(x + margin, 2.0**52 - 1.0))
+    shift = (lo ^ hi).bit_length()          # 52 - k
+    j = lo >> shift
+    a, b = 1.0 + math.ldexp(j, shift - 52), 1.0 + math.ldexp(j + 1, shift - 52)
+    u = a - 1.0
+    t1, t2 = u * (a + 1.0) / 2.0, ratio * expm1(power * log1p(u))
+    fa = t1 - t2 - gap
+    if not fa < -2.0**-52 * (4.0 * t1 + 16.0 * t2 + gap):
+        return None
+    u = b - 1.0
+    t1, t2 = u * (b + 1.0) / 2.0, ratio * expm1(power * log1p(u))
+    fb = t1 - t2 - gap
+    if not (fb > 2.0**-52 * (4.0 * t1 + 16.0 * t2 + gap) and u >= n * 2.0**-49):
+        return None
+    return a, b, fa, fb
 
 
 def _power_slope(x, d, p):

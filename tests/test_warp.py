@@ -11,9 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracbound import (DimensionError, NonPositiveF, ParameterRange,
-                        curvature_track, energy_drift, extremal_data,
-                        integrate_warp, warp, warp_extremals, write_track_csv)
+from diracbound import (EXAMPLES, DimensionError, NonPositiveF, ParameterRange,
+                        Warped, curvature_track, energy_drift, extremal_data,
+                        integrate_warp, named_example, realize, warp,
+                        warp_extremals, write_track_csv)
+from diracbound.catalog import leaves
 from ode_oracle import dop853_orbit
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -321,19 +323,48 @@ def _bisect_root(f, a, b):
     return a if abs(fa) <= abs(fb) else b
 
 
-@pytest.mark.parametrize("n", [5, 8])
+@pytest.mark.parametrize("n", [5, 6, 8, 100])
 def test_turning_points_match_the_generic_bisection(n):
-    """_level_point inlines the potential gap: the same bits as the generic
-    bisection, on both turning points, far below 1 and above 1."""
+    """_level_point inlines the potential gap, and _upper_turning_point
+    starts it from a certified bracket: the same bits as the generic
+    bisection, on both turning points, far below 1, near 1 and above 1."""
     gap = warp._potential_gap
     rng = np.random.default_rng(n)
     top = warp._upper_turning_point(n, 1e-300)
     lows = np.concatenate((rng.uniform(0.0, 1.0, 800), 10.0 ** rng.uniform(-300, -250, 200),
-                           10.0 ** rng.uniform(-250, 0.0, 500)))
+                           10.0 ** rng.uniform(-250, 0.0, 500),
+                           1.0 - 10.0 ** -rng.uniform(1.0, 12.0, 500),
+                           [1.0, 2.0**-53, 2.0**-60, 1e-300, 5e-324]))
     for f0 in lows[lows > 0.0].tolist():
         level = gap(max(f0, 2.0**-53), n)
         assert warp._upper_turning_point(n, f0) == _bisect_root(
-            lambda F: gap(F, n) - level, 1.0, 2.0)
+            lambda F: gap(F, n) - level, 1.0, 2.0), f0
     for f0 in rng.uniform(1.0 + 1e-9, top, 1500).tolist():
         level = gap(f0, n)
         assert warp._rebase(f0, n) == _bisect_root(lambda F: level - gap(F, n), 1e-12, 1.0)
+
+
+def test_turning_point_bisection_starts_from_a_narrow_bracket(monkeypatch):
+    """The Newton jump is taken, not silently replaced by the whole of
+    [1, 2]: on the sweep-warp workload's f0 grid and on the catalog's
+    warped examples, _level_point is handed a bracket at most 2^-30 wide."""
+    brackets = []
+    level_point = warp._level_point
+
+    def spy(n, gap, a, b, misses=None):
+        brackets.append((a, b))
+        return level_point(n, gap, a, b, misses)
+
+    monkeypatch.setattr(warp, "_level_point", spy)
+    for f0 in np.linspace(0.05, 0.95, 200).tolist():
+        warp._upper_turning_point(5, f0)
+    warped = [name for name, (spec, _) in EXAMPLES.items()
+              if any(isinstance(leaf, Warped) for leaf in leaves(spec))]
+    assert warped
+    for name in warped:
+        warp_extremals.cache_clear()
+        realize(named_example(name))
+    warp_extremals.cache_clear()
+    assert len(brackets) == 200 + len(warped)
+    for a, b in brackets:
+        assert 1.0 <= a < b <= 2.0 and b - a <= 2.0**-30
