@@ -283,7 +283,11 @@ def theorem31_bound(profile):
     routes are evaluated and must agree to 1e-9 relative, or
     CrossCheckFailed is raised.
     """
-    th = _checked_theorem31(profile)
+    return _theorem31_report(_checked_theorem31(profile))
+
+
+def _theorem31_report(th):
+    """theorem31_bound's report from one profile's checked columns."""
     if not th.condition:
         return _inapplicable(
             Method.THEOREM31,
@@ -445,7 +449,11 @@ def optimize_minimax(profile):
     evaluation is theorem31_bound's, so a failed theorem31 cross-check
     raises CrossCheckFailed here too.
     """
-    th = _checked_theorem31(profile)
+    return _minimax_report(_checked_theorem31(profile))
+
+
+def _minimax_report(th):
+    """optimize_minimax's report from one profile's checked columns."""
     return BoundReport(Method.MINIMAX_NUMERIC, float(th.minimax), False, True,
                        optimizer=OptimizerInfo(t_star=float(th.t_star)))
 
@@ -467,8 +475,8 @@ def best_bound(profile, complex_dim=None):
         reports.append(zero_scalar_bound(profile))
     except RicciFlat as err:
         reports.append(_inapplicable(Method.ZERO_SCALAR, str(err)))
-    reports.append(theorem31_bound(profile))
-    reports.append(optimize_minimax(profile))
+    th = _checked_theorem31(profile)
+    reports += [_theorem31_report(th), _minimax_report(th)]
 
     best = max(r.value for r in reports if r.applicable)
     margin = 1e-9 * abs(best)

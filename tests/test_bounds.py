@@ -221,6 +221,25 @@ def test_best_bound_without_kaehler_dim():
     assert len(best.subreports) == 4
 
 
+def test_best_bound_evaluates_theorem31_once(monkeypatch):
+    # the theorem31 and minimax_numeric reports share one checked evaluation
+    calls = []
+    block = bounds.theorem31_block
+
+    def counting(*args):
+        calls.append(args)
+        return block(*args)
+
+    monkeypatch.setattr(bounds, "theorem31_block", counting)
+    for profile in (T2XS2, sphere_product(0.9), spectrum_profile([-1.0, -1.0])):
+        calls.clear()
+        best_bound(profile)
+        assert len(calls) == 1
+    calls.clear()
+    best_bound(T2XS2, complex_dim=2)
+    assert len(calls) == 1
+
+
 # --- batched mini-max kernel: properties over random spectra ---------------
 
 def _block(profiles):
