@@ -41,7 +41,7 @@ import numpy as np
 from .errors import (CrossCheckFailed, DimensionError, ParameterRange,
                      RicciFlat, ScalarSignError, ShapeError)
 
-# |R| below this counts as vanishing scalar curvature
+# |R| at most this times sqrt(n |Ric|_0^2) counts as vanishing scalar curvature
 SCALAR_ZERO_ATOL = 1e-12
 # Einstein-limit guard: below this the refined denominator is pure noise
 DEGENERATE_A_ATOL = 1e-14
@@ -331,15 +331,20 @@ def zero_scalar_bound(profile):
     """Strict bound for R = 0 on non-Ricci-flat data:
 
     lambda^2 > (1/4) |Ric|_0^2 / (|Ric|_0 sqrt((n-1)/n) + |kappa0|)
+
+    R counts as zero where |R| <= SCALAR_ZERO_ATOL sqrt(n) |Ric|_0: the
+    test is relative to the curvature's own scale, which bounds |R|
+    (R^2 <= n |Ric|^2), so it holds or fails alike in every unit of
+    length, and round-off of a vanishing scalar passes it while round-off
+    of the whole profile does not.
     """
-    if abs(profile.scalar) > SCALAR_ZERO_ATOL:
+    n, m = profile.n, profile.ric_norm_sq_min
+    if abs(profile.scalar) > SCALAR_ZERO_ATOL * math.sqrt(n) * math.sqrt(m):
         return _inapplicable(Method.ZERO_SCALAR,
                              f"scalar curvature is not zero: R = {profile.scalar}")
-    m = profile.ric_norm_sq_min
     if m <= 0.0:
         raise RicciFlat("zero-scalar bound is undefined for Ricci-flat data "
                         "(ric_norm_sq_min = 0)")
-    n = profile.n
     value = 0.25 * m / (math.sqrt(m * (n - 1.0) / n) + abs(profile.kappa0))
     return BoundReport(Method.ZERO_SCALAR, value, True, True)
 

@@ -1,6 +1,7 @@
 """Closed-form bounds, their applicability gates, and the optimizer."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -155,6 +156,13 @@ def test_zero_scalar_gates():
         zero_scalar_bound(make_profile(4, 0.0, 0.0, 0.0))
     r = zero_scalar_bound(T2XS2)
     assert not r.applicable and "not zero" in r.reason
+    # R is zero or not at the profile's own scale sqrt(n) |Ric|_0: a
+    # negative-scalar profile of curvature 1e-17 gets no strict bound,
+    # and the round-off of a zero sum at curvature 1 still counts as zero
+    r = zero_scalar_bound(make_profile(2, -1.0364355780741957e-17, -8.14712369817478e-18,
+                                       7.129174266132629e-35))
+    assert not r.applicable and "not zero" in r.reason
+    assert zero_scalar_bound(spectrum_profile([0.1, 0.2, -0.3])).applicable
 
 
 def test_minimax_parameter_gate():
@@ -493,20 +501,35 @@ def _near(R, kappa0, t0):
     return (2.0**-250 <= size) & (size <= 2.0**250)
 
 
+# eigenvalue lists that sum to zero up to round-off: the zero-scalar bound's
+zero_sums = st.lists(st.floats(-10.0, 10.0, allow_subnormal=False), min_size=1,
+                     max_size=4).map(lambda x: spectrum_profile(x + [-v for v in x]))
+
+
 @settings(max_examples=300)
-@given(spectra | _specs(1e6).map(realize),
+@given(spectra | _specs(1e6).map(realize) | zero_sums,
        st.lists(st.integers(-400, 400), min_size=1, max_size=22))
 def test_theorem31_is_homogeneous(p, ks):
-    """Theorem 3.1 and the mini-max bound at (s R, s kappa0, s^2 t0), s =
-    2^k: the same applicability, s times the value, the same t* (s0 over
-    s), bit for bit while both rows lie in [2^-250, 2^250]. Scales at
-    which the data itself underflows are left out."""
+    """Theorem 3.1, the mini-max bound and the zero-scalar bound at (s R,
+    s kappa0, s^2 t0, s^2 |Ric|^2), s = 2^k: the same applicability, s
+    times the value, the same t* (s0 over s), bit for bit while both rows
+    lie in [2^-250, 2^250]. Scales at which the data itself underflows
+    are left out."""
     base = _row(p)
     ks = [k for k in ks if _scaled_row(_scaled_row(p, k), -k) == base]
     if not ks:
         return
     rows = np.array([_scaled_row(p, k) for k in ks])
     k, exact = np.array(ks), _near(*rows[:, 1:].T) & _near(*base[1:])
+    if p.ric_norm_sq_min > 0.0:
+        zero = zero_scalar_bound(p)
+        for e in k[exact].tolist():
+            n, R, kappa0, t0 = _scaled_row(p, e)
+            got = zero_scalar_bound(replace(p, scalar=R, kappa0=kappa0, traceless_norm_sq_min=t0,
+                                            ric_norm_sq_min=math.ldexp(p.ric_norm_sq_min, 2 * e)))
+            assert got.applicable == zero.applicable
+            if zero.applicable:
+                assert got.value == math.ldexp(zero.value, e)
     value, t_star = optimize_minimax_block(np.full(len(ks), p.n), *rows[:, 1:].T)
     unit_value, unit_t = optimize_minimax_block(*([x] for x in base))
     assert value[exact].tobytes() == np.ldexp(unit_value, k)[exact].tobytes()

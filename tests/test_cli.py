@@ -110,6 +110,20 @@ def test_bound_far_zero_scalar_profile_exits_0(capsys, tmp_path):
     assert doc["best"]["value"] == pytest.approx(2.5e-101, rel=1e-9)
 
 
+def test_bound_round_off_scalar_profile_reports_no_strict_bound(capsys, tmp_path):
+    # R, kappa0 and |Ric|^2 all of order round-off: R = -1e-17 is not zero
+    # at the profile's own scale, so the zero-scalar bound does not apply
+    path = tmp_path / "round-off.json"
+    path.write_text(json.dumps({"n": 2, "scalar": -1.0364355780741957e-17,
+                                "kappa0": -8.14712369817478e-18,
+                                "ric_norm_sq_min": 7.129174266132629e-35}))
+    assert cli.main(["bound", "--csv", "--profile", str(path)]) == cli.EXIT_NO_BOUND
+    rows = {line.split(",")[0]: line.split(",")[1:4]
+            for line in capsys.readouterr().out.splitlines()}
+    assert rows["zero_scalar"] == ["", "no", "no"]
+    assert rows["best"] == ["0", "no", "yes"]
+
+
 @pytest.mark.parametrize("fmt", [(), ("--json",), ("--csv",)])
 @pytest.mark.parametrize("kappa0", [-1.7e308, -np.finfo(float).max])
 def test_bound_profile_beyond_2_to_1023_prints_no_nan(capsys, tmp_path, kappa0, fmt):
