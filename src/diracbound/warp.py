@@ -236,14 +236,11 @@ def _upper_turning_point(n, f_min):
     # log1p fails; V(f_min) is then below the last bit of V(1) anyway.
     gap = _potential_gap(f_min if f_min > 2.0**-53 else 2.0**-53, n)
     bracket = _certified_bracket(n, gap) if gap > 0.0 else None
-    if bracket is None:
-        return _level_point(n, gap, 1.0, 2.0)
-    a, b, fa, fb = bracket
-    return _level_point(n, gap, a, b, (fa, fb))
+    return _level_point(n, gap, *(bracket or (1.0, 2.0)))
 
 
 def _certified_bracket(n, gap):
-    """(a, b, miss(a), miss(b)) of the jump in _upper_turning_point, or
+    """(a, b, (miss(a), miss(b))) of the jump in _upper_turning_point, or
     None where Newton leaves (1, 2) or the certificate fails."""
     ratio, power = n / (2.0 * n - 4.0), 2.0 - 4.0 / n
     expm1, log1p = math.expm1, math.log1p
@@ -284,7 +281,7 @@ def _certified_bracket(n, gap):
     fb = t1 - t2 - gap
     if not (fb > 2.0**-52 * (4.0 * t1 + 16.0 * t2 + gap) and u >= n * 2.0**-49):
         return None
-    return a, b, fa, fb
+    return a, b, (fa, fb)
 
 
 def _power_slope(x, d, p):
