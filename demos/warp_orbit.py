@@ -14,7 +14,7 @@ import diracbound as db
 if __name__ == "__main__":
     traj = db.integrate_warp(5, 0.1)
     track = db.curvature_track(traj)
-    ext = db.extremal_data(track)
+    ext = db.warp_extremals(5, traj.f0)
 
     print(f"period            {traj.period:.6f}")
     print(f"energy            {traj.energy:.6f} "

@@ -13,13 +13,11 @@ identities the estimates rest on.
 import json
 from importlib import resources
 
-from .bounds import (BoundReport, Method, OptimizerInfo, Shortcuts, best_bound,
-                     condition_19, corollary32_bound, friedrich_block,
-                     friedrich_bound, harmonic_spinor_excluded,
-                     improvement_condition, kaehler_block, kaehler_bound,
-                     minimax_bound_at_t, optimize_minimax,
-                     optimize_minimax_block, shortcuts, theorem31_block,
-                     theorem31_bound, zero_scalar_bound)
+from .bounds import (BoundReport, Method, OptimizerInfo, best_bound,
+                     condition_19, friedrich_block, friedrich_bound,
+                     harmonic_spinor_excluded, kaehler_block, kaehler_bound,
+                     optimize_minimax, theorem31_block, theorem31_bound,
+                     zero_scalar_bound)
 from .catalog import (EXAMPLES, Einstein, ManifoldSpec, Product, Sphere,
                       Surface, Warped, named_example, realize,
                       realize_columns, spec_from_dict, spec_to_dict)
@@ -27,12 +25,12 @@ from .clifford import (BatchSummary, CliffordRep, TraceResiduals, build_rep,
                        run_identity_batch, verify_lemma15, verify_ricci_trace)
 from .errors import (CompositionError, CrossCheckFailed, DimensionError,
                      DiracBoundError, InconsistentProfile, NonPositiveF,
-                     NotSymmetric, ParameterRange, RicciFlat, ScalarSignError,
+                     NotSymmetric, ParameterRange, RicciFlat,
                      ShapeError, UnknownExample)
 from .profile import (RicciProfile, make_profile, profile_from_dict,
                       profile_to_dict)
 from .warp import (CurvatureTrack, WarpExtremals, WarpTrajectory,
-                   curvature_track, energy_drift, extremal_data,
+                   curvature_track, energy_drift,
                    integrate_warp, warp_extremals, write_track_csv)
 
 __version__ = "0.1.0"
@@ -50,18 +48,16 @@ __all__ = [
     "EXAMPLES",
     "Einstein", "InconsistentProfile", "ManifoldSpec", "Method",
     "NonPositiveF", "NotSymmetric", "OptimizerInfo", "ParameterRange",
-    "Product", "RicciFlat", "RicciProfile", "ScalarSignError", "ShapeError",
-    "Shortcuts", "Sphere", "Surface", "TraceResiduals",
+    "Product", "RicciFlat", "RicciProfile", "ShapeError", "Sphere", "Surface",
+    "TraceResiduals",
     "UnknownExample", "Warped", "WarpExtremals", "WarpTrajectory",
-    "best_bound", "build_rep", "condition_19", "corollary32_bound",
-    "curvature_track", "energy_drift", "extremal_data", "friedrich_block",
-    "friedrich_bound", "harmonic_spinor_excluded", "improvement_condition",
+    "best_bound", "build_rep", "condition_19", "curvature_track", "energy_drift",
+    "friedrich_block", "friedrich_bound", "harmonic_spinor_excluded",
     "integrate_warp", "kaehler_block", "kaehler_bound", "load_schema",
-    "make_profile", "minimax_bound_at_t",
-    "named_example", "optimize_minimax", "optimize_minimax_block",
+    "make_profile", "named_example", "optimize_minimax",
     "profile_from_dict",
     "profile_to_dict", "realize", "realize_columns", "run_identity_batch",
-    "shortcuts", "spec_from_dict", "spec_to_dict", "theorem31_block",
+    "spec_from_dict", "spec_to_dict", "theorem31_block",
     "theorem31_bound",
     "verify_lemma15", "verify_ricci_trace", "warp_extremals",
     "write_track_csv", "zero_scalar_bound",

@@ -26,8 +26,8 @@ report functions take a profile as a block of one.
 The mini-max bound is the best over t in [0, 1/2] of the larger root r(t)
 of G(x, t) = x^2 + p(t) x + q(t). Optimizing over t is what theorem 3.1
 does in closed form: the best r is theorem 3.1's value where that applies,
-and Friedrich's value elsewhere (optimize_minimax_block derives this), so
-theorem31_block fills the mini-max columns too, without a search.
+and Friedrich's value elsewhere (theorem31_block's docstring derives
+this), so theorem31_block fills the mini-max columns too, without a search.
 """
 
 from __future__ import annotations
@@ -38,8 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (CrossCheckFailed, DimensionError, ParameterRange,
-                     RicciFlat, ScalarSignError, ShapeError)
+from .errors import CrossCheckFailed, DimensionError, RicciFlat
 
 # |R| at most this times sqrt(n |Ric|_0^2) counts as vanishing scalar curvature
 SCALAR_ZERO_ATOL = 1e-12
@@ -52,17 +51,7 @@ class Method(str, enum.Enum):
     KAEHLER = "kaehler"
     ZERO_SCALAR = "zero_scalar"
     THEOREM31 = "theorem31"
-    COROLLARY32 = "corollary32"
     MINIMAX_NUMERIC = "minimax_numeric"
-    BEST = "best"
-
-
-@dataclass(frozen=True)
-class Shortcuts:
-    a: float
-    b: float
-    c: float
-    A: float
 
 
 @dataclass(frozen=True)
@@ -103,19 +92,6 @@ def harmonic_spinor_excluded(profile):
     return profile.ric_norm_sq_min > profile.scalar * profile.kappa0
 
 
-def improvement_condition(profile):
-    """For R > 0: |Ric|_0^2 > R (R - kappa0) / (n - 1).
-
-    When it holds the refined bound strictly beats n R / (4 (n - 1)).
-    """
-    if profile.scalar <= 0.0:
-        raise ScalarSignError(
-            "improvement condition is defined for positive scalar curvature "
-            f"only, got R = {profile.scalar}")
-    n, R = profile.n, profile.scalar
-    return profile.ric_norm_sq_min > R * (R - profile.kappa0) / (n - 1)
-
-
 def condition_19(profile):
     """Applicability of the refined bound for any sign of R:
 
@@ -131,12 +107,6 @@ def condition_19(profile):
 def _condition_19(n, R, kappa0, t0):
     rhs = (R / n - kappa0) * _first_max(R / (n - 1), -R)
     return t0 > rhs
-
-
-def shortcuts(profile):
-    """Evaluate the a, b, c, A shortcut quantities for a profile."""
-    return Shortcuts(*map(float, _shortcut_columns(
-        profile.n, profile.scalar, profile.kappa0, profile.traceless_norm_sq_min)))
 
 
 def _shortcut_columns(n, R, kappa0, t0):
@@ -195,8 +165,8 @@ class Theorem31Columns:
     (applicable), NaN elsewhere; failed marks the applicable rows whose
     closed form is not finite or misses f(s0) by more than 1e-9
     relative. minimax and t_star are the mini-max bound's columns (see
-    optimize_minimax_block): value and s0 value where applicable,
-    Friedrich's value and 0 elsewhere."""
+    theorem31_block): value and s0 value where applicable, Friedrich's
+    value and 0 elsewhere."""
 
     condition: np.ndarray
     A: np.ndarray
@@ -229,6 +199,36 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
     so no term leaves the float range. A kappa0 above R/n, which a
     profile accepts within its slack or gets from underflow, counts as
     R/n: a lower kappa0 only weakens the hypothesis.
+
+    minimax and t_star maximize the mini-max bound r(t), the larger root
+    of G(x, t) = x^2 - 2 a x + 2 b t x - 2 A t + c^2 t^2, over t in [0,
+    1/2]: theorem 3.1's value at t* = s0 value where it applies, else
+    Friedrich's value at t* = 0.
+
+    Why. G(x, t) = x (x (1 + 2 b s + c^2 s^2) - 2 (a + A s)) with s = t / x,
+    so x > 0 is a root of G(., t) exactly where x = f(t / x), f being
+    theorem 3.1's function (its denominator is positive: b >= 0, as a
+    kappa0 above R/n counts as R/n). So every positive r(t) is a value of
+    f, and every f(s) > 0 with t = s f(s) in [0, 1/2] is at most r(t).
+
+    f' has the sign of d - 2 a c^2 s - A c^2 s^2, d = A - 2ab. Theorem
+    3.1 applies where A > 0 and d > 0 (condition 19); f then rises to
+    M = f(s0) and falls, so r <= M and r(t*) >= M at t* = s0 M. f' = 0
+    gives M = A / (b + c^2 s0), so t* = (A - b M) / c^2 > 0, and as M >=
+    f(0) = 2a and M > 0, t* <= min(d, A) / c^2 <= 1/4 (d = c^2/4 - 2ab/n,
+    A = c^2/4 + 2ab (n-1)/n): the maximum is M, at t* in (0, 1/4].
+
+    Elsewhere f has no turn s > 0 with f(s) > 0: with c > 0 and d <= 0,
+    a > 0 (R < 0 forces d > 0, R = 0 gives d = c^2/4) and f falls while
+    positive; with A <= 0 and a <= 0, f <= 0; with c = 0, f is monotone.
+    A turn of r at t in (0, 1/2) with r(t) > 0 would be one of f at
+    t / r(t), so r peaks at t = 0, Friedrich's value 2a (0 for R <= 0),
+    or at t = 1/2, which never does better: G(x, 1/2) = x^2 + (b - 2a) x
+    - b R / 4. For R > 0, G(2a, 1/2) = b R / (4 (n - 1)) >= 0 and 2a lies
+    right of the vertex a - b/2, so r(1/2) <= 2a; for R <= 0 the roots sum
+    to 2a - b <= 0 with product -b R / 4 >= 0, so r(1/2) = 0. Rows that
+    the degeneracy guard drops (A below 1e-14 s^2, s the row's scale)
+    take Friedrich's value too, within about 1e-13 s of the peak.
     """
     R, kappa0, t0 = (np.asarray(x, dtype=float)
                      for x in (scalar, kappa0, traceless_norm_sq_min))
@@ -302,31 +302,6 @@ def _theorem31_report(th):
                        optimizer=OptimizerInfo(s0=s0, f_s0=f_s0))
 
 
-def corollary32_bound(profile):
-    """Equivalent form of the refined bound for R > 0:
-
-    lambda^2 > n R / (4 (n - 1)) + (A - 2ab)^2 / (alpha + sqrt(alpha^2 + beta))
-
-    with alpha = ac^2 + (A - 2ab) b and beta = (c^2 - b^2)(A - 2ab)^2.
-    Applicable when the improvement condition holds.
-    """
-    if profile.scalar <= 0.0:
-        return _inapplicable(Method.COROLLARY32,
-                             f"scalar curvature must be positive, got R = {profile.scalar}")
-    if not improvement_condition(profile):
-        return _inapplicable(
-            Method.COROLLARY32,
-            "improvement condition |Ric|_0^2 > R (R - kappa0) / (n - 1) fails")
-    sc = shortcuts(profile)
-    d = sc.A - 2.0 * sc.a * sc.b
-    alpha = sc.a * (sc.c * sc.c) + d * sc.b
-    beta = (sc.c * sc.c - sc.b * sc.b) * (d * d)
-    n, R = profile.n, profile.scalar
-    root = math.sqrt(max(alpha * alpha + beta, 0.0))
-    value = n * R / (4.0 * (n - 1)) + d * d / (alpha + root)
-    return BoundReport(Method.COROLLARY32, value, True, True)
-
-
 def zero_scalar_bound(profile):
     """Strict bound for R = 0 on non-Ricci-flat data:
 
@@ -351,103 +326,8 @@ def zero_scalar_bound(profile):
 
 # --- mini-max principle ----------------------------------------------------
 
-def _constants(n, R, kappa0, t0):
-    """Per-row constants (scale, nn, drop, p0, R/4, t0) of the kernel, in
-    units of a power of two near the row's size, so p^2 cannot underflow.
-    The exponent stops at 1023, where 2^1024 would overflow to inf. A
-    kappa0 above R/n counts as R/n, as in theorem31_block."""
-    size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
-    scale = np.ldexp(1.0, np.minimum(np.frexp(size)[1], 1023))
-    R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
-    kappa0 = np.where(kappa0 > R / n, R / n, kappa0)
-    nn = n / (n - 1.0)
-    return scale, nn, nn * (R / n - kappa0), -n * R / (4.0 * (n - 1)), R / 4.0, t0
-
-
-def _root(k, t):
-    """Larger root of the mini-max quadratic at t, clamped at +0; t broadcasts
-    against the row constants, and the result is an array. Elementwise, so
-    rows do not depend on each other."""
-    scale, nn, drop, p0, quarter_R, t0 = k
-    u = 2.0 * t * drop
-    p = p0 + u
-    q = nn * (t * t - t / 2.0) * t0 - u * quarter_R
-    disc = p * p - 4.0 * q
-    # |p| + s never cancels: (-p + s) / 2 for p <= 0, -2q / (p + s) else
-    ps = np.abs(p) + np.sqrt(np.maximum(disc, 0.0))
-    x = np.divide(-2.0 * q, ps, out=ps / 2.0, where=p > 0.0)
-    return np.where((disc >= 0.0) & (x > 0.0), x, 0.0) * scale
-
-
-def minimax_bound_at_t(profile, t):
-    """Larger root of the quadratic lower-bound inequality at parameter t.
-
-    For 0 <= t <= 1/2 every squared eigenvalue x = lambda^2 satisfies
-    x^2 + p x + q >= 0 with
-
-        p = -n R / (4 (n - 1)) + 2 t (n / (n - 1)) (R/n - kappa0)
-        q = -2 t (n / (n - 1)) (R/n - kappa0) (R/4)
-            + (n / (n - 1)) (t^2 - t/2) |Ric - R/n|_0^2
-
-    so x must clear the larger root. Returns 0 when the quadratic has no
-    real root or the root is negative (the bound is vacuous there). At
-    t = 0, q = 0 and the root is the Friedrich value -p0 (0 for R <= 0),
-    returned in that closed form.
-    """
-    t = float(t)
-    if not 0.0 <= t <= 0.5:
-        raise ParameterRange(f"t must lie in [0, 1/2], got {t}")
-    if t == 0.0:
-        return float(friedrich_block(profile.n, profile.scalar))
-    k = _constants(profile.n, profile.scalar, profile.kappa0, profile.traceless_norm_sq_min)
-    return float(_root(k, np.full((1, 1), t))[0, 0])
-
-
-def optimize_minimax_block(n, scalar, kappa0, traceless_norm_sq_min):
-    """Maximize the mini-max bound r(t) over t in [0, 1/2] for a block of rows.
-
-    Takes equal-length arrays of n, R, kappa0 and min |Ric - R/n|^2 and
-    returns theorem31_block's arrays (minimax, t_star): on rows where
-    theorem 3.1 applies, its value and t_star = s0 value; elsewhere
-    Friedrich's value and t_star = 0. Each row is computed alone.
-
-    Why. In the shortcuts, G(x, t) = x^2 - 2 a x + 2 b t x - 2 A t +
-    c^2 t^2 = x (x (1 + 2 b s + c^2 s^2) - 2 (a + A s)) with s = t / x,
-    so x > 0 is a root of G(., t) exactly where x = f(t / x), f being
-    theorem 3.1's function (its denominator is positive: b >= 0, as a
-    kappa0 above R/n counts as R/n). So every positive r(t) is a value of
-    f, and every f(s) > 0 with t = s f(s) in [0, 1/2] is at most r(t).
-
-    f' has the sign of d - 2 a c^2 s - A c^2 s^2, d = A - 2ab. Theorem
-    3.1 applies where A > 0 and d > 0 (condition 19); f then rises to
-    M = f(s0) and falls, so r <= M and r(t*) >= M at t* = s0 M. f' = 0
-    gives M = A / (b + c^2 s0), so t* = (A - b M) / c^2 > 0, and as M >=
-    f(0) = 2a and M > 0, t* <= min(d, A) / c^2 <= 1/4 (d = c^2/4 - 2ab/n,
-    A = c^2/4 + 2ab (n-1)/n): the maximum is M, at t* in (0, 1/4].
-
-    Elsewhere f has no turn s > 0 with f(s) > 0: with c > 0 and d <= 0,
-    a > 0 (R < 0 forces d > 0, R = 0 gives d = c^2/4) and f falls while
-    positive; with A <= 0 and a <= 0, f <= 0; with c = 0, f is monotone.
-    A turn of r at t in (0, 1/2) with r(t) > 0 would be one of f at
-    t / r(t), so r peaks at t = 0, Friedrich's value 2a (0 for R <= 0),
-    or at t = 1/2, which never does better: G(x, 1/2) = x^2 + (b - 2a) x
-    - b R / 4. For R > 0, G(2a, 1/2) = b R / (4 (n - 1)) >= 0 and 2a lies
-    right of the vertex a - b/2, so r(1/2) <= 2a; for R <= 0 the roots sum
-    to 2a - b <= 0 with product -b R / 4 >= 0, so r(1/2) = 0. Rows that
-    theorem31's degeneracy guard drops (A below 1e-14 s^2, s the row's
-    scale) take Friedrich's value too, within about 1e-13 s of the peak.
-    """
-    cols = [np.asarray(a, dtype=float).reshape(-1)
-            for a in (n, scalar, kappa0, traceless_norm_sq_min)]
-    rows = len(cols[0])
-    if any(len(c) != rows for c in cols):
-        raise ShapeError(f"row arrays differ in length: {[len(c) for c in cols]}")
-    th = theorem31_block(*cols)
-    return th.minimax, th.t_star
-
-
 def optimize_minimax(profile):
-    """Maximize minimax_bound_at_t over t in [0, 1/2]: theorem31_block's
+    """The mini-max bound, r(t) maximized over t in [0, 1/2]: theorem31_block's
     minimax and t_star columns of one profile. On flat (Einstein)
     profiles, where theorem 3.1 does not apply, that is Friedrich's value
     at t_star = 0; the value never falls below Friedrich's. The checked
@@ -470,8 +350,8 @@ def best_bound(profile, complex_dim=None):
 
     The returned report keeps the winning method tag and carries the
     full evaluation as subreports. Ties within 1e-9 relative go to the
-    earlier entry of the fixed evaluation order (closed forms before
-    the numeric optimizer).
+    earlier entry of the fixed evaluation order: friedrich, kaehler,
+    zero_scalar, theorem31, minimax_numeric.
     """
     reports = [friedrich_bound(profile)]
     if complex_dim is not None:

