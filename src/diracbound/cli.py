@@ -19,7 +19,8 @@ message of a failing sweep comes from realize and the report functions,
 run on the first row and on the first flagged row of each block; a row
 that the columns flag and that they accept is an internal fault.
 
-Exit codes: 0 success, 1 input or validation error, 2 no bound with
+Exit codes: 0 success, 1 input or validation error (an `ode --tol`
+that the quadrature's node cap cannot reach among them), 2 no bound with
 any information (every method inapplicable or vacuous), 3 identity
 residual above tolerance, 4 an internal cross-check failed (theorem
 3.1's closed form against f(s0), or the `ode` orbit's energy drift):

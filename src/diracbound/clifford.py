@@ -16,8 +16,9 @@ run_identity_batch streams its trials in chunks of CHUNK: one draw per
 trial from its own stream, one real matmul of the chunk's coefficients
 against the exact products g_k g_l, and one-sided bounds on each
 residual's norm, so that svd runs only on the few matrices that can
-raise the running maximum. Memory does not grow with the number of
-trials, and the summary does not depend on how the batch is split.
+raise the running maximum. Only one chunk's buffers are alive at a
+time, so memory does not grow with the number of trials, and the
+summary does not depend on how the batch is split.
 Trial i's stream is the PCG64 of the i-th child spawned off
 SeedSequence(seed), but no child is built: _stream_states hashes a whole
 chunk's states out of the parent's pool with numpy's own constants, so
@@ -29,6 +30,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 import numpy.random  # loaded with the module, not inside the first batch
@@ -37,7 +39,7 @@ from .errors import DimensionError, NotSymmetric, ParameterRange, ShapeError
 
 MAX_DIM = 8                     # matrix size caps at 2^4 = 16
 MAX_TRIALS = 10**6              # bounds the run time; memory does not grow with trials
-CHUNK = 256                     # trials drawn and contracted together
+CHUNK = 128                     # trials drawn and contracted together
 PRUNE_RTOL = 1e-6               # slack on the singular value bounds
 SYMMETRY_ATOL = 1e-14
 SLOT_SYMMETRY_ATOL = 1e-12
@@ -46,6 +48,8 @@ SLOT_SYMMETRY_ATOL = 1e-12
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715       # MIX_MULT_L, MIX_MULT_R
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_HASH_B = np.array([_INIT_B * pow(_MULT_B, j, 2**32) % 2**32 for j in range(9)], np.uint32)
+_HASH_B.setflags(write=False)
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -216,7 +220,8 @@ class _PrunedMax:
 
     def add(self, mats):
         x = np.ascontiguousarray(mats).view(float)
-        e = np.frexp(np.max(np.abs(x), axis=(-2, -1)))[1]
+        # max |x| as max(max x, -min x): the same float, with no |x| copy
+        e = np.frexp(np.maximum(x.max(axis=(-2, -1)), -x.min(axis=(-2, -1))))[1]
         x = np.ldexp(x, -e[:, None, None])
         fro = np.sqrt(np.einsum("kij,kij->k", x, x))
         top = np.argmax(np.ldexp(fro, e - np.max(e)))
@@ -233,6 +238,15 @@ class _PrunedMax:
             self.value = max(self.value, float(np.max(_opnorms(mats[keep]))))
 
 
+@lru_cache(maxsize=8)
+def _hash_a(skip):
+    """mix_entropy's hash constants past skip steps, five of them, read-only."""
+    table = np.array([_INIT_A * pow(_MULT_A, skip + j, 2**32) % 2**32 for j in range(5)],
+                     np.uint32)
+    table.setflags(write=False)
+    return table
+
+
 def _stream_states(pool, seed, lo, k):
     """PCG64 (state, inc) int pairs of the children lo .. lo+k-1 spawned
     off SeedSequence(seed), whose pool is pool.
@@ -244,13 +258,11 @@ def _stream_states(pool, seed, lo, k):
     operands are np.uint32, so the array products wrap mod 2^32.
     """
     u32 = np.uint32
-    skip = 16 + 4 * (max(4, (seed.bit_length() + 31) // 32) - 4)
-    hash_a = np.array([_INIT_A * pow(_MULT_A, skip + j, 2**32) % 2**32 for j in range(5)], u32)
-    hash_b = np.array([_INIT_B * pow(_MULT_B, j, 2**32) % 2**32 for j in range(9)], u32)
+    hash_a = _hash_a(16 + 4 * (max(4, (seed.bit_length() + 31) // 32) - 4))
     key = (np.arange(lo, lo + k, dtype=u32) ^ hash_a[:4, None]) * hash_a[1:, None]
     mixed = pool[:, None] * u32(_MIX_L) - (key ^ key >> u32(16)) * u32(_MIX_R)
     mixed ^= mixed >> u32(16)
-    words = (np.tile(mixed, (2, 1)) ^ hash_b[:8, None]) * hash_b[1:, None]
+    words = (np.tile(mixed, (2, 1)) ^ _HASH_B[:8, None]) * _HASH_B[1:, None]
     words ^= words >> u32(16)
     states = []
     for a, b, c, d in words.T.astype("<u4", order="C").view("<u8").tolist():
@@ -259,12 +271,12 @@ def _stream_states(pool, seed, lo, k):
     return states
 
 
-def _chunk_residuals(products, n, states):
+def _chunk_residuals(products, n, gen, states):
     """The three residual stacks of one chunk of trials, one per PCG64
-    (state, inc)."""
+    (state, inc), drawn by setting gen to each state in turn. All three
+    are views of one buffer, which lives as long as any of them."""
     k = len(states)
     draws = np.empty((k, n * n + n**3 + n))
-    gen = np.random.Generator(np.random.PCG64(0))
     for row, (state, inc) in zip(draws, states):
         gen.bit_generator.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
                                    "state": {"state": state, "inc": inc}}
@@ -276,16 +288,16 @@ def _chunk_residuals(products, n, states):
     sym = np.zeros_like(T)
     for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         sym += np.transpose(T, (0, *(p + 1 for p in perm)))
-    T = sym / 6.0
+    sym /= 6.0                  # T, totally symmetric
     Y = draws[:, -n:]
 
     trace = np.einsum("tkk->t", S)
     centered = S - (trace / n)[:, None, None] * np.eye(n)
-    B = np.einsum("tkil,ti->tkl", T, Y)
+    B = np.einsum("tkil,ti->tkl", sym, Y)
     full, traceless, swapped, straight = _contract(
         products, S, centered, np.swapaxes(B, 1, 2), B)
     full += trace[:, None, None] * np.eye(full.shape[-1])
-    return full, traceless, swapped - straight
+    return full, traceless, np.subtract(swapped, straight, out=swapped)
 
 
 def run_identity_batch(n, trials, seed):
@@ -294,7 +306,8 @@ def run_identity_batch(n, trials, seed):
     Trial i draws S, T and Y from the PCG64 of the i-th child spawned
     off SeedSequence(seed), so the summary is reproducible; its state is
     derived by _stream_states, equal to the child's. Trials run CHUNK at
-    a time, so memory does not grow with trials, and every matrix is
+    a time, and a chunk's buffers are freed before the next chunk is
+    drawn, so memory does not grow with trials. Every matrix is
     computed alike in any chunk: the summary does not depend on how the
     batch is split. Each residual is the largest singular value from
     np.linalg.svd, maximized over the trials exactly; cheap bounds spare
@@ -316,9 +329,11 @@ def run_identity_batch(n, trials, seed):
                              f"the run time, got {trials}")
     products = _products(rep)
     pool = np.random.SeedSequence(seed).pool
+    gen = np.random.Generator(np.random.PCG64(0))
     worst = [_PrunedMax() for _ in range(3)]
     for lo in range(0, trials, CHUNK):
         states = _stream_states(pool, seed, lo, min(CHUNK, trials - lo))
-        for acc, mats in zip(worst, _chunk_residuals(products, rep.n, states)):
+        for acc, mats in zip(worst, _chunk_residuals(products, rep.n, gen, states)):
             acc.add(mats)
+        del mats    # it holds the chunk's whole buffer; free that before the next draw
     return BatchSummary(rep.n, trials, int(seed), *(acc.value for acc in worst))

@@ -75,7 +75,6 @@ SAMPLES = 4097                 # covers one period; >= 2048 everywhere
 ENERGY_DRIFT_RTOL = 1e-8
 QUADRATURE_NODES = (64, 2**14)  # first and largest trapezoid size
 FINE_GRID_CAP = 2**20           # largest grid that tau is inverted on
-UNCONVERGED_TAIL = 1e-6         # Fourier tail at the cap that raises
 
 
 @dataclass(frozen=True)
@@ -405,7 +404,7 @@ def integrate_warp(n, f0, tol=1e-10):
     values above the equilibrium are re-based at the orbit minimum;
     exactly F(0) = 1 degenerates to the constant solution, whose period
     is reported as the linearized value pi sqrt(n). Raises
-    ArithmeticError when 2^14 nodes leave a Fourier tail above 1e-6, and
+    ArithmeticError when 2^14 nodes leave a Fourier tail above tol, and
     CrossCheckFailed when the samples drift off the energy level.
     """
     n = int(n)
@@ -426,10 +425,10 @@ def integrate_warp(n, f0, tol=1e-10):
     f_min, f_max = f0, _upper_turning_point(n, f0)
     beta = _node_map(n, f_min, f_max)
     coef, tail = _cosine_series(n, f_min, f_max, beta, tol)
-    if tail > UNCONVERGED_TAIL:
+    if not tail <= tol:
         raise ArithmeticError(
-            f"warp quadrature did not converge: Fourier tail {tail:.1e} at "
-            f"{QUADRATURE_NODES[1]} nodes for F(0) = {f0}")
+            f"warp quadrature did not converge: Fourier tail {tail:.2e} at "
+            f"{QUADRATURE_NODES[1]} nodes for F(0) = {f0} is above --tol {tol:g}")
     period = 2.0 * math.pi * float(coef[0])
     tau = np.linspace(0.0, period, SAMPLES)
     mid = SAMPLES // 2

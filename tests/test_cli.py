@@ -410,6 +410,17 @@ def test_ode_rejects_other_dimensions(run_cli, tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_ode_refuses_a_tail_above_tol(run_cli, tmp_path):
+    # at f0 = 1e-100 the node cap leaves a Fourier tail of 8.3e-10
+    out = tmp_path / "t.csv"
+    proc = run_cli("ode", "--f0", "1e-100", "--out", str(out), expect=1)
+    assert "did not converge" in proc.stderr
+    assert "tail 8.26e-10" in proc.stderr and "--tol 1e-10" in proc.stderr
+    assert not list(tmp_path.iterdir())
+    run_cli("ode", "--f0", "1e-100", "--tol", "1e-9", "--out", str(out), expect=0)
+    assert out.exists()
+
+
 def test_verify_ok(run_cli, schema_validator):
     proc = run_cli("verify", "--dim", "4", "--trials", "200", "--seed", "42",
                    "--json", expect=0)

@@ -2,6 +2,7 @@
 
 import math
 import re
+import resource
 import tracemalloc
 
 import numpy as np
@@ -359,3 +360,14 @@ def test_batch_memory_does_not_grow_with_trials():
     large = _batch_peak(20000)
     # one chunk is held, not the batch: well under 4 MiB more
     assert large - small < 4 * 2**20, (small, large)
+    # and only one, of 128 trials: about 4 MiB at n = 8. 256-trial chunks
+    # peak at 7.5 MiB, and a chunk's buffer kept alive into the next draw
+    # at 6 MiB
+    assert small < 5 * 2**20, small
+    # the chunk buffers are reused, not returned to the system and faulted
+    # in again on every chunk: that costs about 10^5 faults at 20000 trials
+    run_identity_batch(8, 2000, 3)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_identity_batch(8, 20000, 3)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 10000, faults

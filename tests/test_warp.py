@@ -175,7 +175,7 @@ def test_orbits_whose_energy_underflows_are_bounded():
     ext = warp_extremals(5, 5e-324)
     assert math.isfinite(ext.kappa0) and ext.kappa0 < -1e258
     assert ext.ric_norm_sq_min == pytest.approx(2.048, rel=1e-15)
-    traj = integrate_warp(5, 1e-300)
+    traj = integrate_warp(5, 1e-300, tol=1e-9)    # the node cap leaves a tail of 8.3e-10
     assert traj.energy == 0.0 and traj.f0 == 1e-300
     assert traj.F.min() == 1e-300
 
@@ -239,8 +239,9 @@ def test_orbit_edge_cases(n):
     period, F, _ = dop853_orbit(n, 1e-6, traj.tau)
     assert traj.period == pytest.approx(period, rel=1e-9)
     assert np.max(np.abs(traj.F - F)) <= 1e-9
-    # a small orbit around F = 1 has the linearized period pi sqrt(n)
-    traj = integrate_warp(n, 0.999999, tol=1e-12)
+    # a small orbit around F = 1 has the linearized period pi sqrt(n);
+    # round-off keeps its Fourier tail near 1e-11 at the node cap
+    traj = integrate_warp(n, 0.999999, tol=1e-10)
     assert traj.period == pytest.approx(math.pi * math.sqrt(n), rel=1e-9)
 
 
@@ -290,7 +291,7 @@ def test_f0_below_two_to_the_minus_53():
     ext = warp_extremals(5, 1e-20)
     assert ext.kappa0 == pytest.approx(1.6 * (1.0 - 1e16), rel=1e-14)
     assert ext.ric_norm_sq_min == pytest.approx(2.048, rel=1e-14)
-    traj = integrate_warp(5, 1e-20)
+    traj = integrate_warp(5, 1e-20, tol=1e-9)     # the node cap leaves a tail of 2.4e-10
     assert traj.F[0] == traj.F[-1] == 1e-20
 
 
