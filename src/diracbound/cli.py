@@ -19,8 +19,9 @@ message of a failing sweep comes from realize and the report functions,
 run on the first row and on the first flagged row of each block; a row
 that the columns flag and that they accept is an internal fault.
 
-Exit codes: 0 success, 1 input or validation error (an `ode --tol`
-that the quadrature's node cap cannot reach among them), 2 no bound with
+Exit codes: 0 success, 1 input or validation error (among them an
+`ode --tol` that the quadrature's node cap cannot reach, which only an
+orbit that nears F = 0 meets), 2 no bound with
 any information (every method inapplicable or vacuous), 3 identity
 residual above tolerance, 4 an internal cross-check failed (theorem
 3.1's closed form against f(s0), or the `ode` orbit's energy drift):
@@ -373,7 +374,12 @@ def cmd_sweep(args):
 # --- ode -------------------------------------------------------------------
 
 def cmd_ode(args):
-    traj = warp.integrate_warp(5, args.f0, args.tol)
+    try:
+        traj = warp.integrate_warp(5, args.f0, args.tol)
+    except CrossCheckFailed:
+        raise
+    except ArithmeticError as exc:      # the node cap leaves the tail above tol
+        raise ArithmeticError(f"{exc}; a larger --tol accepts it") from None
     track = warp.curvature_track(traj)
     ext = warp.warp_extremals(5, traj.f0)
     warp.write_track_csv(args.out, traj, track)

@@ -56,7 +56,12 @@ series integrated term by term. The uniform tau samples are found by
 inverting tau(theta), and F' = h sin(theta) dtheta/dtau. As F_min goes
 to 0 the integrand's branch point at F = 0 nears the real axis, so the
 nodes are then clustered at F_min by a periodic change of variable
-theta = phi - beta sin(phi) (_node_map).
+theta = phi - beta sin(phi) (_node_map). Near the equilibrium the two
+terms of each divided difference are near V'(1) = 0 while their
+difference is of the orbit's size, so there V[., .] is summed from the
+Taylor series of V at 1, on the turning points' offsets from 1
+(_taylor_slope, _near_half_width); the Fourier tail then converges as
+fast for a tiny orbit as for a wide one.
 """
 
 from __future__ import annotations
@@ -75,6 +80,8 @@ SAMPLES = 4097                 # covers one period; >= 2048 everywhere
 ENERGY_DRIFT_RTOL = 1e-8
 QUADRATURE_NODES = (64, 2**14)  # first and largest trapezoid size
 FINE_GRID_CAP = 2**20           # largest grid that tau is inverted on
+NEAR_EQUILIBRIUM = 1.0 / 16.0   # 1 - F_min up to which V's Taylor series is summed
+TAYLOR_TERMS = 15               # terms k = 2 .. 16 of that series
 
 
 @dataclass(frozen=True)
@@ -295,26 +302,86 @@ def _power_slope(x, d, p):
     return np.where(d > 0.0, diff / np.where(d > 0.0, d, 1.0), p * x ** (p - 1.0))
 
 
-def _orbit_point(theta, n, f_min, f_max):
-    """F = c - h cos(theta) and dtau/dtheta = 1 / sqrt(2 V[F_min, F, F_max]).
+def _orbit_point(theta, n, f_min, h):
+    """F = F_min + h (1 - cos(theta)), h = (F_max - F_min) / 2, and
+    dtau/dtheta = 1 / sqrt(2 V[F_min, F, F_max]).
 
     V[F_min, F, F_max] = -V[F_min, F] / (F_max - F) = V[F, F_max] / (F - F_min)
     as V(F_min) = V(F_max). Each half of the orbit takes the form whose
     first divided difference is far from its zero at the other turning
-    point, so nothing cancels as F_min goes to 0.
+    point, so nothing cancels as F_min goes to 0. Near the equilibrium
+    (_near_equilibrium) the divided difference is of the orbit's size,
+    while its two terms are near 1; there it comes from the Taylor series
+    at 1, on the ends' offsets from 1 formed from F_min - 1, lo and hi,
+    which keep their relative accuracy where F itself is rounded at 1.
     """
-    h = 0.5 * (f_max - f_min)
     lo = 2.0 * h * np.sin(0.5 * theta) ** 2     # F - F_min
     hi = 2.0 * h * np.cos(0.5 * theta) ** 2     # F_max - F
     F = f_min + lo
     lower = lo <= hi
-    base, span = np.where(lower, f_min, F), np.where(lower, lo, hi)
-    slope = base + 0.5 * span \
-        - n / (2.0 * n - 4.0) * _power_slope(base, span, 2.0 - 4.0 / n)
+    span = np.where(lower, lo, hi)
+    if _near_equilibrium(f_min):
+        start = (f_min - 1.0) + np.where(lower, 0.0, lo)
+        slope = _taylor_slope(start, start + span, n)
+    else:
+        base = np.where(lower, f_min, F)
+        slope = base + 0.5 * span \
+            - n / (2.0 * n - 4.0) * _power_slope(base, span, 2.0 - 4.0 / n)
     return F, np.sqrt(0.5 * np.where(lower, hi, lo) / np.where(lower, -slope, slope))
 
 
-def _node_map(n, f_min, f_max):
+def _near_equilibrium(f_min):
+    """Whether the orbit with lower turning point f_min < 1 stays within
+    NEAR_EQUILIBRIUM of F = 1, as its upper one lies closer to 1."""
+    return 1.0 - f_min <= NEAR_EQUILIBRIUM
+
+
+def _near_half_width(n, f_min):
+    """h = (F_max - F_min) / 2 of an orbit near the equilibrium.
+
+    F_max - 1 is the b > 0 where V[f_min, 1 + b] = 0. Rounded to a float
+    near 1 it would be off by up to 2^-53, which, relative to a small
+    orbit, puts V(F_min) and V(F_max) far enough apart to kink the
+    integrand where _orbit_point switches forms. Written as
+    c_2 (a + b) + R(a, b) = 0 with a = f_min - 1 (exact), b is the fixed
+    point of b = -a - R(a, b) / c_2, which contracts by about |a| / 3 or
+    less per step, and keeps the relative accuracy of a.
+    """
+    a = f_min - 1.0
+    b = -a
+    for _ in range(64):
+        step = float(_taylor_slope(a, b, n)) * (n / 2.0)
+        b -= step
+        if abs(step) <= 2.0**-53 * b:
+            break
+    return 0.5 * (b - a)
+
+
+def _taylor_slope(a, b, n):
+    """V[1 + a, 1 + b] for |a|, |b| <= NEAR_EQUILIBRIUM, to a few ulps.
+
+    V(1 + w) = V(1) + sum_k c_k w^k over k >= 2, with c_2 = 2/n and
+    c_k = -(p - 1)(p - 2) ... (p - k + 1) / k! for k >= 3 (p = 2 - 4/n,
+    and n p / (2n - 4) = 1), so V[1 + a, 1 + b] = sum_k c_k h_(k-1),
+    where h_m = (b^(m+1) - a^(m+1)) / (b - a) = b h_(m-1) + a^m is
+    formed without dividing. Each p - j is taken as (2 - j) - 4/n, which
+    keeps the c_k accurate as n grows. The terms shrink by 16 or more,
+    and TAYLOR_TERMS of them leave a truncation below an ulp.
+    """
+    coef, c = [2.0 / n], -0.5 * (1.0 - 4.0 / n)
+    for k in range(3, TAYLOR_TERMS + 2):
+        c *= ((3.0 - k) - 4.0 / n) / k
+        coef.append(c)
+    power, h = np.ones_like(a), np.ones_like(a)
+    slope = np.zeros_like(h)
+    for c in coef:
+        power *= a
+        h = b * h + power
+        slope += c * h
+    return slope
+
+
+def _node_map(n, f_min, h):
     """beta of theta = phi - beta sin(phi), which clusters nodes at F_min.
 
     F^(1-4/n) puts a branch point of dtau/dtheta at F = 0, which lies
@@ -325,11 +392,11 @@ def _node_map(n, f_min, f_max):
     1 - beta is of order delta^(2/3). The integrand in phi stays smooth
     and periodic, because the map is.
     """
-    delta = math.acosh(1.0 + 2.0 * f_min / (f_max - f_min))
+    delta = math.acosh(1.0 + f_min / h)
     return max(0.0, 1.0 - delta ** (2.0 / 3.0))
 
 
-def _cosine_series(n, f_min, f_max, beta, tol):
+def _cosine_series(n, f_min, h, beta, tol):
     """Cosine coefficients of dtau/dphi and the Fourier tail they reach.
 
     The midpoint trapezoid rule on N nodes; N doubles until the upper
@@ -340,7 +407,7 @@ def _cosine_series(n, f_min, f_max, beta, tol):
         phi = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
         theta = phi - beta * np.sin(phi)
         stretch = (1.0 - beta) + 2.0 * beta * np.sin(0.5 * phi) ** 2
-        _, rate = _orbit_point(theta, n, f_min, f_max)
+        _, rate = _orbit_point(theta, n, f_min, h)
         half = np.fft.rfft(rate * stretch)[:N // 2]
         # undo the half-node shift; the integrand is even, the series real
         coef = (half * np.exp(-1j * math.pi / N * np.arange(N // 2))).real * (2.0 / N)
@@ -422,21 +489,25 @@ def integrate_warp(n, f0, tol=1e-10):
         return WarpTrajectory(n, 1.0, tau, np.ones(SAMPLES), np.zeros(SAMPLES),
                               period, _potential(1.0, n))
 
-    f_min, f_max = f0, _upper_turning_point(n, f0)
-    beta = _node_map(n, f_min, f_max)
-    coef, tail = _cosine_series(n, f_min, f_max, beta, tol)
+    f_min = f0
+    if _near_equilibrium(f_min):
+        h = _near_half_width(n, f_min)
+    else:
+        h = 0.5 * (_upper_turning_point(n, f_min) - f_min)
+    beta = _node_map(n, f_min, h)
+    coef, tail = _cosine_series(n, f_min, h, beta, tol)
     if not tail <= tol:
         raise ArithmeticError(
             f"warp quadrature did not converge: Fourier tail {tail:.2e} at "
-            f"{QUADRATURE_NODES[1]} nodes for F(0) = {f0} is above --tol {tol:g}")
+            f"{QUADRATURE_NODES[1]} nodes for F(0) = {f0} is above tol = {tol:g}")
     period = 2.0 * math.pi * float(coef[0])
     tau = np.linspace(0.0, period, SAMPLES)
     mid = SAMPLES // 2
     phi = _invert_tau(coef, tau[:mid + 1], tol)
     phi[0], phi[mid] = 0.0, math.pi
     theta = phi - beta * np.sin(phi)
-    F, rate = _orbit_point(theta, n, f_min, f_max)
-    Fp = 0.5 * (f_max - f_min) * np.sin(theta) / rate
+    F, rate = _orbit_point(theta, n, f_min, h)
+    Fp = h * np.sin(theta) / rate
     F = np.concatenate((F, F[-2::-1]))
     Fp = np.concatenate((Fp, 0.0 - Fp[-2::-1]))
 

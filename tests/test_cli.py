@@ -7,6 +7,7 @@ import importlib.util
 import io
 import itertools
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -415,10 +416,22 @@ def test_ode_refuses_a_tail_above_tol(run_cli, tmp_path):
     out = tmp_path / "t.csv"
     proc = run_cli("ode", "--f0", "1e-100", "--out", str(out), expect=1)
     assert "did not converge" in proc.stderr
-    assert "tail 8.26e-10" in proc.stderr and "--tol 1e-10" in proc.stderr
+    assert "tail 8.26e-10" in proc.stderr and "tol = 1e-10" in proc.stderr
+    assert "--tol" in proc.stderr
     assert not list(tmp_path.iterdir())
     run_cli("ode", "--f0", "1e-100", "--tol", "1e-9", "--out", str(out), expect=0)
     assert out.exists()
+
+
+def test_ode_near_the_equilibrium(run_cli, tmp_path):
+    # small orbits around F = 1 reach the default --tol; outside the
+    # constant band |f0 - 1| <= 1e-12 they have the period pi sqrt(5)
+    for f0 in ("0.99999999", "1.0000000001"):
+        out = tmp_path / "t.csv"
+        proc = run_cli("ode", "--f0", f0, "--out", str(out), expect=0)
+        summary = json.loads(proc.stdout)
+        assert summary["period"] == pytest.approx(math.pi * math.sqrt(5.0), rel=1e-15)
+        assert summary["f_min"] < 1.0 < summary["f_max"]
 
 
 def test_verify_ok(run_cli, schema_validator):

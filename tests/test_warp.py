@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracbound import (EXAMPLES, DimensionError, NonPositiveF, ParameterRange,
@@ -224,6 +224,8 @@ def test_frozen_refs_script_reproduces_the_constants():
 
 @settings(max_examples=12)
 @given(st.sampled_from([5, 6, 8]), st.floats(0.05, 0.99))
+@example(5, 0.95)       # within 1/16 of F = 1, where V's Taylor series is summed
+@example(8, 0.999)
 def test_orbit_matches_dop853(n, f0):
     traj = integrate_warp(n, f0, tol=1e-12)
     period, F, Fp = dop853_orbit(n, f0, traj.tau)
@@ -239,10 +241,26 @@ def test_orbit_edge_cases(n):
     period, F, _ = dop853_orbit(n, 1e-6, traj.tau)
     assert traj.period == pytest.approx(period, rel=1e-9)
     assert np.max(np.abs(traj.F - F)) <= 1e-9
-    # a small orbit around F = 1 has the linearized period pi sqrt(n);
-    # round-off keeps its Fourier tail near 1e-11 at the node cap
-    traj = integrate_warp(n, 0.999999, tol=1e-10)
+    # a small orbit around F = 1 has the linearized period pi sqrt(n)
+    traj = integrate_warp(n, 0.999999, tol=1e-12)
     assert traj.period == pytest.approx(math.pi * math.sqrt(n), rel=1e-9)
+
+
+@pytest.mark.parametrize("f0", [1 - 1e-7, 1 - 1e-10, 1 - 5e-12, 1 + 1e-8, 1 + 1e-11])
+def test_small_orbits_reach_any_tol(f0):
+    # round-off does not hold the Fourier tail of a small orbit above tol.
+    # Its period is pi sqrt(5) up to a relative 0.03 h^2, and F is the
+    # cosine of the linearized oscillator up to about h^2
+    traj = integrate_warp(5, f0, tol=1e-14)
+    assert traj.period == pytest.approx(math.pi * math.sqrt(5.0), rel=1e-14)
+    f_min, f_max = np.min(traj.F), np.max(traj.F)
+    h = 0.5 * (f_max - f_min)
+    cosine = 0.5 * (f_min + f_max) - h * np.cos(2.0 * math.pi * traj.tau / traj.period)
+    assert np.max(np.abs(traj.F - cosine)) <= 1e-6 * h + 4e-16
+    # the upper turning point is the level point of the lower one, to
+    # the few ulps that the bisection's float misses leave it off
+    top = f0 if f0 > 1.0 else warp._upper_turning_point(5, f0)
+    assert f_max == pytest.approx(top, abs=1e-15)
 
 
 def test_orbit_is_symmetric_and_closed():
