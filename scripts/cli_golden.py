@@ -54,8 +54,12 @@ scalar 31.4 times a five-dimensional Einstein factor of scalar 78.5
 (an Einstein product: all seven Ricci eigenvalues are 15.7), `bound
 --csv` and a two-row `surface_scalar` sweep from 31.4. Then the warp
 turning points: `ode` at f0 = 0.3 and at f0 = 1.3 (above the
-equilibrium, so re-based at the orbit's minimum), whose `--out` track
-is recorded as its sha256 and line count beside the summary, and two
+equilibrium, so re-based at the orbit's minimum), at f0 = 0.99999999
+(where V's divided differences come from its Taylor series at F = 1),
+at f0 = 1e-10 (where the nodes are clustered at F_min) and at f0 =
+1e-100, which exits 1 with the Fourier tail that the node cap leaves
+and writes no track; the `--out` track of each run that writes one is
+recorded as its sha256 and line count beside the summary. Then two
 300-row m7-sigma `f0` sweeps recorded by their sha256, one over
 [1e-9, 1e-3] and one over [0.999, 1], which ends on the constant
 orbit. Last, `bound --csv` on a profile whose scalar, kappa0 and
@@ -233,7 +237,8 @@ MINIMAX_EDGES = (
 )
 # the warp turning points: ode runs with their track, and f0 sweeps near
 # both ends of (0, 1]
-ODE_RUNS = (("ode", "--f0", "0.3", "--out", TRACK), ("ode", "--f0", "1.3", "--out", TRACK))
+ODE_RUNS = tuple(("ode", "--f0", f0, "--out", TRACK)
+                 for f0 in ("0.3", "1.3", "0.99999999", "1e-10", "1e-100"))
 WARP_SWEEPS = (
     ("--example", "m7-sigma", "--param", "f0",
      "--from", "1e-9", "--to", "1e-3", "--steps", "300"),
