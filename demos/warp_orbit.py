@@ -12,9 +12,9 @@ import numpy as np
 import diracbound as db
 
 if __name__ == "__main__":
-    traj = db.integrate_warp(5, 0.1)
+    traj = db.integrate_warp(0.1)
     track = db.curvature_track(traj)
-    ext = db.warp_extremals(5, traj.f0)
+    ext = db.warp_extremals(traj.f0)
 
     print(f"period            {traj.period:.6f}")
     print(f"energy            {traj.energy:.6f} "

@@ -106,7 +106,7 @@ class Warped:
         extremals = np.full((len(f0), 2), np.nan)
         for i, value in enumerate(f0.tolist()):
             if not math.isnan(value):
-                ext = warp_extremals(5, value)
+                ext = warp_extremals(value)
                 extremals[i] = ext.kappa0, ext.ric_norm_sq_min
         return 5, WARP_SCALAR, extremals[:, 0], extremals[:, 1], None
 

@@ -375,17 +375,17 @@ def cmd_sweep(args):
 
 def cmd_ode(args):
     try:
-        traj = warp.integrate_warp(5, args.f0, args.tol)
+        traj = warp.integrate_warp(args.f0, args.tol)
     except CrossCheckFailed:
         raise
     except ArithmeticError as exc:      # the node cap leaves the tail above tol
         raise ArithmeticError(f"{exc}; a larger --tol accepts it") from None
     track = warp.curvature_track(traj)
-    ext = warp.warp_extremals(5, traj.f0)
+    ext = warp.warp_extremals(traj.f0)
     warp.write_track_csv(args.out, traj, track)
     summary = {
         "schema": "diracbound/ode_summary/v1",
-        "n": traj.n,
+        "n": 5,
         "f0": traj.f0,
         "tol": args.tol,
         "period": traj.period,

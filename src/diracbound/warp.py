@@ -1,21 +1,22 @@
-"""Periodic warp factors F'' = F^(1-4/n) - F and their product curvature.
+"""Periodic warp factors F'' = F^(1/5) - F and their product curvature.
 
-The warp function F > 0 with F'(0) = 0 solves a conservative oscillator
-with potential V(F) = F^2/2 - (n/(2n-4)) F^(2-4/n); the equilibrium
-F = 1 gives the round product, every 0 < F(0) < 1 gives a closed orbit
-between F(0) and the conjugate turning point. For n = 5 the two Ricci
-eigenvalues of the resulting 5-manifold are tracked along one period:
+The paper's warped example, a circle bundle over the round four-sphere,
+has n = 5, and so does everything here. The warp function F > 0 with
+F'(0) = 0 solves a conservative oscillator with potential
+V(F) = F^2/2 - (5/6) F^(6/5); the equilibrium F = 1 gives the round
+product, every 0 < F(0) < 1 gives a closed orbit between F(0) and the
+conjugate turning point. The two Ricci eigenvalues of the resulting
+5-manifold are tracked along one period:
 
     kappa1 = (24/25)(F'/F)^2 + (8/5)(1 - F^(-4/5))   multiplicity 1
     kappa2 = (16/5 - kappa1) / 4                     multiplicity 4
 
 The scalar curvature kappa1 + 4 kappa2 = 16/5 is constant.
 
-The curvature minima need no integration. For n = 5 the potential is
-V(F) = F^2/2 - (5/6) F^(6/5), and the energy of the orbit through
-F(0) = f0 is E = V(f0), which is negative on every bounded orbit, with
-F'^2 = 2 (E - V(F)). Substituting F'^2 into kappa1, the F^(-4/5) terms
-cancel exactly:
+The curvature minima need no integration. The energy of the orbit
+through F(0) = f0 is E = V(f0), which is negative on every bounded
+orbit, with F'^2 = 2 (E - V(F)). Substituting F'^2 into kappa1, the
+F^(-4/5) terms cancel exactly:
 
     kappa1 = 16/25 + (48/25) E / F^2.
 
@@ -73,9 +74,11 @@ from functools import lru_cache
 import numpy as np
 import numpy.fft  # loaded with the module, not inside the first ode command
 
-from .errors import CrossCheckFailed, DimensionError, NonPositiveF, ParameterRange
+from .errors import CrossCheckFailed, NonPositiveF, ParameterRange
 
 WARP_SCALAR = 16.0 / 5.0
+V_RATIO = 5.0 / 6.0             # V(F) = F^2/2 - V_RATIO F^V_POWER
+V_POWER = 2.0 - 4.0 / 5.0
 SAMPLES = 4097                 # covers one period; >= 2048 everywhere
 ENERGY_DRIFT_RTOL = 1e-8
 QUADRATURE_NODES = (64, 2**14)  # first and largest trapezoid size
@@ -88,7 +91,6 @@ TAYLOR_TERMS = 15               # terms k = 2 .. 16 of that series
 class WarpTrajectory:
     """One full period of the warp oscillator, sampled uniformly."""
 
-    n: int
     f0: float
     tau: np.ndarray
     F: np.ndarray
@@ -112,11 +114,11 @@ class WarpExtremals:
     ric_norm_sq_min: float
 
 
-def _potential(F, n):
-    return F * F / 2.0 - n / (2.0 * n - 4.0) * F ** (2.0 - 4.0 / n)
+def _potential(F):
+    return F * F / 2.0 - V_RATIO * F ** V_POWER
 
 
-def _potential_gap(F, n):
+def _potential_gap(F):
     """V(F) - V(1), without the cancellation of subtracting the two.
 
     F = 1 is a double zero of V - V(1), so the turning points of a small
@@ -124,41 +126,43 @@ def _potential_gap(F, n):
     F - 1, log1p and expm1, the gap keeps its relative accuracy.
     """
     u = F - 1.0
-    return u * (F + 1.0) / 2.0 \
-        - n / (2.0 * n - 4.0) * math.expm1((2.0 - 4.0 / n) * math.log1p(u))
+    return u * (F + 1.0) / 2.0 - V_RATIO * math.expm1(V_POWER * math.log1p(u))
 
 
-def _energy(F, Fp, n):
-    return Fp * Fp / 2.0 + _potential(F, n)
+def _energy(F, Fp):
+    return Fp * Fp / 2.0 + _potential(F)
 
 
-def _bounded_energy(f0, n):
+def _bounded_energy(f0):
     """V(f0), the energy of the orbit through F(0) = f0, if it is bounded.
-    V < 0 on (0, 1], also where V(f0) underflows to 0 (f0 < 1e-269)."""
+    V < 0 on (0, 1], also where V(f0) underflows to 0 (f0 < 1e-269). Above
+    1, E < -1e-12 keeps the lower turning point, which _rebase bisects for
+    on [1e-12, 1], above 1e-10, as V(F) > -(5/6) F^(6/5)."""
     if not f0 > 0.0:
         raise NonPositiveF(f"F(0) must be positive, got {f0}")
-    energy = _potential(f0, n)
-    if f0 > 1.0 and not energy < 0.0:
+    energy = _potential(f0)
+    if f0 > 1.0 and not energy < -1e-12:
         raise NonPositiveF(
-            f"orbit through F(0) = {f0} has energy {energy} >= 0 and reaches F = 0")
+            f"orbit through F(0) = {f0} has energy {energy}, not below -1e-12: "
+            f"it reaches F = 0 or comes within 2e-10 of it")
     return energy
 
 
-def _level_point(n, gap, a, b, misses=None):
-    """The F in [a, b] where _potential_gap(F, n) = gap, for [a, b] on one
+def _level_point(gap, a, b, misses=None):
+    """The F in [a, b] where _potential_gap(F) = gap, for [a, b] on one
     side of F = 1, where the gap is monotone: bisected down to adjacent
     floats, and of the last two endpoints the one where the miss is least.
 
     The loop inlines _potential_gap, in its expression order, with its
     two constants taken once. Below F = 1 the miss is signed as gap -
-    _potential_gap(F, n), so that it rises with F on either side. misses,
+    _potential_gap(F), so that it rises with F on either side. misses,
     if given, are the signed misses at a and b, as the loop computes them.
     """
     sign = 1.0 if a >= 1.0 else -1.0
     if misses is None:
-        misses = (sign * (_potential_gap(F, n) - gap) for F in (a, b))
+        misses = (sign * (_potential_gap(F) - gap) for F in (a, b))
     fa, fb = misses
-    ratio, power = n / (2.0 * n - 4.0), 2.0 - 4.0 / n
+    ratio, power = V_RATIO, V_POWER
     expm1, log1p = math.expm1, math.log1p
     while True:
         m = 0.5 * (a + b)
@@ -173,19 +177,9 @@ def _level_point(n, gap, a, b, misses=None):
     return a if abs(fa) <= abs(fb) else b
 
 
-def _rebase(f0, n):
+def _rebase(f0):
     """Start above the equilibrium: shift to the orbit's minimum."""
-    energy = _potential(f0, n)
-    if energy >= -1e-12:
-        raise NonPositiveF(
-            f"orbit through F(0) = {f0} has energy {energy} >= 0 and reaches F = 0")
-    return _level_point(n, _potential_gap(f0, n), 1e-12, 1.0)
-
-
-def check_n(n):
-    """Reject an n other than 5, the only one the curvature formulas know."""
-    if n != 5:
-        raise DimensionError(f"curvature formulas are specific to n = 5, got n = {n}")
+    return _level_point(_potential_gap(f0), 1e-12, 1.0)
 
 
 def check_tol(tol):
@@ -194,14 +188,14 @@ def check_tol(tol):
         raise ParameterRange(f"tolerance must be finite and positive, got {tol}")
 
 
-def _upper_turning_point(n, f_min):
+def _upper_turning_point(f_min):
     """F_max of the bounded orbit whose lower turning point is f_min < 1:
     the bisection of [1, 2] that _level_point runs, with the steps whose
     side is certain skipped.
 
     Newton's method on the miss H(F) = V(F) - V(1) - gap starts at
-    1 + sqrt(n gap / 2), where (2/n) (F - 1)^2, which lies below the
-    convex V - V(1) (V''(1) = 4/n and V''' > 0), reaches gap, so its
+    1 + sqrt(5 gap / 2), where (2/5) (F - 1)^2, which lies below the
+    convex V - V(1) (V''(1) = 4/5 and V''' > 0), reaches gap, so its
     iterates fall monotonically to the root r. Bisecting [1, 2] holds
     the dyadic bracket [1 + j 2^-k, 1 + (j+1) 2^-k] after k steps; the
     jump goes to the smallest one that holds r with a margin of
@@ -214,8 +208,8 @@ def _upper_turning_point(n, f_min):
     2nd ed., 2002, ch. 3). The miss is evaluated as t1 - t2 - gap, with
     t1 = u (F + 1) / 2, t2 = ratio expm1(power log1p(u)) and u = F - 1,
     in _level_point's order. Take unit roundoff 2^-53, u exact, log1p
-    and expm1 within one ulp, ratio = n / (2n - 4) within one unit and
-    power = 2 - 4/n within 5/3. Then t1 is off by at most 2 units
+    and expm1 within one ulp, ratio = V_RATIO = 5/6 within one unit and
+    power = V_POWER = 6/5 within 5/3. Then t1 is off by at most 2 units
     relative and t2 by 12.7: 4.7 in power log1p(u), grown by at most
     y e^y / expm1(y) <= 1.85 (y <= 2 log 2) through expm1, plus 4. The
     two subtractions add a unit of t1 + t2 and one of t1 + t2 + gap.
@@ -223,39 +217,39 @@ def _upper_turning_point(n, f_min):
     eps(F) = 2^-53 (4 t1 + 16 t2 + gap), where 16 rather than 14.7
     covers the second-order terms. The certificate asks for a miss
     below -2 eps at the left end a, above +2 eps at the right end b,
-    and b >= 1 + n 2^-49.
+    and b >= 1 + 5 2^-49.
 
     Why the bits cannot change. Until the bracket is 2^-52 wide every
     midpoint is an exact dyadic, and each midpoint that the bisection
     meets before [a, b] lies at or left of a, or at or right of b.
-    H + eps increases on [1, 2] (H' = F - F^(1-4/n) >= 0, and t1 and t2
+    H + eps increases on [1, 2] (H' = F - F^(1/5) >= 0, and t1 and t2
     increase), so at such an m <= a the float miss is at most H(m) +
     eps(m) <= H(a) + eps(a) <= miss(a) + 2 eps(a) < 0. H - eps increases
-    where F^(4/n) >= (1 + 2^-49) / (1 - 2^-51), which F >= 1 + n 2^-49
+    where F^(4/5) >= (1 + 2^-49) / (1 - 2^-51), which F >= 1 + 5 2^-49
     ensures, so at an m >= b the float miss is at least H(b) - eps(b) >=
     miss(b) - 2 eps(b) > 0. The bisection therefore takes the side the
     jump assumed at every skipped midpoint, reaches [a, b] with the same
     end misses, and the remaining steps are the same loop.
     """
-    # V(2) > 0 > E for every n >= 5, so rounding in V at the zero of V
-    # cannot lose the root. Below 2^-53, f_min - 1 rounds to -1, where
-    # log1p fails; V(f_min) is then below the last bit of V(1) anyway.
-    gap = _potential_gap(f_min if f_min > 2.0**-53 else 2.0**-53, n)
-    bracket = _certified_bracket(n, gap) if gap > 0.0 else None
-    return _level_point(n, gap, *(bracket or (1.0, 2.0)))
+    # V(2) > 0 > E, so rounding in V at the zero of V cannot lose the
+    # root. Below 2^-53, f_min - 1 rounds to -1, where log1p fails;
+    # V(f_min) is then below the last bit of V(1) anyway.
+    gap = _potential_gap(f_min if f_min > 2.0**-53 else 2.0**-53)
+    bracket = _certified_bracket(gap) if gap > 0.0 else None
+    return _level_point(gap, *(bracket or (1.0, 2.0)))
 
 
-def _certified_bracket(n, gap):
+def _certified_bracket(gap):
     """(a, b, (miss(a), miss(b))) of the jump in _upper_turning_point, or
     None where Newton leaves (1, 2) or the certificate fails."""
-    ratio, power = n / (2.0 * n - 4.0), 2.0 - 4.0 / n
+    ratio, power = V_RATIO, V_POWER
     expm1, log1p = math.expm1, math.log1p
-    r = min(1.0 + math.sqrt(n * gap / 2.0), 2.0)
+    r = min(1.0 + math.sqrt(5.0 * gap / 2.0), 2.0)
     for _ in range(64):
         u = r - 1.0
         e = expm1(power * log1p(u))
         t1, t2 = u * (r + 1.0) / 2.0, ratio * e
-        slope = r - (1.0 + e) / r       # H' = F - F^(1-4/n); 0 at r = 1
+        slope = r - (1.0 + e) / r       # H' = F - F^(1/5); 0 at r = 1
         if not slope > 0.0:
             return None
         step = (t1 - t2 - gap) / slope
@@ -285,7 +279,7 @@ def _certified_bracket(n, gap):
     u = b - 1.0
     t1, t2 = u * (b + 1.0) / 2.0, ratio * expm1(power * log1p(u))
     fb = t1 - t2 - gap
-    if not (fb > 2.0**-52 * (4.0 * t1 + 16.0 * t2 + gap) and u >= n * 2.0**-49):
+    if not (fb > 2.0**-52 * (4.0 * t1 + 16.0 * t2 + gap) and u >= 5.0 * 2.0**-49):
         return None
     return a, b, (fa, fb)
 
@@ -302,7 +296,7 @@ def _power_slope(x, d, p):
     return np.where(d > 0.0, diff / np.where(d > 0.0, d, 1.0), p * x ** (p - 1.0))
 
 
-def _orbit_point(theta, n, f_min, h):
+def _orbit_point(theta, f_min, h):
     """F = F_min + h (1 - cos(theta)), h = (F_max - F_min) / 2, and
     dtau/dtheta = 1 / sqrt(2 V[F_min, F, F_max]).
 
@@ -322,11 +316,10 @@ def _orbit_point(theta, n, f_min, h):
     span = np.where(lower, lo, hi)
     if _near_equilibrium(f_min):
         start = (f_min - 1.0) + np.where(lower, 0.0, lo)
-        slope = _taylor_slope(start, start + span, n)
+        slope = _taylor_slope(start, start + span)
     else:
         base = np.where(lower, f_min, F)
-        slope = base + 0.5 * span \
-            - n / (2.0 * n - 4.0) * _power_slope(base, span, 2.0 - 4.0 / n)
+        slope = base + 0.5 * span - V_RATIO * _power_slope(base, span, V_POWER)
     return F, np.sqrt(0.5 * np.where(lower, hi, lo) / np.where(lower, -slope, slope))
 
 
@@ -336,7 +329,7 @@ def _near_equilibrium(f_min):
     return 1.0 - f_min <= NEAR_EQUILIBRIUM
 
 
-def _near_half_width(n, f_min):
+def _near_half_width(f_min):
     """h = (F_max - F_min) / 2 of an orbit near the equilibrium.
 
     F_max - 1 is the b > 0 where V[f_min, 1 + b] = 0. Rounded to a float
@@ -350,41 +343,48 @@ def _near_half_width(n, f_min):
     a = f_min - 1.0
     b = -a
     for _ in range(64):
-        step = float(_taylor_slope(a, b, n)) * (n / 2.0)
+        step = float(_taylor_slope(a, b)) * (5.0 / 2.0)   # 1 / c_2
         b -= step
         if abs(step) <= 2.0**-53 * b:
             break
     return 0.5 * (b - a)
 
 
-def _taylor_slope(a, b, n):
+def _taylor_coefficients():
+    """c_2, ..., c_16 of _taylor_slope, each p - j taken as (2 - j) - 4/5."""
+    coef, c = [2.0 / 5.0], -0.5 * (1.0 - 4.0 / 5.0)
+    for k in range(3, TAYLOR_TERMS + 2):
+        c *= ((3.0 - k) - 4.0 / 5.0) / k
+        coef.append(c)
+    return tuple(coef)
+
+
+_TAYLOR_COEF = _taylor_coefficients()
+
+
+def _taylor_slope(a, b):
     """V[1 + a, 1 + b] for |a|, |b| <= NEAR_EQUILIBRIUM, to a few ulps.
 
-    V(1 + w) = V(1) + sum_k c_k w^k over k >= 2, with c_2 = 2/n and
-    c_k = -(p - 1)(p - 2) ... (p - k + 1) / k! for k >= 3 (p = 2 - 4/n,
-    and n p / (2n - 4) = 1), so V[1 + a, 1 + b] = sum_k c_k h_(k-1),
-    where h_m = (b^(m+1) - a^(m+1)) / (b - a) = b h_(m-1) + a^m is
-    formed without dividing. Each p - j is taken as (2 - j) - 4/n, which
-    keeps the c_k accurate as n grows. The terms shrink by 16 or more,
-    and TAYLOR_TERMS of them leave a truncation below an ulp.
+    V(1 + w) = V(1) + sum_k c_k w^k over k >= 2, with c_2 = 2/5 and
+    c_k = -(p - 1)(p - 2) ... (p - k + 1) / k! for k >= 3 (p = 6/5, and
+    5 p / 6 = 1), so V[1 + a, 1 + b] = sum_k c_k h_(k-1), where h_m =
+    (b^(m+1) - a^(m+1)) / (b - a) = b h_(m-1) + a^m is formed without
+    dividing. The c_k are built once, at import. The terms shrink by 16
+    or more, and TAYLOR_TERMS of them leave a truncation below an ulp.
     """
-    coef, c = [2.0 / n], -0.5 * (1.0 - 4.0 / n)
-    for k in range(3, TAYLOR_TERMS + 2):
-        c *= ((3.0 - k) - 4.0 / n) / k
-        coef.append(c)
     power, h = np.ones_like(a), np.ones_like(a)
     slope = np.zeros_like(h)
-    for c in coef:
+    for c in _TAYLOR_COEF:
         power *= a
         h = b * h + power
         slope += c * h
     return slope
 
 
-def _node_map(n, f_min, h):
+def _node_map(f_min, h):
     """beta of theta = phi - beta sin(phi), which clusters nodes at F_min.
 
-    F^(1-4/n) puts a branch point of dtau/dtheta at F = 0, which lies
+    F^(1/5) puts a branch point of dtau/dtheta at F = 0, which lies
     i delta off the real theta axis with cosh(delta) = c / h. As F_min
     goes to 0 so does delta, and with it the trapezoid rule's rate. The
     map flattens theta(phi) near phi = 0 (dtheta/dphi = 1 - beta there),
@@ -396,7 +396,7 @@ def _node_map(n, f_min, h):
     return max(0.0, 1.0 - delta ** (2.0 / 3.0))
 
 
-def _cosine_series(n, f_min, h, beta, tol):
+def _cosine_series(f_min, h, beta, tol):
     """Cosine coefficients of dtau/dphi and the Fourier tail they reach.
 
     The midpoint trapezoid rule on N nodes; N doubles until the upper
@@ -407,7 +407,7 @@ def _cosine_series(n, f_min, h, beta, tol):
         phi = (np.arange(N) + 0.5) * (2.0 * math.pi / N)
         theta = phi - beta * np.sin(phi)
         stretch = (1.0 - beta) + 2.0 * beta * np.sin(0.5 * phi) ** 2
-        _, rate = _orbit_point(theta, n, f_min, h)
+        _, rate = _orbit_point(theta, f_min, h)
         half = np.fft.rfft(rate * stretch)[:N // 2]
         # undo the half-node shift; the integrand is even, the series real
         coef = (half * np.exp(-1j * math.pi / N * np.arange(N // 2))).real * (2.0 / N)
@@ -460,8 +460,8 @@ def _invert_tau(coef, targets, tol):
     return phi[i] + t * dstep
 
 
-def integrate_warp(n, f0, tol=1e-10):
-    """One full period of F'' = F^(1-4/n) - F, F'(0) = 0, sampled uniformly.
+def integrate_warp(f0, tol=1e-10):
+    """One full period of F'' = F^(1/5) - F, F'(0) = 0, sampled uniformly.
 
     Needs no ODE solver (see the module docstring): the trapezoid rule
     on dtau/dtheta doubles its node count from 64 until the Fourier
@@ -470,32 +470,29 @@ def integrate_warp(n, f0, tol=1e-10):
     below tol. The second half period mirrors the first. Starting
     values above the equilibrium are re-based at the orbit minimum;
     exactly F(0) = 1 degenerates to the constant solution, whose period
-    is reported as the linearized value pi sqrt(n). Raises
+    is reported as the linearized value pi sqrt(5). Raises
     ArithmeticError when 2^14 nodes leave a Fourier tail above tol, and
     CrossCheckFailed when the samples drift off the energy level.
     """
-    n = int(n)
-    if n < 5:
-        raise DimensionError(f"warp exponent needs n >= 5, got n = {n}")
     f0 = float(f0)
     check_tol(tol)
-    _bounded_energy(f0, n)
+    _bounded_energy(f0)
     if f0 > 1.0 + 1e-12:
-        f0 = _rebase(f0, n)
+        f0 = _rebase(f0)
 
     if abs(f0 - 1.0) <= 1e-12:
-        period = math.pi * math.sqrt(n)
+        period = math.pi * math.sqrt(5.0)
         tau = np.linspace(0.0, period, SAMPLES)
-        return WarpTrajectory(n, 1.0, tau, np.ones(SAMPLES), np.zeros(SAMPLES),
-                              period, _potential(1.0, n))
+        return WarpTrajectory(1.0, tau, np.ones(SAMPLES), np.zeros(SAMPLES),
+                              period, _potential(1.0))
 
     f_min = f0
     if _near_equilibrium(f_min):
-        h = _near_half_width(n, f_min)
+        h = _near_half_width(f_min)
     else:
-        h = 0.5 * (_upper_turning_point(n, f_min) - f_min)
-    beta = _node_map(n, f_min, h)
-    coef, tail = _cosine_series(n, f_min, h, beta, tol)
+        h = 0.5 * (_upper_turning_point(f_min) - f_min)
+    beta = _node_map(f_min, h)
+    coef, tail = _cosine_series(f_min, h, beta, tol)
     if not tail <= tol:
         raise ArithmeticError(
             f"warp quadrature did not converge: Fourier tail {tail:.2e} at "
@@ -506,12 +503,12 @@ def integrate_warp(n, f0, tol=1e-10):
     phi = _invert_tau(coef, tau[:mid + 1], tol)
     phi[0], phi[mid] = 0.0, math.pi
     theta = phi - beta * np.sin(phi)
-    F, rate = _orbit_point(theta, n, f_min, h)
+    F, rate = _orbit_point(theta, f_min, h)
     Fp = h * np.sin(theta) / rate
     F = np.concatenate((F, F[-2::-1]))
     Fp = np.concatenate((Fp, 0.0 - Fp[-2::-1]))
 
-    traj = WarpTrajectory(n, f0, tau, F, Fp, period, _energy(f0, 0.0, n))
+    traj = WarpTrajectory(f0, tau, F, Fp, period, _energy(f0, 0.0))
     drift = energy_drift(traj)
     if not drift <= ENERGY_DRIFT_RTOL * max(1.0, abs(traj.energy)):
         raise CrossCheckFailed(
@@ -521,12 +518,11 @@ def integrate_warp(n, f0, tol=1e-10):
 
 def energy_drift(traj):
     """Largest deviation of the conserved energy over the stored samples."""
-    return float(np.max(np.abs(_energy(traj.F, traj.Fp, traj.n) - traj.energy)))
+    return float(np.max(np.abs(_energy(traj.F, traj.Fp) - traj.energy)))
 
 
 def curvature_track(traj):
-    """Ricci eigenvalues along the orbit; defined for n = 5 only."""
-    check_n(traj.n)
+    """Ricci eigenvalues along the orbit."""
     kappa1 = (24.0 / 25.0) * (traj.Fp / traj.F) ** 2 \
         + (8.0 / 5.0) * (1.0 - traj.F ** (-4.0 / 5.0))
     kappa2 = (WARP_SCALAR - kappa1) / 4.0
@@ -534,8 +530,8 @@ def curvature_track(traj):
 
 
 @lru_cache(maxsize=64)
-def warp_extremals(n, f0):
-    """Cached curvature minima of the n = 5 factor, in closed form.
+def warp_extremals(f0):
+    """Cached curvature minima of the warped factor, in closed form.
 
     See the module docstring: kappa0 is kappa1 at the lower turning
     point and min |Ric|^2 is taken at the upper one, found by one
@@ -543,13 +539,12 @@ def warp_extremals(n, f0):
     as in integrate_warp, so f0 is then the upper turning point. Both
     values are exact to round-off, so no tolerance enters.
     """
-    check_n(n)
     f0 = float(f0)
-    energy = _bounded_energy(f0, 5)
+    energy = _bounded_energy(f0)
     if f0 > 1.0 + 1e-12:
-        f_min, f_max = _rebase(f0, 5), f0
+        f_min, f_max = _rebase(f0), f0
     else:
-        f_min, f_max = f0, _upper_turning_point(5, f0)
+        f_min, f_max = f0, _upper_turning_point(f0)
     kappa0 = (8.0 / 5.0) * (1.0 - f_min ** (-4.0 / 5.0))
     ratio = energy / (f_max * f_max)
     ric = 256.0 / 125.0 + (576.0 / 125.0) * (ratio * ratio)

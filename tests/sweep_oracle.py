@@ -123,7 +123,7 @@ def reference_realize(spec):
                 f"warped curvature data exists for n = 5 only, got n = {spec.n}")
         if not 0.0 < spec.f0 <= 1.0:
             raise ParameterRange(f"warped f0 must lie in (0, 1], got {spec.f0}")
-        ext = warp_extremals(5, spec.f0)
+        ext = warp_extremals(spec.f0)
         return reference_profile(5, WARP_SCALAR, ext.kappa0, ext.ric_norm_sq_min)
     if len(spec.factors) < 2:
         raise CompositionError("a product needs at least two factors")

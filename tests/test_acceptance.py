@@ -91,7 +91,7 @@ def test_criterion_3_warp_orbit_curvature():
     with criterion(3, "warp orbit: kappa0 within 0.01, |Ric|^2 min within "
                       "5%, drift < 1e-8, scalar identity, under 1 s"):
         start = time.perf_counter()
-        traj = db.integrate_warp(5, 0.1)
+        traj = db.integrate_warp(0.1)
         track = db.curvature_track(traj)
         ext = extremal_data(track)
         elapsed = time.perf_counter() - start

@@ -308,7 +308,7 @@ def test_ode_energy_drift_failure_exits_4(capsys, monkeypatch, tmp_path):
     out = capsys.readouterr()
     assert out.out == "" and "energy drift" in out.err
     with pytest.raises(CrossCheckFailed):
-        warp.integrate_warp(5, 0.3)
+        warp.integrate_warp(0.3)
     assert issubclass(CrossCheckFailed, ArithmeticError)
 
 
