@@ -30,8 +30,8 @@ from .errors import (CompositionError, CrossCheckFailed, DimensionError,
 from .profile import (RicciProfile, make_profile, profile_from_dict,
                       profile_to_dict)
 from .warp import (CurvatureTrack, WarpExtremals, WarpTrajectory,
-                   curvature_track, energy_drift,
-                   integrate_warp, warp_extremals, write_track_csv)
+                   curvature_track, energy_drift, integrate_warp,
+                   warp_extremals)
 
 __version__ = "0.1.0"
 
@@ -60,5 +60,5 @@ __all__ = [
     "spec_from_dict", "spec_to_dict", "theorem31_block",
     "theorem31_bound",
     "verify_lemma15", "verify_ricci_trace", "warp_extremals",
-    "write_track_csv", "zero_scalar_bound",
+    "zero_scalar_bound",
 ]

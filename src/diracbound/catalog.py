@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import (CompositionError, DimensionError, ParameterRange,
                      UnknownExample)
-from .profile import MAX_EINSTEIN_DIM, enforce, flag, profile_columns, row_of_one
+from .profile import MAX_EINSTEIN_DIM, as_float, enforce, flag, profile_columns, row_of_one
 from .warp import WARP_SCALAR, warp_extremals
 
 # products nested deeper are refused: every spec walk recurses per level
@@ -173,7 +173,7 @@ def _block(spec, check, vary=None):
         spectrum = None if None in spectra else sum(spectra, ())
         return profile, reduce(or_, flags, flagged), spectrum
     values = {f.name: getattr(spec, f.name) if f.type == "int"
-              else np.array([getattr(spec, f.name)]) for f in fields(spec)}
+              else np.array([as_float(getattr(spec, f.name))]) for f in fields(spec)}
     if vary is not None and isinstance(spec, vary[0]):
         values[vary[1]] = vary[2]
     flagged = check(spec._rules, values)

@@ -8,10 +8,11 @@ deterministic: identical invocations produce byte-identical bytes. CSV
 cells carry 17 significant digits so 64-bit floats round trip; tables
 round to 6 decimals for reading.
 
-`sweep` computes its rows as arrays, a block of SWEEP_BLOCK rows at a
-time, and writes each block to a temporary file as it is done; the file
-is moved onto --out, or copied to stdout, only when every row is, so a
-sweep that fails leaves no output and memory does not grow with --steps.
+Every --out file is written whole by _write_whole, the package's only
+writer: to a temporary file beside it, renamed onto it once complete.
+`sweep` computes and writes its rows a block of SWEEP_BLOCK at a time;
+without --out that file is copied to stdout once every row is, so a
+failing sweep prints nothing and memory does not grow with --steps.
 A block and a single row run the same rule tables (see catalog and
 profile): realize_columns flags the rows that break a rule, and realize,
 on a block of one, raises the first rule that the row breaks. So the
@@ -93,15 +94,33 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _fmt17(x):
-    return format(float(x), ".17g")
-
-
-def _emit(text, out_path):
+def _emit(text, out_path=None):
     if out_path:
-        Path(out_path).write_text(text, newline="\n")
+        _write_whole(out_path, lambda fh: fh.write(text))
     else:
         sys.stdout.write(text)
+
+
+def _write_whole(out_path, write):
+    """Run write(file) on a temporary file, then move that onto out_path
+    or copy it to stdout; if write raises, nothing is written anywhere."""
+    if not out_path:
+        with tempfile.TemporaryFile("w+", newline="\n") as fh:
+            write(fh)
+            fh.seek(0)
+            shutil.copyfileobj(fh, sys.stdout)
+        return
+    tmp = f"{out_path}.{os.urandom(6).hex()}.tmp"
+    try:
+        with open(tmp, "x", newline="\n") as fh:
+            write(fh)
+        os.replace(tmp, out_path)
+    except BaseException as exc:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.filename == tmp:  # name the path given
+            raise OSError(exc.errno, exc.strerror, out_path) from None
+        raise
 
 
 def _load_json(path):
@@ -189,7 +208,7 @@ def _bound_csv(rows):
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(("method", "value", "strict", "applicable", "note"))
     for method, value, strict, applicable, note in rows:
-        value = _fmt17(value) if value is not None else ""
+        value = "%.17g" % value if value is not None else ""
         writer.writerow((method, value, strict, applicable, note))
     return buf.getvalue()
 
@@ -197,12 +216,9 @@ def _bound_csv(rows):
 def cmd_bound(args):
     profile = _load_profile(args)
     best = best_bound(profile, args.kaehler_dim)
-    if args.json:
-        _emit(_bound_json(profile, best), args.out)
-    elif args.csv:
-        _emit(_bound_csv(_bound_rows(best)), args.out)
-    else:
-        _emit(_bound_table(profile, _bound_rows(best)), args.out)
+    rows = _bound_rows(best)
+    _emit(_bound_json(profile, best) if args.json else _bound_csv(rows) if args.csv
+          else _bound_table(profile, rows), args.out)
     if not best.applicable or not best.value or best.value <= 0.0:
         return EXIT_NO_BOUND
     return EXIT_OK
@@ -315,26 +331,6 @@ def _sweep_block(spec, realize_block, params, args, selected):
     return _csv_block(params, cells)
 
 
-def _write_whole(out_path, write):
-    """Run write(file) on a temporary file, then move that onto out_path
-    or copy it to stdout; if write raises, nothing is written anywhere."""
-    if not out_path:
-        with tempfile.TemporaryFile("w+", newline="\n") as fh:
-            write(fh)
-            fh.seek(0)
-            shutil.copyfileobj(fh, sys.stdout)
-        return
-    tmp = f"{out_path}.{os.urandom(6).hex()}.tmp"
-    try:
-        with open(tmp, "x", newline="\n") as fh:
-            write(fh)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def cmd_sweep(args):
     spec = _load_spec(args)
     for flag, value in (("--from", args.start), ("--to", args.stop),
@@ -382,7 +378,10 @@ def cmd_ode(args):
         raise ArithmeticError(f"{exc}; a larger --tol accepts it") from None
     track = warp.curvature_track(traj)
     ext = warp.warp_extremals(traj.f0)
-    warp.write_track_csv(args.out, traj, track)
+    # one period, 17 significant digits per cell, one % for all rows
+    rows = np.column_stack((traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2))
+    _emit("tau,F,Fp,kappa1,kappa2\n" + ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows))
+          % tuple(rows.ravel().tolist()), args.out)
     summary = {
         "schema": "diracbound/ode_summary/v1",
         "n": 5,
@@ -398,7 +397,7 @@ def cmd_ode(args):
         "f_max": float(np.max(traj.F)),
         "samples": len(traj.tau),
     }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _emit(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -412,9 +411,9 @@ def cmd_verify(args):
     if args.json:
         doc = {"schema": "diracbound/verify_summary/v1", **asdict(summary),
                "tolerance": args.tol, "max_residual": worst, "ok": ok}
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        sys.stdout.write(
+        _emit(
             f"n = {summary.n}, trials = {summary.trials}, seed = {summary.seed}\n"
             f"trace identity residual (full)       {summary.trace_residual_full:.3e}\n"
             f"trace identity residual (traceless)  {summary.trace_residual_traceless:.3e}\n"
@@ -436,11 +435,10 @@ def cmd_catalog_list(args):
                 for name, (spec, desc) in EXAMPLES.items()
             ],
         }
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         width = max(len(name) for name in EXAMPLES)
-        for name, (_, desc) in EXAMPLES.items():
-            sys.stdout.write(f"{name:<{width}}  {desc}\n")
+        _emit("".join(f"{name:<{width}}  {desc}\n" for name, (_, desc) in EXAMPLES.items()))
     return EXIT_OK
 
 

@@ -78,6 +78,14 @@ def _slack(*values):
     return EXACT_RTOL * reduce(np.maximum, map(np.abs, values), 1.0)
 
 
+def as_float(value):
+    """float(value), with an int beyond the float range as +-inf."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 def _finite(name):
     return (lambda c: ~np.isfinite(c[name]), InconsistentProfile,
             f"profile field '{name}' must be finite, got {{{name}}}")
@@ -131,18 +139,18 @@ def row_of_one(profile):
 def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None):
     """Validate curvature data and return a RicciProfile.
 
-    Rejection is total: a NaN or infinite value, or any relation
-    violated by more than EXACT_RTOL relative, raises InconsistentProfile
-    naming the field or the relation (PROFILE_RULES, then the checks of
-    the eigenvalue list against the other fields).
+    Rejection is total: a NaN or infinite value (an int beyond floats is
+    one) or a relation off by over EXACT_RTOL relative raises
+    InconsistentProfile naming the field or the relation (PROFILE_RULES,
+    then the checks of the eigenvalue list against the other fields).
     """
     profile = row_of_one(profile_columns(
-        int(n), *([float(v)] for v in (scalar, kappa0, ric_norm_sq_min)),
+        int(n), *([as_float(v)] for v in (scalar, kappa0, ric_norm_sq_min)),
         enforce)[0])
     if eigenvalues is None:
         return profile
     n, scalar, kappa0 = profile.n, profile.scalar, profile.kappa0
-    eigs = tuple(sorted(float(e) for e in eigenvalues))
+    eigs = tuple(sorted(map(as_float, eigenvalues)))
     if not all(map(math.isfinite, eigs)):
         raise InconsistentProfile(
             f"profile field 'eigenvalues' must be finite, got {list(eigs)}")

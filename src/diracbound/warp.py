@@ -550,10 +550,3 @@ def warp_extremals(f0):
     ric = 256.0 / 125.0 + (576.0 / 125.0) * (ratio * ratio)
     return WarpExtremals(kappa0, ric)
 
-
-def write_track_csv(path, traj, track):
-    """Dump one period as CSV with 17 significant digits per cell."""
-    rows = np.column_stack((traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2))
-    body = ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows)) % tuple(rows.ravel().tolist())
-    with open(path, "w", newline="\n") as fh:
-        fh.write("tau,F,Fp,kappa1,kappa2\n" + body)

@@ -14,7 +14,7 @@ PUBLIC = [
     "named_example", "optimize_minimax", "profile_from_dict", "profile_to_dict", "realize",
     "realize_columns", "run_identity_batch", "spec_from_dict", "spec_to_dict",
     "theorem31_block", "theorem31_bound", "verify_lemma15", "verify_ricci_trace",
-    "warp_extremals", "write_track_csv", "zero_scalar_bound",
+    "warp_extremals", "zero_scalar_bound",
 ]
 
 

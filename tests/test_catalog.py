@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracbound import (EXAMPLES, CompositionError, DimensionError, Einstein,
-                        ParameterRange, Product, Sphere, Surface,
+from diracbound import (EXAMPLES, CompositionError, DimensionError, DiracBoundError,
+                        Einstein, ParameterRange, Product, Sphere, Surface,
                         UnknownExample, Warped, named_example, realize,
                         spec_from_dict, spec_to_dict)
 from diracbound import catalog
@@ -84,6 +84,19 @@ def test_warped_gates():
     for f0 in (0.0, -1.0, 1.5):
         with pytest.raises(ParameterRange):
             realize(Warped(5, f0))
+
+
+@pytest.mark.parametrize("spec,pattern", [
+    (Surface(10**400), "profile field 'scalar' must be finite, got inf"),
+    (Product((Surface(1.0), Einstein(3, -10**400))),
+     "profile field 'scalar' must be finite, got -inf"),
+    (Sphere(10**400), "sphere radius must lie in .*, got inf"),
+    (Warped(5, 10**400), "warped f0 must lie in .*, got inf"),
+], ids=["surface", "einstein", "sphere", "warped"])
+def test_realize_ints_beyond_float_range_name_the_field(spec, pattern):
+    # a float field holding such an int reads as infinite, not OverflowError
+    with pytest.raises(DiracBoundError, match=pattern):
+        realize(spec)
 
 
 def test_product_with_warped_is_exact_class():

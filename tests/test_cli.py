@@ -1,13 +1,16 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
 import argparse
+import ast
 import contextlib
 import csv
+import errno
 import importlib.util
 import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracbound import bounds, cli
+from diracbound import bounds, cli, curvature_track, integrate_warp
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -85,10 +88,12 @@ def test_bound_diagnostic_names_field(run_cli, tmp_path):
     assert "ric_norm_sq_min" in proc.stderr
 
 
-@pytest.mark.parametrize("literal,name", [("NaN", "scalar"),
-                                          ("Infinity", "ric_norm_sq_min")])
+@pytest.mark.parametrize("literal,name", [
+    ("NaN", "scalar"), ("Infinity", "ric_norm_sq_min"),
+    pytest.param("1" + "0" * 400, "scalar", id="int-beyond-floats-scalar")])
 def test_bound_non_finite_profile_exits_1(run_cli, tmp_path, literal, name):
-    # json accepts these literals; the profile must still reject them
+    # json accepts these literals (the last one as an int that float()
+    # cannot convert); the profile must still reject them
     path = tmp_path / "profile.json"
     doc = {"n": 4, "scalar": 2.0, "kappa0": 0.0, "ric_norm_sq_min": 2.0}
     doc[name] = literal
@@ -216,6 +221,59 @@ def test_bound_output_file(run_cli, tmp_path):
     out = tmp_path / "report.json"
     run_cli("bound", "--example", "t2xs2", "--json", "--out", str(out), expect=0)
     assert json.loads(out.read_text())["best"]["method"] == "theorem31"
+
+
+# a command of each kind that writes --out, without the option
+WRITERS = [["bound", "--example", "t2xs2"],
+           ["sweep", "--example", "m7-sigma", "--param", "f0",
+            "--from", "0.1", "--to", "0.9", "--steps", "3"],
+           ["ode", "--f0", "0.3"]]
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_failed_rename_leaves_the_out_file(capsys, monkeypatch, tmp_path, argv):
+    target = tmp_path / "out.csv"
+    target.write_bytes(b"kept\n")
+
+    def refuse(src, dst):
+        raise PermissionError(errno.EACCES, "Permission denied", src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse)
+    assert cli.main([*argv, "--out", str(target)]) == 1
+    assert target.read_bytes() == b"kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.csv"]
+    assert capsys.readouterr().err == f"error: [Errno 13] Permission denied: '{target}'\n"
+
+
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_write_errors_name_the_out_path(capsys, tmp_path, argv):
+    # a missing directory fails the temporary file, a directory the rename;
+    # either way the message names --out, not the temporary file
+    (tmp_path / "dir").mkdir()
+    for target in (tmp_path / "missing" / "x.csv", tmp_path / "dir"):
+        errors = []
+        for _ in range(2):
+            assert cli.main([*argv, "--out", str(target)]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("error: [Errno ")
+        assert errors[0].endswith(f": '{target}'\n")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
+
+
+def test_only_cli_writes_files():
+    # every --out file goes through cli._write_whole; no other module of
+    # the package opens or writes a file
+    calls = {}
+    for path in sorted((ROOT / "src" / "diracbound").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in ("open", "write_text", "write_bytes"):
+                    calls.setdefault(path.name, []).append(name)
+    assert calls == {"cli.py": ["open"]}
 
 
 def test_bound_json_deterministic(run_cli):
@@ -391,6 +449,31 @@ def test_ode_summary_and_track(run_cli, schema_validator, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "tau,F,Fp,kappa1,kappa2"
     assert len(lines) == 1 + summary["samples"]
+
+
+def test_track_csv_deterministic(capsys, tmp_path):
+    traj = integrate_warp(0.3)
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    for path in (a, b):
+        assert cli.main(["ode", "--f0", "0.3", "--out", str(path)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    lines = a.read_text().splitlines()
+    assert lines[0] == "tau,F,Fp,kappa1,kappa2"
+    assert len(lines) == 1 + len(traj.tau)
+    # 17 significant digits round-trip
+    tau1 = float(lines[1].split(",")[0])
+    assert tau1 == traj.tau[0]
+
+
+def test_track_csv_bytes_match_the_per_cell_format(capsys, tmp_path):
+    traj = integrate_warp(0.3)
+    track = curvature_track(traj)
+    path = tmp_path / "t.csv"
+    assert cli.main(["ode", "--f0", "0.3", "--out", str(path)]) == 0
+    rows = zip(traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2)
+    expected = "tau,F,Fp,kappa1,kappa2\n" + "".join(
+        ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
+    assert path.read_bytes() == expected.encode()
 
 
 def test_ode_constant_orbit(run_cli, tmp_path):

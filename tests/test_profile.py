@@ -73,6 +73,11 @@ def test_eigenvalue_consistency(eigs, pattern):
     ((2.0, 0.0, math.inf, None), "ric_norm_sq_min"),
     ((2.0, 0.0, 2.0, (0.0, 0.0, 1.0, math.nan)), "eigenvalues"),
     ((2.0, 0.0, 2.0, (-math.inf, 0.0, 1.0, math.inf)), "eigenvalues"),
+    # ints beyond the float range, which float() refuses, read as infinite
+    ((10**400, 0.0, 1.0, None), "scalar"),
+    ((2.0, -10**400, 2.0, None), "kappa0"),
+    ((2.0, 0.0, 10**400, None), "ric_norm_sq_min"),
+    ((2.0, 0.0, 2.0, (0.0, 0.0, 1.0, 10**400)), "eigenvalues"),
 ])
 def test_non_finite_fields_are_named(fields, name):
     with pytest.raises(InconsistentProfile, match=f"'{name}' must be finite"):

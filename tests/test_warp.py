@@ -13,8 +13,7 @@ from hypothesis import strategies as st
 
 from diracbound import (EXAMPLES, NonPositiveF, ParameterRange,
                         Warped, curvature_track, energy_drift, integrate_warp,
-                        named_example, realize, warp, warp_extremals,
-                        write_track_csv)
+                        named_example, realize, warp, warp_extremals)
 from diracbound.catalog import leaves
 from ode_oracle import dop853_orbit, extremal_data, sampled_min
 
@@ -89,32 +88,6 @@ def test_extremal_oracles():
 
 def test_extremals_cached():
     assert warp_extremals(0.1) is warp_extremals(0.1)
-
-
-def test_track_csv_deterministic(tmp_path):
-    traj = integrate_warp(0.3)
-    track = curvature_track(traj)
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_track_csv(a, traj, track)
-    write_track_csv(b, traj, track)
-    assert a.read_bytes() == b.read_bytes()
-    lines = a.read_text().splitlines()
-    assert lines[0] == "tau,F,Fp,kappa1,kappa2"
-    assert len(lines) == 1 + len(traj.tau)
-    # 17 significant digits round-trip
-    tau1 = float(lines[1].split(",")[0])
-    assert tau1 == traj.tau[0]
-
-
-def test_track_csv_bytes_match_the_per_cell_format(tmp_path):
-    traj = integrate_warp(0.3)
-    track = curvature_track(traj)
-    path = tmp_path / "t.csv"
-    write_track_csv(path, traj, track)
-    rows = zip(traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2)
-    expected = "tau,F,Fp,kappa1,kappa2\n" + "".join(
-        ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
-    assert path.read_bytes() == expected.encode()
 
 
 def _ode_extremals(f0):
