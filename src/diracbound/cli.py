@@ -94,7 +94,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _emit(text, out_path=None):
+def _emit(text, out_path):
     if out_path:
         _write_whole(out_path, lambda fh: fh.write(text))
     else:
@@ -102,9 +102,10 @@ def _emit(text, out_path=None):
 
 
 def _write_whole(out_path, write):
-    """Run write(file) on a temporary file, then move that onto out_path
-    or copy it to stdout; if write raises, nothing is written anywhere."""
-    if not out_path:
+    """Run write(file) on a temporary file, then move that onto out_path,
+    or copy it to stdout if out_path is None; if write raises, nothing is
+    written anywhere."""
+    if out_path is None:
         with tempfile.TemporaryFile("w+", newline="\n") as fh:
             write(fh)
             fh.seek(0)
@@ -216,9 +217,12 @@ def _bound_csv(rows):
 def cmd_bound(args):
     profile = _load_profile(args)
     best = best_bound(profile, args.kaehler_dim)
-    rows = _bound_rows(best)
-    _emit(_bound_json(profile, best) if args.json else _bound_csv(rows) if args.csv
-          else _bound_table(profile, rows), args.out)
+    if args.json:
+        _emit(_bound_json(profile, best), args.out)
+    elif args.csv:
+        _emit(_bound_csv(_bound_rows(best)), args.out)
+    else:
+        _emit(_bound_table(profile, _bound_rows(best)), args.out)
     if not best.applicable or not best.value or best.value <= 0.0:
         return EXIT_NO_BOUND
     return EXIT_OK
@@ -363,7 +367,7 @@ def cmd_sweep(args):
                                  lo, min(lo + SWEEP_BLOCK, args.steps))
             fh.write(_sweep_block(spec, realize_block, params, args, selected))
 
-    _write_whole(args.out, write)
+    _write_whole(args.out or None, write)   # an empty --out is stdout, as for bound
     return EXIT_OK
 
 
@@ -380,8 +384,9 @@ def cmd_ode(args):
     ext = warp.warp_extremals(traj.f0)
     # one period, 17 significant digits per cell, one % for all rows
     rows = np.column_stack((traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2))
-    _emit("tau,F,Fp,kappa1,kappa2\n" + ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows))
-          % tuple(rows.ravel().tolist()), args.out)
+    text = "tau,F,Fp,kappa1,kappa2\n" + ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows)) \
+        % tuple(rows.ravel().tolist())
+    _write_whole(args.out, lambda fh: fh.write(text))   # --out is required, "" too
     summary = {
         "schema": "diracbound/ode_summary/v1",
         "n": 5,
@@ -397,7 +402,7 @@ def cmd_ode(args):
         "f_max": float(np.max(traj.F)),
         "samples": len(traj.tau),
     }
-    _emit(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 
 
@@ -411,9 +416,9 @@ def cmd_verify(args):
     if args.json:
         doc = {"schema": "diracbound/verify_summary/v1", **asdict(summary),
                "tolerance": args.tol, "max_residual": worst, "ok": ok}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
-        _emit(
+        sys.stdout.write(
             f"n = {summary.n}, trials = {summary.trials}, seed = {summary.seed}\n"
             f"trace identity residual (full)       {summary.trace_residual_full:.3e}\n"
             f"trace identity residual (traceless)  {summary.trace_residual_traceless:.3e}\n"
@@ -435,10 +440,11 @@ def cmd_catalog_list(args):
                 for name, (spec, desc) in EXAMPLES.items()
             ],
         }
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     else:
         width = max(len(name) for name in EXAMPLES)
-        _emit("".join(f"{name:<{width}}  {desc}\n" for name, (_, desc) in EXAMPLES.items()))
+        for name, (_, desc) in EXAMPLES.items():
+            sys.stdout.write(f"{name:<{width}}  {desc}\n")
     return EXIT_OK
 
 

@@ -263,6 +263,22 @@ def test_write_errors_name_the_out_path(capsys, tmp_path, argv):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
 
 
+def test_empty_out(capsys, monkeypatch, tmp_path):
+    # an empty --out is stdout for bound and sweep; ode's --out is the
+    # required track path, so an empty one is a path that cannot be written
+    monkeypatch.chdir(tmp_path)
+    for argv in WRITERS[:2]:
+        assert cli.main(argv) == 0
+        plain = capsys.readouterr()
+        assert cli.main([*argv, "--out", ""]) == 0
+        assert capsys.readouterr() == plain
+    assert cli.main([*WRITERS[2], "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_only_cli_writes_files():
     # every --out file goes through cli._write_whole; no other module of
     # the package opens or writes a file
