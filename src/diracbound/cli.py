@@ -3,22 +3,25 @@
 Subcommands: bound (evaluate every lower bound on one profile), sweep
 (one-parameter family to CSV), ode (warp trajectory dump plus summary),
 verify (Clifford identity batches), catalog-list (named examples);
-`main` builds only the parser of the subcommand it runs. Output is
-deterministic: identical invocations produce byte-identical bytes. CSV
-cells carry 17 significant digits so 64-bit floats round trip; tables
-round to 6 decimals for reading.
+`main` parses a command's arguments with that command's parser alone,
+and builds the full parser only to report no command, help or an
+unrecognized argument. Output is deterministic: identical invocations
+produce byte-identical bytes. CSV cells carry 17 significant digits so
+64-bit floats round trip; tables round to 6 decimals for reading.
 
 Every --out file is written whole by _write_whole, the package's only
 writer: to a temporary file beside it, renamed onto it once complete.
 `sweep` computes and writes its rows a block of SWEEP_BLOCK at a time;
-without --out that file is copied to stdout once every row is, so a
-failing sweep prints nothing and memory does not grow with --steps.
-A block and a single row run the same rule tables (see catalog and
-profile): realize_columns flags the rows that break a rule, and realize,
-on a block of one, raises the first rule that the row breaks. So the
-message of a failing sweep comes from realize and the report functions,
-run on the first row and on the first flagged row of each block; a row
-that the columns flag and that they accept is an internal fault.
+without --out they are spooled, in memory up to SPOOL_BYTES and on disk
+beyond, and copied to stdout once every row is, so a failing sweep
+prints nothing and memory does not grow with --steps. A block and a
+single row run the same rule tables (see catalog and profile):
+realize_columns flags the rows that break a rule, and realize, on a
+block of one, raises the first rule that the row breaks. So the message
+of a failing sweep comes from realize and the report functions, run on
+the first flagged row of a block, or on its first row where the column
+code raises; a row that the columns flag and that they accept is an
+internal fault.
 
 Exit codes: 0 success, 1 input or validation error (among them an
 `ode --tol` that the quadrature's node cap cannot reach, which only an
@@ -64,6 +67,7 @@ EXIT_INTERNAL = 4
 
 MAX_SWEEP_STEPS = 10**6
 SWEEP_BLOCK = 512  # rows realized, bounded and written at a time
+SPOOL_BYTES = 1 << 20  # stdout text held in memory before it spills to disk
 SWEEP_COLUMNS = ("friedrich", "kaehler", "theorem31", "minimax_numeric")
 # --param name -> (spec kind, dataclass field) that a sweep rebinds
 SWEEP_PARAMS = {"radius": (Sphere, "radius"), "surface_scalar": (Surface, "scalar"),
@@ -82,7 +86,8 @@ class _Parser(argparse.ArgumentParser):
     argparse reads an argument that looks like a negative number as a
     value, not an option; its own pattern has no exponent form, so
     `--from -1e-3` would fail. The wider pattern reaches every
-    subcommand, because add_parser builds subparsers of this class.
+    command's parser: main builds a command's own parser of this class,
+    and add_parser builds the full parser's subparsers of it.
     """
 
     def __init__(self, *args, **kwargs):
@@ -102,11 +107,12 @@ def _emit(text, out_path):
 
 
 def _write_whole(out_path, write):
-    """Run write(file) on a temporary file, then move that onto out_path,
-    or copy it to stdout if out_path is None; if write raises, nothing is
-    written anywhere."""
+    """Run write(file) on a temporary file, then move that onto out_path;
+    if out_path is None, on a file spooled in memory up to SPOOL_BYTES
+    (on disk beyond), then copy that to stdout. If write raises, nothing
+    is written anywhere."""
     if out_path is None:
-        with tempfile.TemporaryFile("w+", newline="\n") as fh:
+        with tempfile.SpooledTemporaryFile(SPOOL_BYTES, "w+", newline="\n") as fh:
             write(fh)
             fh.seek(0)
             shutil.copyfileobj(fh, sys.stdout)
@@ -321,10 +327,16 @@ def _check_row(spec, value, args, selected):
 def _sweep_block(spec, realize_block, params, args, selected):
     """CSV text of one block of parameter values; the first row that the
     column code flags, or whose theorem31 cross-check fails (with
-    theorem31 or minimax_numeric selected), raises through _check_row."""
-    profile, flagged = realize_block(params)
-    with np.errstate(all="ignore"):   # flagged rows hold unchecked values
-        cells, failed = _bound_cells(profile, selected, args.kaehler_dim)
+    theorem31 or minimax_numeric selected), raises through _check_row,
+    and so does the block's first row where the column code raises (a
+    fixed factor, the tree or --kaehler-dim fails every row or none)."""
+    try:
+        profile, flagged = realize_block(params)
+        with np.errstate(all="ignore"):   # flagged rows hold unchecked values
+            cells, failed = _bound_cells(profile, selected, args.kaehler_dim)
+    except DiracBoundError:
+        _check_row(spec, float(params[0]), args, selected)
+        raise
     bad = np.flatnonzero(flagged | failed)
     if bad.size:
         value = float(params[bad[0]])
@@ -355,17 +367,20 @@ def cmd_sweep(args):
     if sites != 1:
         raise ValueError(f"parameter '{args.param}' must bind to exactly one "
                          f"factor of the spec; found {sites}")
-    # a fixed factor, the tree or --kaehler-dim fails every row or none
-    first = _sweep_grid(args.start, args.stop, args.steps, 0, 1)
-    _check_row(spec, float(first[0]), args, selected)
     realize_block = realize_columns(spec, cls, name)
+
+    def block(lo):
+        params = _sweep_grid(args.start, args.stop, args.steps,
+                             lo, min(lo + SWEEP_BLOCK, args.steps))
+        return _sweep_block(spec, realize_block, params, args, selected)
+
+    first = block(0)   # before --out is opened, so a failing first row wins
 
     def write(fh):
         fh.write("param," + ",".join(SWEEP_COLUMNS) + ",best\n")
-        for lo in range(0, args.steps, SWEEP_BLOCK):
-            params = _sweep_grid(args.start, args.stop, args.steps,
-                                 lo, min(lo + SWEEP_BLOCK, args.steps))
-            fh.write(_sweep_block(spec, realize_block, params, args, selected))
+        fh.write(first)
+        for lo in range(SWEEP_BLOCK, args.steps, SWEEP_BLOCK):
+            fh.write(block(lo))
 
     _write_whole(args.out or None, write)   # an empty --out is stdout, as for bound
     return EXIT_OK
@@ -524,23 +539,37 @@ COMMANDS = {"bound": ("evaluate every bound on one profile", _bound_args),
             "catalog-list": ("list the named examples", _catalog_list_args)}
 
 
-def build_parser(command=None):
-    """The CLI's parser, with only `command`'s subparser if it names one,
-    else with all; no parser's bytes depend on which others are built."""
+def build_parser():
+    """The CLI's full parser, with every command's subparser."""
     parser = _Parser(prog="diracbound",
                      description="Lower bounds for Dirac eigenvalues from "
                                  "pointwise Ricci data.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
     for name, (help_text, add_arguments) in COMMANDS.items():
-        if command not in COMMANDS or command == name:
-            add_arguments(sub.add_parser(name, help=help_text))
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse(argv):
+    """argv parsed by the named command's own parser: the parser, and the
+    call, that the full parser's subparser action would make. The full
+    parser runs only where argv names no command, or leaves arguments
+    over, which it reports as unrecognized."""
+    if argv and argv[0] in COMMANDS:
+        _, add_arguments = COMMANDS[argv[0]]
+        parser = _Parser(prog=f"diracbound {argv[0]}")
+        add_arguments(parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else argv
     try:
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

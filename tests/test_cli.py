@@ -1,6 +1,5 @@
 """End-to-end CLI behavior: formats, exit codes, determinism."""
 
-import argparse
 import ast
 import contextlib
 import csv
@@ -13,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -279,6 +279,55 @@ def test_empty_out(capsys, monkeypatch, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
+      "--from", "1e-300", "--to", "1", "--steps", "3"],
+     "sphere radius must lie in [1e-75, 1e75], got 1e-300 (at radius = 1e-300)"),
+    (["sweep", "--example", "m7-sigma", "--param", "surface_scalar",
+      "--from", "-8", "--to", "12", "--steps", "9", "--kaehler-dim", "2"],
+     "complex dimension 2 needs n = 4, profile has n = 7 (at surface_scalar = -8.0)"),
+], ids=["row", "kaehler"])
+def test_sweep_first_row_error_comes_before_the_out_path(capsys, tmp_path, argv, message):
+    # the first block is computed before --out is opened, and an error
+    # that the block code raises keeps the row's (at ...) suffix
+    for target in (tmp_path / "missing" / "x.csv", tmp_path / "x.csv"):
+        assert cli.main([*argv, "--out", str(target)]) == 1
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert list(tmp_path.rglob("*")) == []
+
+
+def test_sweep_stdout_is_spooled(capsys, monkeypatch, tmp_path):
+    """stdout text is held in memory up to SPOOL_BYTES and spills to a
+    temporary file beyond; on both sides it equals the --out file, and a
+    sweep that fails in a later block prints nothing."""
+    spills = []
+
+    def counted(*args, **kwargs):
+        spills.append(args)
+        return make_file(*args, **kwargs)
+
+    make_file = tempfile.TemporaryFile
+    monkeypatch.setattr(tempfile, "TemporaryFile", counted)
+    monkeypatch.setattr(cli, "SPOOL_BYTES", 300)
+    monkeypatch.setattr(cli, "SWEEP_BLOCK", 1)
+    argv = ["sweep", "--example", "s2r-x-hyperbolic", "--param", "radius", "--from", "1"]
+    for steps, spilled in (("2", 0), ("40", 1)):
+        spills.clear()
+        assert cli.main([*argv, "--to", "1.5", "--steps", steps]) == 0
+        out = capsys.readouterr().out
+        assert (len(out) > cli.SPOOL_BYTES, len(spills)) == (spilled, spilled)
+        assert cli.main([*argv, "--to", "1.5", "--steps", steps,
+                         "--out", str(tmp_path / "x.csv")]) == 0
+        assert (tmp_path / "x.csv").read_text() == out
+    # the first row out of range is the seventh, or the twenty-second
+    for steps, value, spilled in (("11", "1.2e+75", 0), ("41", "1.05e+75", 1)):
+        spills.clear()
+        assert cli.main([*argv, "--to", "2e75", "--steps", steps]) == 1
+        assert capsys.readouterr() == ("", "error: sphere radius must lie in "
+                                       f"[1e-75, 1e75], got {value} (at radius = {value})\n")
+        assert len(spills) == spilled
+
+
 def test_only_cli_writes_files():
     # every --out file goes through cli._write_whole; no other module of
     # the package opens or writes a file
@@ -380,8 +429,8 @@ def test_sweep_negative_scalar_cells_are_not_negative_zero(run_cli):
 
 def test_sweep_rows_independent_of_block_size(capsys, monkeypatch):
     """Same bytes at any block size; theorem31_block runs once per block,
-    for the theorem31 and minimax_numeric columns both, and once more for
-    the first row's check."""
+    for the theorem31 and minimax_numeric columns both: the first block
+    is the first row's check."""
     argv = ["sweep", "--example", "m7-sigma", "--param", "surface_scalar",
             "--from", "-8", "--to", "12", "--steps", "150"]
     real, calls = bounds.theorem31_block, []
@@ -398,7 +447,7 @@ def test_sweep_rows_independent_of_block_size(capsys, monkeypatch):
         calls.clear()
         assert cli.main(argv) == 0
         outputs.append(capsys.readouterr().out)
-        assert len(calls) == -(-150 // size) + 1
+        assert len(calls) == -(-150 // size)
     assert outputs[0].count("\n") == 151
     assert outputs[0] == outputs[1] == outputs[2]
 
@@ -652,31 +701,49 @@ def test_cli_imports_no_scipy_and_main_imports_nothing(tmp_path):
 
 
 def test_main_builds_only_the_invoked_subparser(monkeypatch, tmp_path):
-    """The work, not the time: subparsers built per run of main. A
-    command builds its own; help, no arguments and an unknown command
-    build all five, and so does build_parser() with no argument."""
+    """The work, not the time: parsers built per run of main. A command
+    builds exactly one, its own; no arguments, help, an unknown command
+    and an unrecognized argument build the full parser, which is the
+    top-level parser and all five subparsers."""
     built = []
-    add_parser = argparse._SubParsersAction.add_parser
 
-    def counting(self, name, **kwargs):
-        built.append(name)
-        return add_parser(self, name, **kwargs)
+    class Counted(cli._Parser):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            built.append(self.prog)
 
-    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counting)
-    every = ["bound", "sweep", "ode", "verify", "catalog-list"]
-    runs = [(["bound", "--example", "t2xs2"], 0, ["bound"]),
+    monkeypatch.setattr(cli, "_Parser", Counted)
+    every = ["diracbound"] + [f"diracbound {name}" for name in cli.COMMANDS]
+    runs = [(["bound", "--example", "t2xs2"], 0, ["diracbound bound"]),
             (["sweep", "--example", "m7-sigma", "--param", "f0",
-              "--from", "0.1", "--to", "0.9", "--steps", "3"], 0, ["sweep"]),
-            (["ode", "--f0", "0.3", "--out", str(tmp_path / "t.csv")], 0, ["ode"]),
-            (["verify", "--dim", "4", "--trials", "10"], 0, ["verify"]),
-            (["catalog-list"], 0, ["catalog-list"]),
-            ([], 1, every), (["-h"], 0, every), (["frobnicate"], 1, every)]
-    for argv, code, names in runs:
+              "--from", "0.1", "--to", "0.9", "--steps", "3"], 0, ["diracbound sweep"]),
+            (["ode", "--f0", "0.3", "--out", str(tmp_path / "t.csv")], 0,
+             ["diracbound ode"]),
+            (["verify", "--dim", "4", "--trials", "10"], 0, ["diracbound verify"]),
+            (["catalog-list"], 0, ["diracbound catalog-list"]),
+            (["bound", "-h"], 0, ["diracbound bound"]),
+            (["bound"], 1, ["diracbound bound"]),
+            ([], 1, every), (["-h"], 0, every), (["frobnicate"], 1, every),
+            (["bound", "--example", "t2xs2", "--bogus"], 1, ["diracbound bound", *every])]
+    for argv, code, progs in runs:
         built.clear()
         with contextlib.redirect_stdout(io.StringIO()), \
                 contextlib.redirect_stderr(io.StringIO()):
             assert cli.main(argv) == code, argv
-        assert built == names, argv
+        assert built == progs, argv
     built.clear()
     cli.build_parser()
     assert built == every
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--example", "t2xs2", "--json", "--kaehler-dim", "2"],
+    ["bound", "--exam", "t2xs2", "--tol=-1e-3"],
+    ["sweep", "--example", "m7-sigma", "--param", "surface_scalar",
+     "--from", "-1e-3", "--to", "1", "--steps", "2", "--bounds", "friedrich"],
+    ["ode", "--f0=0.3", "--out", "x.csv"],
+    ["verify", "--dim", "8", "--seed", "7", "--json"],
+    ["catalog-list"],
+])
+def test_command_parser_reads_argv_as_the_full_parser_does(argv):
+    assert cli._parse(argv) == cli.build_parser().parse_args(argv)
