@@ -62,9 +62,14 @@ and writes no track; the `--out` track of each run that writes one is
 recorded as its sha256 and line count beside the summary. Then two
 300-row m7-sigma `f0` sweeps recorded by their sha256, one over
 [1e-9, 1e-3] and one over [0.999, 1], which ends on the constant
-orbit. Last, `bound --csv` on a profile whose scalar, kappa0 and
-|Ric|^2 are all round-off of order 1e-17, the zero-scalar bound's
-relative zero test.
+orbit. Then `bound --csv` on a profile whose scalar, kappa0 and |Ric|^2
+are all round-off of order 1e-17, the zero-scalar bound's relative zero
+test. Last, the order in which a failing sweep's errors are reported:
+a 2001-row `surface_scalar` sweep whose theorem 3.1 cross-check first
+fails in its second block, at row 1007, and two `radius` sweeps with a
+`--kaehler-dim` that matches no row's n, one whose first row breaks the
+sphere's radius range, which wins, and one whose last row does, where
+the Kaehler message names the first row.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -250,6 +255,16 @@ DOCUMENTS["<round-off-scalar>"] = {"n": 2, "scalar": -1.0364355780741957e-17,
                                    "kappa0": -8.14712369817478e-18,
                                    "ric_norm_sq_min": 7.129174266132629e-35}
 ZERO_SCALAR_EDGES = (("bound", "--csv", "--profile", "<round-off-scalar>"),)
+# the first failing row wins, across blocks and against a --kaehler-dim
+# that fails every row; within a row, its first broken rule wins
+ERROR_ORDER = (
+    ("sweep", "--spec", "<einstein-x-surface-f-s0-cancels>", "--param", "surface_scalar",
+     "--from", "-2", "--to", "2", "--steps", "2001"),
+    ("sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
+     "--from", "1e-76", "--to", "1", "--steps", "5", "--kaehler-dim", "3"),
+    ("sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
+     "--from", "0.5", "--to", "1e76", "--steps", "5", "--kaehler-dim", "3"),
+)
 # help and usage errors; each subcommand's -h, in the parser's order
 PARSER = (
     (), ("-h",),
@@ -290,7 +305,7 @@ def invocations():
     runs += [("verify", *argv) for argv in VERIFIES]
     return runs + [*FAILURES, *SCALED_GUARD, *PARSER, *ODE_FAILURES, *MINIMAX_EDGES,
                    *ODE_RUNS, *(("sweep", *argv) for argv in WARP_SWEEPS),
-                   *ZERO_SCALAR_EDGES]
+                   *ZERO_SCALAR_EDGES, *ERROR_ORDER]
 
 
 def capture(argv):
