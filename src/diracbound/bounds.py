@@ -39,6 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CrossCheckFailed, DimensionError, RicciFlat
+from .profile import broken, raise_first
 
 # |R| at most this times sqrt(n |Ric|_0^2) counts as vanishing scalar curvature
 SCALAR_ZERO_ATOL = 1e-12
@@ -264,14 +265,19 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
                             np.where(applicable, s0 * value, 0.0))
 
 
+def cross_check(th):
+    """theorem31_block's cross-check as a rule table (see profile.broken)
+    over its columns th: the rows whose closed form misses f(s0)."""
+    return broken(((lambda c: c["failed"], CrossCheckFailed,
+                    "internal cross-check failed: closed form {value} vs f(s0) {f_s0}"),),
+                  vars(th))
+
+
 def _checked_theorem31(profile):
     """theorem31_block of one profile; CrossCheckFailed if its cross-check fails."""
     th = theorem31_block(profile.n, profile.scalar, profile.kappa0,
                          profile.traceless_norm_sq_min)
-    if th.failed:
-        raise CrossCheckFailed(
-            f"internal cross-check failed: closed form {float(th.value)} "
-            f"vs f(s0) {float(th.f_s0)}")
+    raise_first(cross_check(th), 0)
     return th
 
 

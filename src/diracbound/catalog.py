@@ -7,11 +7,11 @@ minima add across product factors; this is exact because at most one
 factor (the warped one) is allowed to vary.
 
 A leaf kind defines its curvature only as columns over a block of
-values of its fields (`_columns`), with its field ranges as rows of a
-rule table (`_rules`, as in profile); a product merges its factors'
-columns. realize runs this code on a block of one and raises the first
-rule broken; realize_columns runs it over a block of values of one
-field, as `sweep` does, and flags the rows that break any rule.
+values of its fields (`_columns`); a product merges its factors'
+columns. Every kind states its ranges as a rule table (`_rules`, as in
+profile), and one walk computes the columns and the rules broken.
+realize walks a block of one and raises the first; realize_columns
+walks a block of values of one field, as `sweep` does.
 
 Einstein factors and their products also list their Ricci eigenvalues,
 exact by construction; realize builds the list once every rule holds,
@@ -32,7 +32,8 @@ import numpy as np
 
 from .errors import (CompositionError, DimensionError, ParameterRange,
                      UnknownExample)
-from .profile import MAX_EINSTEIN_DIM, as_float, enforce, flag, profile_columns, row_of_one
+from .profile import (MAX_EINSTEIN_DIM, as_float, broken, profile_columns, raise_first,
+                      row_of_one)
 from .warp import WARP_SCALAR, warp_extremals
 
 # products nested deeper are refused: every spec walk recurses per level
@@ -42,7 +43,7 @@ MAX_SPEC_DEPTH = 32
 def _einstein(n, scalar):
     """Columns of a factor whose n Ricci eigenvalues all equal scalar / n:
     n, scalar, kappa0, |Ric|^2 and the spectrum, (eigenvalue, count)."""
-    mean = scalar / n
+    mean = scalar / as_float(n)   # an n beyond floats breaks a rule
     return n, scalar, mean, scalar * mean, ((mean, n),)
 
 
@@ -102,7 +103,7 @@ class Warped:
 
     @staticmethod
     def _columns(n, f0):
-        # one cached closed form per value; NaN in the rows a rule rejects
+        # one closed form per value; NaN in the rows a rule rejects
         extremals = np.full((len(f0), 2), np.nan)
         for i, value in enumerate(f0.tolist()):
             if not math.isnan(value):
@@ -115,13 +116,14 @@ class Warped:
 class Product:
     factors: tuple["ManifoldSpec", ...]
 
-    def _check(self):
-        if len(self.factors) < 2:
-            raise CompositionError("a product needs at least two factors")
-        if sum(isinstance(leaf, Warped) for leaf in leaves(self)) > 1:
-            raise CompositionError(
-                "at most one warped factor is allowed: the curvature minima "
-                "only add exactly when a single factor varies")
+    # over the product's factor count and its warped leaves
+    _rules = (
+        (lambda p: p["factors"] < 2, CompositionError,
+         "a product needs at least two factors"),
+        (lambda p: p["warped"] > 1, CompositionError,
+         "at most one warped factor is allowed: the curvature minima "
+         "only add exactly when a single factor varies"),
+    )
 
 
 ManifoldSpec = Union[Einstein, Surface, Sphere, Warped, Product]
@@ -149,39 +151,45 @@ def leaves(spec):
 
 
 @np.errstate(all="ignore")
-def _block(spec, check, vary=None):
-    """(profile, flagged, spectrum) of a spec tree over a block of rows.
+def _block(spec, vary=None):
+    """(profile, failures, spectrum) of a spec tree over a block of rows.
 
     vary = (cls, name, values) sets float field `name` of the `cls` leaf
     to a column of values; every other float field is a block of one.
-    check, profile.flag or profile.enforce, runs a leaf's rules, whose
-    broken rows reach its _columns as NaN, then the profile rules on its
-    columns; a product runs its factors in order, then the profile rules
-    on their merge. spectrum lists (eigenvalue, count) pairs if every
-    leaf lists its eigenvalues, else it is None.
+    failures (profile.broken's) come in the order a row meets them: a
+    leaf's rules, whose rows reach its _columns as NaN, then the profile
+    rules; a product's own rules, its factors' in order, then the profile
+    rules on their merge. spectrum lists (eigenvalue, count) pairs if
+    every leaf lists its eigenvalues, else it is None.
     """
     if _kind(spec) == "product":
-        spec._check()
-        parts, flags, spectra = zip(*(_block(f, check, vary) for f in spec.factors))
-        # sums from int 0, and the first least kappa0
-        kappa0 = parts[0].kappa0
-        for p in parts[1:]:
+        failures = broken(spec._rules, {
+            "factors": len(spec.factors),
+            "warped": sum(isinstance(leaf, Warped) for leaf in leaves(spec))})
+        blocks = [_block(factor, vary) for factor in spec.factors]
+        failures += [failure for _, more, _ in blocks for failure in more]
+        parts, spectra = [b[0] for b in blocks], [b[2] for b in blocks]
+        # sums from int 0, and the first least kappa0; the rows where a
+        # factor's kappa0 is not finite have broken its rules already
+        kappa0 = math.inf
+        for p in parts:
             kappa0 = np.where(p.kappa0 < kappa0, p.kappa0, kappa0)
-        profile, flagged = profile_columns(
+        profile, more = profile_columns(
             sum(p.n for p in parts), sum(p.scalar for p in parts), kappa0,
-            sum(p.ric_norm_sq_min for p in parts), check)
+            sum(p.ric_norm_sq_min for p in parts))
         spectrum = None if None in spectra else sum(spectra, ())
-        return profile, reduce(or_, flags, flagged), spectrum
+        return profile, failures + more, spectrum
     values = {f.name: getattr(spec, f.name) if f.type == "int"
               else np.array([as_float(getattr(spec, f.name))]) for f in fields(spec)}
     if vary is not None and isinstance(spec, vary[0]):
         values[vary[1]] = vary[2]
-    flagged = check(spec._rules, values)
+    failures = broken(spec._rules, values)
+    bad = reduce(or_, (mask for mask, *_ in failures), False)
     *columns, spectrum = spec._columns(**{
-        key: np.where(flagged, np.nan, value) if isinstance(value, np.ndarray)
+        key: np.where(bad, np.nan, value) if isinstance(value, np.ndarray)
         else value for key, value in values.items()})
-    profile, bad = profile_columns(*columns, check)
-    return profile, flagged | bad, spectrum
+    profile, more = profile_columns(*columns)
+    return profile, failures + more, spectrum
 
 
 def _eigenvalues(spectrum):
@@ -193,7 +201,8 @@ def _eigenvalues(spectrum):
 def realize(spec):
     """The RicciProfile of a spec, with Python numbers in its fields;
     raises the first rule that its parameters break."""
-    profile, _, spectrum = _block(spec, enforce)
+    profile, failures, spectrum = _block(spec)
+    raise_first(failures, 0)
     profile = row_of_one(profile)
     if spectrum is None:
         return profile
@@ -201,15 +210,14 @@ def realize(spec):
 
 
 def realize_columns(spec, cls, name):
-    """realize over a family: values -> (profile, flagged).
+    """realize over a family: values -> (profile, failures).
 
-    The family sets float field `name` of the one `cls` leaf of spec,
-    and realize must accept one of its members. The profile's number
-    fields are arrays; flagged marks the rows where realize raises, and
-    every other row equals realize's profile bit for bit.
+    The family sets float field `name` of the one `cls` leaf of spec.
+    The profile's number fields are arrays; profile.raise_first(failures,
+    row) raises what realize raises on the row's member, and every row
+    that breaks none of the failures equals realize's profile bit for bit.
     """
-    return lambda values: _block(
-        spec, flag, (cls, name, np.asarray(values, dtype=float)))[:2]
+    return lambda values: _block(spec, (cls, name, np.asarray(values, dtype=float)))[:2]
 
 
 # --- registry of worked examples -------------------------------------------

@@ -14,14 +14,11 @@ writer: to a temporary file beside it, renamed onto it once complete.
 `sweep` computes and writes its rows a block of SWEEP_BLOCK at a time;
 without --out they are spooled, in memory up to SPOOL_BYTES and on disk
 beyond, and copied to stdout once every row is, so a failing sweep
-prints nothing and memory does not grow with --steps. A block and a
-single row run the same rule tables (see catalog and profile):
-realize_columns flags the rows that break a rule, and realize, on a
-block of one, raises the first rule that the row breaks. So the message
-of a failing sweep comes from realize and the report functions, run on
-the first flagged row of a block, or on its first row where the column
-code raises; a row that the columns flag and that they accept is an
-internal fault.
+prints nothing and memory does not grow with --steps. A block records
+the rules that its rows break (realize_columns, then theorem 3.1's
+cross-check; see profile), and its first row that breaks one raises
+the first of them that it breaks, as realize and the report functions
+would on that row alone, with the parameter value added.
 
 Exit codes: 0 success, 1 input or validation error (among them an
 `ode --tol` that the quadrature's node cap cannot reach, which only an
@@ -45,19 +42,18 @@ import re
 import shutil
 import sys
 import tempfile
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import clifford, warp
-from .bounds import (best_bound, friedrich_block, kaehler_block, kaehler_bound,
-                     theorem31_block, theorem31_bound)
-from .catalog import (EXAMPLES, Product, Sphere, Surface, Warped, leaves,
-                      named_example, realize, realize_columns, spec_from_dict,
-                      spec_to_dict)
+from .bounds import (best_bound, cross_check, friedrich_block, kaehler_block,
+                     theorem31_block)
+from .catalog import (EXAMPLES, Sphere, Surface, Warped, leaves, named_example,
+                      realize, realize_columns, spec_from_dict, spec_to_dict)
 from .errors import CrossCheckFailed, DiracBoundError
-from .profile import profile_from_dict, profile_to_dict
+from .profile import profile_from_dict, profile_to_dict, raise_first
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -133,7 +129,7 @@ def _write_whole(out_path, write):
 def _load_json(path):
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from None
     try:
         return json.loads(text)
@@ -251,24 +247,24 @@ def _sweep_grid(start, stop, steps, lo, hi):
 
 
 def _bound_cells(profile, selected, kaehler_dim):
-    """(cells, failed): name -> (values, applicable or None) of the
-    selected bound columns, and the rows where theorem31's cross-check
-    fails; the minimax_numeric column is one of theorem31_block's."""
+    """(cells, failures): name -> (values, applicable or None) of the
+    selected bound columns, and theorem31's cross-check failures; the
+    minimax_numeric column is one of theorem31_block's."""
     n, R = profile.n, profile.scalar
     kappa0, t0 = profile.kappa0, profile.traceless_norm_sq_min
-    cells, failed = {}, False
+    cells, failures = {}, []
     if "friedrich" in selected:
         cells["friedrich"] = friedrich_block(n, R), None
     if "kaehler" in selected and kaehler_dim is not None:
         cells["kaehler"] = kaehler_block(n, R, kaehler_dim), None
     if "theorem31" in selected or "minimax_numeric" in selected:
         th = theorem31_block(n, R, kappa0, t0)
-        failed = th.failed
+        failures = cross_check(th)
     if "theorem31" in selected:
         cells["theorem31"] = th.value, th.applicable
     if "minimax_numeric" in selected:
         cells["minimax_numeric"] = th.minimax, None
-    return cells, failed
+    return cells, failures
 
 
 # the line format of each pattern of filled cells (param, SWEEP_COLUMNS,
@@ -303,47 +299,30 @@ def _csv_block(params, cells):
         % tuple(table[filled].tolist())
 
 
-def _with_param(spec, cls, name, value):
-    """The spec with field `name` of every `cls` leaf set to value."""
-    if isinstance(spec, Product):
-        return Product(tuple(_with_param(f, cls, name, value) for f in spec.factors))
-    return replace(spec, **{name: value}) if isinstance(spec, cls) else spec
+def _sweep_block(realize_block, params, args, selected):
+    """CSV text of one block of parameter values. Its first row that
+    breaks a rule, or theorem31's cross-check (with theorem31 or
+    minimax_numeric selected), raises the first failure it breaks. Where
+    the bound columns raise for every row (a --kaehler-dim that matches
+    no n, an n beyond floats), the first row's broken rule wins."""
+    def at(row):
+        return f" (at {args.param} = {float(params[row])!r})"
 
-
-def _check_row(spec, value, args, selected):
-    """Realize the row at value and run the selected report functions that
-    can raise; raise their exception with the parameter value added."""
+    profile, failures = realize_block(params)
     try:
-        profile = realize(_with_param(spec, *SWEEP_PARAMS[args.param], value))
-        if "kaehler" in selected and args.kaehler_dim is not None:
-            kaehler_bound(profile, args.kaehler_dim)
-        if "theorem31" in selected or "minimax_numeric" in selected:
-            theorem31_bound(profile)
-    except DiracBoundError as exc:
-        exc.args = (f"{exc} (at {args.param} = {value!r})",)
+        with np.errstate(all="ignore"):   # rows that break a rule hold unchecked values
+            cells, more = _bound_cells(profile, selected, args.kaehler_dim)
+    except (DiracBoundError, ArithmeticError) as exc:
+        raise_first(failures, 0, at(0))
+        exc.args = (f"{exc}{at(0)}",)
         raise
-
-
-def _sweep_block(spec, realize_block, params, args, selected):
-    """CSV text of one block of parameter values; the first row that the
-    column code flags, or whose theorem31 cross-check fails (with
-    theorem31 or minimax_numeric selected), raises through _check_row,
-    and so does the block's first row where the column code raises (a
-    fixed factor, the tree or --kaehler-dim fails every row or none)."""
-    try:
-        profile, flagged = realize_block(params)
-        with np.errstate(all="ignore"):   # flagged rows hold unchecked values
-            cells, failed = _bound_cells(profile, selected, args.kaehler_dim)
-    except DiracBoundError:
-        _check_row(spec, float(params[0]), args, selected)
-        raise
-    bad = np.flatnonzero(flagged | failed)
-    if bad.size:
-        value = float(params[bad[0]])
-        _check_row(spec, value, args, selected)
-        raise CrossCheckFailed(
-            "internal cross-check failed: the column code rejects a row that "
-            f"realize accepts (at {args.param} = {value!r})")
+    failures += more
+    bad = np.zeros(len(params), bool)
+    for mask, *_ in failures:
+        bad |= mask
+    if bad.any():
+        row = int(np.argmax(bad))
+        raise_first(failures, row, at(row))
     return _csv_block(params, cells)
 
 
@@ -372,7 +351,7 @@ def cmd_sweep(args):
     def block(lo):
         params = _sweep_grid(args.start, args.stop, args.steps,
                              lo, min(lo + SWEEP_BLOCK, args.steps))
-        return _sweep_block(spec, realize_block, params, args, selected)
+        return _sweep_block(realize_block, params, args, selected)
 
     first = block(0)   # before --out is opened, so a failing first row wins
 

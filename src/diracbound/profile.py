@@ -8,12 +8,11 @@ points; no joint attainment is assumed, so any data satisfying the
 pointwise inequalities is accepted. An optional eigenvalue list covers
 the parallel-Ricci case where the spectrum is constant.
 
-Each validity rule is one row of an ordered table (PROFILE_RULES here,
-the leaf ranges in catalog). profile_columns computes a profile over a
-block of rows that share n and runs the table through `flag`, which
-marks the rows that break a rule, or `enforce`, which on a block of one
-raises the first rule broken. make_profile is the block of one; the
-eigenvalue list of a profile document is then checked in scalar code.
+Each validity rule is one row of an ordered table (PROFILE_RULES here;
+the spec kinds' rules in catalog; theorem 3.1's cross-check in bounds).
+`broken` records the rules that a block of rows breaks, and raise_first
+raises the first that a given row breaks. make_profile is profile_columns
+on a block of one; the eigenvalue list is then checked in scalar code.
 """
 
 from __future__ import annotations
@@ -54,23 +53,31 @@ class RicciProfile:
 # fails(columns) marks the rows of a block that break the rule, and such
 # a row raises error(message), formatted with the row's values.
 
-def flag(rules, columns):
-    """Column form of a rule table: the mask of rows that break any rule."""
-    flagged = False
-    for fails, _, _ in rules:
-        flagged = flagged | fails(columns)
-    return flagged
-
-
-def enforce(rules, columns):
-    """Scalar form of a rule table, on a block of one: raise the first rule
-    that the row breaks; otherwise flag nothing."""
+def broken(rules, columns):
+    """The rules of a table that some row of a block breaks, in table
+    order, each as a failure (mask, error, message, columns)."""
+    failures = []
     for fails, error, message in rules:
-        if np.asarray(fails(columns)).any():
-            raise error(message.format_map({
-                key: value.item() if isinstance(value, np.ndarray) else value
-                for key, value in columns.items()}))
-    return False
+        mask = fails(columns)
+        if np.any(mask):
+            failures.append((mask, error, message, columns))
+    return failures
+
+
+def _at(column, row):
+    """Entry `row` of a column; a block of one or a constant fills every row."""
+    if isinstance(column, (np.ndarray, np.generic)):
+        return (column if column.size == 1 else column[row]).item()
+    return column
+
+
+def raise_first(failures, row, note=""):
+    """Raise the first of the failures that `row` breaks, as error(message)
+    formatted with that row's values and followed by note."""
+    for mask, error, message, columns in failures:
+        if _at(mask, row):
+            raise error(message.format_map(
+                {key: _at(value, row) for key, value in columns.items()}) + note)
 
 
 def _slack(*values):
@@ -109,24 +116,24 @@ PROFILE_RULES = (
 
 
 @np.errstate(all="ignore")
-def profile_columns(n, scalar, kappa0, ric_norm_sq_min, check=flag):
-    """(profile, flagged) of a block of rows that share n: a RicciProfile
-    whose number fields are arrays, and check(PROFILE_RULES, ...), which
-    is the mask of rows that break a rule under `flag` and raises the
-    first broken rule under `enforce`."""
+def profile_columns(n, scalar, kappa0, ric_norm_sq_min):
+    """(profile, failures) of a block of rows that share n: a RicciProfile
+    whose number fields are arrays, and the PROFILE_RULES that its rows
+    break (see broken)."""
     scalar, kappa0, ric = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (scalar, kappa0, ric_norm_sq_min)))
     square = scalar * scalar
-    flagged = check(PROFILE_RULES, {
+    size = as_float(n)   # an n beyond floats breaks a rule, and divides as inf
+    failures = broken(PROFILE_RULES, {
         "n": n, "scalar": scalar, "kappa0": kappa0, "ric_norm_sq_min": ric,
-        "mean": scalar / n, "square": square, "cs": square / n})
+        "mean": scalar / size, "square": square, "cs": square / size})
     # tiny negatives can only come from the Cauchy-Schwarz slack, and
     # round-off negatives of the traceless part (Einstein data) are
     # clamped to 0; the rules bound how negative they can be
     ric = np.where(ric < 0.0, 0.0, ric)
-    gap = ric - square / n
+    gap = ric - square / size
     traceless = np.where(0.0 > gap, 0.0, gap)
-    return RicciProfile(n, scalar, kappa0, ric, traceless), flagged
+    return RicciProfile(n, scalar, kappa0, ric, traceless), failures
 
 
 def row_of_one(profile):
@@ -144,9 +151,10 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None):
     InconsistentProfile naming the field or the relation (PROFILE_RULES,
     then the checks of the eigenvalue list against the other fields).
     """
-    profile = row_of_one(profile_columns(
-        int(n), *([as_float(v)] for v in (scalar, kappa0, ric_norm_sq_min)),
-        enforce)[0])
+    profile, failures = profile_columns(
+        int(n), *([as_float(v)] for v in (scalar, kappa0, ric_norm_sq_min)))
+    raise_first(failures, 0)
+    profile = row_of_one(profile)
     if eigenvalues is None:
         return profile
     n, scalar, kappa0 = profile.n, profile.scalar, profile.kappa0

@@ -69,7 +69,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import numpy.fft  # loaded with the module, not inside the first ode command
@@ -529,9 +528,8 @@ def curvature_track(traj):
     return CurvatureTrack(traj.tau, kappa1, kappa2)
 
 
-@lru_cache(maxsize=64)
 def warp_extremals(f0):
-    """Cached curvature minima of the warped factor, in closed form.
+    """Curvature minima of the warped factor, in closed form.
 
     See the module docstring: kappa0 is kappa1 at the lower turning
     point and min |Ric|^2 is taken at the upper one, found by one

@@ -81,6 +81,15 @@ def test_bound_malformed_json_exits_1(run_cli, tmp_path):
     assert "JSON" in proc.stderr
 
 
+@pytest.mark.parametrize("source", ["--spec", "--profile"])
+def test_undecodable_input_names_the_file(capsys, tmp_path, source):
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe")
+    assert cli.main(["bound", source, str(path)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ") and "can't decode" in err
+
+
 def test_bound_diagnostic_names_field(run_cli, tmp_path):
     path = tmp_path / "short.json"
     path.write_text(json.dumps({"n": 4, "scalar": 2.0, "kappa0": 0.0}))

@@ -255,26 +255,45 @@ def test_sweep_cross_check_failure_exits_4_and_names_the_row(capsys, monkeypatch
     assert "(at radius = 0.875)" in out.err
 
 
-def test_sweep_row_flagged_but_accepted_exits_4(capsys, monkeypatch):
-    # a row that the column code flags and realize accepts is its fault
-    columns = cli.realize_columns
+_BIG_N = 10**308   # a JSON integer that is a float; two of them sum past floats
 
-    def flag_third_row(spec, cls, name):
-        block = columns(spec, cls, name)
 
-        def flagged_block(values):
-            profile, flagged = block(values)
-            return profile, flagged | (np.arange(len(values)) == 2)
-        return flagged_block
+@pytest.mark.parametrize("spec,argv,code,message", [
+    ({"product": [{"sphere": {"radius": 1.0}}, {"surface": {"scalar": -2.0}}]},
+     ["--param", "radius", "--from", "0.5", "--to", "1.001e75", "--steps", "1500"],
+     cli.EXIT_USAGE, "sphere radius must lie in [1e-75, 1e75], got 1.0003322214809872e+75 "
+                     "(at radius = 1.0003322214809872e+75)"),   # row 1498
+    ({"product": [{"sphere": {"radius": 1.0}}, {"surface": {"scalar": -2.0}}]},
+     ["--param", "radius", "--from", "0.5", "--to", "1e76", "--steps", "5",
+      "--kaehler-dim", "3"],
+     cli.EXIT_USAGE, "complex dimension 3 needs n = 6, profile has n = 4 (at radius = 0.5)"),
+    ({"product": [{"einstein": {"n": 2, "scalar": -339535793094.0}},
+                  {"surface": {"scalar": 1.0}}]},
+     ["--param", "surface_scalar", "--from", "-2", "--to", "2", "--steps", "2001"],
+     cli.EXIT_INTERNAL, "(at surface_scalar = 0.014000000000000234)"),
+    ({"product": [{"einstein": {"n": _BIG_N, "scalar": 1.0}},
+                  {"einstein": {"n": _BIG_N, "scalar": 1.0}}, {"surface": {"scalar": 1.0}}]},
+     ["--param", "surface_scalar", "--from", "0", "--to", "1", "--steps", "3"],
+     cli.EXIT_USAGE, f"einstein field 'n' must be at most 1000000, got {_BIG_N} "
+                     "(at surface_scalar = 0.0)"),
+], ids=["later-block", "kaehler-dim", "cross-check", "n-beyond-floats"])
+def test_failing_sweep_is_reported_from_its_block(capsys, monkeypatch, tmp_path,
+                                                  spec, argv, code, message):
+    # the block's own record of broken rules names the row and the rule:
+    # no row is realized or bounded again to find the message
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a failing row was computed a second time")
 
-    monkeypatch.setattr(cli, "realize_columns", flag_third_row)
-    argv = ["sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
-            "--from", "0.5", "--to", "1.5", "--steps", "9"]
-    assert cli.main(argv) == cli.EXIT_INTERNAL
+    for module, name in ((cli, "realize"), (catalog, "realize"),
+                         (bounds, "kaehler_bound"), (bounds, "theorem31_bound"),
+                         (bounds, "optimize_minimax"), (bounds, "best_bound")):
+        monkeypatch.setattr(module, name, forbidden)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert cli.main(["sweep", "--spec", str(path), *argv]) == code
     out = capsys.readouterr()
-    assert out.out == "" and "Traceback" not in out.err
-    assert "internal cross-check failed" in out.err
-    assert "(at radius = 0.75)" in out.err
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.endswith(message + "\n")
 
 
 def test_minimax_column_exits_4_where_theorem31_fails(capsys, tmp_path):

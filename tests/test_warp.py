@@ -86,10 +86,6 @@ def test_extremal_oracles():
     assert ext.ric_norm_sq_min == pytest.approx(RIC_MIN, abs=1e-9)
 
 
-def test_extremals_cached():
-    assert warp_extremals(0.1) is warp_extremals(0.1)
-
-
 def _ode_extremals(f0):
     return extremal_data(curvature_track(integrate_warp(f0)))
 
@@ -177,9 +173,9 @@ def test_closed_form_never_integrates(monkeypatch):
 
     monkeypatch.setattr(warp, "integrate_warp", forbidden)
     monkeypatch.setattr(warp, "_cosine_series", forbidden)
-    ext = warp_extremals.__wrapped__(0.4321)
+    ext = warp_extremals(0.4321)
     assert ext.kappa0 == pytest.approx(1.6 * (1.0 - 0.4321**-0.8), rel=1e-15)
-    warp_extremals.__wrapped__(1.4321)
+    warp_extremals(1.4321)
 
 
 def test_frozen_refs_script_reproduces_the_constants():
@@ -361,9 +357,7 @@ def test_turning_point_bisection_starts_from_a_narrow_bracket(monkeypatch):
               if any(isinstance(leaf, Warped) for leaf in leaves(spec))]
     assert warped
     for name in warped:
-        warp_extremals.cache_clear()
         realize(named_example(name))
-    warp_extremals.cache_clear()
     assert len(brackets) == 200 + len(warped)
     for a, b in brackets:
         assert 1.0 <= a < b <= 2.0 and b - a <= 2.0**-30
