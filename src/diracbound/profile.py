@@ -59,7 +59,7 @@ def broken(rules, columns):
     failures = []
     for fails, error, message in rules:
         mask = fails(columns)
-        if np.any(mask):
+        if np.count_nonzero(mask):   # a mask, a numpy bool or a bool
             failures.append((mask, error, message, columns))
     return failures
 
@@ -123,15 +123,15 @@ def profile_columns(n, scalar, kappa0, ric_norm_sq_min):
     scalar, kappa0, ric = np.broadcast_arrays(
         *(np.asarray(a, dtype=float) for a in (scalar, kappa0, ric_norm_sq_min)))
     square = scalar * scalar
-    size = as_float(n)   # an n beyond floats breaks a rule, and divides as inf
+    dim = as_float(n)   # an n beyond floats breaks a rule, and divides as inf
     failures = broken(PROFILE_RULES, {
         "n": n, "scalar": scalar, "kappa0": kappa0, "ric_norm_sq_min": ric,
-        "mean": scalar / size, "square": square, "cs": square / size})
+        "mean": scalar / dim, "square": square, "cs": square / dim})
     # tiny negatives can only come from the Cauchy-Schwarz slack, and
     # round-off negatives of the traceless part (Einstein data) are
     # clamped to 0; the rules bound how negative they can be
     ric = np.where(ric < 0.0, 0.0, ric)
-    gap = ric - square / size
+    gap = ric - square / dim
     traceless = np.where(0.0 > gap, 0.0, gap)
     return RicciProfile(n, scalar, kappa0, ric, traceless), failures
 
