@@ -99,15 +99,12 @@ def condition_19(profile):
     |Ric - R/n|_0^2 > (R/n - kappa0) * max(R/(n-1), -R).
 
     For R > 0 this is the improvement condition rewritten in traceless
-    form; for R <= 0 it reduces to |Ric|_0^2 > R kappa0.
+    form; for R <= 0 it reduces to |Ric|_0^2 > R kappa0. It is
+    theorem31_block's condition column, where a kappa0 above R/n (a
+    profile's slack admits one) counts as R/n.
     """
-    return bool(_condition_19(profile.n, profile.scalar, profile.kappa0,
-                              profile.traceless_norm_sq_min))
-
-
-def _condition_19(n, R, kappa0, t0):
-    rhs = (R / n - kappa0) * _first_max(R / (n - 1), -R)
-    return t0 > rhs
+    return bool(theorem31_block(profile.n, profile.scalar, profile.kappa0,
+                                profile.traceless_norm_sq_min).condition)
 
 
 def _shortcut_columns(n, R, kappa0, t0):
@@ -242,7 +239,7 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
         scale = np.ldexp(1.0, np.frexp(size)[1] - 1)
         R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
         kappa0 = np.where(kappa0 > R / n, R / n, kappa0)
-        condition = _condition_19(n, R, kappa0, t0)
+        condition = t0 > (R / n - kappa0) * _first_max(R / (n - 1), -R)
         a, b, c, A = _shortcut_columns(n, R, kappa0, t0)
         applicable = condition & ~(A < DEGENERATE_A_ATOL)
         c2, d = c * c, A - 2.0 * a * b

@@ -212,11 +212,20 @@ def realize(spec):
 def realize_columns(spec, cls, name):
     """realize over a family: values -> (profile, failures).
 
-    The family sets float field `name` of the one `cls` leaf of spec.
+    The family sets float field `name` of the one `cls` leaf of spec;
+    CompositionError unless cls is a leaf kind with that float field and
+    spec holds exactly one cls leaf, as no other binding sets one field.
     The profile's number fields are arrays; profile.raise_first(failures,
     row) raises what realize raises on the row's member, and every row
     that breaks none of the failures equals realize's profile bit for bit.
     """
+    kind = _KIND_OF.get(cls, "product")
+    if kind == "product" or name not in [f.name for f in fields(cls) if f.type == "float"]:
+        raise CompositionError(f"{cls!r} is no leaf kind with a float field {name!r}")
+    sites = sum(isinstance(leaf, cls) for leaf in leaves(spec))
+    if sites != 1:
+        raise CompositionError(f"{kind} field '{name}' must bind to exactly one "
+                               f"{kind} factor of the spec; found {sites}")
     return lambda values: _block(spec, (cls, name, np.asarray(values, dtype=float)))[:2]
 
 

@@ -50,8 +50,8 @@ import numpy as np
 from . import clifford, warp
 from .bounds import (best_bound, cross_check, friedrich_block, kaehler_block,
                      theorem31_block)
-from .catalog import (EXAMPLES, Sphere, Surface, Warped, leaves, named_example,
-                      realize, realize_columns, spec_from_dict, spec_to_dict)
+from .catalog import (EXAMPLES, Sphere, Surface, Warped, named_example, realize,
+                      realize_columns, spec_from_dict, spec_to_dict)
 from .errors import CrossCheckFailed, DiracBoundError
 from .profile import profile_from_dict, profile_to_dict, raise_first
 
@@ -341,12 +341,7 @@ def cmd_sweep(args):
         if name not in SWEEP_COLUMNS:
             raise ValueError(f"unknown bound column '{name}'; "
                              f"known: {', '.join(SWEEP_COLUMNS)}")
-    cls, name = SWEEP_PARAMS[args.param]
-    sites = sum(isinstance(leaf, cls) for leaf in leaves(spec))
-    if sites != 1:
-        raise ValueError(f"parameter '{args.param}' must bind to exactly one "
-                         f"factor of the spec; found {sites}")
-    realize_block = realize_columns(spec, cls, name)
+    realize_block = realize_columns(spec, *SWEEP_PARAMS[args.param])
 
     def block(lo):
         params = _sweep_grid(args.start, args.stop, args.steps,

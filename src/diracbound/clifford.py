@@ -14,11 +14,12 @@ operator norms (largest singular value).
 
 run_identity_batch streams its trials in chunks of CHUNK: one draw per
 trial from its own stream, one real matmul of the chunk's coefficients
-against the exact products g_k g_l, and one-sided bounds on each
-residual's norm, so that svd runs only on the few matrices that can
-raise the running maximum. Only one chunk's buffers are alive at a
-time, so memory does not grow with the number of trials, and the
-summary does not depend on how the batch is split.
+against the exact products g_k g_l (_residuals, which the single checks
+run on a stack of one, so they agree with the batch bit for bit), and
+one-sided bounds on each residual's norm, so that svd runs only on the
+few matrices that can raise the running maximum. Only one chunk's
+buffers are alive at a time, so memory does not grow with the number of
+trials, and the summary does not depend on how the batch is split.
 Trial i's stream is the PCG64 of the i-th child spawned off
 SeedSequence(seed), but no child is built: _stream_states hashes a whole
 chunk's states out of the parent's pool with numpy's own constants, so
@@ -126,21 +127,23 @@ def _opnorms(mats):
     return np.linalg.svd(mats, compute_uv=False)[..., 0]
 
 
-def _contract(products, *coeffs):
-    """sum_{k,l} c[k, l] g_k g_l for every matrix c of each stack.
-
-    All the stacks go through one dgemm: the real coefficient rows times
-    the products viewed as (re, im) float pairs, with the complex product's
-    bits, since each product entry is 0, +-1 or +-i. Callers pass at least
-    two matrices in all: numpy takes gemv for a single row, which rounds
-    differently, while with two rows or more gemm sums each row alike
-    whatever else shares the call.
-    """
+def _residuals(products, S, B):
+    """The full, traceless and commutator residuals of (k, n, n) stacks S
+    and B, (v_k)_l = B[k, l], as views of one buffer. S, its trace-free
+    part, B^T and B go through one dgemm, (4k, n^2) real rows times the
+    products as (re, im) float pairs: each product entry is 0, +-1 or +-i,
+    so that is the complex product's bits. gemv, taken for one row, rounds
+    otherwise; with 4k >= 4 rows gemm sums each row alike in any chunk."""
+    k, n = S.shape[:2]
     d = math.isqrt(products.shape[1])
-    rows = [c.reshape(-1, products.shape[0]) for c in coeffs]
-    out = (np.concatenate(rows) @ products.view(float)).view(complex).reshape(-1, d, d)
-    parts = np.split(out, np.cumsum([len(r) for r in rows[:-1]]))
-    return [p.reshape(c.shape[:-2] + (d, d)) for p, c in zip(parts, coeffs)]
+    trace = np.einsum("tkk->t", S)
+    coeffs = np.concatenate((S, S - (trace / n)[:, None, None] * np.eye(n),
+                             np.swapaxes(B, 1, 2), B)).reshape(4 * k, n * n)
+    full, traceless, swapped, straight = (
+        coeffs @ products.view(float)).view(complex).reshape(4, k, d, d)
+    del coeffs      # freed before the correction below allocates its temporary
+    full += trace[:, None, None] * np.eye(d)
+    return full, traceless, np.subtract(swapped, straight, out=swapped)
 
 
 def verify_ricci_trace(rep, S, *, enforce_symmetry=True):
@@ -149,17 +152,18 @@ def verify_ricci_trace(rep, S, *, enforce_symmetry=True):
     residual_full uses S itself, residual_traceless its trace-free part;
     both vanish to round-off for symmetric S because the symmetric part
     of g_k g_l contracts to -delta_kl. Pass enforce_symmetry=False to
-    probe how the identity fails on non-symmetric input.
+    probe how the identity fails on non-symmetric input. A non-finite
+    entry raises ParameterRange. Both equal the batch's on the same S.
     """
     S = np.asarray(S, dtype=float)
     if S.shape != (rep.n, rep.n):
         raise ShapeError(f"S must be {rep.n}x{rep.n}, got shape {S.shape}")
+    if not np.isfinite(S).all():
+        raise ParameterRange("S must have finite entries")
     if enforce_symmetry and np.max(np.abs(S - S.T)) > SYMMETRY_ATOL:
         raise NotSymmetric("S is not symmetric within 1e-14")
-    full, traceless = _contract(_products(rep), S,
-                                S - np.trace(S) / rep.n * np.eye(rep.n))
-    full += np.trace(S) * np.eye(len(full))
-    return TraceResiduals(float(_opnorms(full)), float(_opnorms(traceless)))
+    full, traceless, _ = _residuals(_products(rep), S[None], np.zeros_like(S[None]))
+    return TraceResiduals(float(_opnorms(full)[0]), float(_opnorms(traceless)[0]))
 
 
 def verify_lemma15(rep, T, Y):
@@ -168,7 +172,8 @@ def verify_lemma15(rep, T, Y):
     T must be an n^3 tensor symmetric in its last two slots. Only the
     part of T(., Y, .) antisymmetric in the outer slots survives the
     commutators, so the residual vanishes for totally symmetric T and
-    is invariant under adding one.
+    is invariant under adding one. A non-finite entry raises
+    ParameterRange. It equals the batch's on the same T and Y.
     """
     T = np.asarray(T, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -177,12 +182,13 @@ def verify_lemma15(rep, T, Y):
         raise ShapeError(f"T must be {n}x{n}x{n}, got shape {T.shape}")
     if Y.shape != (n,):
         raise ShapeError(f"Y must be a vector of length {n}, got shape {Y.shape}")
+    for name, x in (("T", T), ("Y", Y)):
+        if not np.isfinite(x).all():
+            raise ParameterRange(f"{name} must have finite entries")
     if np.max(np.abs(T - np.swapaxes(T, 1, 2))) > SLOT_SYMMETRY_ATOL:
         raise ShapeError("T must be symmetric in its last two slots")
-    B = np.einsum("kil,i->kl", T, Y)
-    # sum_k (g(v_k) g_k - g_k g(v_k)) with (v_k)_l = B[k, l]
-    swapped, straight = _contract(_products(rep), B.T, B)
-    return float(_opnorms(swapped - straight))
+    B = np.einsum("tkil,ti->tkl", T[None], Y[None])
+    return float(_opnorms(_residuals(_products(rep), np.zeros_like(B), B)[2])[0])
 
 
 class _PrunedMax:
@@ -279,15 +285,7 @@ def _chunk_residuals(products, n, gen, states):
     for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         sym += np.transpose(T, (0, *(p + 1 for p in perm)))
     sym /= 6.0                  # T, totally symmetric
-    Y = draws[:, -n:]
-
-    trace = np.einsum("tkk->t", S)
-    centered = S - (trace / n)[:, None, None] * np.eye(n)
-    B = np.einsum("tkil,ti->tkl", sym, Y)
-    full, traceless, swapped, straight = _contract(
-        products, S, centered, np.swapaxes(B, 1, 2), B)
-    full += trace[:, None, None] * np.eye(full.shape[-1])
-    return full, traceless, np.subtract(swapped, straight, out=swapped)
+    return _residuals(products, S, np.einsum("tkil,ti->tkl", sym, draws[:, -n:]))
 
 
 def run_identity_batch(n, trials, seed):

@@ -77,6 +77,15 @@ def test_condition19_nonpositive_scalar_is_spinor_exclusion():
         seen += 1
 
 
+def test_condition19_counts_kappa0_above_the_mean_as_the_mean():
+    # the profile's slack admits kappa0 = R/n + 1e-13; theorem 3.1 reads it
+    # as R/n, where the condition fails, and condition_19 once did not
+    p = make_profile(2, 2.0, 1.0 + 1e-13, 2.0)
+    assert p.kappa0 > p.scalar / p.n
+    assert not condition_19(p)
+    assert theorem31_bound(p).reason.startswith("condition |Ric - R/n|_0^2 > ")
+
+
 def test_theorem31_reference_value():
     r = theorem31_bound(T2XS2)
     assert r.strict and r.applicable

@@ -109,6 +109,23 @@ def test_zero_scalar_example_cancels_exactly():
     assert realize(named_example("m7-zero-scalar")).scalar == 0.0
 
 
+def test_realize_columns_binds_one_float_field_of_one_leaf():
+    two = Product((Sphere(1.0), Sphere(2.0)))
+    # varying both radii once gave a scalar that no single binding gives
+    with pytest.raises(CompositionError, match="exactly one sphere factor .*; found 2$"):
+        catalog.realize_columns(two, Sphere, "radius")
+    # a kind the spec lacks once gave a constant column of one row
+    with pytest.raises(CompositionError, match="exactly one warped factor .*; found 0$"):
+        catalog.realize_columns(two, Warped, "f0")
+    # a misspelt field once raised TypeError from _columns
+    for cls, name in ((Sphere, "radus"), (Einstein, "n"), (Product, "factors")):
+        with pytest.raises(CompositionError, match=f"no leaf kind with a float field '{name}'"):
+            catalog.realize_columns(two, cls, name)
+    family = catalog.realize_columns(Product((Surface(-2.0), Sphere(1.0))), Sphere, "radius")
+    profile, failures = family([0.5, 1.0])
+    assert profile.scalar.tolist() == [6.0, 0.0] and failures == []
+
+
 def test_every_example_realizes():
     for name in EXAMPLES:
         p = realize(named_example(name))

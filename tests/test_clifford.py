@@ -4,6 +4,7 @@ import math
 import re
 import resource
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ def test_shape_gates():
     lopsided[0, 1, 2] = 1.0  # not symmetric in the last two slots
     with pytest.raises(ShapeError, match="slots"):
         verify_lemma15(rep, lopsided, np.zeros(4))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["S", "T", "Y"])
+def test_single_checks_reject_non_finite_input(name, bad):
+    # once they went on to a RuntimeWarning and svd's LinAlgError
+    args = {"S": np.eye(4), "T": np.zeros((4, 4, 4)), "Y": np.ones(4)}
+    args[name][(1,) * args[name].ndim] = bad
+    rep = build_rep(4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for enforce in (True, False):
+            with pytest.raises(ParameterRange, match=f"^{name} must have finite entries$"):
+                if name == "S":
+                    verify_ricci_trace(rep, args["S"], enforce_symmetry=enforce)
+                else:
+                    verify_lemma15(rep, args["T"], args["Y"])
 
 
 def test_lemma_zero_tensor():
@@ -218,6 +236,14 @@ def test_batch_residuals_small_every_dimension():
         assert s.lemma_residual <= 1e-12
 
 
+def _trial_inputs(n, trials, seed):
+    """Each trial's (S, T, Y), drawn by three calls to its spawned stream."""
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(stream)
+        S = rng.standard_normal((n, n))
+        yield (S + S.T) / 2.0, _totally_symmetric(rng, n), rng.standard_normal(n)
+
+
 def _reference_batch(n, trials, seed):
     """The whole-batch computation: three draws per trial, einsum with an
     optimized path, svd of every matrix. From 64 trials at n = 8 (16 at
@@ -227,14 +253,7 @@ def _reference_batch(n, trials, seed):
     def contract(coeffs):
         return np.einsum("...kl,kab,lbc->...ac", coeffs, gam, gam, optimize=True)
 
-    S_batch, T_batch, Y_batch = [], [], []
-    for stream in np.random.SeedSequence(seed).spawn(trials):
-        rng = np.random.default_rng(stream)
-        S = rng.standard_normal((n, n))
-        S_batch.append((S + S.T) / 2.0)
-        T_batch.append(_totally_symmetric(rng, n))
-        Y_batch.append(rng.standard_normal(n))
-    S, T, Y = np.array(S_batch), np.array(T_batch), np.array(Y_batch)
+    S, T, Y = map(np.array, zip(*_trial_inputs(n, trials, seed)))
     trace = np.einsum("tkk->t", S)
     full = contract(S) + trace[:, None, None] * np.eye(gam.shape[1])
     traceless = contract(S - (trace / n)[:, None, None] * np.eye(n))
@@ -249,6 +268,22 @@ def _reference_batch(n, trials, seed):
 def test_batch_matches_whole_batch_reference(n):
     for trials, seed in ((64, 3), (300, 12345)):
         assert run_identity_batch(n, trials, seed) == _reference_batch(n, trials, seed)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("trials, seed", [(300, 5), (100, 2**100 + 7)])
+def test_single_checks_agree_with_the_batch(n, trials, seed):
+    # one kernel computes both; the single checks once took the trace with
+    # np.trace and the batch with einsum, which differ at n = 8
+    rep = build_rep(n)
+    full, traceless, lemma = [], [], []
+    for S, T, Y in _trial_inputs(n, trials, seed):
+        res = verify_ricci_trace(rep, S)
+        full.append(res.residual_full)
+        traceless.append(res.residual_traceless)
+        lemma.append(verify_lemma15(rep, T, Y))
+    assert run_identity_batch(n, trials, seed) == clifford.BatchSummary(
+        n, trials, seed, max(full), max(traceless), max(lemma))
 
 
 @settings(max_examples=8)
