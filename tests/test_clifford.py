@@ -2,7 +2,8 @@
 
 import math
 import re
-import resource
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -59,6 +60,27 @@ def test_symmetry_gate_and_override():
         verify_ricci_trace(rep, S)
     res = verify_ricci_trace(rep, S, enforce_symmetry=False)
     assert res.residual_full > 0.1
+
+
+def test_symmetry_gates_do_not_depend_on_units():
+    # both gates are relative to the largest entry: an absolute 1e-14 once
+    # refused this S, whose round-off asymmetry is 4.3e-14, and passed S / 1e3
+    rep = build_rep(4)
+    q = np.linalg.qr(np.random.default_rng(1).standard_normal((4, 4)))[0]
+    S = q @ np.diag([1e3, 2e3, -5e2, 7.0]) @ q.T
+    T = 1e5 * np.stack([q @ np.diag(np.arange(4.0) + k) @ q.T for k in range(4)])
+    lopsided_S = S.copy()
+    lopsided_S[0, 1] += 1.0
+    lopsided_T = T.copy()
+    lopsided_T[0, 1, 2] += 1e3
+    Y = np.ones(4)
+    for k in range(-500, 501):
+        verify_ricci_trace(rep, np.ldexp(S, k))
+        verify_lemma15(rep, np.ldexp(T, k), Y)
+        with pytest.raises(NotSymmetric):
+            verify_ricci_trace(rep, np.ldexp(lopsided_S, k))
+        with pytest.raises(ShapeError, match="slots"):
+            verify_lemma15(rep, np.ldexp(lopsided_T, k), Y)
 
 
 def test_antisymmetric_residual_scales_linearly():
@@ -328,6 +350,9 @@ def test_batch_sends_few_matrices_to_svd(monkeypatch):
     run_identity_batch(8, 2000, 5)
     # the bounds, not svd, clear all but a few of the 3 x 2000 residuals
     assert 3 <= sum(sent) <= 150, sent
+    # in few calls, each about 0.1 ms of wrapper: one call per chunk and
+    # stack once made 66
+    assert len(sent) <= 30, sent
 
 
 @pytest.mark.parametrize("n", (5, 8))
@@ -340,45 +365,89 @@ def test_batch_summary_does_not_depend_on_chunk(monkeypatch, n):
 
 
 @st.composite
-def matrix_batches(draw):
-    """(matrices, cut points): complex d x d matrices of round-off size
-    with all-zero ones, exact and one-ulp ties, one outlier, and rows
-    scaled by 2^e for e up to +-500, into the subnormals (e from -1070,
-    mostly zeros and one-ulp entries, to -1000, subnormal with about 24
-    bits) and near overflow (e = 1000, 1060); cuts split them into chunks."""
-    d = draw(st.sampled_from([1, 2, 4, 16]))
+def block_batches(draw):
+    """(block stacks, index sets, cut points): c stacks of complex
+    block-diagonal matrices, nb = 1 or 2 diagonal m x m blocks each, on
+    the index sets of a shuffled range(nb m). The blocks are of round-off
+    size, with all-zero matrices, exact and one-ulp ties, one outlier, and
+    matrices scaled by 2^e for e up to +-500, into the subnormals (e from
+    -1070, mostly zeros and one-ulp entries, to -1000, subnormal with
+    about 24 bits) and near overflow (e = 1000, 1060); cuts split the
+    stacks into chunks."""
+    c = draw(st.sampled_from([1, 3]))
+    nb = draw(st.sampled_from([1, 2]))
+    m = draw(st.sampled_from([1, 2, 4, 8]))
     count = draw(st.integers(1, 60))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    mats = 1e-15 * (rng.standard_normal((count, d, d))
-                    + 1j * rng.standard_normal((count, d, d)))
-    index = st.integers(0, count - 1)
+    shape = (c * count, nb, m, m)
+    mats = 1e-15 * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    index = st.integers(0, c * count - 1)
     for i in draw(st.lists(index, max_size=5)):
         mats[i] = 0.0
     for i, j in draw(st.lists(st.tuples(index, index), max_size=5)):
         mats[j] = mats[i]
     for i, j in draw(st.lists(st.tuples(index, index), max_size=3)):
         mats[j] = mats[i]
-        mats[j, 0, 0] = np.nextafter(mats[i, 0, 0].real, np.inf) + 1j * mats[i, 0, 0].imag
+        mats[j, 0, 0, 0] = (np.nextafter(mats[i, 0, 0, 0].real, np.inf)
+                            + 1j * mats[i, 0, 0, 0].imag)
     if draw(st.booleans()):
         mats[draw(index)] *= 1e3
     if draw(st.booleans()):
         scales = draw(st.lists(st.sampled_from([-1070, -1030, -1000, -500, -499, -1,
                                                 0, 1, 499, 500, 1000, 1060]),
-                               min_size=count, max_size=count))
-        exps = np.array(scales)[:, None, None]
+                               min_size=c * count, max_size=c * count))
+        exps = np.array(scales)[:, None, None, None]
         mats = np.ldexp(mats.real, exps) + 1j * np.ldexp(mats.imag, exps)
+    blocks = rng.permutation(nb * m).reshape(nb, m)
     cuts = sorted(draw(st.lists(st.integers(1, count), max_size=6)))
-    return mats, cuts
+    return mats.reshape(c, count, nb, m, m), blocks, cuts
 
 
-@given(matrix_batches())
+@given(block_batches())
 def test_pruned_max_is_the_svd_max(batch):
-    mats, cuts = batch
-    acc = clifford._PrunedMax()
-    for part in np.split(mats, cuts):
-        if len(part):
+    stacks, blocks, cuts = batch
+    acc = clifford._PrunedMax(blocks, len(stacks))
+    for part in np.split(stacks, cuts, axis=1):
+        if part.shape[1]:
             acc.add(part)
-    assert acc.value == float(np.max(np.linalg.svd(mats, compute_uv=False)[..., 0]))
+    full = clifford._expand(blocks, stacks)
+    assert acc.values == [float(np.max(np.linalg.svd(m, compute_uv=False)[..., 0]))
+                          for m in full]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_products_vanish_outside_the_chirality_blocks(n):
+    rep = build_rep(n)
+    gam = np.stack(rep.generators)
+    d = gam.shape[1]
+    full = (gam[:, None] @ gam[None, :]).reshape(n * n, d, d)
+    blocks = clifford._chirality_blocks(rep)
+    # two d/2 x d/2 blocks for even n, one d x d block for odd n
+    assert blocks.shape == ((2, d // 2) if n % 2 == 0 else (1, d))
+    assert sorted(blocks.ravel().tolist()) == list(range(d))
+    # every product is its blocks, scattered back, bit for bit
+    assert np.array_equal(clifford._expand(blocks, clifford._products(rep, blocks)), full)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_block_residuals_equal_the_full_contraction(n):
+    # one chunk's residuals, expanded, are the (4k, n^2) coefficients times
+    # all d^2 columns of the products, trace-corrected, bit for bit
+    rep = build_rep(n)
+    k = clifford.CHUNK
+    kernel = clifford._Kernel(rep, k)
+    states = clifford._stream_states(np.random.SeedSequence(9).pool, 9, 0, k)
+    kernel.draw(np.random.Generator(np.random.PCG64(0)), states)
+    got = clifford._expand(kernel.blocks, kernel.residuals(k))
+    coeffs = kernel.coeffs(k)       # all four rows, now filled in
+    gam = np.stack(rep.generators)
+    d = gam.shape[1]
+    products = (gam[:, None] @ gam[None, :]).reshape(n * n, d * d)
+    want = (coeffs.reshape(4 * k, n * n) @ products.view(float)).view(complex)
+    want = want.reshape(4, k, d, d)
+    want[0] += np.einsum("tkk->t", coeffs[0])[:, None, None] * np.eye(d)
+    want[2] -= want[3]
+    assert np.array_equal(got.view(np.uint64), want[:3].view(np.uint64))
 
 
 def _batch_peak(trials):
@@ -395,14 +464,27 @@ def test_batch_memory_does_not_grow_with_trials():
     large = _batch_peak(20000)
     # one chunk is held, not the batch: well under 4 MiB more
     assert large - small < 4 * 2**20, (small, large)
-    # and only one, of 128 trials: about 4 MiB at n = 8. 256-trial chunks
-    # peak at 7.5 MiB, and a chunk's buffer kept alive into the next draw
-    # at 6 MiB
-    assert small < 5 * 2**20, small
+    # and only one chunk's buffers, of 64 trials: about 1.8 MiB at n = 8.
+    # 128-trial chunks allocated afresh each time peaked at 3.9 MiB
+    assert small < 3 * 2**20, small
+
+
+_FAULT_PROBE = """
+import resource
+from diracbound import run_identity_batch
+run_identity_batch(8, 2000, 3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+run_identity_batch(8, 20000, 3)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_batch_reuses_its_buffers():
     # the chunk buffers are reused, not returned to the system and faulted
-    # in again on every chunk: that costs about 10^5 faults at 20000 trials
-    run_identity_batch(8, 2000, 3)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    run_identity_batch(8, 20000, 3)
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    # in again on every chunk: that cost about 10^5 faults at 20000 trials.
+    # A fresh interpreter, since earlier tests raise glibc's mmap threshold
+    # in this one, which hides the faults
+    proc = subprocess.run([sys.executable, "-c", _FAULT_PROBE],
+                          capture_output=True, text=True, check=True)
+    faults = int(proc.stdout)
     assert faults < 10000, faults
