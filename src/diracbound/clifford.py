@@ -38,7 +38,6 @@ they, and every draw, equal the spawned children's bit for bit.
 from __future__ import annotations
 
 import functools
-import math
 import operator
 from dataclasses import dataclass
 
@@ -339,13 +338,12 @@ class _PrunedMax:
                 self._svd(mats, tops, k)
             limit = np.repeat(np.array(self.values) * (1.0 - PRUNE_RTOL), k)
             keep = (fro2 >= limit * limit) | ~((2.0**-900 <= fro2) & (fro2 <= 2.0**900))
-        keep[tops] = False
-        rows = np.flatnonzero(keep)
-        x = x[rows]
-        # max |x| as max(max x, -min x): the same float, with no |x| copy
-        e = np.frexp(np.maximum(x.max(axis=(1, 2, 3)), -x.min(axis=(1, 2, 3))))[1]
-        y = np.ldexp(x, -e[:, None, None, None]).view(complex)
-        with np.errstate(over="ignore"):
+            keep[tops] = False
+            rows = np.flatnonzero(keep)
+            x = x[rows]
+            # max |x| as max(max x, -min x): the same float, with no |x| copy
+            e = np.frexp(np.maximum(x.max(axis=(1, 2, 3)), -x.min(axis=(1, 2, 3))))[1]
+            y = np.ldexp(x, -e[:, None, None, None]).view(complex)
             limit = np.ldexp(limit[rows], -e)
         for power in (0.25, 0.125):     # sigma's l4, then l8 norm
             # a contiguous y^H: matmul of a conjugated transposed view is
