@@ -221,7 +221,7 @@ class _Kernel:
         coeffs[0] /= 2.0
         T = draws[:, n * n:-n].reshape(k, n, n, n)
         sym = self._sym[:k * n**3].reshape(k, n, n, n)
-        sym.fill(0.0)
+        sym.fill(0.0)           # the sum starts at 0.0, so a -0.0 draw adds as +0.0
         for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
             sym += np.transpose(T, (0, *(p + 1 for p in perm)))
         sym /= 6.0              # T, totally symmetric

@@ -350,8 +350,8 @@ def test_batch_sends_few_matrices_to_svd(monkeypatch):
     run_identity_batch(8, 2000, 5)
     # the bounds, not svd, clear all but a few of the 3 x 2000 residuals
     assert 3 <= sum(sent) <= 150, sent
-    # in few calls, each about 0.1 ms of wrapper: one call per chunk and
-    # stack once made 66
+    # in few calls, each about 0.1 ms of numpy's wrapper: an svd call per
+    # chunk and stack made 66
     assert len(sent) <= 30, sent
 
 
