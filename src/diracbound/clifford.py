@@ -291,7 +291,7 @@ class _PrunedMax:
 
     add takes c stacks of k matrices A as their nb diagonal m x m blocks
     A_b, so sigma(A) = max_b sigma(A_b). While a stack's running value v
-    is 0, its matrix of largest Frobenius norm goes through svd first. The
+    is 0, its matrix of largest l2 bound goes through svd first. The
     others go on only while their bounds reach (1 - PRUNE_RTOL) v: the
     largest over the blocks of the l2, l4 and l8 norms of A_b's singular
     values, ||A_b||_F, ||M_b||_F^(1/2) and ||M_b^2||_F^(1/4) with M_b =
@@ -305,7 +305,7 @@ class _PrunedMax:
     where ||A_b||_F^2 lies in [2^-900, 2^900]: there no square overflows,
     those that underflow move it by at most m^2 2^-1074 absolute, and
     (1 - PRUNE_RTOL)^2 v^2 is exact to rounding, or overflows to inf,
-    over every such A's sigma^2, or lies below 2^-900. For the other two
+    above every such A's sigma^2, or lies below 2^-900. For the other two
     bounds each A is scaled by 2^-e, exactly, so that its largest real or
     imaginary part lies in [1/2, 1): a nonzero A has sigma >= 1/2, no
     power overflows, and the entries that underflow move a bound by at
