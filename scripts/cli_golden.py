@@ -70,6 +70,11 @@ fails in its second block, at row 1007, and two `radius` sweeps with a
 `--kaehler-dim` that matches no row's n, one whose first row breaks the
 sphere's radius range, which wins, and one whose last row does, where
 the Kaehler message names the first row.
+Then the choice of `best` where two columns differ in their last digits:
+a two-dimensional Einstein factor of scalar just below 1 times a surface
+of scalar 2, where theorem 3.1's value lies 1 ulp above Friedrich's, as
+`bound --csv` and as the first row of a two-row `surface_scalar` sweep,
+which must print the same best.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -265,6 +270,14 @@ ERROR_ORDER = (
     ("sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
      "--from", "0.5", "--to", "1e76", "--steps", "5", "--kaehler-dim", "3"),
 )
+# friedrich and theorem31 1 ulp apart: bound and sweep pick the same best
+DOCUMENTS["<einstein-x-surface-near-tie>"] = {"product": [
+    {"einstein": {"n": 2, "scalar": 0.9999999999999273}}, {"surface": {"scalar": 2.0}}]}
+BEST_TIES = (
+    ("bound", "--csv", "--spec", "<einstein-x-surface-near-tie>"),
+    ("sweep", "--spec", "<einstein-x-surface-near-tie>", "--param", "surface_scalar",
+     "--from", "2.0", "--to", "3.0", "--steps", "2"),
+)
 # help and usage errors; each subcommand's -h, in the parser's order
 PARSER = (
     (), ("-h",),
@@ -305,7 +318,7 @@ def invocations():
     runs += [("verify", *argv) for argv in VERIFIES]
     return runs + [*FAILURES, *SCALED_GUARD, *PARSER, *ODE_FAILURES, *MINIMAX_EDGES,
                    *ODE_RUNS, *(("sweep", *argv) for argv in WARP_SWEEPS),
-                   *ZERO_SCALAR_EDGES, *ERROR_ORDER]
+                   *ZERO_SCALAR_EDGES, *ERROR_ORDER, *BEST_TIES]
 
 
 def capture(argv):
