@@ -81,9 +81,16 @@ def _inapplicable(method, reason):
     return BoundReport(method, None, False, False, reason)
 
 
-def _first_max(a, b):
-    """max(a, b) as Python takes it, elementwise: b only where b > a."""
-    return np.where(b > a, b, a)
+def best_block(columns):
+    """Per row, the largest applicable value of a block's bound columns and
+    the index of its column, the first of exactly equal ones, NaN and -0.0
+    as Python's max takes them; (0, -1) where none applies. columns holds
+    (values, applicable mask or True) pairs in the fixed order."""
+    best, index = 0.0, -1
+    for i, (values, applicable) in enumerate(columns):
+        take = applicable & ((index < 0) | (values > best))
+        best, index = np.where(take, values, best), np.where(take, i, index)
+    return best, index
 
 
 # --- applicability predicates ----------------------------------------------
@@ -239,17 +246,17 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
         scale = np.ldexp(1.0, np.frexp(size)[1] - 1)
         R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
         kappa0 = np.where(kappa0 > R / n, R / n, kappa0)
-        condition = t0 > (R / n - kappa0) * _first_max(R / (n - 1), -R)
+        condition = t0 > (R / n - kappa0) * best_block(((R / (n - 1), True), (-R, True)))[0]
         a, b, c, A = _shortcut_columns(n, R, kappa0, t0)
         applicable = condition & ~(A < DEGENERATE_A_ATOL)
         c2, d = c * c, A - 2.0 * a * b
-        root = np.sqrt(_first_max(a * a * c2 + A * d, 0.0))
+        root = np.sqrt(best_block(((a * a * c2 + A * d, True), (0.0, True)))[0])
         value = A * A / (b * A - a * c2 + c * root) * scale
         s0 = d / (a * c2 + c * root)
         f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c2 * (s0 * s0)) * scale
         if np.any(far):   # A divided out of value and s0, s0 out of f(s0)
             ratio = a * c / A
-            root = np.sqrt(_first_max(ratio * ratio + d / A, 0.0))
+            root = np.sqrt(best_block(((ratio * ratio + d / A, True), (0.0, True)))[0])
             value = np.where(far, A * scale / (b - a * c2 / A + c * root), value)
             s0 = np.where(far, d / A / (a * c2 / A + c * root), s0)
             f_s0 = np.where(far, 2.0 * (a / s0 + A) * scale
@@ -349,13 +356,10 @@ def _minimax_report(th):
 # --- aggregation -----------------------------------------------------------
 
 def best_bound(profile, complex_dim=None):
-    """Evaluate every applicable bound and return the winner.
-
-    The returned report keeps the winning method tag and carries the
-    full evaluation as subreports. Ties within 1e-9 relative go to the
-    earlier entry of the fixed evaluation order: friedrich, kaehler,
-    zero_scalar, theorem31, minimax_numeric.
-    """
+    """Evaluate every applicable bound and return the winner, as best_block
+    picks it from the reports in their fixed order: friedrich, kaehler,
+    zero_scalar, theorem31, minimax_numeric. The winner keeps its method
+    tag and carries the full evaluation as subreports."""
     reports = [friedrich_bound(profile)]
     if complex_dim is not None:
         reports.append(kaehler_bound(profile, complex_dim))
@@ -365,8 +369,5 @@ def best_bound(profile, complex_dim=None):
         reports.append(_inapplicable(Method.ZERO_SCALAR, str(err)))
     th = _checked_theorem31(profile)
     reports += [_theorem31_report(th), _minimax_report(th)]
-
-    best = max(r.value for r in reports if r.applicable)
-    margin = 1e-9 * abs(best)
-    winner = next(r for r in reports if r.applicable and r.value >= best - margin)
-    return replace(winner, subreports=tuple(reports))
+    _, index = best_block((r.value if r.applicable else 0.0, r.applicable) for r in reports)
+    return replace(reports[index], subreports=tuple(reports))

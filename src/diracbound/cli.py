@@ -48,7 +48,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clifford, warp
-from .bounds import (best_bound, cross_check, friedrich_block, kaehler_block,
+from .bounds import (best_block, best_bound, cross_check, friedrich_block, kaehler_block,
                      theorem31_block)
 from .catalog import (EXAMPLES, Sphere, Surface, Warped, named_example, realize,
                       realize_columns, spec_from_dict, spec_to_dict)
@@ -277,23 +277,20 @@ _LINE_FORMATS = tuple(",".join("%.17g" if code >> i & 1 else "" for i in range(_
 def _csv_block(params, cells):
     """CSV text of a block: the parameter, the SWEEP_COLUMNS cells (empty
     where a column is not selected or not applicable) and the best of the
-    filled cells, the first of equal ones. One % writes the whole block:
-    each row takes the line format of its filled cells, which are passed
-    in row-major order."""
+    filled cells, as bounds.best_block picks it. One % writes the whole
+    block: each row takes the line format of its filled cells, which are
+    passed in row-major order."""
     rows = len(params)
     table, filled = np.zeros((rows, _CELLS)), np.zeros((rows, _CELLS), bool)
     table[:, 0], filled[:, 0] = params, True
-    best, any_filled = table[:, -1], filled[:, -1]
+    columns = []
     for i, name in enumerate(SWEEP_COLUMNS, 1):
-        if name not in cells:
-            continue
-        values, applicable = cells[name]
-        if applicable is None:
-            applicable = np.ones(rows, bool)
-        table[:, i], filled[:, i] = values, applicable
-        take = applicable & (~any_filled | (values > best))
-        best[:] = np.where(take, values, best)
-        any_filled |= applicable
+        if name in cells:
+            values, applicable = cells[name]
+            columns.append((values, True if applicable is None else applicable))
+            table[:, i], filled[:, i] = columns[-1]
+    best, index = best_block(columns)
+    table[:, -1], filled[:, -1] = best, index >= 0
     codes = filled @ (1 << np.arange(_CELLS))
     return "".join(map(_LINE_FORMATS.__getitem__, codes.tolist())) \
         % tuple(table[filled].tolist())

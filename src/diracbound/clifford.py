@@ -57,6 +57,9 @@ SLOT_SYMMETRY_ATOL = 1e-12      # on T's last two slots, relative to max |T|
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715       # MIX_MULT_L, MIX_MULT_R
 _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+# mix_entropy's hash constants 16 steps on, and generate_state's: built once
+_HASH_A = np.array([_INIT_A * _MULT_A**(16 + j) % 2**32 for j in range(5)], np.uint32)
+_HASH_B = np.array([_INIT_B * _MULT_B**j % 2**32 for j in range(9)], np.uint32)
 
 _SIGMA1 = np.array([[0, 1], [1, 0]], dtype=complex)
 _SIGMA2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -367,13 +370,12 @@ def _stream_states(pool, seed, lo, k):
     operands are np.uint32, so the array products wrap mod 2^32.
     """
     u32 = np.uint32
-    skip = 16 + 4 * (max(4, (seed.bit_length() + 31) // 32) - 4)
-    hash_a = np.array([_INIT_A * pow(_MULT_A, skip + j, 2**32) % 2**32 for j in range(5)], u32)
-    hash_b = np.array([_INIT_B * pow(_MULT_B, j, 2**32) % 2**32 for j in range(9)], u32)
+    skip = 4 * (max(4, (seed.bit_length() + 31) // 32) - 4)    # steps past the first 16
+    hash_a = _HASH_A * u32(pow(_MULT_A, skip, 2**32))
     key = (np.arange(lo, lo + k, dtype=u32) ^ hash_a[:4, None]) * hash_a[1:, None]
     mixed = pool[:, None] * u32(_MIX_L) - (key ^ key >> u32(16)) * u32(_MIX_R)
     mixed ^= mixed >> u32(16)
-    words = (np.tile(mixed, (2, 1)) ^ hash_b[:8, None]) * hash_b[1:, None]
+    words = (np.tile(mixed, (2, 1)) ^ _HASH_B[:8, None]) * _HASH_B[1:, None]
     words ^= words >> u32(16)
     states = []
     for a, b, c, d in words.T.astype("<u4", order="C").view("<u8").tolist():

@@ -15,7 +15,7 @@ from diracbound import (CrossCheckFailed, DimensionError, Einstein, Method,
                         Product, RicciFlat, Sphere, Surface, Warped,
                         best_bound, bounds, condition_19, friedrich_bound,
                         harmonic_spinor_excluded, kaehler_bound, make_profile,
-                        optimize_minimax, realize, theorem31_block,
+                        named_example, optimize_minimax, realize, theorem31_block,
                         theorem31_bound, zero_scalar_bound)
 
 # flat torus times unit sphere: the closed-book reference case
@@ -213,10 +213,27 @@ def test_best_bound_reference_case():
 
 
 def test_best_bound_tie_prefers_closed_form():
-    # at r = 0.9 the numeric optimizer matches the closed form to 1e-15;
-    # the tie must resolve to the closed form's report
+    # at r = 0.9 theorem 3.1 applies, and the minimax column is its value,
+    # so the two tie exactly; the tie goes to the earlier report, theorem31
     best = best_bound(sphere_product(0.9))
     assert best.method is Method.THEOREM31
+    assert best.subreports[-1].value == best.value
+
+
+@pytest.mark.parametrize("kaehler", [False, True])
+@given(p=spectra)
+# zero_scalar 1 ulp below theorem31, and friedrich 1 ulp below theorem31
+@example(p=realize(named_example("m7-zero-scalar")))
+@example(p=realize(Product((Einstein(2, 0.9999999999999273), Surface(2.0)))))
+def test_best_bound_is_the_first_exact_maximum(kaehler, p):
+    # one rule for best: the largest applicable value, and of exactly equal
+    # ones the first in the fixed order; a Kaehler report where n is even
+    best = best_bound(p, p.n // 2 if kaehler and p.n % 2 == 0 else None)
+    applicable = [r for r in best.subreports if r.applicable]
+    top = max(r.value for r in applicable)
+    first = next(r for r in applicable if r.value == top)
+    assert best.value == top
+    assert best == replace(first, subreports=best.subreports)
 
 
 def test_best_bound_without_kaehler_dim():

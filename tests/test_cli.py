@@ -499,6 +499,21 @@ def test_csv_block_matches_per_cell_format(selected):
     assert cli._csv_block(params, cells) == _csv_reference(params, cells)
 
 
+def test_bound_and_sweep_pick_one_best(capsys, tmp_path):
+    # friedrich lies 1 ulp below theorem31 here; bound's best row and the
+    # sweep's first row must print the same value
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"product": [
+        {"einstein": {"n": 2, "scalar": 0.9999999999999273}}, {"surface": {"scalar": 2.0}}]}))
+    assert cli.main(["bound", "--csv", "--spec", str(path)]) == 0
+    best = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert cli.main(["sweep", "--spec", str(path), "--param", "surface_scalar",
+                     "--from", "2.0", "--to", "3.0", "--steps", "2"]) == 0
+    row = capsys.readouterr().out.splitlines()[1].split(",")
+    assert best[:2] == ["best", row[-1]] and best[-1] == "theorem31"
+    assert row[-1] == row[3]    # the theorem31 column
+
+
 def test_sweep_radius_outside_float_range_exits_1(run_cli):
     # 1e-200 squares to 0.0, which once ended in a bare "float division by zero"
     proc = run_cli("sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
