@@ -75,6 +75,11 @@ a two-dimensional Einstein factor of scalar just below 1 times a surface
 of scalar 2, where theorem 3.1's value lies 1 ulp above Friedrich's, as
 `bound --csv` and as the first row of a two-row `surface_scalar` sweep,
 which must print the same best.
+Last, theorem 3.1's far route, which divides A out where |kappa0| dwarfs
+the other fields: `bound --csv` on n = 4 and n = 2 profiles of kappa0 =
+-1e308 and R = 0, whose theorem31 values the near route misses by up to
+1.6e-10 relative, and on an n = 2 profile of kappa0 = -1e250 and R =
+1e-300, where A - 2ab rounds to 0, so s0 is 0.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -278,6 +283,16 @@ BEST_TIES = (
     ("sweep", "--spec", "<einstein-x-surface-near-tie>", "--param", "surface_scalar",
      "--from", "2.0", "--to", "3.0", "--steps", "2"),
 )
+# theorem 3.1's far route: kappa0 = -1e308 at R = 0, where the near route
+# misses, and kappa0 = -1e250 at R = 1e-300, where s0 rounds to 0
+DOCUMENTS.update({
+    "<kappa0-1e308-n4>": {"n": 4, "scalar": 0, "kappa0": -1e308, "ric_norm_sq_min": 50},
+    "<kappa0-1e308-n2>": {"n": 2, "scalar": 0, "kappa0": -1e308, "ric_norm_sq_min": 20},
+    "<far-s0-underflows>": {"n": 2, "scalar": 1e-300, "kappa0": -1e250,
+                            "ric_norm_sq_min": 1e-50},
+})
+FAR_ROUTE = tuple(("bound", "--csv", "--profile", doc) for doc in (
+    "<kappa0-1e308-n4>", "<kappa0-1e308-n2>", "<far-s0-underflows>"))
 # help and usage errors; each subcommand's -h, in the parser's order
 PARSER = (
     (), ("-h",),
@@ -318,7 +333,7 @@ def invocations():
     runs += [("verify", *argv) for argv in VERIFIES]
     return runs + [*FAILURES, *SCALED_GUARD, *PARSER, *ODE_FAILURES, *MINIMAX_EDGES,
                    *ODE_RUNS, *(("sweep", *argv) for argv in WARP_SWEEPS),
-                   *ZERO_SCALAR_EDGES, *ERROR_ORDER, *BEST_TIES]
+                   *ZERO_SCALAR_EDGES, *ERROR_ORDER, *BEST_TIES, *FAR_ROUTE]
 
 
 def capture(argv):
