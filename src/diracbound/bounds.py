@@ -246,17 +246,19 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
         scale = np.ldexp(1.0, np.frexp(size)[1] - 1)
         R, kappa0, t0 = R / scale, kappa0 / scale, t0 / scale / scale
         kappa0 = np.where(kappa0 > R / n, R / n, kappa0)
-        condition = t0 > (R / n - kappa0) * best_block(((R / (n - 1), True), (-R, True)))[0]
+        condition = t0 > (R / n - kappa0) * np.where(-R > R / (n - 1), -R, R / (n - 1))
         a, b, c, A = _shortcut_columns(n, R, kappa0, t0)
         applicable = condition & ~(A < DEGENERATE_A_ATOL)
         c2, d = c * c, A - 2.0 * a * b
-        root = np.sqrt(best_block(((a * a * c2 + A * d, True), (0.0, True)))[0])
+        disc = a * a * c2 + A * d
+        root = np.sqrt(np.where(0.0 > disc, 0.0, disc))
         value = A * A / (b * A - a * c2 + c * root) * scale
         s0 = d / (a * c2 + c * root)
         f_s0 = 2.0 * (a + A * s0) / (1.0 + 2.0 * b * s0 + c2 * (s0 * s0)) * scale
         if np.any(far):   # A divided out of value and s0, s0 out of f(s0)
             ratio = a * c / A
-            root = np.sqrt(best_block(((ratio * ratio + d / A, True), (0.0, True)))[0])
+            disc = ratio * ratio + d / A
+            root = np.sqrt(np.where(0.0 > disc, 0.0, disc))
             value = np.where(far, A * scale / (b - a * c2 / A + c * root), value)
             s0 = np.where(far, d / A / (a * c2 / A + c * root), s0)
             f_s0 = np.where(far, 2.0 * (a / s0 + A) * scale

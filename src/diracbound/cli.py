@@ -11,6 +11,7 @@ produce byte-identical bytes. CSV cells carry 17 significant digits so
 
 Every --out file is written whole by _write_whole, the package's only
 writer: to a temporary file beside it, renamed onto it once complete.
+`bound` and `sweep` write stdout through it too.
 `sweep` computes and writes its rows a block of SWEEP_BLOCK at a time;
 without --out they are spooled, in memory up to SPOOL_BYTES and on disk
 beyond, and copied to stdout once every row is, so a failing sweep
@@ -93,13 +94,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-def _emit(text, out_path):
-    if out_path:
-        _write_whole(out_path, lambda fh: fh.write(text))
-    else:
-        sys.stdout.write(text)
 
 
 def _write_whole(out_path, write):
@@ -220,11 +214,12 @@ def cmd_bound(args):
     profile = _load_profile(args)
     best = best_bound(profile, args.kaehler_dim)
     if args.json:
-        _emit(_bound_json(profile, best), args.out)
+        text = _bound_json(profile, best)
     elif args.csv:
-        _emit(_bound_csv(_bound_rows(best)), args.out)
+        text = _bound_csv(_bound_rows(best))
     else:
-        _emit(_bound_table(profile, _bound_rows(best)), args.out)
+        text = _bound_table(profile, _bound_rows(best))
+    _write_whole(args.out or None, lambda fh: fh.write(text))   # an empty --out is stdout
     if not best.applicable or not best.value or best.value <= 0.0:
         return EXIT_NO_BOUND
     return EXIT_OK
