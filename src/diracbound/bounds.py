@@ -200,10 +200,16 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
     sqrt(t0), sqrt(|R kappa0|), 2^-1000 |kappa0|), about sqrt(A), and A
     is tested in those units. Squares are products, so the scaling is
     exact outside underflow and overflow. Rows whose size max(|R|,
-    |kappa0|, sqrt(t0)) lies outside [2^-250, 2^250] also divide A^2 out,
-    so no term leaves the float range. A kappa0 above R/n, which a
-    profile accepts within its slack or gets from underflow, counts as
-    R/n: a lower kappa0 only weakens the hypothesis.
+    |kappa0|, sqrt(t0)) lies outside [2^-250, 2^250] also divide A out of
+    value and s0, and s0 out of f(s0) where s0 is not 0. Where |kappa0|
+    dwarfs the other fields the scale follows it, and A^2 / (bA + ...),
+    about A / b, is subnormal before it is scaled back: kappa0 = -1e308 at
+    R = 0, t0 = 50, n = 4 (pinned in scripts/cli_golden.py) read 1.6e-10
+    relative above the exact value without the division. Where A - 2ab
+    rounds to 0, s0 is 0 and f(s0) keeps the undivided form, 2a there. A
+    kappa0 above R/n, which a profile accepts within its slack or gets
+    from underflow, counts as R/n: a lower kappa0 only weakens the
+    hypothesis.
 
     minimax and t_star maximize the mini-max bound r(t), the larger root
     of G(x, t) = x^2 - 2 a x + 2 b t x - 2 A t + c^2 t^2, over t in [0,
@@ -261,7 +267,7 @@ def theorem31_block(n, scalar, kappa0, traceless_norm_sq_min):
             root = np.sqrt(np.where(0.0 > disc, 0.0, disc))
             value = np.where(far, A * scale / (b - a * c2 / A + c * root), value)
             s0 = np.where(far, d / A / (a * c2 / A + c * root), s0)
-            f_s0 = np.where(far, 2.0 * (a / s0 + A) * scale
+            f_s0 = np.where(far & (s0 != 0.0), 2.0 * (a / s0 + A) * scale
                             / (1.0 / s0 + 2.0 * b + c2 * s0), f_s0)
         s0 = s0 / scale
         failed = applicable & ~_closed_forms_agree(value, f_s0)

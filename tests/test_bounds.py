@@ -3,6 +3,7 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -563,6 +564,35 @@ def test_theorem31_scales_rows_beyond_2_to_250():
     assert th.value == pytest.approx(mm.value, rel=1e-9)
     assert th.value == pytest.approx(1e150 * theorem31_bound(
         make_profile(4, 1.0, 0.0, 0.5)).value, rel=1e-12)
+
+
+def _theorem31_exact(p):
+    """theorem 3.1's A^2 / (bA - ac^2 + c sqrt(a^2c^2 + A d)) to 100 digits,
+    from the profile's floats."""
+    with mpmath.workdps(100):
+        n = p.n
+        R, kappa0, t0 = map(mpmath.mpf, (p.scalar, p.kappa0, p.traceless_norm_sq_min))
+        a = n * R / (8 * (n - 1))
+        b = mpmath.mpf(n) / (n - 1) * (R / n - kappa0)
+        csq = mpmath.mpf(n) / (n - 1) * t0
+        c = mpmath.sqrt(csq)
+        A = csq / 4 + 2 * mpmath.mpf(n - 1) / n * a * b
+        d = A - 2 * a * b
+        return A * A / (b * A - a * csq + c * mpmath.sqrt(a * a * csq + A * d))
+
+
+@pytest.mark.parametrize("args", [(4, 0.0, -1e308, 50.0), (2, 0.0, -1e308, 20.0),
+                                  (2, 1e-300, -1e250, 1e-50)])
+def test_theorem31_far_route_matches_exact_value(args):
+    # |kappa0| dwarfs the other fields: the near route's A^2 / (bA + ...)
+    # is subnormal and read 1.2500000001947012e-307 on the first row,
+    # strict and above the exact 1.25e-307; on the last, A - 2ab rounds
+    # to 0, s0 is 0 and the far f(s0) read inf / inf
+    p = make_profile(*args)
+    th = theorem31_bound(p)
+    assert th.applicable
+    exact = _theorem31_exact(p)
+    assert abs(th.value - exact) <= 1e-15 * exact
 
 
 def test_theorem31_lowers_kappa0_above_the_mean_to_it():
