@@ -24,8 +24,8 @@ from .catalog import (EXAMPLES, Einstein, ManifoldSpec, Product, Sphere,
 from .clifford import (BatchSummary, CliffordRep, TraceResiduals, build_rep,
                        run_identity_batch, verify_lemma15, verify_ricci_trace)
 from .errors import (CompositionError, CrossCheckFailed, DimensionError,
-                     DiracBoundError, InconsistentProfile, NonPositiveF,
-                     NotSymmetric, ParameterRange, RicciFlat,
+                     DiracBoundError, InconsistentProfile, MalformedDocument,
+                     NonPositiveF, NotSymmetric, ParameterRange, RicciFlat,
                      ShapeError, UnknownExample)
 from .profile import (RicciProfile, make_profile, profile_from_dict,
                       profile_to_dict)
@@ -46,7 +46,7 @@ __all__ = [
     "BatchSummary", "BoundReport", "CliffordRep", "CompositionError",
     "CrossCheckFailed", "CurvatureTrack", "DimensionError", "DiracBoundError",
     "EXAMPLES",
-    "Einstein", "InconsistentProfile", "ManifoldSpec", "Method",
+    "Einstein", "InconsistentProfile", "MalformedDocument", "ManifoldSpec", "Method",
     "NonPositiveF", "NotSymmetric", "OptimizerInfo", "ParameterRange",
     "Product", "RicciFlat", "RicciProfile", "ShapeError", "Sphere", "Surface",
     "TraceResiduals",

@@ -30,8 +30,8 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (CompositionError, DimensionError, ParameterRange,
-                     UnknownExample)
+from .errors import (CompositionError, DimensionError, MalformedDocument,
+                     ParameterRange, UnknownExample)
 from .profile import (MAX_EINSTEIN_DIM, as_float, broken, profile_columns, raise_first,
                       row_of_one)
 from .warp import WARP_SCALAR, warp_extremals
@@ -279,9 +279,9 @@ def _field_value(body, kind, field):
     types, wanted, convert = _NUMBERS[field.type]
     value = body.get(field.name)
     if isinstance(value, bool) or not isinstance(value, types):
-        raise ValueError(f"{kind} field '{field.name}' must be {wanted}")
+        raise MalformedDocument(f"{kind} field '{field.name}' must be {wanted}")
     if not abs(value) <= sys.float_info.max:  # NaN, +-inf, an int beyond floats
-        raise ValueError(f"{kind} field '{field.name}' must be finite")
+        raise MalformedDocument(f"{kind} field '{field.name}' must be finite")
     return convert(value)
 
 
@@ -294,23 +294,23 @@ def spec_from_dict(data):
 def _parse_spec(data, levels):
     """spec_from_dict, with `levels` more products allowed inside data."""
     if not isinstance(data, dict) or len(data) != 1:
-        raise ValueError("spec document must be an object with exactly one "
-                         f"of: {', '.join(SPEC_KINDS)}")
+        raise MalformedDocument("spec document must be an object with exactly one "
+                                f"of: {', '.join(SPEC_KINDS)}")
     (kind, body), = data.items()
     if kind == "product":
         if not isinstance(body, list):
-            raise ValueError("spec field 'product' must be a list of specs")
+            raise MalformedDocument("spec field 'product' must be a list of specs")
         if len(body) < 2:
-            raise ValueError("spec field 'product' needs at least two factors")
+            raise MalformedDocument("spec field 'product' needs at least two factors")
         if levels == 0:
-            raise ValueError(f"spec products nest more than {MAX_SPEC_DEPTH} deep")
+            raise MalformedDocument(f"spec products nest more than {MAX_SPEC_DEPTH} deep")
         return Product(tuple(_parse_spec(item, levels - 1) for item in body))
     if kind not in SPEC_KINDS:
-        raise ValueError(f"unknown spec kind '{kind}'")
+        raise MalformedDocument(f"unknown spec kind '{kind}'")
     if not isinstance(body, dict):
-        raise ValueError(f"spec field '{kind}' must be an object")
+        raise MalformedDocument(f"spec field '{kind}' must be an object")
     cls = SPEC_KINDS[kind]
     unknown = set(body) - {f.name for f in fields(cls)}
     if unknown:
-        raise ValueError(f"unknown {kind} field '{sorted(unknown)[0]}'")
+        raise MalformedDocument(f"unknown {kind} field '{sorted(unknown)[0]}'")
     return cls(**{f.name: _field_value(body, kind, f) for f in fields(cls)})

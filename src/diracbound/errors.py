@@ -7,6 +7,11 @@ class DiracBoundError(Exception):
     """Base class for every error raised by this package."""
 
 
+class MalformedDocument(DiracBoundError, ValueError):
+    """A profile or spec document has the wrong shape: a missing, unknown,
+    mistyped or non-finite field."""
+
+
 class DimensionError(DiracBoundError):
     """A dimension argument is outside the supported range."""
 

@@ -23,7 +23,7 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import DimensionError, InconsistentProfile
+from .errors import DimensionError, InconsistentProfile, MalformedDocument
 
 # relative slack of every consistency relation: the data is exact to round-off
 EXACT_RTOL = 1e-12
@@ -199,23 +199,23 @@ def profile_to_dict(profile):
 def profile_from_dict(data):
     """Build a profile from parsed JSON; errors name the offending field."""
     if not isinstance(data, dict):
-        raise ValueError("profile document must be a JSON object")
+        raise MalformedDocument("profile document must be a JSON object")
     for key in _FIELDS:
         if key not in data:
-            raise ValueError(f"profile field '{key}' is missing")
+            raise MalformedDocument(f"profile field '{key}' is missing")
     if not isinstance(data["n"], int) or isinstance(data["n"], bool):
-        raise ValueError("profile field 'n' must be an integer")
+        raise MalformedDocument("profile field 'n' must be an integer")
     for key in _FIELDS[1:]:
         if not isinstance(data[key], (int, float)) or isinstance(data[key], bool):
-            raise ValueError(f"profile field '{key}' must be a number")
+            raise MalformedDocument(f"profile field '{key}' must be a number")
     eigs = data.get("eigenvalues")
     if eigs is not None:
         if (not isinstance(eigs, list)
                 or any(isinstance(e, bool) or not isinstance(e, (int, float))
                        for e in eigs)):
-            raise ValueError("profile field 'eigenvalues' must be a list of numbers")
+            raise MalformedDocument("profile field 'eigenvalues' must be a list of numbers")
     unknown = set(data) - set(_FIELDS) - {"eigenvalues"}
     if unknown:
-        raise ValueError(f"unknown profile field '{sorted(unknown)[0]}'")
+        raise MalformedDocument(f"unknown profile field '{sorted(unknown)[0]}'")
     return make_profile(data["n"], data["scalar"], data["kappa0"],
                         data["ric_norm_sq_min"], eigs)

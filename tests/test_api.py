@@ -5,9 +5,9 @@ import diracbound as db
 PUBLIC = [
     "BatchSummary", "BoundReport", "CliffordRep", "CompositionError", "CrossCheckFailed",
     "CurvatureTrack", "DimensionError", "DiracBoundError", "EXAMPLES", "Einstein",
-    "InconsistentProfile", "ManifoldSpec", "Method", "NonPositiveF", "NotSymmetric",
-    "OptimizerInfo", "ParameterRange", "Product", "RicciFlat", "RicciProfile", "ShapeError",
-    "Sphere", "Surface", "TraceResiduals", "UnknownExample", "WarpExtremals",
+    "InconsistentProfile", "MalformedDocument", "ManifoldSpec", "Method", "NonPositiveF",
+    "NotSymmetric", "OptimizerInfo", "ParameterRange", "Product", "RicciFlat", "RicciProfile",
+    "ShapeError", "Sphere", "Surface", "TraceResiduals", "UnknownExample", "WarpExtremals",
     "WarpTrajectory", "Warped", "best_bound", "build_rep", "condition_19", "curvature_track",
     "energy_drift", "friedrich_block", "friedrich_bound", "harmonic_spinor_excluded",
     "integrate_warp", "kaehler_block", "kaehler_bound", "load_schema", "make_profile",

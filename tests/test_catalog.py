@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diracbound import (EXAMPLES, CompositionError, DimensionError, DiracBoundError,
-                        Einstein, ParameterRange, Product, Sphere, Surface,
+                        Einstein, MalformedDocument, ParameterRange, Product, Sphere, Surface,
                         UnknownExample, Warped, named_example, realize,
                         spec_from_dict, spec_to_dict)
 from diracbound import catalog
@@ -142,7 +142,7 @@ def test_spec_dict_round_trip():
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
 
-@pytest.mark.parametrize("doc,pattern", [
+SPEC_DIAGNOSTICS = [
     ("nope", "exactly one"),
     ({"einstein": {"n": 4, "scalar": 1.0}, "surface": {"scalar": 1.0}},
      "exactly one"),
@@ -159,7 +159,10 @@ def test_spec_dict_round_trip():
     (json.loads('{"warped": {"n": 5, "f0": -Infinity}}'),
      "warped field 'f0' must be finite"),
     ({"surface": {"scalar": 10**400}}, "surface field 'scalar' must be finite"),
-])
+]
+
+
+@pytest.mark.parametrize("doc,pattern", SPEC_DIAGNOSTICS)
 def test_spec_from_dict_diagnostics(doc, pattern):
     with pytest.raises(ValueError, match=pattern):
         spec_from_dict(doc)
@@ -180,6 +183,16 @@ def test_spec_products_nest_at_most_32_deep():
     for depth in (catalog.MAX_SPEC_DEPTH + 1, 5000):
         with pytest.raises(ValueError, match="nest more than 32 deep"):
             spec_from_dict(_nested(depth))
+
+
+@pytest.mark.parametrize("doc,pattern", [
+    *SPEC_DIAGNOSTICS, ({"surface": 1.0}, "must be an object"),
+    (_nested(catalog.MAX_SPEC_DEPTH + 1), "nest more than 32 deep")])
+def test_spec_from_dict_raises_malformed_document(doc, pattern):
+    # a DiracBoundError, and still the ValueError it used to be
+    with pytest.raises(MalformedDocument, match=pattern) as info:
+        spec_from_dict(doc)
+    assert isinstance(info.value, DiracBoundError) and isinstance(info.value, ValueError)
 
 
 def test_registry_catalog_is_schema_valid(schema_validator):

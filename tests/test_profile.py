@@ -10,8 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_spectrum_profile, spectrum_profile
-from diracbound import (DimensionError, InconsistentProfile, make_profile,
-                        profile_from_dict, profile_to_dict)
+from diracbound import (DimensionError, DiracBoundError, InconsistentProfile,
+                        MalformedDocument, make_profile, profile_from_dict,
+                        profile_to_dict)
 from diracbound.catalog import Sphere
 from diracbound import profile
 from diracbound.profile import profile_columns
@@ -110,7 +111,7 @@ def test_dict_round_trip():
     assert profile_from_dict(d) == bare
 
 
-@pytest.mark.parametrize("doc,pattern", [
+PROFILE_DIAGNOSTICS = [
     ([1, 2], "object"),
     ({"n": 4, "scalar": 2.0, "kappa0": 0.0}, "ric_norm_sq_min"),
     ({"n": 4.0, "scalar": 2.0, "kappa0": 0.0, "ric_norm_sq_min": 2.0}, "integer"),
@@ -119,10 +120,21 @@ def test_dict_round_trip():
       "eigenvalues": "nope"}, "eigenvalues"),
     ({"n": 4, "scalar": 2.0, "kappa0": 0.0, "ric_norm_sq_min": 2.0,
       "extra": 1}, "extra"),
-])
+]
+
+
+@pytest.mark.parametrize("doc,pattern", PROFILE_DIAGNOSTICS)
 def test_from_dict_diagnostics(doc, pattern):
     with pytest.raises(ValueError, match=pattern):
         profile_from_dict(doc)
+
+
+@pytest.mark.parametrize("doc,pattern", PROFILE_DIAGNOSTICS)
+def test_from_dict_raises_malformed_document(doc, pattern):
+    # a DiracBoundError, and still the ValueError it used to be
+    with pytest.raises(MalformedDocument, match=pattern) as info:
+        profile_from_dict(doc)
+    assert isinstance(info.value, DiracBoundError) and isinstance(info.value, ValueError)
 
 
 def test_squares_are_correctly_rounded(monkeypatch):
