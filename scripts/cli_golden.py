@@ -58,8 +58,10 @@ equilibrium, so re-based at the orbit's minimum), at f0 = 0.99999999
 (where V's divided differences come from its Taylor series at F = 1),
 at f0 = 1e-10 (where the nodes are clustered at F_min) and at f0 =
 1e-100, which exits 1 with the Fourier tail that the node cap leaves
-and writes no track; the `--out` track of each run that writes one is
-recorded as its sha256 and line count beside the summary. Then two
+and writes no track, and at f0 = 1e300, far above the separatrix,
+where F^(6/5) leaves the float range, which exits 1 and writes no track
+either; the `--out` track of each run that writes one is recorded as
+its sha256 and line count beside the summary. Then two
 300-row m7-sigma `f0` sweeps recorded by their sha256, one over
 [1e-9, 1e-3] and one over [0.999, 1], which ends on the constant
 orbit. Then `bound --csv` on a profile whose scalar, kappa0 and |Ric|^2
@@ -253,7 +255,7 @@ MINIMAX_EDGES = (
 # the warp turning points: ode runs with their track, and f0 sweeps near
 # both ends of (0, 1]
 ODE_RUNS = tuple(("ode", "--f0", f0, "--out", TRACK)
-                 for f0 in ("0.3", "1.3", "0.99999999", "1e-10", "1e-100"))
+                 for f0 in ("0.3", "1.3", "0.99999999", "1e-10", "1e-100", "1e300"))
 WARP_SWEEPS = (
     ("--example", "m7-sigma", "--param", "f0",
      "--from", "1e-9", "--to", "1e-3", "--steps", "300"),
