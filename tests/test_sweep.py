@@ -276,7 +276,22 @@ _BIG_N = 10**308   # a JSON integer that is a float; two of them sum past floats
      ["--param", "surface_scalar", "--from", "0", "--to", "1", "--steps", "3"],
      cli.EXIT_USAGE, f"einstein field 'n' must be at most 1000000, got {_BIG_N} "
                      "(at surface_scalar = 0.0)"),
-], ids=["later-block", "kaehler-dim", "cross-check", "n-beyond-floats"])
+    # the Kaehler rule breaks every row, so it wins over a later cross-check
+    ({"product": [{"einstein": {"n": 2, "scalar": -339535793094.0}},
+                  {"surface": {"scalar": 1.0}}]},
+     ["--param", "surface_scalar", "--from", "-2", "--to", "2", "--steps", "2001",
+      "--kaehler-dim", "3"],
+     cli.EXIT_USAGE, "complex dimension 3 needs n = 6, profile has n = 4 "
+                     "(at surface_scalar = -2.0)"),
+    # and a realize rule of the same row wins over the Kaehler rule
+    ({"product": [{"einstein": {"n": _BIG_N, "scalar": 1.0}},
+                  {"einstein": {"n": _BIG_N, "scalar": 1.0}}, {"surface": {"scalar": 1.0}}]},
+     ["--param", "surface_scalar", "--from", "0", "--to", "1", "--steps", "3",
+      "--kaehler-dim", "2"],
+     cli.EXIT_USAGE, f"einstein field 'n' must be at most 1000000, got {_BIG_N} "
+                     "(at surface_scalar = 0.0)"),
+], ids=["later-block", "kaehler-dim", "cross-check", "n-beyond-floats",
+        "kaehler-dim-before-cross-check", "n-beyond-floats-before-kaehler-dim"])
 def test_failing_sweep_is_reported_from_its_block(capsys, monkeypatch, tmp_path,
                                                   spec, argv, code, message):
     # the block's own record of broken rules names the row and the rule:
