@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CrossCheckFailed, DimensionError, RicciFlat
-from .profile import broken, raise_first
+from .profile import as_float, broken, raise_first
 
 # |R| at most this times sqrt(n |Ric|_0^2) counts as vanishing scalar curvature
 SCALAR_ZERO_ATOL = 1e-12
@@ -137,18 +137,25 @@ def friedrich_bound(profile):
     return BoundReport(Method.FRIEDRICH, value, False, True)
 
 
-def kaehler_block(n, scalar, complex_dim):
-    """Kaehler values of a block of rows of dimension n; see kaehler_bound."""
+@np.errstate(all="ignore")   # an m beyond floats gives NaN, where the rule breaks
+def _kaehler_columns(n, scalar, complex_dim):
+    """(values, failures) of kaehler_block; failures records its one-row
+    rule table, m >= 1 and n = 2m (see profile.broken)."""
     m = int(complex_dim)
-    if m < 1 or n != 2 * m:
-        raise DimensionError(
-            f"complex dimension {m} needs n = {2 * m}, profile has n = {n}")
+    failures = broken(((lambda c: c["m"] < 1 or c["n"] != c["2m"], DimensionError,
+                        "complex dimension {m} needs n = {2m}, profile has n = {n}"),),
+                      {"m": m, "2m": 2 * m, "n": n})
     R = np.asarray(scalar, dtype=float)
-    if m % 2 == 1:
-        value = (m + 1) * R / (4.0 * m)
-    else:
-        value = m * R / (4.0 * (m - 1))
-    return np.where(R <= 0.0, 0.0, value)
+    k = as_float(m) + m % 2   # m rounded up to even: k R / (4 (k - 1)) for both parities
+    return np.where(R <= 0.0, 0.0, k * R / (4.0 * (k - 1.0))), failures
+
+
+def kaehler_block(n, scalar, complex_dim):
+    """Kaehler values of a block of rows of dimension n; see kaehler_bound.
+    DimensionError unless m = complex_dim >= 1 and n = 2m."""
+    values, failures = _kaehler_columns(n, scalar, complex_dim)
+    raise_first(failures)
+    return values
 
 
 def kaehler_bound(profile, complex_dim):
@@ -289,7 +296,7 @@ def _checked_theorem31(profile):
     """theorem31_block of one profile; CrossCheckFailed if its cross-check fails."""
     th = theorem31_block(profile.n, profile.scalar, profile.kappa0,
                          profile.traceless_norm_sq_min)
-    raise_first(cross_check(th), 0)
+    raise_first(cross_check(th))
     return th
 
 
@@ -362,6 +369,30 @@ def _minimax_report(th):
 
 
 # --- aggregation -----------------------------------------------------------
+
+@np.errstate(all="ignore")   # rows that break a rule hold unchecked values
+def bound_columns(profile, methods, complex_dim):
+    """(columns, failures) of a block's profile: name -> (values, applicable
+    mask or True) of the named methods among friedrich, kaehler (if
+    complex_dim is not None), theorem31 and minimax_numeric; failures
+    records the Kaehler rule, then theorem 3.1's cross-check. n enters as
+    a float: an n beyond floats gives NaN rows, which break a profile rule."""
+    R, dim = profile.scalar, as_float(profile.n)
+    columns, failures = {}, []
+    if "friedrich" in methods:
+        columns["friedrich"] = friedrich_block(dim, R), True
+    if "kaehler" in methods and complex_dim is not None:
+        values, failures = _kaehler_columns(profile.n, R, complex_dim)
+        columns["kaehler"] = values, True
+    if "theorem31" in methods or "minimax_numeric" in methods:
+        th = theorem31_block(dim, R, profile.kappa0, profile.traceless_norm_sq_min)
+        failures = failures + cross_check(th)
+    if "theorem31" in methods:
+        columns["theorem31"] = th.value, th.applicable
+    if "minimax_numeric" in methods:
+        columns["minimax_numeric"] = th.minimax, True
+    return columns, failures
+
 
 def best_bound(profile, complex_dim=None):
     """Evaluate every applicable bound and return the winner, as best_block

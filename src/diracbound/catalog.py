@@ -23,17 +23,15 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields, replace
-from functools import reduce
 from itertools import repeat
-from operator import or_
 from typing import Union
 
 import numpy as np
 
 from .errors import (CompositionError, DimensionError, MalformedDocument,
                      ParameterRange, UnknownExample)
-from .profile import (MAX_EINSTEIN_DIM, as_float, broken, profile_columns, raise_first,
-                      row_of_one)
+from .profile import (MAX_EINSTEIN_DIM, as_float, broken, failing_rows, profile_columns,
+                      raise_first, row_of_one)
 from .warp import WARP_SCALAR, warp_extremals
 
 # products nested deeper are refused: every spec walk recurses per level
@@ -184,7 +182,7 @@ def _block(spec, vary=None):
     if vary is not None and isinstance(spec, vary[0]):
         values[vary[1]] = vary[2]
     failures = broken(spec._rules, values)
-    bad = reduce(or_, (mask for mask, *_ in failures), False)
+    bad = failing_rows(failures)
     *columns, spectrum = spec._columns(**{
         key: np.where(bad, np.nan, value) if isinstance(value, np.ndarray)
         else value for key, value in values.items()})
@@ -202,7 +200,7 @@ def realize(spec):
     """The RicciProfile of a spec, with Python numbers in its fields;
     raises the first rule that its parameters break."""
     profile, failures, spectrum = _block(spec)
-    raise_first(failures, 0)
+    raise_first(failures)
     profile = row_of_one(profile)
     if spectrum is None:
         return profile
@@ -215,9 +213,10 @@ def realize_columns(spec, cls, name):
     The family sets float field `name` of the one `cls` leaf of spec;
     CompositionError unless cls is a leaf kind with that float field and
     spec holds exactly one cls leaf, as no other binding sets one field.
-    The profile's number fields are arrays; profile.raise_first(failures,
-    row) raises what realize raises on the row's member, and every row
-    that breaks none of the failures equals realize's profile bit for bit.
+    The profile's number fields are arrays; profile.raise_first(failures)
+    raises what realize raises on the member of the first row that breaks
+    one, and every row that breaks none of the failures equals realize's
+    profile bit for bit.
     """
     kind = _KIND_OF.get(cls, "product")
     if kind == "product" or name not in [f.name for f in fields(cls) if f.type == "float"]:

@@ -16,10 +16,10 @@ writer: to a temporary file beside it, renamed onto it once complete.
 without --out they are spooled, in memory up to SPOOL_BYTES and on disk
 beyond, and copied to stdout once every row is, so a failing sweep
 prints nothing and memory does not grow with --steps. A block records
-the rules that its rows break (realize_columns, then theorem 3.1's
-cross-check; see profile), and its first row that breaks one raises
-the first of them that it breaks, as realize and the report functions
-would on that row alone, with the parameter value added.
+the rules that its rows break (realize_columns', then the Kaehler rule
+and theorem 3.1's cross-check; see profile), and its first row that
+breaks one raises the first of them that it breaks, as realize and the
+report functions would on that row alone, with the parameter value added.
 
 Exit codes: 0 success, 1 input or validation error (among them an
 `ode --tol` that the quadrature's node cap cannot reach, which only an
@@ -49,8 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from . import clifford, warp
-from .bounds import (best_block, best_bound, cross_check, friedrich_block, kaehler_block,
-                     theorem31_block)
+from .bounds import best_block, best_bound, bound_columns
 from .catalog import (EXAMPLES, Sphere, Surface, Warped, named_example, realize,
                       realize_columns, spec_from_dict, spec_to_dict)
 from .errors import CrossCheckFailed, DiracBoundError
@@ -241,27 +240,6 @@ def _sweep_grid(start, stop, steps, lo, hi):
     return grid
 
 
-def _bound_cells(profile, selected, kaehler_dim):
-    """(cells, failures): name -> (values, applicable or None) of the
-    selected bound columns, and theorem31's cross-check failures; the
-    minimax_numeric column is one of theorem31_block's."""
-    n, R = profile.n, profile.scalar
-    kappa0, t0 = profile.kappa0, profile.traceless_norm_sq_min
-    cells, failures = {}, []
-    if "friedrich" in selected:
-        cells["friedrich"] = friedrich_block(n, R), None
-    if "kaehler" in selected and kaehler_dim is not None:
-        cells["kaehler"] = kaehler_block(n, R, kaehler_dim), None
-    if "theorem31" in selected or "minimax_numeric" in selected:
-        th = theorem31_block(n, R, kappa0, t0)
-        failures = cross_check(th)
-    if "theorem31" in selected:
-        cells["theorem31"] = th.value, th.applicable
-    if "minimax_numeric" in selected:
-        cells["minimax_numeric"] = th.minimax, None
-    return cells, failures
-
-
 # the line format of each pattern of filled cells (param, SWEEP_COLUMNS,
 # best): bit i of the index is set where cell i is filled
 _CELLS = len(SWEEP_COLUMNS) + 2
@@ -281,8 +259,7 @@ def _csv_block(params, cells):
     columns = []
     for i, name in enumerate(SWEEP_COLUMNS, 1):
         if name in cells:
-            values, applicable = cells[name]
-            columns.append((values, True if applicable is None else applicable))
+            columns.append(cells[name])
             table[:, i], filled[:, i] = columns[-1]
     best, index = best_block(columns)
     table[:, -1], filled[:, -1] = best, index >= 0
@@ -293,28 +270,11 @@ def _csv_block(params, cells):
 
 def _sweep_block(realize_block, params, args, selected):
     """CSV text of one block of parameter values. Its first row that
-    breaks a rule, or theorem31's cross-check (with theorem31 or
-    minimax_numeric selected), raises the first failure it breaks. Where
-    the bound columns raise for every row (a --kaehler-dim that matches
-    no n, an n beyond floats), the first row's broken rule wins."""
-    def at(row):
-        return f" (at {args.param} = {float(params[row])!r})"
-
+    breaks a rule the block records (realize_columns', then bound_columns')
+    raises the first it breaks, with the parameter value added."""
     profile, failures = realize_block(params)
-    try:
-        with np.errstate(all="ignore"):   # rows that break a rule hold unchecked values
-            cells, more = _bound_cells(profile, selected, args.kaehler_dim)
-    except (DiracBoundError, ArithmeticError) as exc:
-        raise_first(failures, 0, at(0))
-        exc.args = (f"{exc}{at(0)}",)
-        raise
-    failures += more
-    bad = np.zeros(len(params), bool)
-    for mask, *_ in failures:
-        bad |= mask
-    if bad.any():
-        row = int(np.argmax(bad))
-        raise_first(failures, row, at(row))
+    cells, more = bound_columns(profile, selected, args.kaehler_dim)
+    raise_first(failures + more, lambda row: f" (at {args.param} = {float(params[row])!r})")
     return _csv_block(params, cells)
 
 

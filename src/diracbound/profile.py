@@ -9,10 +9,11 @@ pointwise inequalities is accepted. An optional eigenvalue list covers
 the parallel-Ricci case where the spectrum is constant.
 
 Each validity rule is one row of an ordered table (PROFILE_RULES here;
-the spec kinds' rules in catalog; theorem 3.1's cross-check in bounds).
-`broken` records the rules that a block of rows breaks, and raise_first
-raises the first that a given row breaks. make_profile is profile_columns
-on a block of one; the eigenvalue list is then checked in scalar code.
+the spec kinds' rules in catalog; the Kaehler rule and theorem 3.1's
+cross-check in bounds). `broken` records the rules that a block of rows
+breaks, and raise_first raises the first that the first failing row
+breaks. make_profile is profile_columns on a block of one; the
+eigenvalue list is then checked in scalar code.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
+from operator import or_
 
 import numpy as np
 
@@ -71,13 +73,20 @@ def _at(column, row):
     return column
 
 
-def raise_first(failures, row, note=""):
-    """Raise the first of the failures that `row` breaks, as error(message)
-    formatted with that row's values and followed by note."""
+def failing_rows(failures):
+    """The rows of a block that break some failure: a mask or a bool."""
+    return reduce(or_, (mask for mask, *_ in failures), False)
+
+
+def raise_first(failures, note=lambda row: ""):
+    """Take the first row that breaks some failure (row 0 of a block of
+    one) and raise the first failure it breaks, as error(message)
+    formatted with that row's values and followed by note(row)."""
+    row = int(np.argmax(failing_rows(failures)))
     for mask, error, message, columns in failures:
         if _at(mask, row):
             raise error(message.format_map(
-                {key: _at(value, row) for key, value in columns.items()}) + note)
+                {key: _at(value, row) for key, value in columns.items()}) + note(row))
 
 
 def _slack(*values):
@@ -153,7 +162,7 @@ def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None):
     """
     profile, failures = profile_columns(
         int(n), *([as_float(v)] for v in (scalar, kappa0, ric_norm_sq_min)))
-    raise_first(failures, 0)
+    raise_first(failures)
     profile = row_of_one(profile)
     if eigenvalues is None:
         return profile

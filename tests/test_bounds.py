@@ -37,6 +37,7 @@ def test_friedrich_values():
     assert r.value == 0.0 and r.applicable and not r.strict
 
 
+@pytest.mark.filterwarnings("error")
 def test_kaehler_parities():
     assert kaehler_bound(T2XS2, 2).value == pytest.approx(1.0, rel=1e-15)
     cp3like = make_profile(6, 30.0, 5.0, 150.0, (5.0,) * 6)
@@ -44,8 +45,11 @@ def test_kaehler_parities():
     assert kaehler_bound(cp3like, 3).value == pytest.approx(10.0, rel=1e-15)
     assert friedrich_bound(cp3like).value == pytest.approx(9.0, rel=1e-15)
     assert kaehler_bound(spectrum_profile([-1.0, -1.0]), 1).value == 0.0
-    with pytest.raises(DimensionError):
-        kaehler_bound(T2XS2, 3)
+    # m below 1 or beyond floats fails the rule alone, without a warning
+    for m in (3, 0, 10**400):
+        with pytest.raises(DimensionError, match=f"^complex dimension {m} needs "
+                                                 f"n = {2 * m}, profile has n = 4$"):
+            kaehler_bound(T2XS2, m)
 
 
 def test_shortcut_values_reference_case():

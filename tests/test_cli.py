@@ -449,7 +449,6 @@ def test_sweep_rows_independent_of_block_size(capsys, monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(bounds, "theorem31_block", counted)
-    monkeypatch.setattr(cli, "theorem31_block", counted)
     outputs = []
     for size in (1, 7, cli.SWEEP_BLOCK):
         monkeypatch.setattr(cli, "SWEEP_BLOCK", size)
@@ -468,7 +467,7 @@ def _csv_reference(params, cells):
         row, best = ["%.17g" % param], None
         for name in cli.SWEEP_COLUMNS:
             values, applicable = cells.get(name, (None, None))
-            if values is None or (applicable is not None and not applicable[r]):
+            if values is None or (applicable is not True and not applicable[r]):
                 row.append("")
                 continue
             value = float(values[r])
@@ -494,7 +493,7 @@ def test_csv_block_matches_per_cell_format(selected):
         values = rng.permutation(np.concatenate((special, rng.normal(
             scale=10.0, size=rows - len(special)))))
         values[rng.random(rows) < 0.2] = -0.0   # ties with 0 keep the first
-        applicable = None if name == "friedrich" else rng.random(rows) < 0.7
+        applicable = True if name == "friedrich" else rng.random(rows) < 0.7
         cells[name] = values, applicable
     assert cli._csv_block(params, cells) == _csv_reference(params, cells)
 
