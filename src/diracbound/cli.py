@@ -317,9 +317,9 @@ def cmd_sweep(args):
 def cmd_ode(args):
     try:
         traj = warp.integrate_warp(args.f0, args.tol)
-    except CrossCheckFailed:
-        raise
-    except ArithmeticError as exc:      # the node cap leaves the tail above tol
+    except ArithmeticError as exc:
+        if type(exc) is not ArithmeticError:   # only the node cap raises a bare one
+            raise
         raise ArithmeticError(f"{exc}; a larger --tol accepts it") from None
     track = warp.curvature_track(traj)
     ext = warp.warp_extremals(traj.f0)

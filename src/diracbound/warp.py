@@ -136,10 +136,15 @@ def _bounded_energy(f0):
     """V(f0), the energy of the orbit through F(0) = f0, if it is bounded.
     V < 0 on (0, 1], also where V(f0) underflows to 0 (f0 < 1e-269). Above
     1, E < -1e-12 keeps the lower turning point, which _rebase bisects for
-    on [1e-12, 1], above 1e-10, as V(F) > -(5/6) F^(6/5)."""
+    on [1e-12, 1], above 1e-10, as V(F) > -(5/6) F^(6/5). Where f0^(6/5)
+    leaves the float range (f0 above about 7.6e256), f0^2 / 2 has already:
+    V counts as +inf, as its exact value dwarfs every float."""
     if not f0 > 0.0:
         raise NonPositiveF(f"F(0) must be positive, got {f0}")
-    energy = _potential(f0)
+    try:
+        energy = _potential(f0)
+    except OverflowError:
+        energy = math.inf
     if f0 > 1.0 and not energy < -1e-12:
         raise NonPositiveF(
             f"orbit through F(0) = {f0} has energy {energy}, not below -1e-12: "

@@ -146,7 +146,8 @@ def test_closed_form_input_gates():
         with pytest.raises(NonPositiveF):
             warp_extremals(f0)
     # E >= 0: at and above the separatrix F = (5/3)^(5/4) the orbit reaches F = 0
-    for f0 in ((5.0 / 3.0) ** 1.25 + 1e-9, 2.0, math.inf):
+    # at 1e260 and 1e308, F^(6/5) leaves the float range, where V counts as +inf
+    for f0 in ((5.0 / 3.0) ** 1.25 + 1e-9, 2.0, 1e260, 1e308, math.inf):
         with pytest.raises(NonPositiveF):
             warp_extremals(f0)
 
@@ -296,7 +297,7 @@ def test_unconverged_quadrature_raises():
 
 
 def test_orbit_input_gates_reject_nan_and_inf():
-    for f0 in (math.nan, math.inf, -math.inf):
+    for f0 in (math.nan, math.inf, -math.inf, 1e260, 1e308):
         with pytest.raises(NonPositiveF):
             integrate_warp(f0)
 
