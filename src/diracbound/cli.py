@@ -52,7 +52,7 @@ from . import clifford, warp
 from .bounds import best_block, best_bound, bound_columns
 from .catalog import (EXAMPLES, Sphere, Surface, Warped, named_example, realize,
                       realize_columns, spec_from_dict, spec_to_dict)
-from .errors import CrossCheckFailed, DiracBoundError
+from .errors import CrossCheckFailed, DiracBoundError, MalformedDocument, ParameterRange
 from .profile import profile_from_dict, profile_to_dict, raise_first
 
 EXIT_OK = 0
@@ -127,9 +127,9 @@ def _load_json(path):
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path} is not valid JSON: {exc}") from None
+        raise MalformedDocument(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:
-        raise ValueError("JSON document nests too deeply to parse") from None
+        raise MalformedDocument("JSON document nests too deeply to parse") from None
 
 
 def _load_spec(args):
@@ -283,16 +283,16 @@ def cmd_sweep(args):
     for flag, value in (("--from", args.start), ("--to", args.stop),
                         ("--to minus --from", args.stop - args.start)):
         if not math.isfinite(value):
-            raise ValueError(f"{flag} must be finite, got {value}")
+            raise ParameterRange(f"{flag} must be finite, got {value}")
     if not args.start < args.stop:
-        raise ValueError(f"--from must be below --to, got {args.start} and {args.stop}")
+        raise ParameterRange(f"--from must be below --to, got {args.start} and {args.stop}")
     if not 2 <= args.steps <= MAX_SWEEP_STEPS:
-        raise ValueError(f"--steps must lie in [2, {MAX_SWEEP_STEPS}], got {args.steps}")
+        raise ParameterRange(f"--steps must lie in [2, {MAX_SWEEP_STEPS}], got {args.steps}")
     selected = tuple(args.bounds.split(","))
     for name in selected:
         if name not in SWEEP_COLUMNS:
-            raise ValueError(f"unknown bound column '{name}'; "
-                             f"known: {', '.join(SWEEP_COLUMNS)}")
+            raise ParameterRange(f"unknown bound column '{name}'; "
+                                 f"known: {', '.join(SWEEP_COLUMNS)}")
     realize_block = realize_columns(spec, *SWEEP_PARAMS[args.param])
 
     def block(lo):

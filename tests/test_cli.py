@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracbound import bounds, cli, curvature_track, integrate_warp
+from diracbound.errors import MalformedDocument, ParameterRange
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -409,6 +410,28 @@ def test_sweep_rejects_non_finite_endpoints(run_cli, span, flag):
                    "--steps", "3", expect=1)
     assert f"{flag} must be finite" in proc.stderr
     assert proc.stdout == "" and "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("extra", [
+    ("--from", "nan", "--to", "2", "--steps", "3"),
+    ("--from", "2.0", "--to", "1.0", "--steps", "5"),
+    ("--from", "1.0", "--to", "2.0", "--steps", "1"),
+    ("--from", "1.0", "--to", "2.0", "--steps", "5", "--bounds", "bogus"),
+], ids=["finite", "order", "steps", "bounds"])
+def test_sweep_flag_checks_raise_parameter_range(extra):
+    args = cli._parse(["sweep", "--example", "t2xs2", "--param", "radius", *extra])
+    with pytest.raises(ParameterRange):
+        args.func(args)
+
+
+@pytest.mark.parametrize("text,message", [
+    ("{", "is not valid JSON"), ("[" * 100000, "nests too deeply to parse")],
+    ids=["invalid", "deep"])
+def test_unparsable_json_raises_malformed_document(tmp_path, text, message):
+    path = tmp_path / "document.json"
+    path.write_text(text)
+    with pytest.raises(MalformedDocument, match=message):
+        cli._load_json(path)
 
 
 def test_negative_exponent_values_are_not_options(capsys):
