@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CrossCheckFailed, DimensionError, RicciFlat
-from .profile import as_float, broken, raise_first
+from .profile import as_float, as_integer, broken, raise_first
 
 # |R| at most this times sqrt(n |Ric|_0^2) counts as vanishing scalar curvature
 SCALAR_ZERO_ATOL = 1e-12
@@ -139,20 +139,18 @@ def friedrich_bound(profile):
 
 @np.errstate(all="ignore")   # an m beyond floats gives NaN, where the rule breaks
 def _kaehler_columns(n, scalar, complex_dim):
-    """(values, failures) of kaehler_block; failures records its one-row
-    rule table, m >= 1 and n = 2m (see profile.broken)."""
-    m = int(complex_dim)
+    """(values, failures) of kaehler_block: Friedrich's values at m rounded
+    up to even, and its one-row rule table m >= 1, n = 2m (profile.broken)."""
+    m = as_integer(complex_dim, "complex dimension", DimensionError)
     failures = broken(((lambda c: c["m"] < 1 or c["n"] != c["2m"], DimensionError,
                         "complex dimension {m} needs n = {2m}, profile has n = {n}"),),
                       {"m": m, "2m": 2 * m, "n": n})
-    R = np.asarray(scalar, dtype=float)
-    k = as_float(m) + m % 2   # m rounded up to even: k R / (4 (k - 1)) for both parities
-    return np.where(R <= 0.0, 0.0, k * R / (4.0 * (k - 1.0))), failures
+    return friedrich_block(as_float(m) + m % 2, scalar), failures
 
 
 def kaehler_block(n, scalar, complex_dim):
     """Kaehler values of a block of rows of dimension n; see kaehler_bound.
-    DimensionError unless m = complex_dim >= 1 and n = 2m."""
+    DimensionError unless m = complex_dim is an integer >= 1 and n = 2m."""
     values, failures = _kaehler_columns(n, scalar, complex_dim)
     raise_first(failures)
     return values

@@ -30,8 +30,8 @@ import numpy as np
 
 from .errors import (CompositionError, DimensionError, MalformedDocument,
                      ParameterRange, UnknownExample)
-from .profile import (MAX_EINSTEIN_DIM, as_float, broken, failing_rows, profile_columns,
-                      raise_first, row_of_one)
+from .profile import (MAX_EINSTEIN_DIM, as_float, as_integer, broken, failing_rows,
+                      profile_columns, raise_first, row_of_one)
 from .warp import WARP_SCALAR, warp_extremals
 
 # products nested deeper are refused: every spec walk recurses per level
@@ -177,7 +177,8 @@ def _block(spec, vary=None):
             sum(p.ric_norm_sq_min for p in parts))
         spectrum = None if None in spectra else sum(spectra, ())
         return profile, failures + more, spectrum
-    values = {f.name: getattr(spec, f.name) if f.type == "int"
+    values = {f.name: as_integer(getattr(spec, f.name), f"{_kind(spec)} field '{f.name}'",
+                                 DimensionError) if f.type == "int"
               else np.array([as_float(getattr(spec, f.name))]) for f in fields(spec)}
     if vary is not None and isinstance(spec, vary[0]):
         values[vary[1]] = vary[2]

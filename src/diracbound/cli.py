@@ -121,11 +121,11 @@ def _write_whole(out_path, write):
 
 def _load_json(path):
     try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ValueError(f"cannot read {path}: {exc}") from None
-    try:
-        return json.loads(text)
+        return json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise OSError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"{path} is not valid JSON: {exc}") from None
     except RecursionError:

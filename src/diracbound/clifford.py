@@ -38,13 +38,13 @@ they, and every draw, equal the spawned children's bit for bit.
 from __future__ import annotations
 
 import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.random  # loaded with the module, not inside the first batch
 
 from .errors import DimensionError, NotSymmetric, ParameterRange, ShapeError
+from .profile import as_integer
 
 MAX_DIM = 8                     # matrix size caps at 2^4 = 16
 MAX_TRIALS = 10**6              # bounds the run time; memory does not grow with trials
@@ -106,16 +106,9 @@ def _hermitian_generators(n):
     return gens
 
 
-def _integer(value, name, error):
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise error(f"{name} must be an integer, got {value!r}") from None
-
-
 def build_rep(n):
     """Generators of the rank-n Clifford algebra, size 2^floor(n/2)."""
-    n = _integer(n, "n", DimensionError)
+    n = as_integer(n, "n", DimensionError)
     if not 2 <= n <= MAX_DIM:
         raise DimensionError(f"representation is built for 2 <= n <= {MAX_DIM}, "
                              f"got n = {n}")
@@ -396,14 +389,14 @@ def run_identity_batch(n, trials, seed):
     batch is split. Each residual is the largest singular value from
     np.linalg.svd, maximized over the trials exactly; cheap bounds spare
     svd every matrix that cannot hold the maximum (see _PrunedMax).
-    A non-integer n (ints, bools and numpy integers pass) raises
-    DimensionError, as build_rep does; a non-integer trials or seed,
-    trials < 1, a negative seed and more than MAX_TRIALS trials raise
-    ParameterRange, all before any stream state is derived.
+    A non-integer n (see profile.as_integer) raises DimensionError, as
+    build_rep does; a non-integer trials or seed, trials < 1, a negative
+    seed and more than MAX_TRIALS trials raise ParameterRange, all before
+    any stream state is derived.
     """
     rep = build_rep(n)
-    trials = _integer(trials, "trials", ParameterRange)
-    seed = _integer(seed, "seed", ParameterRange)
+    trials = as_integer(trials, "trials", ParameterRange)
+    seed = as_integer(seed, "seed", ParameterRange)
     if trials < 1:
         raise ParameterRange(f"trials must be positive, got {trials}")
     if seed < 0:
@@ -419,4 +412,4 @@ def run_identity_batch(n, trials, seed):
         states = _stream_states(pool, seed, lo, min(CHUNK, trials - lo))
         kernel.draw(gen, states)
         worst.add(kernel.residuals(len(states)))
-    return BatchSummary(rep.n, trials, int(seed), *worst.values)
+    return BatchSummary(rep.n, trials, seed, *worst.values)

@@ -6,7 +6,8 @@ minimum kappa0 over the manifold of the smallest Ricci eigenvalue, and
 the minimum of |Ric|^2. The two minima may be attained at different
 points; no joint attainment is assumed, so any data satisfying the
 pointwise inequalities is accepted. An optional eigenvalue list covers
-the parallel-Ricci case where the spectrum is constant.
+the parallel-Ricci case where the spectrum is constant. Every integer
+argument of the package (a dimension, a count, a seed) goes through as_integer.
 
 Each validity rule is one row of an ordered table (PROFILE_RULES here;
 the spec kinds' rules in catalog; the Kaehler rule and theorem 3.1's
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import reduce
-from operator import or_
+from operator import index, or_
 
 import numpy as np
 
@@ -102,6 +103,14 @@ def as_float(value):
         return math.inf if value > 0 else -math.inf
 
 
+def as_integer(value, name, error):
+    """operator.index(value): ints, bools and numpy integers pass as ints."""
+    try:
+        return index(value)
+    except TypeError:
+        raise error(f"{name} must be an integer, got {value!r}") from None
+
+
 def _finite(name):
     return (lambda c: ~np.isfinite(c[name]), InconsistentProfile,
             f"profile field '{name}' must be finite, got {{{name}}}")
@@ -147,7 +156,7 @@ def profile_columns(n, scalar, kappa0, ric_norm_sq_min):
 
 def row_of_one(profile):
     """A profile over a block of one row, with Python numbers in its fields."""
-    return RicciProfile(int(profile.n), profile.scalar.item(), profile.kappa0.item(),
+    return RicciProfile(profile.n, profile.scalar.item(), profile.kappa0.item(),
                         profile.ric_norm_sq_min.item(),
                         profile.traceless_norm_sq_min.item(), profile.eigenvalues)
 
@@ -155,13 +164,14 @@ def row_of_one(profile):
 def make_profile(n, scalar, kappa0, ric_norm_sq_min, eigenvalues=None):
     """Validate curvature data and return a RicciProfile.
 
-    Rejection is total: a NaN or infinite value (an int beyond floats is
-    one) or a relation off by over EXACT_RTOL relative raises
-    InconsistentProfile naming the field or the relation (PROFILE_RULES,
-    then the checks of the eigenvalue list against the other fields).
+    Rejection is total: a non-integer n raises DimensionError (as_integer);
+    a NaN or infinite value (an int beyond floats is one) or a relation off
+    by over EXACT_RTOL relative raises InconsistentProfile naming the field
+    or the relation (PROFILE_RULES, then the eigenvalue list's checks).
     """
     profile, failures = profile_columns(
-        int(n), *([as_float(v)] for v in (scalar, kappa0, ric_norm_sq_min)))
+        as_integer(n, "profile dimension", DimensionError),
+        *([as_float(v)] for v in (scalar, kappa0, ric_norm_sq_min)))
     raise_first(failures)
     profile = row_of_one(profile)
     if eigenvalues is None:

@@ -138,11 +138,11 @@ def _bounded_energy(f0):
     1, E < -1e-12 keeps the lower turning point, which _rebase bisects for
     on [1e-12, 1], above 1e-10, as V(F) > -(5/6) F^(6/5). Where f0^(6/5)
     leaves the float range (f0 above about 7.6e256), f0^2 / 2 has already:
-    V counts as +inf, as its exact value dwarfs every float."""
+    V counts as +inf, as its exact value dwarfs every float; V(inf) too."""
     if not f0 > 0.0:
         raise NonPositiveF(f"F(0) must be positive, got {f0}")
     try:
-        energy = _potential(f0)
+        energy = _potential(f0) if f0 < math.inf else math.inf
     except OverflowError:
         energy = math.inf
     if f0 > 1.0 and not energy < -1e-12:

@@ -10,6 +10,7 @@ import itertools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -89,6 +90,17 @@ def test_undecodable_input_names_the_file(capsys, tmp_path, source):
     assert cli.main(["bound", source, str(path)]) == cli.EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {path}: ") and "can't decode" in err
+    with pytest.raises(MalformedDocument, match="can't decode"):
+        cli._load_json(path)
+
+
+def test_unreadable_input_raises_os_error(capsys, tmp_path):
+    path = tmp_path / "missing.json"
+    assert cli.main(["bound", "--profile", str(path)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+    with pytest.raises(OSError, match=f"^{re.escape(f'cannot read {path}: ')}") as info:
+        cli._load_json(path)
+    assert not isinstance(info.value, ValueError)
 
 
 def test_bound_diagnostic_names_field(run_cli, tmp_path):
