@@ -138,7 +138,7 @@ def _kind(spec):
     try:
         return _KIND_OF[type(spec)]
     except KeyError:
-        raise TypeError(f"not a manifold spec: {spec!r}") from None
+        raise MalformedDocument(f"not a manifold spec: {spec!r}") from None
 
 
 def leaves(spec):

@@ -21,13 +21,13 @@ and theorem 3.1's cross-check; see profile), and its first row that
 breaks one raises the first of them that it breaks, as realize and the
 report functions would on that row alone, with the parameter value added.
 
-Exit codes: 0 success, 1 input or validation error (among them an
-`ode --tol` that the quadrature's node cap cannot reach, which only an
-orbit that nears F = 0 meets), 2 no bound with
-any information (every method inapplicable or vacuous), 3 identity
-residual above tolerance, 4 an internal cross-check failed (theorem
-3.1's closed form against f(s0), or the `ode` orbit's energy drift):
-a fault of the computation, not of the input.
+Exit codes: 0 success, 1 bad input, any DiracBoundError or OSError (the
+ParameterRange of an `ode --tol` that the quadrature's node cap cannot
+reach among them, which only an orbit that nears F = 0 meets), 2 no bound
+with any information (every method inapplicable or vacuous), 3 identity
+residual above tolerance, 4 a fault of the computation, not of the input:
+an internal cross-check failed (theorem 3.1's closed form against f(s0),
+or the `ode` orbit's energy drift), or any other exception, on one line.
 """
 
 from __future__ import annotations
@@ -124,10 +124,10 @@ def _load_json(path):
         return json.loads(Path(path).read_text())
     except OSError as exc:
         raise OSError(f"cannot read {path}: {exc}") from None
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"{path} is not valid JSON: {exc}") from None
+    except ValueError as exc:   # undecodable bytes, or an int past Python's digit limit
+        raise MalformedDocument(f"cannot read {path}: {exc}") from None
     except RecursionError:
         raise MalformedDocument("JSON document nests too deeply to parse") from None
 
@@ -315,12 +315,7 @@ def cmd_sweep(args):
 # --- ode -------------------------------------------------------------------
 
 def cmd_ode(args):
-    try:
-        traj = warp.integrate_warp(args.f0, args.tol)
-    except ArithmeticError as exc:
-        if type(exc) is not ArithmeticError:   # only the node cap raises a bare one
-            raise
-        raise ArithmeticError(f"{exc}; a larger --tol accepts it") from None
+    traj = warp.integrate_warp(args.f0, args.tol)
     track = warp.curvature_track(traj)
     ext = warp.warp_extremals(traj.f0)
     # one period, 17 significant digits per cell, one % for all rows
@@ -505,9 +500,12 @@ def main(argv=None):
     except CrossCheckFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (DiracBoundError, ValueError, ArithmeticError, OSError) as exc:
+    except (DiracBoundError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:   # a fault of the program: one line, never a traceback
+        print(f"error: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

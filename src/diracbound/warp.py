@@ -475,7 +475,7 @@ def integrate_warp(f0, tol=1e-10):
     values above the equilibrium are re-based at the orbit minimum;
     exactly F(0) = 1 degenerates to the constant solution, whose period
     is reported as the linearized value pi sqrt(5). Raises
-    ArithmeticError when 2^14 nodes leave a Fourier tail above tol, and
+    ParameterRange when 2^14 nodes leave a Fourier tail above tol, and
     CrossCheckFailed when the samples drift off the energy level.
     """
     f0 = float(f0)
@@ -498,9 +498,10 @@ def integrate_warp(f0, tol=1e-10):
     beta = _node_map(f_min, h)
     coef, tail = _cosine_series(f_min, h, beta, tol)
     if not tail <= tol:
-        raise ArithmeticError(
+        raise ParameterRange(
             f"warp quadrature did not converge: Fourier tail {tail:.2e} at "
-            f"{QUADRATURE_NODES[1]} nodes for F(0) = {f0} is above tol = {tol:g}")
+            f"{QUADRATURE_NODES[1]} nodes for F(0) = {f0} is above tol = {tol:g}; "
+            "a larger --tol accepts it")
     period = 2.0 * math.pi * float(coef[0])
     tau = np.linspace(0.0, period, SAMPLES)
     mid = SAMPLES // 2

@@ -1,8 +1,12 @@
 """The package's public names: adding or removing one is a deliberate edit here."""
 
+import ast
+import builtins
+import importlib
 import math
 import pickle
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -76,3 +80,39 @@ def test_integer_arguments_follow_one_rule(entry, value):
 def test_numpy_integers_give_the_int_results(entry):
     call, k, _, _ = _INTEGER_ENTRY_POINTS[entry]
     assert pickle.dumps(call(np.int64(k))) == pickle.dumps(call(k))
+
+
+# (module, function) -> the parameter naming the class that a raise there
+# takes from its caller; each caller passes a DiracBoundError subclass
+_RAISED_PARAMETERS = {("profile", "as_integer"): "error", ("profile", "raise_first"): "error"}
+
+
+def _raises(node, function=None):
+    """(enclosing function's name, raise statement) for each raise under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Raise):
+            yield function, child
+        inner = child.name if isinstance(child, ast.FunctionDef) else function
+        yield from _raises(child, inner)
+
+
+def test_the_package_raises_only_its_errors_os_error_and_system_exit():
+    allowed, wrong, parameters = (db.DiracBoundError, OSError, SystemExit), [], set()
+    for path in sorted(Path(db.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"diracbound.{path.stem}") \
+            if path.stem != "__init__" else db
+        for function, node in _raises(ast.parse(path.read_text())):
+            if node.exc is None:   # a bare raise passes on what a handler caught
+                continue
+            name = ast.unparse(node.exc.func if isinstance(node.exc, ast.Call) else node.exc)
+            if _RAISED_PARAMETERS.get((path.stem, function)) == name:
+                parameters.add((path.stem, function))
+                continue
+            head, *attrs = name.split(".")
+            cls = vars(module).get(head, getattr(builtins, head, None))
+            for attr in attrs:
+                cls = getattr(cls, attr, None)
+            if not (isinstance(cls, type) and issubclass(cls, allowed)):
+                wrong.append(f"{path.name}:{node.lineno}: raise {name}")
+    assert wrong == []
+    assert parameters == set(_RAISED_PARAMETERS)

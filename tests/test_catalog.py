@@ -126,6 +126,15 @@ def test_realize_columns_binds_one_float_field_of_one_leaf():
     assert profile.scalar.tolist() == [6.0, 0.0] and failures == []
 
 
+@pytest.mark.parametrize("call", [lambda: realize(42),
+                                  lambda: realize(Product((Sphere(1.0), 42))),
+                                  lambda: spec_to_dict(42)],
+                         ids=["realize", "realize-factor", "spec_to_dict"])
+def test_a_value_that_is_no_spec_raises_malformed_document(call):
+    with pytest.raises(MalformedDocument, match="not a manifold spec: 42"):
+        call()
+
+
 def test_every_example_realizes():
     for name in EXAMPLES:
         p = realize(named_example(name))

@@ -437,8 +437,9 @@ def test_sweep_flag_checks_raise_parameter_range(extra):
 
 
 @pytest.mark.parametrize("text,message", [
-    ("{", "is not valid JSON"), ("[" * 100000, "nests too deeply to parse")],
-    ids=["invalid", "deep"])
+    ("{", "is not valid JSON"), ("[" * 100000, "nests too deeply to parse"),
+    ("1" * 5000, "cannot read .*integer string conversion")],   # past int's digit limit
+    ids=["invalid", "deep", "long-int"])
 def test_unparsable_json_raises_malformed_document(tmp_path, text, message):
     path = tmp_path / "document.json"
     path.write_text(text)

@@ -84,6 +84,12 @@ def test_eigenvalue_consistency(eigs, pattern):
 def test_non_finite_fields_are_named(fields, name):
     with pytest.raises(InconsistentProfile, match=f"'{name}' must be finite"):
         make_profile(4, *fields)
+    # profile_from_dict leaves finiteness to these rules: no MalformedDocument
+    scalar, kappa0, ric_norm_sq_min, eigs = fields
+    doc = {"n": 4, "scalar": scalar, "kappa0": kappa0, "ric_norm_sq_min": ric_norm_sq_min,
+           "eigenvalues": eigs and list(eigs)}
+    with pytest.raises(InconsistentProfile, match=f"'{name}' must be finite"):
+        profile_from_dict(doc)
 
 
 def test_traceless_identity():

@@ -346,6 +346,35 @@ def test_ode_energy_drift_failure_exits_4(capsys, monkeypatch, tmp_path):
     assert issubclass(CrossCheckFailed, ArithmeticError)
 
 
+@pytest.mark.parametrize("fault", [ZeroDivisionError, KeyError])
+@pytest.mark.parametrize("argv,module,name,good_calls,opened", [
+    (["bound", "--example", "t2xs2"], bounds, "theorem31_block", 0, False),
+    # the first block succeeds, and the second fails once --out's temporary file is open
+    (["sweep", "--example", "m7-sigma", "--param", "f0", "--from", "0.2", "--to", "0.8",
+      "--steps", str(cli.SWEEP_BLOCK + 2)], bounds, "theorem31_block", 1, True),
+    (["ode", "--f0", "0.3"], warp, "curvature_track", 0, False),
+], ids=["bound", "sweep", "ode"])
+def test_a_fault_of_the_program_exits_4_on_one_line(capsys, monkeypatch, tmp_path, fault,
+                                                   argv, module, name, good_calls, opened):
+    real, calls, files = getattr(module, name), [], []
+
+    def faulty(*args):
+        calls.append(args)
+        if len(calls) > good_calls:
+            files.extend(path.suffix for path in tmp_path.iterdir())
+            raise fault("boom")
+        return real(*args)
+
+    monkeypatch.setattr(module, name, faulty)
+    out = tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: internal error: {fault.__name__}: {fault('boom')}\n"
+    assert len(calls) == good_calls + 1 and files == [".tmp"] * opened
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- memory -----------------------------------------------------------------
 
 def _traced_peak(steps, tmp_path):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diracbound import (EXAMPLES, NonPositiveF, ParameterRange,
+from diracbound import (EXAMPLES, DiracBoundError, NonPositiveF, ParameterRange,
                         Warped, curvature_track, energy_drift, integrate_warp,
                         named_example, realize, warp, warp_extremals)
 from diracbound.catalog import leaves
@@ -292,8 +292,9 @@ def test_f0_below_two_to_the_minus_53():
 def test_unconverged_quadrature_raises():
     # F(0) = 1e-100 keeps a Fourier tail of 8.3e-10 at 2^14 nodes, above
     # the default tol = 1e-10
-    with pytest.raises(ArithmeticError, match="did not converge"):
+    with pytest.raises(ParameterRange, match="did not converge") as info:
         integrate_warp(1e-100)
+    assert isinstance(info.value, DiracBoundError)
 
 
 def test_orbit_input_gates_reject_nan_and_inf():
