@@ -82,6 +82,9 @@ the other fields: `bound --csv` on n = 4 and n = 2 profiles of kappa0 =
 -1e308 and R = 0, whose theorem31 values the near route misses by up to
 1.6e-10 relative, and on an n = 2 profile of kappa0 = -1e250 and R =
 1e-300, where A - 2ab rounds to 0, so s0 is 0.
+Last, Ricci-flat data, where the zero-scalar bound does not apply:
+`bound` on the all-zero n = 4 profile in table, CSV and JSON form, and
+`bound --csv` on a flat surface spec.
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -295,6 +298,15 @@ DOCUMENTS.update({
 })
 FAR_ROUTE = tuple(("bound", "--csv", "--profile", doc) for doc in (
     "<kappa0-1e308-n4>", "<kappa0-1e308-n2>", "<far-s0-underflows>"))
+# Ricci-flat data: the zero-scalar bound reports itself undefined
+DOCUMENTS.update({
+    "<ricci-flat-n4>": {"n": 4, "scalar": 0, "kappa0": 0, "ric_norm_sq_min": 0},
+    "<flat-surface>": {"surface": {"scalar": 0.0}},
+})
+RICCI_FLAT = (
+    *(("bound", "--profile", "<ricci-flat-n4>", *fmt) for fmt in ((), ("--csv",), ("--json",))),
+    ("bound", "--csv", "--spec", "<flat-surface>"),
+)
 # help and usage errors; each subcommand's -h, in the parser's order
 PARSER = (
     (), ("-h",),
@@ -335,7 +347,7 @@ def invocations():
     runs += [("verify", *argv) for argv in VERIFIES]
     return runs + [*FAILURES, *SCALED_GUARD, *PARSER, *ODE_FAILURES, *MINIMAX_EDGES,
                    *ODE_RUNS, *(("sweep", *argv) for argv in WARP_SWEEPS),
-                   *ZERO_SCALAR_EDGES, *ERROR_ORDER, *BEST_TIES, *FAR_ROUTE]
+                   *ZERO_SCALAR_EDGES, *ERROR_ORDER, *BEST_TIES, *FAR_ROUTE, *RICCI_FLAT]
 
 
 def capture(argv):
