@@ -25,8 +25,8 @@ from .clifford import (BatchSummary, CliffordRep, TraceResiduals, build_rep,
                        run_identity_batch, verify_lemma15, verify_ricci_trace)
 from .errors import (CompositionError, CrossCheckFailed, DimensionError,
                      DiracBoundError, InconsistentProfile, MalformedDocument,
-                     NonPositiveF, NotSymmetric, ParameterRange, RicciFlat,
-                     ShapeError, UnknownExample)
+                     NonPositiveF, NotSymmetric, ParameterRange, ShapeError,
+                     UnknownExample)
 from .profile import (RicciProfile, make_profile, profile_from_dict,
                       profile_to_dict)
 from .warp import (CurvatureTrack, WarpExtremals, WarpTrajectory,
@@ -48,7 +48,7 @@ __all__ = [
     "EXAMPLES",
     "Einstein", "InconsistentProfile", "MalformedDocument", "ManifoldSpec", "Method",
     "NonPositiveF", "NotSymmetric", "OptimizerInfo", "ParameterRange",
-    "Product", "RicciFlat", "RicciProfile", "ShapeError", "Sphere", "Surface",
+    "Product", "RicciProfile", "ShapeError", "Sphere", "Surface",
     "TraceResiduals",
     "UnknownExample", "Warped", "WarpExtremals", "WarpTrajectory",
     "best_bound", "build_rep", "condition_19", "curvature_track", "energy_drift",

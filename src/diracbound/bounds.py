@@ -2,10 +2,10 @@
 
 Every operation takes a RicciProfile and reports a lower bound for
 lambda^2. Applicability is data-dependent, so the bound operations do
-not raise on curvature that fails a condition: they return a report
-with applicable=False and the reason. Exceptions are reserved for
-caller errors (bad dimensions, parameters out of range, Ricci-flat
-input to the zero-scalar bound).
+not raise on data that fails a hypothesis, Ricci-flat data included:
+they return a report with applicable=False and the reason. Exceptions
+are reserved for caller errors (a complex dimension that is not an
+integer or does not fit n) and for a failed internal cross-check.
 
 Shortcut quantities used by the refined bounds, with R the scalar
 curvature, kappa0 the minimal Ricci eigenvalue and t0 the minimum of
@@ -38,7 +38,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import CrossCheckFailed, DimensionError, RicciFlat
+from .errors import CrossCheckFailed, DimensionError
 from .profile import as_float, as_integer, broken, raise_first
 
 # |R| at most this times sqrt(n |Ric|_0^2) counts as vanishing scalar curvature
@@ -290,12 +290,23 @@ def cross_check(th):
                   vars(th))
 
 
-def _checked_theorem31(profile):
-    """theorem31_block of one profile; CrossCheckFailed if its cross-check fails."""
-    th = theorem31_block(profile.n, profile.scalar, profile.kappa0,
-                         profile.traceless_norm_sq_min)
+def _theorem31_reports(profile):
+    """(theorem31, minimax_numeric) reports of one profile from one
+    theorem31_block evaluation; CrossCheckFailed if its cross-check fails."""
+    th = theorem31_block(profile.n, profile.scalar, profile.kappa0, profile.traceless_norm_sq_min)
     raise_first(cross_check(th))
-    return th
+    minimax = BoundReport(Method.MINIMAX_NUMERIC, float(th.minimax), False, True,
+                          optimizer=OptimizerInfo(t_star=float(th.t_star)))
+    if not th.condition:
+        reason = "condition |Ric - R/n|_0^2 > (R/n - kappa0) max(R/(n-1), -R) fails"
+    elif not th.applicable:
+        reason = (f"near-degenerate data: A / s^2 = {float(th.A)} < {DEGENERATE_A_ATOL} "
+                  f"at the row's scale s = {float(th.scale)}")
+    else:
+        value, s0, f_s0 = map(float, (th.value, th.s0, th.f_s0))
+        return BoundReport(Method.THEOREM31, value, True, True,
+                           optimizer=OptimizerInfo(s0=s0, f_s0=f_s0)), minimax
+    return _inapplicable(Method.THEOREM31, reason), minimax
 
 
 def theorem31_bound(profile):
@@ -306,27 +317,11 @@ def theorem31_bound(profile):
     routes are evaluated and must agree to 1e-9 relative, or
     CrossCheckFailed is raised.
     """
-    return _theorem31_report(_checked_theorem31(profile))
-
-
-def _theorem31_report(th):
-    """theorem31_bound's report from one profile's checked columns."""
-    if not th.condition:
-        return _inapplicable(
-            Method.THEOREM31,
-            "condition |Ric - R/n|_0^2 > (R/n - kappa0) max(R/(n-1), -R) fails")
-    if not th.applicable:
-        return _inapplicable(
-            Method.THEOREM31,
-            f"near-degenerate data: A / s^2 = {float(th.A)} < {DEGENERATE_A_ATOL} "
-            f"at the row's scale s = {float(th.scale)}")
-    value, s0, f_s0 = map(float, (th.value, th.s0, th.f_s0))
-    return BoundReport(Method.THEOREM31, value, True, True,
-                       optimizer=OptimizerInfo(s0=s0, f_s0=f_s0))
+    return _theorem31_reports(profile)[0]
 
 
 def zero_scalar_bound(profile):
-    """Strict bound for R = 0 on non-Ricci-flat data:
+    """Strict bound for R = 0; inapplicable on Ricci-flat data:
 
     lambda^2 > (1/4) |Ric|_0^2 / (|Ric|_0 sqrt((n-1)/n) + |kappa0|)
 
@@ -341,8 +336,8 @@ def zero_scalar_bound(profile):
         return _inapplicable(Method.ZERO_SCALAR,
                              f"scalar curvature is not zero: R = {profile.scalar}")
     if m <= 0.0:
-        raise RicciFlat("zero-scalar bound is undefined for Ricci-flat data "
-                        "(ric_norm_sq_min = 0)")
+        return _inapplicable(Method.ZERO_SCALAR, "zero-scalar bound is undefined "
+                             "for Ricci-flat data (ric_norm_sq_min = 0)")
     value = 0.25 * m / (math.sqrt(m * (n - 1.0) / n) + abs(profile.kappa0))
     return BoundReport(Method.ZERO_SCALAR, value, True, True)
 
@@ -357,13 +352,7 @@ def optimize_minimax(profile):
     evaluation is theorem31_bound's, so a failed theorem31 cross-check
     raises CrossCheckFailed here too.
     """
-    return _minimax_report(_checked_theorem31(profile))
-
-
-def _minimax_report(th):
-    """optimize_minimax's report from one profile's checked columns."""
-    return BoundReport(Method.MINIMAX_NUMERIC, float(th.minimax), False, True,
-                       optimizer=OptimizerInfo(t_star=float(th.t_star)))
+    return _theorem31_reports(profile)[1]
 
 
 # --- aggregation -----------------------------------------------------------
@@ -400,11 +389,6 @@ def best_bound(profile, complex_dim=None):
     reports = [friedrich_bound(profile)]
     if complex_dim is not None:
         reports.append(kaehler_bound(profile, complex_dim))
-    try:
-        reports.append(zero_scalar_bound(profile))
-    except RicciFlat as err:
-        reports.append(_inapplicable(Method.ZERO_SCALAR, str(err)))
-    th = _checked_theorem31(profile)
-    reports += [_theorem31_report(th), _minimax_report(th)]
+    reports += [zero_scalar_bound(profile), *_theorem31_reports(profile)]
     _, index = best_block((r.value if r.applicable else 0.0, r.applicable) for r in reports)
     return replace(reports[index], subreports=tuple(reports))

@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import io
 import json
 import locale  # noqa: F401  (argparse's gettext imports it on the first message)
@@ -107,8 +108,10 @@ def _write_whole(out_path, write):
             shutil.copyfileobj(fh, sys.stdout)
         return
     tmp = f"{out_path}.{os.urandom(6).hex()}.tmp"
+    opened = False
     try:
         with open(tmp, "x", newline="\n") as fh:
+            opened = True
             write(fh)
         os.replace(tmp, out_path)
     except BaseException as exc:
@@ -116,6 +119,8 @@ def _write_whole(out_path, write):
             os.unlink(tmp)
         if isinstance(exc, OSError) and exc.filename == tmp:  # name the path given
             raise OSError(exc.errno, exc.strerror, out_path) from None
+        if isinstance(exc, ValueError) and not opened:   # a NUL byte in the path
+            raise OSError(errno.EINVAL, str(exc), out_path) from None
         raise
 
 
@@ -219,7 +224,7 @@ def cmd_bound(args):
     else:
         text = _bound_table(profile, _bound_rows(best))
     _write_whole(args.out or None, lambda fh: fh.write(text))   # an empty --out is stdout
-    if not best.applicable or not best.value or best.value <= 0.0:
+    if not best.value or best.value <= 0.0:
         return EXIT_NO_BOUND
     return EXIT_OK
 

@@ -24,10 +24,6 @@ class ParameterRange(DiracBoundError):
     """A tuning parameter lies outside its admissible interval."""
 
 
-class RicciFlat(DiracBoundError):
-    """The zero-scalar bound is undefined for Ricci-flat data."""
-
-
 class CompositionError(DiracBoundError):
     """A product spec would break exact additivity of the curvature minima."""
 

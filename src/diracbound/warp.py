@@ -245,7 +245,9 @@ def _upper_turning_point(f_min):
 
 def _certified_bracket(gap):
     """(a, b, (miss(a), miss(b))) of the jump in _upper_turning_point, or
-    None where Newton leaves (1, 2) or the certificate fails."""
+    None where the slope rounds to 0, Newton leaves (1, 2) or the
+    certificate fails at b. No gap tried runs out of Newton steps or fails
+    at a, and _upper_turning_point's own gaps reach none of the five."""
     ratio, power = V_RATIO, V_POWER
     expm1, log1p = math.expm1, math.log1p
     r = min(1.0 + math.sqrt(5.0 * gap / 2.0), 2.0)

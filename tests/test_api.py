@@ -18,7 +18,7 @@ PUBLIC = [
     "BatchSummary", "BoundReport", "CliffordRep", "CompositionError", "CrossCheckFailed",
     "CurvatureTrack", "DimensionError", "DiracBoundError", "EXAMPLES", "Einstein",
     "InconsistentProfile", "MalformedDocument", "ManifoldSpec", "Method", "NonPositiveF",
-    "NotSymmetric", "OptimizerInfo", "ParameterRange", "Product", "RicciFlat", "RicciProfile",
+    "NotSymmetric", "OptimizerInfo", "ParameterRange", "Product", "RicciProfile",
     "ShapeError", "Sphere", "Surface", "TraceResiduals", "UnknownExample", "WarpExtremals",
     "WarpTrajectory", "Warped", "best_bound", "build_rep", "condition_19", "curvature_track",
     "energy_drift", "friedrich_block", "friedrich_bound", "harmonic_spinor_excluded",

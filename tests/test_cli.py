@@ -285,6 +285,18 @@ def test_write_errors_name_the_out_path(capsys, tmp_path, argv):
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["dir"]
 
 
+@pytest.mark.parametrize("argv", WRITERS, ids=lambda argv: argv[0])
+def test_nul_byte_in_out_is_bad_input(capsys, monkeypatch, tmp_path, argv):
+    # open() refuses the path with a ValueError; that is bad input (exit 1),
+    # not a fault of the program, and nothing is written
+    monkeypatch.chdir(tmp_path)
+    assert cli.main([*argv, "--out", "a\x00b"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 22] embedded null byte: 'a\\x00b'\n"
+    assert list(tmp_path.rglob("*")) == []
+
+
 def test_empty_out(capsys, monkeypatch, tmp_path):
     # an empty --out is stdout for bound and sweep; ode's --out is the
     # required track path, so an empty one is a path that cannot be written

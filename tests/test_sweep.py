@@ -346,7 +346,7 @@ def test_ode_energy_drift_failure_exits_4(capsys, monkeypatch, tmp_path):
     assert issubclass(CrossCheckFailed, ArithmeticError)
 
 
-@pytest.mark.parametrize("fault", [ZeroDivisionError, KeyError])
+@pytest.mark.parametrize("fault", [ZeroDivisionError, KeyError, ValueError])
 @pytest.mark.parametrize("argv,module,name,good_calls,opened", [
     (["bound", "--example", "t2xs2"], bounds, "theorem31_block", 0, False),
     # the first block succeeds, and the second fails once --out's temporary file is open

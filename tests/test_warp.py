@@ -1,5 +1,6 @@
 """Warp orbit quadrature, curvature track, and extremal extraction."""
 
+import linecache
 import math
 import re
 import subprocess
@@ -363,3 +364,61 @@ def test_turning_point_bisection_starts_from_a_narrow_bracket(monkeypatch):
     assert len(brackets) == 200 + len(warped)
     for a, b in brackets:
         assert 1.0 <= a < b <= 2.0 and b - a <= 2.0**-30
+
+
+def _refusal(gap):
+    """The source line of the test after which _certified_bracket(gap)
+    returned None; None where it returned a bracket."""
+    code, lines = warp._certified_bracket.__code__, []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not code:
+            return None
+        if event == "line":
+            lines.append(frame.f_lineno)
+        return trace
+
+    previous = sys.gettrace()
+    sys.settrace(trace)
+    try:
+        bracket = warp._certified_bracket(gap)
+    finally:
+        sys.settrace(previous)
+    return None if bracket else linecache.getline(code.co_filename, lines[-2]).strip()
+
+
+V_2 = warp._potential_gap(2.0)   # V(2) - V(1)
+SLOPE, NEWTON_LEAVES, RIGHT_END = (
+    "if not slope > 0.0:", "if not 1.0 < r < 2.0:",
+    "if not (fb > 2.0**-52 * (4.0 * t1 + 16.0 * t2 + gap) and u >= 5.0 * 2.0**-49):")
+
+
+@pytest.mark.parametrize("gap, test", [
+    (1e-300, SLOPE), (1e-40, SLOPE),         # 1 + sqrt(5 gap / 2) rounds to 1,
+    (4.9e-33, SLOPE),                        # where the slope is 0
+    (V_2, NEWTON_LEAVES),                    # Newton starts at 2, where the miss is 0
+    (0.5, NEWTON_LEAVES), (1.0, NEWTON_LEAVES),   # root beyond 2: the first step leaves
+    (V_2 - 2.0**-52, RIGHT_END),             # root 2 ulps below 2: miss(b) is all rounding
+])
+def test_certified_bracket_fallbacks(monkeypatch, gap, test):
+    """Each fallback of _certified_bracket that a direct call reaches, and
+    _upper_turning_point's answer there: the whole bisection of [1, 2].
+    Its own gaps (at most V(0) - V(1) = 1/3, and at least 9.8e-32 where
+    positive) reach none of them, so the gap is handed in through
+    _potential_gap."""
+    assert _refusal(gap) == test
+    potential_gap = warp._potential_gap
+    monkeypatch.setattr(warp, "_potential_gap", lambda F: gap if F == 0.5 else potential_gap(F))
+    assert warp._upper_turning_point(0.5) == _bisect_root(
+        lambda F: potential_gap(F) - gap, 1.0, 2.0)
+
+
+def test_certified_bracket_refuses_only_at_three_tests():
+    """On gaps across (1e-40, 1) and near V(2) - V(1), _certified_bracket
+    refuses only at the three tests above: Newton never runs out of steps,
+    and the certificate never fails at the left end."""
+    rng = np.random.default_rng(11)
+    gaps = np.concatenate((10.0 ** rng.uniform(-40.0, 0.0, 20000),
+                           V_2 - rng.uniform(0.0, 1e-12, 2000)))
+    refusals = {_refusal(gap) for gap in gaps.tolist() if warp._certified_bracket(gap) is None}
+    assert refusals == {SLOPE, NEWTON_LEAVES, RIGHT_END}
