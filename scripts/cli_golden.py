@@ -60,8 +60,10 @@ at f0 = 1e-10 (where the nodes are clustered at F_min) and at f0 =
 1e-100, which exits 1 with the Fourier tail that the node cap leaves
 and writes no track, and at f0 = 1e300, far above the separatrix,
 where F^(6/5) leaves the float range, which exits 1 and writes no track
-either; the `--out` track of each run that writes one is recorded as
-its sha256 and line count beside the summary. Then two
+either, and on the constant orbit, at f0 = 1.0 and at f0 =
+1.0000000000005 inside the band |f0 - 1| <= 1e-12, where every Fp is
++0.0; the `--out` track of each run that writes one is recorded as its
+sha256 and line count beside the summary. Then two
 300-row m7-sigma `f0` sweeps recorded by their sha256, one over
 [1e-9, 1e-3] and one over [0.999, 1], which ends on the constant
 orbit. Then `bound --csv` on a profile whose scalar, kappa0 and |Ric|^2
@@ -258,7 +260,8 @@ MINIMAX_EDGES = (
 # the warp turning points: ode runs with their track, and f0 sweeps near
 # both ends of (0, 1]
 ODE_RUNS = tuple(("ode", "--f0", f0, "--out", TRACK)
-                 for f0 in ("0.3", "1.3", "0.99999999", "1e-10", "1e-100", "1e300"))
+                 for f0 in ("0.3", "1.3", "0.99999999", "1e-10", "1e-100", "1e300",
+                            "1.0", "1.0000000000005"))
 WARP_SWEEPS = (
     ("--example", "m7-sigma", "--param", "f0",
      "--from", "1e-9", "--to", "1e-3", "--steps", "300"),
