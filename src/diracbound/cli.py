@@ -12,6 +12,9 @@ produce byte-identical bytes. CSV cells carry 17 significant digits so
 Every --out file is written whole by _write_whole, the package's only
 writer: to a temporary file beside it, renamed onto it once complete.
 `bound` and `sweep` write stdout through it too.
+`ode` formats its track's first half period, rows 0 to 2048 of 4097,
+with one %, and writes the second half from that text in mirror order,
+with Fp's sign flipped; only the second half's tau is formatted anew.
 `sweep` computes and writes its rows a block of SWEEP_BLOCK at a time;
 without --out they are spooled, in memory up to SPOOL_BYTES and on disk
 beyond, and copied to stdout once every row is, so a failing sweep
@@ -319,14 +322,32 @@ def cmd_sweep(args):
 
 # --- ode -------------------------------------------------------------------
 
+def _track_csv(traj, track):
+    """CSV text of one period, 17 significant digits per cell. Rows
+    mid + 1 to the end mirror rows mid - 1 to 0 bit for bit, with Fp
+    negated as 0.0 - Fp (see warp.integrate_warp; curvature_track is
+    elementwise in F and Fp^2). So one % formats rows 0 to mid, split into
+    their tau, F, Fp and kappa cells, and the mirrored rows reuse those
+    cells' text: only their tau is formatted."""
+    mid = len(traj.tau) // 2
+    rows = np.column_stack((traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2))
+    cells = (("%.17g,\t%.17g,\t%.17g\t,%.17g,%.17g\n\t" * (mid + 1))
+             % tuple(rows[:mid + 1].ravel().tolist())).split("\t")
+    mirror = [""] * (4 * mid)
+    mirror[0::4] = (("%.17g,\t" * mid) % tuple(traj.tau[mid + 1:].tolist())).split("\t")[:-1]
+    mirror[1::4] = cells[4 * mid - 3::-4]   # F of rows mid - 1 to 0
+    # the text of 0.0 - Fp: -x becomes x, x becomes -x, and 0 and -0 become 0
+    mirror[2::4] = [fp[1:] if fp[0] == "-" else "-" + fp if fp != "0" else fp
+                    for fp in cells[4 * mid - 2::-4]]
+    mirror[3::4] = cells[4 * mid - 1::-4]   # kappa1 and kappa2
+    return "".join(["tau,F,Fp,kappa1,kappa2\n", *cells, *mirror])
+
+
 def cmd_ode(args):
     traj = warp.integrate_warp(args.f0, args.tol)
     track = warp.curvature_track(traj)
     ext = warp.warp_extremals(traj.f0)
-    # one period, 17 significant digits per cell, one % for all rows
-    rows = np.column_stack((traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2))
-    text = "tau,F,Fp,kappa1,kappa2\n" + ("%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows)) \
-        % tuple(rows.ravel().tolist())
+    text = _track_csv(traj, track)
     _write_whole(args.out, lambda fh: fh.write(text))   # --out is required, "" too
     summary = {
         "schema": "diracbound/ode_summary/v1",

@@ -118,11 +118,18 @@ def _potential(F):
 
 
 def _potential_gap(F):
-    """V(F) - V(1), without the cancellation of subtracting the two.
+    """V(F) - V(1), without subtracting V(1) from V(F).
 
     F = 1 is a double zero of V - V(1), so the turning points of a small
-    orbit are ill-conditioned when taken from V itself; written through
-    F - 1, log1p and expm1, the gap keeps its relative accuracy.
+    orbit are ill-conditioned when taken from V itself. Written through
+    u = F - 1, log1p and expm1, each of the two terms, u (F + 1) / 2 and
+    V_RATIO expm1(V_POWER log1p(u)), keeps its relative accuracy, so the
+    gap is accurate to a few units of 2^-53 |u|, not of 2^-53 (V(1) is
+    -1/3). The terms still cancel to about 0.4 u^2, so the gap's relative
+    error is about 2^-53 / |u|, not a few ulps: 2.6e-8 at F = 1 - 1e-8,
+    and at F = 1 - 2^-52 it returns -2.47e-32 against the exact
+    +1.97e-32, the wrong sign. A Taylor form in u near F = 1 would keep
+    the relative accuracy there.
     """
     u = F - 1.0
     return u * (F + 1.0) / 2.0 - V_RATIO * math.expm1(V_POWER * math.log1p(u))
@@ -473,7 +480,10 @@ def integrate_warp(f0, tol=1e-10):
     on dtau/dtheta doubles its node count from 64 until the Fourier
     tail is below tol, up to 2^14 nodes, and tau(theta) is inverted at
     SAMPLES uniform tau on a fine grid whose interpolation error is
-    below tol. The second half period mirrors the first. Starting
+    below tol. The second half period mirrors the first, bit for bit:
+    F repeats in reverse and Fp repeats as 0.0 - Fp, so the elementwise
+    curvature_track mirrors too, and the `ode` command writes the second
+    half's cells from the first half's text on that account. Starting
     values above the equilibrium are re-based at the orbit minimum;
     exactly F(0) = 1 degenerates to the constant solution, whose period
     is reported as the linearized value pi sqrt(5). Raises

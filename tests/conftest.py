@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import subprocess
 import sys
 
@@ -81,3 +82,14 @@ def random_spectrum_profile(rng, n, scalar=None):
 # random consistent profiles with n from 2 to 8, for property tests
 spectra = st.lists(st.floats(-10.0, 10.0, allow_subnormal=False),
                    min_size=2, max_size=8).map(spectrum_profile)
+
+
+# starting values F(0) of the n = 5 warp orbit: in (1e-12, 1); 1 - 10^-u
+# for u in [2, 12], near the equilibrium; in (1, 1.89), above it, where
+# the orbit is rebased at its minimum; and the band |f0 - 1| <= 1e-12,
+# where it is the constant orbit
+orbit_starts = st.one_of(
+    st.floats(1e-12, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(2.0, 12.0).map(lambda u: 1.0 - 10.0**-u),
+    st.floats(1.0, 1.89, exclude_min=True, exclude_max=True),
+    st.floats(1.0 - 1e-12, 1.0 + 1e-12).filter(lambda f0: abs(f0 - 1.0) <= 1e-12))

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import orbit_starts
 from diracbound import bounds, cli, curvature_track, integrate_warp
 from diracbound.errors import MalformedDocument, ParameterRange
 
@@ -601,15 +602,21 @@ def test_track_csv_deterministic(capsys, tmp_path):
     assert tau1 == traj.tau[0]
 
 
-def test_track_csv_bytes_match_the_per_cell_format(capsys, tmp_path):
-    traj = integrate_warp(0.3)
+@settings(max_examples=40)
+@given(orbit_starts)
+@example(0.3)
+@example(1.0)   # the constant orbit: every Fp is +0.0
+def test_track_csv_bytes_match_the_per_cell_format(f0):
+    traj = integrate_warp(f0)
     track = curvature_track(traj)
-    path = tmp_path / "t.csv"
-    assert cli.main(["ode", "--f0", "0.3", "--out", str(path)]) == 0
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stdout(io.StringIO()):
+        path = Path(tmp) / "t.csv"
+        assert cli.main(["ode", "--f0", repr(f0), "--out", str(path)]) == 0
+        written = path.read_bytes()
     rows = zip(traj.tau, traj.F, traj.Fp, track.kappa1, track.kappa2)
     expected = "tau,F,Fp,kappa1,kappa2\n" + "".join(
         ",".join(f"{x:.17g}" for x in row) + "\n" for row in rows)
-    assert path.read_bytes() == expected.encode()
+    assert written == expected.encode()
 
 
 def test_ode_constant_orbit(run_cli, tmp_path):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import orbit_starts
 from diracbound import (EXAMPLES, DiracBoundError, NonPositiveF, ParameterRange,
                         Warped, curvature_track, energy_drift, integrate_warp,
                         named_example, realize, warp, warp_extremals)
@@ -240,17 +241,31 @@ def test_small_orbits_reach_any_tol(f0):
     assert f_max == pytest.approx(top, abs=1e-15)
 
 
-def test_orbit_is_symmetric_and_closed():
-    traj = integrate_warp(0.3)
+def _bits(values):
+    return values.view(np.uint64)
+
+
+@given(orbit_starts)
+@example(0.3)
+@example(1.0)   # the constant orbit: every Fp is +0.0
+def test_orbit_is_symmetric_and_closed(f0):
+    traj = integrate_warp(f0)
+    track = curvature_track(traj)
     mid = len(traj.tau) // 2
-    assert traj.F[0] == traj.F[-1] == 0.3
+    assert traj.F[0] == traj.F[-1] == traj.f0
     assert traj.Fp[0] == traj.Fp[-1] == 0.0
-    assert np.array_equal(traj.F, traj.F[::-1])
-    assert np.array_equal(traj.Fp[1:mid], -traj.Fp[-2:mid:-1])
     assert abs(traj.Fp[mid]) <= 1e-15
+    # the second half mirrors the first bit for bit, which the ode
+    # command's writer relies on: F and both kappas in reverse, Fp as
+    # 0.0 - Fp, so the last Fp is +0.0
+    for column in (traj.F, track.kappa1, track.kappa2):
+        assert np.array_equal(_bits(column[mid + 1:]), _bits(column[mid - 1::-1]))
+    assert np.array_equal(_bits(traj.Fp[mid + 1:]), _bits(0.0 - traj.Fp[mid - 1::-1]))
+    assert math.copysign(1.0, traj.Fp[-1]) == 1.0
     # tau = period / 2 is a sample, and it is the upper turning point
     assert traj.tau[mid] == traj.period / 2.0
-    assert traj.F[mid] == pytest.approx(warp._upper_turning_point(0.3), rel=1e-15)
+    upper = warp._upper_turning_point(traj.f0) if traj.f0 < 1.0 else 1.0
+    assert traj.F[mid] == pytest.approx(upper, rel=1e-15)
 
 
 def test_minima_fall_on_samples():
