@@ -493,7 +493,7 @@ def integrate_warp(f0, tol=1e-10):
     f0 = float(f0)
     check_tol(tol)
     _bounded_energy(f0)
-    if f0 > 1.0 + 1e-12:
+    if f0 - 1.0 > 1e-12:   # exact near 1, so no float falls between this and the band
         f0 = _rebase(f0)
 
     if abs(f0 - 1.0) <= 1e-12:
@@ -557,7 +557,7 @@ def warp_extremals(f0):
     """
     f0 = float(f0)
     energy = _bounded_energy(f0)
-    if f0 > 1.0 + 1e-12:
+    if f0 - 1.0 > 1e-12:
         f_min, f_max = _rebase(f0), f0
     else:
         f_min, f_max = f0, _upper_turning_point(f0)

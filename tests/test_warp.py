@@ -248,6 +248,7 @@ def _bits(values):
 @given(orbit_starts)
 @example(0.3)
 @example(1.0)   # the constant orbit: every Fp is +0.0
+@example(1.0 + 1e-12)   # the float just above the constant band
 def test_orbit_is_symmetric_and_closed(f0):
     traj = integrate_warp(f0)
     track = curvature_track(traj)
@@ -266,6 +267,19 @@ def test_orbit_is_symmetric_and_closed(f0):
     assert traj.tau[mid] == traj.period / 2.0
     upper = warp._upper_turning_point(traj.f0) if traj.f0 < 1.0 else 1.0
     assert traj.F[mid] == pytest.approx(upper, rel=1e-15)
+
+
+def test_start_just_above_the_constant_band_is_rebased():
+    # 1.0 + 1e-12 rounds to 1 + 1.00009e-12, outside the band |f0 - 1| <=
+    # 1e-12 but not above 1.0 + 1e-12: it was taken as its own minimum, so
+    # the orbit failed in the node map and kappa0 came out positive
+    f0 = 1.0 + 1e-12
+    traj = integrate_warp(f0)
+    assert traj.f0 < 1.0
+    assert traj.F[len(traj.F) // 2] == pytest.approx(f0, rel=1e-15)
+    ext = warp_extremals(f0)
+    assert ext.kappa0 < 0.0
+    assert ext.kappa0 == warp_extremals(traj.f0).kappa0
 
 
 def test_minima_fall_on_samples():
