@@ -270,9 +270,9 @@ def test_orbit_is_symmetric_and_closed(f0):
 
 
 def test_start_just_above_the_constant_band_is_rebased():
-    # 1.0 + 1e-12 rounds to 1 + 1.00009e-12, outside the band |f0 - 1| <=
-    # 1e-12 but not above 1.0 + 1e-12: it was taken as its own minimum, so
-    # the orbit failed in the node map and kappa0 came out positive
+    # 1.0 + 1e-12 rounds to 1 + 1.00009e-12: outside the band |f0 - 1| <=
+    # 1e-12, so it is rebased, though it is not above 1.0 + 1e-12. Taken
+    # as its own minimum, it fails in the node map and gives kappa0 > 0
     f0 = 1.0 + 1e-12
     traj = integrate_warp(f0)
     assert traj.f0 < 1.0
