@@ -87,6 +87,10 @@ the other fields: `bound --csv` on n = 4 and n = 2 profiles of kappa0 =
 Last, Ricci-flat data, where the zero-scalar bound does not apply:
 `bound` on the all-zero n = 4 profile in table, CSV and JSON form, and
 `bound --csv` on a flat surface spec.
+Last, the spellings that argparse accepts beyond one exact `--flag
+value` pair per flag: `bound --exam t2xs2` (an abbreviation), `bound
+--example=warp5 --csv` (the = form) and `bound --example t2xs2
+--example warp5 --json` (a repeat, where the last value wins).
 tests/test_cli.py compares a fresh run with the recorded file byte for
 byte, so a refactor that changes any of these bytes fails there. Write
 the file with
@@ -310,6 +314,12 @@ RICCI_FLAT = (
     *(("bound", "--profile", "<ricci-flat-n4>", *fmt) for fmt in ((), ("--csv",), ("--json",))),
     ("bound", "--csv", "--spec", "<flat-surface>"),
 )
+# argparse's other spellings: an abbreviation, the = form and a repeat
+ARGPARSE_SPELLINGS = (
+    ("bound", "--exam", "t2xs2"),
+    ("bound", "--example=warp5", "--csv"),
+    ("bound", "--example", "t2xs2", "--example", "warp5", "--json"),
+)
 # help and usage errors; each subcommand's -h, in the parser's order
 PARSER = (
     (), ("-h",),
@@ -350,7 +360,8 @@ def invocations():
     runs += [("verify", *argv) for argv in VERIFIES]
     return runs + [*FAILURES, *SCALED_GUARD, *PARSER, *ODE_FAILURES, *MINIMAX_EDGES,
                    *ODE_RUNS, *(("sweep", *argv) for argv in WARP_SWEEPS),
-                   *ZERO_SCALAR_EDGES, *ERROR_ORDER, *BEST_TIES, *FAR_ROUTE, *RICCI_FLAT]
+                   *ZERO_SCALAR_EDGES, *ERROR_ORDER, *BEST_TIES, *FAR_ROUTE, *RICCI_FLAT,
+                   *ARGPARSE_SPELLINGS]
 
 
 def capture(argv):
