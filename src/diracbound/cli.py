@@ -2,12 +2,15 @@
 
 Subcommands: bound (evaluate every lower bound on one profile), sweep
 (one-parameter family to CSV), ode (warp trajectory dump plus summary),
-verify (Clifford identity batches), catalog-list (named examples);
-`main` parses a command's arguments with that command's parser alone,
-and builds the full parser only to report no command, help or an
-unrecognized argument. Output is deterministic: identical invocations
-produce byte-identical bytes. CSV cells carry 17 significant digits so
-64-bit floats round trip; tables round to 6 decimals for reading.
+verify (Clifford identity batches), catalog-list (named examples).
+Every command's flags are declared once, in COMMANDS. `main` reads a
+well-formed command line (a command, then each of its flags at most
+once, spelled out, with a valid value) from that table alone, with
+_scan; for any other command line it builds the full argparse parser,
+which reads it as before and alone writes help, usage and errors.
+Output is deterministic: identical invocations produce byte-identical
+bytes. CSV cells carry 17 significant digits so 64-bit floats round
+trip; tables round to 6 decimals for reading.
 
 Every --out file is written whole by _write_whole, the package's only
 writer: to a temporary file beside it, renamed onto it once complete.
@@ -40,7 +43,6 @@ import csv
 import errno
 import io
 import json
-import locale  # noqa: F401  (argparse's gettext imports it on the first message)
 import math
 import os
 import re
@@ -86,8 +88,8 @@ class _Parser(argparse.ArgumentParser):
     argparse reads an argument that looks like a negative number as a
     value, not an option; its own pattern has no exponent form, so
     `--from -1e-3` would fail. The wider pattern reaches every
-    command's parser: main builds a command's own parser of this class,
-    and add_parser builds the full parser's subparsers of it.
+    command's parser, since add_parser builds the full parser's
+    subparsers of this class, and _scan reads values with it too.
     """
 
     def __init__(self, *args, **kwargs):
@@ -412,78 +414,63 @@ def cmd_catalog_list(args):
 
 # --- parser ----------------------------------------------------------------
 
-def _bound_args(p):
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--profile", metavar="PATH", help="curvature profile JSON")
-    src.add_argument("--spec", metavar="PATH", help="manifold spec JSON")
-    src.add_argument("--example", metavar="NAME", help="named example")
-    p.add_argument("--kaehler-dim", type=int, metavar="M",
-                   help="complex dimension for the Kaehler bound")
-    fmt = p.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true", help="machine output")
-    fmt.add_argument("--csv", action="store_true", help="CSV output")
-    p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
-    p.add_argument("--tol", type=float, default=1e-10, metavar="TOL",
-                   help=_COMPAT_TOL_HELP)
-    p.set_defaults(func=cmd_bound)
+# Each command's flags in help order: groups of (required, exclusive,
+# ((flag, add_argument kwargs), ...)). An exclusive group is a mutually
+# exclusive group, which required makes one of its flags required; the
+# flags of any other group go on the command's parser itself.
+_JSON = ("--json", {"action": "store_true", "help": "machine output"})
+_OUT = ("--out", {"metavar": "PATH", "help": "write here instead of stdout"})
+_SPEC = ("--spec", {"metavar": "PATH", "help": "manifold spec JSON"})
+_EXAMPLE = ("--example", {"metavar": "NAME", "help": "named example"})
+_COMPAT_TOL = ("--tol", {"type": float, "default": 1e-10, "metavar": "TOL",
+                         "help": _COMPAT_TOL_HELP})
+_BOUND = (
+    (True, True, (("--profile", {"metavar": "PATH", "help": "curvature profile JSON"}),
+                  _SPEC, _EXAMPLE)),
+    (False, False, (("--kaehler-dim", {"type": int, "metavar": "M",
+                                       "help": "complex dimension for the Kaehler bound"}),)),
+    (False, True, (_JSON, ("--csv", {"action": "store_true", "help": "CSV output"}))),
+    (False, False, (_OUT, _COMPAT_TOL)))
+_SWEEP = (
+    (True, True, (_SPEC, _EXAMPLE)),
+    (False, False, (
+        ("--param", {"required": True, "choices": SWEEP_PARAMS,
+                     "help": "which spec field to sweep"}),
+        ("--from", {"dest": "start", "type": float, "required": True, "metavar": "A",
+                    "help": "first parameter value"}),
+        ("--to", {"dest": "stop", "type": float, "required": True, "metavar": "B",
+                  "help": "last parameter value"}),
+        ("--steps", {"type": int, "required": True, "metavar": "K",
+                     "help": "number of grid points, endpoints included"}),
+        ("--bounds", {"default": ",".join(SWEEP_COLUMNS), "metavar": "LIST",
+                      "help": "comma-separated method columns to fill (default: all)"}),
+        ("--kaehler-dim", {"type": int, "metavar": "M",
+                           "help": "complex dimension for the kaehler column"}),
+        _OUT, _COMPAT_TOL)))
+_ODE = ((False, False, (
+    ("--f0", {"type": float, "required": True, "metavar": "F0",
+              "help": "starting value F(0)"}),
+    ("--tol", {"type": float, "default": 1e-10, "metavar": "TOL",
+               "help": "relative accuracy of the orbit (default 1e-10)"}),
+    ("--out", {"metavar": "PATH", "required": True,
+               "help": "CSV path for the sampled track"}))),)
+_VERIFY = ((False, False, (
+    ("--dim", {"type": int, "required": True, "metavar": "N",
+               "help": "frame dimension, 2 to 8"}),
+    ("--trials", {"type": int, "default": 1000, "metavar": "K",
+                  "help": "instances per identity (default 1000)"}),
+    ("--seed", {"type": int, "default": 0, "metavar": "SEED",
+                "help": "root seed for the instance streams (default 0)"}),
+    ("--tol", {"type": float, "default": RESIDUAL_TOL, "metavar": "TOL",
+               "help": "residual tolerance (default 1e-12)"}),
+    _JSON)),)
 
-
-def _sweep_args(p):
-    src = p.add_mutually_exclusive_group(required=True)
-    src.add_argument("--spec", metavar="PATH", help="manifold spec JSON")
-    src.add_argument("--example", metavar="NAME", help="named example")
-    p.add_argument("--param", required=True, choices=SWEEP_PARAMS,
-                   help="which spec field to sweep")
-    p.add_argument("--from", dest="start", type=float, required=True,
-                   metavar="A", help="first parameter value")
-    p.add_argument("--to", dest="stop", type=float, required=True,
-                   metavar="B", help="last parameter value")
-    p.add_argument("--steps", type=int, required=True, metavar="K",
-                   help="number of grid points, endpoints included")
-    p.add_argument("--bounds", default=",".join(SWEEP_COLUMNS), metavar="LIST",
-                   help="comma-separated method columns to fill "
-                        "(default: all)")
-    p.add_argument("--kaehler-dim", type=int, metavar="M",
-                   help="complex dimension for the kaehler column")
-    p.add_argument("--out", metavar="PATH", help="write here instead of stdout")
-    p.add_argument("--tol", type=float, default=1e-10, metavar="TOL",
-                   help=_COMPAT_TOL_HELP)
-    p.set_defaults(func=cmd_sweep)
-
-
-def _ode_args(p):
-    p.add_argument("--f0", type=float, required=True, metavar="F0",
-                   help="starting value F(0)")
-    p.add_argument("--tol", type=float, default=1e-10, metavar="TOL",
-                   help="relative accuracy of the orbit (default 1e-10)")
-    p.add_argument("--out", metavar="PATH", required=True,
-                   help="CSV path for the sampled track")
-    p.set_defaults(func=cmd_ode)
-
-
-def _verify_args(p):
-    p.add_argument("--dim", type=int, required=True, metavar="N",
-                   help="frame dimension, 2 to 8")
-    p.add_argument("--trials", type=int, default=1000, metavar="K",
-                   help="instances per identity (default 1000)")
-    p.add_argument("--seed", type=int, default=0, metavar="SEED",
-                   help="root seed for the instance streams (default 0)")
-    p.add_argument("--tol", type=float, default=RESIDUAL_TOL, metavar="TOL",
-                   help="residual tolerance (default 1e-12)")
-    p.add_argument("--json", action="store_true", help="machine output")
-    p.set_defaults(func=cmd_verify)
-
-
-def _catalog_list_args(p):
-    p.add_argument("--json", action="store_true", help="machine output")
-    p.set_defaults(func=cmd_catalog_list)
-
-
-COMMANDS = {"bound": ("evaluate every bound on one profile", _bound_args),
-            "sweep": ("one-parameter bound family to CSV", _sweep_args),
-            "ode": ("sample one warp orbit, dump CSV track", _ode_args),
-            "verify": ("run the Clifford identity batches", _verify_args),
-            "catalog-list": ("list the named examples", _catalog_list_args)}
+COMMANDS = {"bound": ("evaluate every bound on one profile", cmd_bound, _BOUND),
+            "sweep": ("one-parameter bound family to CSV", cmd_sweep, _SWEEP),
+            "ode": ("sample one warp orbit, dump CSV track", cmd_ode, _ODE),
+            "verify": ("run the Clifford identity batches", cmd_verify, _VERIFY),
+            "catalog-list": ("list the named examples", cmd_catalog_list,
+                             ((False, False, (_JSON,)),))}
 
 
 def build_parser():
@@ -492,25 +479,66 @@ def build_parser():
                      description="Lower bounds for Dirac eigenvalues from "
                                  "pointwise Ricci data.")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
-    for name, (help_text, add_arguments) in COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, func, groups) in COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        for required, exclusive, flags in groups:
+            group = (command.add_mutually_exclusive_group(required=required)
+                     if exclusive else command)
+            for flag, kwargs in flags:
+                group.add_argument(flag, **kwargs)
+        command.set_defaults(func=func)
     return parser
 
 
+def _scan(argv):
+    """argv read from COMMANDS alone, as build_parser().parse_args reads
+    it, where argv is a command and then exact flags of that command, each
+    once, with a value after each flag that takes one: a token that does
+    not start with - or that is a _NEGATIVE_NUMBER, of the flag's type
+    and among its choices; every required flag and group given, and no
+    two flags of an exclusive group. None for any other argv: help,
+    abbreviations, --flag=value, repeats, --, bad values, missing or
+    unknown flags. Those are argparse's to read, or to report."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    _, func, groups = COMMANDS[argv[0]]
+    table = {flag: kwargs for _, _, flags in groups for flag, kwargs in flags}
+    given = {}
+    tokens = iter(argv[1:])
+    for flag in tokens:
+        kwargs = table.get(flag)
+        if kwargs is None or flag in given:
+            return None
+        if "action" in kwargs:   # store_true
+            given[flag] = True
+            continue
+        value = next(tokens, None)
+        if value is None or (value.startswith("-") and not _NEGATIVE_NUMBER.match(value)):
+            return None
+        try:
+            given[flag] = kwargs.get("type", str)(value)
+        except (TypeError, ValueError):
+            return None
+        if "choices" in kwargs and given[flag] not in kwargs["choices"]:
+            return None
+    args = argparse.Namespace(command=argv[0], func=func)
+    for required, exclusive, flags in groups:
+        present = sum(flag in given for flag, _ in flags)
+        if exclusive and present > 1 or required and not present:
+            return None
+        for flag, kwargs in flags:
+            if kwargs.get("required") and flag not in given:
+                return None
+            default = False if "action" in kwargs else kwargs.get("default")
+            setattr(args, kwargs.get("dest", flag[2:].replace("-", "_")),
+                    given.get(flag, default))
+    return args
+
+
 def _parse(argv):
-    """argv parsed by the named command's own parser: the parser, and the
-    call, that the full parser's subparser action would make. The full
-    parser runs only where argv names no command, or leaves arguments
-    over, which it reports as unrecognized."""
-    if argv and argv[0] in COMMANDS:
-        _, add_arguments = COMMANDS[argv[0]]
-        parser = _Parser(prog=f"diracbound {argv[0]}")
-        add_arguments(parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
-            args.command = argv[0]
-            return args
-    return build_parser().parse_args(argv)
+    """argv read by _scan, or, where _scan declines it, by the full parser,
+    which alone writes help, usage and errors."""
+    return _scan(argv) or build_parser().parse_args(argv)
 
 
 def main(argv=None):

@@ -779,10 +779,11 @@ def test_cli_imports_no_scipy_and_main_imports_nothing(tmp_path):
 
 
 def test_main_builds_only_the_invoked_subparser(monkeypatch, tmp_path):
-    """The work, not the time: parsers built per run of main. A command
-    builds exactly one, its own; no arguments, help, an unknown command
-    and an unrecognized argument build the full parser, which is the
-    top-level parser and all five subparsers."""
+    """The work, not the time: parsers built per run of main. A
+    well-formed command builds none; help, a missing source, no
+    arguments, an unknown command, an abbreviation and an unrecognized
+    argument build the full parser, which is the top-level parser and
+    all five subparsers."""
     built = []
 
     class Counted(cli._Parser):
@@ -792,17 +793,17 @@ def test_main_builds_only_the_invoked_subparser(monkeypatch, tmp_path):
 
     monkeypatch.setattr(cli, "_Parser", Counted)
     every = ["diracbound"] + [f"diracbound {name}" for name in cli.COMMANDS]
-    runs = [(["bound", "--example", "t2xs2"], 0, ["diracbound bound"]),
+    runs = [(["bound", "--example", "t2xs2"], 0, []),
             (["sweep", "--example", "m7-sigma", "--param", "f0",
-              "--from", "0.1", "--to", "0.9", "--steps", "3"], 0, ["diracbound sweep"]),
-            (["ode", "--f0", "0.3", "--out", str(tmp_path / "t.csv")], 0,
-             ["diracbound ode"]),
-            (["verify", "--dim", "4", "--trials", "10"], 0, ["diracbound verify"]),
-            (["catalog-list"], 0, ["diracbound catalog-list"]),
-            (["bound", "-h"], 0, ["diracbound bound"]),
-            (["bound"], 1, ["diracbound bound"]),
+              "--from", "0.1", "--to", "0.9", "--steps", "3"], 0, []),
+            (["ode", "--f0", "0.3", "--out", str(tmp_path / "t.csv")], 0, []),
+            (["verify", "--dim", "4", "--trials", "10"], 0, []),
+            (["catalog-list"], 0, []),
+            (["bound", "-h"], 0, every),
+            (["bound"], 1, every),
             ([], 1, every), (["-h"], 0, every), (["frobnicate"], 1, every),
-            (["bound", "--example", "t2xs2", "--bogus"], 1, ["diracbound bound", *every])]
+            (["bound", "--exam", "t2xs2"], 0, every),
+            (["bound", "--example", "t2xs2", "--bogus"], 1, every)]
     for argv, code, progs in runs:
         built.clear()
         with contextlib.redirect_stdout(io.StringIO()), \
@@ -825,3 +826,73 @@ def test_main_builds_only_the_invoked_subparser(monkeypatch, tmp_path):
 ])
 def test_command_parser_reads_argv_as_the_full_parser_does(argv):
     assert cli._parse(argv) == cli.build_parser().parse_args(argv)
+
+
+def _same_reading(scanned, parsed):
+    """Namespaces equal field by field, where NaN equals NaN."""
+    assert vars(scanned).keys() == vars(parsed).keys()
+    for key, value in vars(scanned).items():
+        other = vars(parsed)[key]
+        assert type(value) is type(other), key
+        assert value == other or value != value and other != other, key
+
+
+_ALL_FLAGS = sorted({flag for _, _, groups in cli.COMMANDS.values()
+                     for _, _, flags in groups for flag, _ in flags})
+# values that each type reads, and values that some or all of them refuse
+_TYPED = {int: ("3", "8", "-5", "0", "2", " 5 ", "1_0", "\u0663"),
+          float: ("0.5", "1e-3", "-1e-3", "-.5", "-1.5E+2", "nan", "inf", "1e999",
+                  "3", "-5\n", "-\u0663"),
+          str: ("t2xs2", "warp5", "m7-sigma", "x", "", "a b", "-1e-3", "bound",
+                "friedrich,minimax_numeric")}
+_VALUES = ("-x", "-a b", "-", "--x", "-nan", "-inf", "0x10", "1.5", "1,5", "radiu",
+           *(v for pool in _TYPED.values() for v in pool))
+_NOISE = (*_ALL_FLAGS, *(flag[:k] for flag in _ALL_FLAGS for k in (3, len(flag) - 1)),
+          *(f"{flag}={value}" for flag in _ALL_FLAGS for value in ("2", "-1e-3", "")),
+          "-h", "--help", "--", *_VALUES)
+
+
+@st.composite
+def _command_lines(draw):
+    """A command, mostly one flag of each exclusive group and most other
+    flags, in any order, each mostly followed by a value of its type
+    (store_true flags mostly by none), and then a token or two from
+    anywhere, put in place of a token or between two: another flag, an
+    abbreviation, a --flag=value, -h, -- or a value."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    chosen = []
+    for _, exclusive, flags in cli.COMMANDS[name][2]:
+        if exclusive:
+            chosen += draw(st.permutations(flags))[:draw(st.sampled_from((1, 1, 1, 0, 2)))]
+        else:
+            chosen += [flag for flag in flags if draw(st.integers(0, 19))]
+    tokens = []
+    for flag, kwargs in draw(st.permutations(chosen)):
+        tokens.append(flag)
+        if draw(st.integers(0, 19)) < (1 if "action" in kwargs else 19):
+            pool = ((*kwargs["choices"], "radiu") if "choices" in kwargs
+                    else _TYPED[kwargs.get("type", str)])
+            tokens.append(draw(st.sampled_from(pool if draw(st.integers(0, 19)) else _VALUES)))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 1, 2)))):
+        at, token = draw(st.integers(0, len(tokens))), draw(st.sampled_from(_NOISE))
+        tokens[at:at + draw(st.integers(0, 1))] = [token]   # replace or insert
+    return [name, *tokens]
+
+
+@settings(max_examples=1000)
+@given(_command_lines())
+def test_scan_reads_argv_as_the_full_parser_does(argv):
+    scanned = cli._scan(argv)
+    if scanned is not None:
+        _same_reading(scanned, cli.build_parser().parse_args(argv))
+
+
+def test_scan_reads_every_benchmark_command(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    from workloads import WORKLOADS, cycle_commands
+    for workload in WORKLOADS:
+        for cycle in range(3):
+            for command in cycle_commands(workload, 0, cycle, tmp_path):
+                scanned = cli._scan(command.argv)
+                assert scanned is not None, command.argv
+                _same_reading(scanned, cli.build_parser().parse_args(command.argv))
