@@ -75,10 +75,6 @@ SWEEP_COLUMNS = ("friedrich", "kaehler", "theorem31", "minimax_numeric")
 SWEEP_PARAMS = {"radius": (Sphere, "radius"), "surface_scalar": (Surface, "scalar"),
                 "f0": (Warped, "f0")}
 RESIDUAL_TOL = 1e-12
-_COMPAT_TOL_HELP = ("kept for compatibility: checked to be finite and positive, "
-                    "but changes no value, because warped factors are computed "
-                    "in closed form; only the ode command integrates "
-                    "(default 1e-10)")
 _NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
 
 
@@ -423,7 +419,10 @@ _OUT = ("--out", {"metavar": "PATH", "help": "write here instead of stdout"})
 _SPEC = ("--spec", {"metavar": "PATH", "help": "manifold spec JSON"})
 _EXAMPLE = ("--example", {"metavar": "NAME", "help": "named example"})
 _COMPAT_TOL = ("--tol", {"type": float, "default": 1e-10, "metavar": "TOL",
-                         "help": _COMPAT_TOL_HELP})
+                         "help": "kept for compatibility: checked to be finite and "
+                                 "positive, but changes no value, because warped "
+                                 "factors are computed in closed form; only the ode "
+                                 "command integrates (default 1e-10)"})
 _BOUND = (
     (True, True, (("--profile", {"metavar": "PATH", "help": "curvature profile JSON"}),
                   _SPEC, _EXAMPLE)),
