@@ -896,3 +896,22 @@ def test_scan_reads_every_benchmark_command(tmp_path, monkeypatch):
                 scanned = cli._scan(command.argv)
                 assert scanned is not None, command.argv
                 _same_reading(scanned, cli.build_parser().parse_args(command.argv))
+
+
+@pytest.mark.parametrize("bad", [b"0.3", 8, None])
+def test_main_reads_path_argv_elements_and_refuses_other_types(capsys, tmp_path, bad):
+    """A path-like argv element is read as its path; bytes, an int or None
+    exit 1 with one line on stderr, not a traceback, and write nothing."""
+    as_str, as_path = tmp_path / "str.csv", tmp_path / "path.csv"
+    assert cli.main(["ode", "--f0", "0.3", "--out", str(as_str)]) == 0
+    assert cli.main(["ode", "--f0", "0.3", "--out", as_path]) == 0
+    assert as_path.read_bytes() == as_str.read_bytes()
+    capsys.readouterr()
+    for argv in (["ode", "--f0", bad, "--out", str(tmp_path / "bad.csv")],
+                 [Path("ode"), "--f0", "0.3", "--out", bad], [bad]):
+        assert cli.main(argv) == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: argument {bad!r} ({type(bad).__name__}) " \
+                               "is not a str or a path\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["path.csv", "str.csv"]

@@ -122,13 +122,25 @@ def test_pinned_nested_product_matches_oracle_over_blocks():
 def test_sweep_bytes_independent_of_sweep_block(capsys, monkeypatch):
     argv = ["sweep", "--example", "s2r-x-hyperbolic", "--param", "radius",
             "--from", "0.3", "--to", "3", "--steps", "150", "--kaehler-dim", "2"]
-    outputs = []
-    for size in (1, 7, cli.SWEEP_BLOCK):
+    outputs, block = [], cli.SWEEP_BLOCK
+    for size in (1, 7, block):
         monkeypatch.setattr(cli, "SWEEP_BLOCK", size)
         assert cli.main(argv) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0].count("\n") == 151
     assert outputs[0] == outputs[1] == outputs[2]
+    # over several blocks, the last of them partial: the bytes of blocks of 512
+    for steps, flags in ((2 * block + 3, ["--example", "s2r-x-hyperbolic", "--param", "radius",
+                                          "--from", "0.3", "--to", "3", "--kaehler-dim", "2"]),
+                         (block + 3, ["--example", "m7-sigma", "--param", "f0",
+                                      "--from", "0.2", "--to", "0.8"])):
+        outputs = []
+        for size in (512, block):
+            monkeypatch.setattr(cli, "SWEEP_BLOCK", size)
+            assert cli.main(["sweep", *flags, "--steps", str(steps)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0].count("\n") == steps + 1
+        assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("start,stop,steps", [
@@ -164,6 +176,35 @@ def test_sweep_leaving_radius_range_in_last_rows_writes_nothing(capsys, tmp_path
     assert cli.main(_radius_argv("--out", str(target))) == 1
     assert target.read_text() == "kept\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
+
+
+def test_sweep_failing_inside_the_first_block_writes_nothing(capsys, monkeypatch, tmp_path):
+    """A first failing row past 512 but inside the first block raises before
+    the sweep writes anything, with the stderr of a sweep in blocks of 512."""
+    argv = _radius_argv()
+    argv[argv.index("--steps") + 1] = "1100"
+    grid = np.linspace(9.99e74, 1.0001e75, 1100)
+    first = int(np.argmax(grid > 1e75))
+    assert 512 < first < cli.SWEEP_BLOCK   # fails in the first block
+    real, writes, errors = cli._write_whole, [], []
+
+    def counted(out_path, write):
+        writes.append(size)
+        return real(out_path, write)
+
+    monkeypatch.setattr(cli, "_write_whole", counted)
+    for size in (512, cli.SWEEP_BLOCK):
+        monkeypatch.setattr(cli, "SWEEP_BLOCK", size)
+        for extra in ((), ("--out", str(tmp_path / "sweep.csv"))):
+            assert cli.main([*argv, *extra]) == 1
+            out = capsys.readouterr()
+            assert out.out == ""
+            errors.append(out.err)
+            assert list(tmp_path.iterdir()) == []
+    assert writes == [512, 512]   # only blocks of 512 reach the writer
+    assert len(set(errors)) == 1
+    assert "sphere radius must lie in" in errors[0]
+    assert f"(at radius = {float(grid[first])!r})" in errors[0]
 
 
 def test_sweep_out_file_replaced_only_when_complete(capsys, tmp_path):
